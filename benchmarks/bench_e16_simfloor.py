@@ -1,9 +1,9 @@
-"""E16 — the simulation-floor layer: rounds/sec with bit-identical transcripts.
+"""E16 — the simulation floor: rounds/sec and transcript digests.
 
-E14 measured the *crypto* hot paths; after PR 2 and PR 4 the remaining
-ceiling is the crypto-free simulation floor itself — envelope routing,
-per-round transcript materialization, and ``disperse.on_round``
-bookkeeping.  E16 measures that floor directly:
+E14 measured the *crypto* hot paths; the remaining ceiling is the
+crypto-free simulation floor itself — envelope routing, per-round
+transcript materialization, and ``disperse.on_round`` bookkeeping.  E16
+measures that floor directly:
 
 * **crypto-free floods** at n ∈ {5, 13, 25, 49}: every node runs a
   full-flood DISPERSE chatter (ring probes, one retransmission) under a
@@ -11,26 +11,23 @@ bookkeeping.  E16 measures that floor directly:
   signature work.  The n = 49 point is the E8-style run: it uses the §6
   sparse relay (``relay_fanout = 2t+1``), the exact configuration E8
   prescribes for large n — a full ULS refresh at n = 49 is still
-  crypto-bound for tens of minutes per mode even sparse, which is why
-  the floor benchmark isolates E8's n = 49 *message pattern* instead;
+  crypto-bound for tens of minutes even sparse, which is why the floor
+  benchmark isolates E8's n = 49 *message pattern* instead;
 * **the E13 chaos workloads** (DISPERSE chatter and full ULS under
   seeded fault plans), each point aggregating several seeds so the
-  timing is not dominated by per-run noise; the crypto-free
-  ``chaos-disperse`` point is the acceptance target (≥ 2× on vs off);
-* **a real E8 sparse-relay refresh at n = 13**, showing the floor drop
-  propagating into the crypto-bearing experiments (E14 re-measures the
-  full-flood e8 points; its committed report is regenerated with this
-  layer in place).
+  timing is not dominated by per-run noise;
+* **a real E8 sparse-relay refresh at n = 13**, showing the floor in a
+  crypto-bearing experiment.
 
-Each point runs twice in-process — layer off (``configure(enabled=
-False)``) then on (caches cleared, cold start) — recording wall-clock,
-rounds/sec, and a transcript digest per mode.  The digests are computed
-*outside* the timed region (they cost the same in both modes and would
-otherwise dilute the measured ratio) and must be equal: the floor layer
-is transcript-neutral (docs/PROTOCOLS.md §12).
+Each point records wall-clock (best of ``REPEATS``), rounds/sec and a
+transcript digest.  The digests are computed *outside* the timed region
+and must not change across repeats; ``tests/test_golden_digests.py``
+pins them to the committed per-point values of ``BENCH_E16.json``.  The
+floor's speed is gated end to end by ``bench/`` (``rounds_per_s``).
 
 Compact-record mode is covered separately: it intentionally drops the
-per-round envelopes, so its parity claim goes through the streaming
+per-round envelopes (``Runner(compact_records=True)``), so its parity
+claim goes through the streaming
 :class:`~repro.analysis.digest.RoundsDigest` — the compact run's digest
 must equal the full run's.
 
@@ -42,12 +39,9 @@ Regenerate the committed report with::
 
     PYTHONPATH=src python benchmarks/bench_e16_simfloor.py --jobs 4
 
-``BENCH_SMOKE=1`` shrinks the sweep to a CI-sized sanity check (report
-goes to ``BENCH_E16_smoke.json``; the committed full-sweep
-``BENCH_E16.json`` and the regression floor ``BENCH_E16_floor.json``
-are left alone).  ``check_e16_regression.py`` compares a fresh report's
-speedup ratios against the committed floor and fails CI on a > 25%
-regression.
+``BENCH_SMOKE=1`` shrinks the sweep to two of its points and the
+compact check to n = 5 (report goes to ``BENCH_E16_smoke.json``; the
+committed full-sweep ``BENCH_E16.json`` is left alone).
 """
 
 import argparse
@@ -65,7 +59,6 @@ if __name__ == "__main__":  # script mode: make src/ importable without PYTHONPA
         sys.path.insert(0, str(_src))
 
 from repro.core.disperse import DisperseService
-from repro.perf import configure
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.clock import Schedule
 from repro.sim.messages import Envelope
@@ -79,17 +72,14 @@ SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 
 FLOOD_T = 2
 FLOOD_SCHED = Schedule(setup_rounds=2, refresh_rounds=2, normal_rounds=20)
-FLOOD_UNITS = 1 if SMOKE else 3
+FLOOD_UNITS = 3
 SPARSE_N = 49  # full flood is Θ(n²) per probe; at n=49 use the §6 sparse relay
 
 E8_T = 2
 E8_N = 13  # a real refresh at n=49 runs for tens of minutes even sparse
 E8_UNITS = 2  # refresh runs at unit boundaries: units=2 is one real refresh
 
-CHAOS_SEEDS = {
-    "disperse": range(0, 2) if SMOKE else range(0, 8),
-    "uls": range(100, 101) if SMOKE else range(100, 104),
-}
+CHAOS_SEEDS = {"disperse": range(0, 8), "uls": range(100, 104)}
 
 FULL_POINTS = (
     [("flood", n) for n in (5, 13, 25, 49)]
@@ -98,6 +88,8 @@ FULL_POINTS = (
 SMOKE_POINTS = [("flood", 5), ("chaos", "disperse")]
 
 COMPACT_N = 5 if SMOKE else 13
+
+REPEATS = 2  # best-of-2: a scheduler hiccup cannot fake a slow floor
 
 
 def sweep_points():
@@ -130,11 +122,11 @@ class FloodChatter(NodeProgram):
             self.disperse.send(ctx, target, ("probe", self.node_id, ctx.info.round))
 
 
-def run_flood(n: int, *, stream_digest: bool = False):
+def run_flood(n: int, *, stream_digest: bool = False, compact_records: bool = False):
     relay_fanout = 2 * FLOOD_T + 1 if n >= SPARSE_N else None
     programs = [FloodChatter(relay_fanout) for _ in range(n)]
-    runner = ULRunner(programs, PassiveAdversary(), FLOOD_SCHED,
-                      s=FLOOD_T, seed=n, stream_digest=stream_digest)
+    runner = ULRunner(programs, PassiveAdversary(), FLOOD_SCHED, s=FLOOD_T, seed=n,
+                      stream_digest=stream_digest, compact_records=compact_records)
     return runner.run(units=FLOOD_UNITS)
 
 
@@ -144,7 +136,7 @@ def _run_e8(n: int):
     return runner.run(units=E8_UNITS)
 
 
-def _run_point(point):
+def run_point(point):
     """One sweep point → list of executions (chaos points aggregate
     several seeds so per-run noise does not dominate the timing)."""
     kind, param = point
@@ -158,52 +150,32 @@ def _run_point(point):
     raise ValueError(f"unknown sweep point kind {kind!r}")
 
 
-# ----------------------------------------------------------- measurement
-
-def _combined_digest(executions) -> str:
+def combined_digest(executions) -> str:
     digests = "|".join(transcript_digest(execution) for execution in executions)
     return hashlib.sha256(digests.encode("ascii")).hexdigest()
 
 
-REPEATS = 2  # smoke points are tiny, so best-of-2 is cheap even in CI
-
+# ----------------------------------------------------------- measurement
 
 def measure_point(point):
-    """Run one sweep point in both modes; return digests and timings.
-
-    Only the simulation is inside the timed region; the digest pass
-    costs the same in both modes and would dilute the measured ratio.
-    Each mode is best-of-``REPEATS`` (min wall-clock) so a scheduler
-    hiccup on either side cannot fake or mask a regression; the digest
-    must be identical across repeats."""
-    out = {"point": point_id(point)}
-    try:
-        for mode, enabled in (("baseline", False), ("optimized", True)):
-            best = None
-            digest = None
-            rounds = 0
-            for _ in range(REPEATS):
-                configure(enabled=enabled)  # also clears caches (cold start)
-                start = time.perf_counter()
-                executions = _run_point(point)
-                elapsed = time.perf_counter() - start
-                rounds = sum(len(execution.records) for execution in executions)
-                this_digest = _combined_digest(executions)
-                if digest is None:
-                    digest = this_digest
-                elif digest != this_digest:
-                    raise AssertionError(f"{point_id(point)} {mode}: "
-                                         "repeat changed the transcript")
-                best = elapsed if best is None else min(best, elapsed)
-            out[mode] = {
-                "seconds": best,
-                "rounds": rounds,
-                "rounds_per_s": rounds / best if best else 0.0,
-                "digest": digest,
-            }
-    finally:
-        configure(enabled=True)
-    return out
+    """Run one sweep point ``REPEATS`` times; return the best wall-clock,
+    rounds/sec and the transcript digest (which must not change between
+    repeats).  Only the simulation is inside the timed region."""
+    best = None
+    digest = None
+    rounds = 0
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        executions = run_point(point)
+        elapsed = time.perf_counter() - start
+        rounds = sum(len(execution.records) for execution in executions)
+        this_digest = combined_digest(executions)
+        if digest is not None and digest != this_digest:
+            raise AssertionError(f"{point_id(point)}: repeat changed the transcript")
+        digest = this_digest
+        best = elapsed if best is None else min(best, elapsed)
+    return {"point": point_id(point), "seconds": best, "rounds": rounds,
+            "rounds_per_s": rounds / best if best else 0.0, "digest": digest}
 
 
 def measure_compact(n: int = COMPACT_N):
@@ -211,17 +183,13 @@ def measure_compact(n: int = COMPACT_N):
     digest on: the digests must match (docs/PROTOCOLS.md §12) and the
     compact run records its own timing."""
     out = {"n": n}
-    try:
-        for mode, compact in (("full", False), ("compact", True)):
-            configure(enabled=True, compact_records=compact)
-            start = time.perf_counter()
-            execution = run_flood(n, stream_digest=True)
-            out[mode] = {
-                "seconds": time.perf_counter() - start,
-                "rounds_digest": execution.rounds_digest,
-            }
-    finally:
-        configure(enabled=True, compact_records=False)
+    for mode, compact in (("full", False), ("compact", True)):
+        start = time.perf_counter()
+        execution = run_flood(n, stream_digest=True, compact_records=compact)
+        out[mode] = {
+            "seconds": time.perf_counter() - start,
+            "rounds_digest": execution.rounds_digest,
+        }
     out["digest_match"] = out["full"]["rounds_digest"] == out["compact"]["rounds_digest"]
     return out
 
@@ -234,42 +202,17 @@ def run_sweep(points, jobs: int):
 
 
 def build_report(measurements, compact, jobs: int) -> dict:
-    results = {}
-    timing_points = {}
-    total_baseline = 0.0
-    total_optimized = 0.0
-    for m in measurements:
-        pid = m["point"]
-        results[pid] = {
-            "digest": m["optimized"]["digest"],
-            "transcripts_match": m["baseline"]["digest"] == m["optimized"]["digest"],
-            "rounds": m["optimized"]["rounds"],
-        }
-        baseline_s = m["baseline"]["seconds"]
-        optimized_s = m["optimized"]["seconds"]
-        total_baseline += baseline_s
-        total_optimized += optimized_s
-        timing_points[pid] = {
-            "baseline_s": round(baseline_s, 4),
-            "optimized_s": round(optimized_s, 4),
-            "baseline_rounds_per_s": round(m["baseline"]["rounds_per_s"], 1),
-            "optimized_rounds_per_s": round(m["optimized"]["rounds_per_s"], 1),
-            "speedup": round(baseline_s / optimized_s, 2),
-        }
     return {
         "experiment": "e16_simfloor",
-        "description": "sim-floor layer on vs off: rounds/sec and transcript "
-                       "digests on crypto-free floods (n in {5,13,25,49}), the "
-                       "E13 chaos points, and a sparse-relay E8 refresh; the "
-                       "n=49 flood runs E8's large-n sparse-relay config; "
-                       "digests must match in both modes and compact records "
+        "description": "simulation floor: rounds/sec and transcript digests on "
+                       "crypto-free floods (n in {5,13,25,49}), the E13 chaos "
+                       "points, and a sparse-relay E8 refresh; the n=49 flood "
+                       "runs E8's large-n sparse-relay config; compact records "
                        "must keep rounds-digest parity",
         "config": {
             "group": "toy64",
             "smoke": SMOKE,
             "repeats": REPEATS,
-            "floor_flags": ["inbox_demux", "lazy_rng", "faithful_fastpath",
-                            "zero_copy_records", "fault_index"],
             "flood": {"schedule": [FLOOD_SCHED.setup_rounds,
                                    FLOOD_SCHED.refresh_rounds,
                                    FLOOD_SCHED.normal_rounds],
@@ -282,7 +225,8 @@ def build_report(measurements, compact, jobs: int) -> dict:
                    "relay_fanout": 2 * E8_T + 1},
             "points": [point_id(p) for p in sweep_points()],
         },
-        "results": results,
+        "results": {m["point"]: {"digest": m["digest"], "rounds": m["rounds"]}
+                    for m in measurements},
         "compact_records": {
             "n": compact["n"],
             "digest_match": compact["digest_match"],
@@ -290,16 +234,14 @@ def build_report(measurements, compact, jobs: int) -> dict:
         },
         "timing": {
             "jobs": jobs,
-            "points": timing_points,
+            "points": {m["point"]: {"seconds": round(m["seconds"], 4),
+                                    "rounds_per_s": round(m["rounds_per_s"], 1)}
+                       for m in measurements},
             "compact": {
                 "full_s": round(compact["full"]["seconds"], 4),
                 "compact_s": round(compact["compact"]["seconds"], 4),
-                "speedup": round(compact["full"]["seconds"]
-                                 / compact["compact"]["seconds"], 2),
             },
-            "total_baseline_s": round(total_baseline, 4),
-            "total_optimized_s": round(total_optimized, 4),
-            "speedup": round(total_baseline / total_optimized, 2),
+            "total_s": round(sum(m["seconds"] for m in measurements), 4),
         },
     }
 
@@ -311,46 +253,28 @@ def canonical_payload(report: dict) -> dict:
 
 def report_table(report: dict) -> str:
     timing = report["timing"]
-    rows = []
-    for pid, point in sorted(timing["points"].items()):
-        rows.append((
-            pid,
-            report["results"][pid]["rounds"],
-            point["baseline_s"],
-            point["optimized_s"],
-            point["baseline_rounds_per_s"],
-            point["optimized_rounds_per_s"],
-            point["speedup"],
-            "yes" if report["results"][pid]["transcripts_match"] else "NO",
-        ))
-    rows.append(("TOTAL", "", timing["total_baseline_s"],
-                 timing["total_optimized_s"], "", "", timing["speedup"], ""))
+    rows = [
+        (pid, report["results"][pid]["rounds"], point["seconds"],
+         point["rounds_per_s"], report["results"][pid]["digest"][:16])
+        for pid, point in sorted(timing["points"].items())
+    ]
+    rows.append(("TOTAL", "", timing["total_s"], "", ""))
     return format_table(
-        "E16  sim-floor layer: wall-clock and rounds/sec, layer off vs on "
-        "(transcripts equal)",
-        ["point", "rounds", "off s", "on s", "off rds/s", "on rds/s",
-         "speedup", "same transcript"],
+        "E16  simulation floor: wall-clock, rounds/sec and transcript digests",
+        ["point", "rounds", "s", "rds/s", "digest"],
         rows,
     )
 
 
 # ---------------------------------------------------------------- pytest
 
-def test_e16_transcripts_match_and_floor_speedup(benchmark):
-    """Every mode flip leaves the transcript bit-identical; the
-    crypto-free chaos points must show the >= 2x floor drop (smoke
-    points are too small to bound tightly, so smoke only checks > 1x
-    overall)."""
+def test_e16_simfloor_and_compact_parity(benchmark):
+    """Every point's transcript is stable across repeats, and compact
+    records keep rounds-digest parity with full records."""
     measurements = run_sweep(sweep_points(), jobs=1)
     compact = measure_compact()
     report = build_report(measurements, compact, jobs=1)
-    assert all(r["transcripts_match"] for r in report["results"].values()), report
     assert report["compact_records"]["digest_match"], report
-    if SMOKE:
-        assert report["timing"]["speedup"] > 1.0
-    else:
-        assert report["timing"]["points"]["chaos-disperse"]["speedup"] >= 2.0
-        assert report["timing"]["speedup"] > 1.5
     stem = "BENCH_E16_smoke" if SMOKE else "BENCH_E16"
     emit_json(stem, report)
     print("\n" + report_table(report) + "\n")
@@ -381,12 +305,8 @@ def main(argv=None) -> int:
     path = emit_json(stem, report)
     print(report_table(report))
     print(f"\nwrote {path}")
-    failures = [pid for pid, r in report["results"].items()
-                if not r["transcripts_match"]]
     if not report["compact_records"]["digest_match"]:
-        failures.append("compact-records")
-    if failures:
-        print(f"TRANSCRIPT MISMATCH: {failures}", file=sys.stderr)
+        print("COMPACT-RECORDS DIGEST MISMATCH", file=sys.stderr)
         return 1
     return 0
 

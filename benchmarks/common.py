@@ -15,7 +15,7 @@ import json
 import pathlib
 from typing import Any, Sequence
 
-from repro.analysis.digest import stable_form as _stable, transcript_digest
+from repro.analysis.digest import transcript_digest
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
@@ -82,22 +82,23 @@ def _jsonable(cell: Any) -> Any:
     return str(cell)
 
 
-# _stable / transcript_digest now live in repro.analysis.digest (the E15
-# campaign layer needs them inside the package); re-exported above so the
-# E8/E14 benchmarks keep their import path.
+# transcript_digest lives in repro.analysis.digest (the E15 campaign layer
+# needs it inside the package); re-exported above so the benchmarks and the
+# golden-digest test keep their import path.
 
 
 def build_uls_network(n: int, t: int, seed: int, adversary=None, relay_fanout=None,
-                      normal_rounds: int = 12):
+                      normal_rounds: int = 12, *, wire: str = "paper",
+                      compact_records: bool = False):
     """Standard ULS network construction used across experiments."""
     public, states, keys = build_uls_states(GROUP, SCHEME, n, t, seed=seed)
     programs = [
-        UlsProgram(states[i], SCHEME, keys[i], relay_fanout=relay_fanout)
+        UlsProgram(states[i], SCHEME, keys[i], relay_fanout=relay_fanout, wire=wire)
         for i in range(n)
     ]
     schedule = uls_schedule(normal_rounds=normal_rounds)
     runner = ULRunner(programs, adversary or PassiveAdversary(), schedule,
-                      s=t, seed=seed)
+                      s=t, seed=seed, compact_records=compact_records)
     return public, programs, runner, schedule
 
 

@@ -23,8 +23,7 @@ from repro.core.disperse import DisperseService
 from repro.core.keystore import KeyStore
 from repro.pds.keys import PdsPublic
 from repro.pds.transport import Accepted, Transport
-from repro.perf.config import perf_config
-from repro.perf.volume import BROADCAST
+from repro.perf.volume import BROADCAST, aggregated_wire
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext
 
@@ -52,6 +51,9 @@ class AuthSendTransport(Transport):
             ROM-anchored global verification key ``v_cert``.
         disperse: the node's shared DISPERSE engine.
         tag: DISPERSE tag separating this transport's traffic.
+        wire: the refresh wire format (:mod:`repro.perf.volume`); with
+            ``"aggregated"``, :meth:`send_to_all` sends one
+            broadcast-certified flood instead of ``n-1`` dispersals.
     """
 
     delay = 2
@@ -62,7 +64,10 @@ class AuthSendTransport(Transport):
         public: PdsPublic,
         disperse: DisperseService,
         tag: str = "auth",
+        *,
+        wire: str = "paper",
     ) -> None:
+        self.aggregated = aggregated_wire(wire)
         self.keystore = keystore
         self.public = public
         self.disperse = disperse
@@ -161,9 +166,9 @@ class AuthSendTransport(Transport):
         self.disperse.broadcast(ctx, wire, tag=self.tag)
 
     def send_to_all(self, ctx: NodeContext, body: Any) -> None:
-        """Round-wide send; under the volume layer a single broadcast
+        """Round-wide send; on the aggregated wire a single broadcast
         certificate replaces the ``n-1`` per-destination ones."""
-        if perf_config().flag("msg_volume"):
+        if self.aggregated:
             self.send_broadcast(ctx, body)
         else:
             super().send_to_all(ctx, body)

@@ -87,6 +87,8 @@ class AuthenticatedProgram(NodeProgram):
         inner: the top-layer protocol π (any :class:`NodeProgram`).
         state / scheme / initial_keys: ULS bootstrap material from
             :func:`~repro.core.uls.build_uls_states`.
+        wire: the refresh wire format of the ULS layer (see
+            :class:`~repro.core.uls.UlsCore`).
 
     During the set-up phase π runs over the raw (reliable) links; from
     then on its traffic is authenticated.  π's messages are delivered two
@@ -100,10 +102,12 @@ class AuthenticatedProgram(NodeProgram):
         state: PdsNodeState,
         scheme: SignatureScheme,
         initial_keys: LocalKeys,
+        *,
+        wire: str = "paper",
     ) -> None:
         super().__init__()
         self.inner = inner
-        self.core = UlsCore(state, scheme, initial_keys, node_id=state.node_id)
+        self.core = UlsCore(state, scheme, initial_keys, node_id=state.node_id, wire=wire)
 
     def bind(self, node_id: int, n: int) -> None:
         super().bind(node_id, n)
@@ -142,11 +146,14 @@ def compile_protocol(
     states: list[PdsNodeState],
     scheme: SignatureScheme,
     initial_keys: list[LocalKeys],
+    *,
+    wire: str = "paper",
 ) -> list[AuthenticatedProgram]:
-    """Apply Λ to a whole protocol: one compiled program per node."""
+    """Apply Λ to a whole protocol: one compiled program per node, all on
+    the same refresh ``wire`` format."""
     if not (len(inner_programs) == len(states) == len(initial_keys)):
         raise ValueError("one inner program, state and key set per node")
     return [
-        AuthenticatedProgram(inner, state, scheme, keys)
+        AuthenticatedProgram(inner, state, scheme, keys, wire=wire)
         for inner, state, keys in zip(inner_programs, states, initial_keys)
     ]

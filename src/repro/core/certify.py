@@ -31,7 +31,7 @@ from repro.perf.cache import (
     lookup_verify,
     store_verify,
 )
-from repro.perf.config import perf_config, register_cache_clearer
+from repro.perf.registry import register_cache_clearer
 from repro.perf.volume import BROADCAST
 
 __all__ = [
@@ -131,9 +131,6 @@ def _signed_bytes_for(msg: "CertifiedMessage") -> bytes:
     Raises ``TypeError`` for unencodable message payloads, exactly like
     :func:`_signed_bytes`; failures are not cached.
     """
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.canonical_cache):
-        return _compute_signed_bytes(msg)
     return _SIGNED_BYTES_MEMO.get(msg, _compute_signed_bytes)
 
 
@@ -167,11 +164,9 @@ def certify(
             keys.certificate,
         )
     )
-    cfg = perf_config()
-    if cfg.enabled and cfg.canonical_cache:
-        # the sender already paid for the signed-body encoding; seed the
-        # memo so no verifier of this object ever recomputes it
-        _SIGNED_BYTES_MEMO.put(msg, body)
+    # the sender already paid for the signed-body encoding; seed the memo
+    # so no verifier of this object ever recomputes it
+    _SIGNED_BYTES_MEMO.put(msg, body)
     return msg
 
 
@@ -180,9 +175,7 @@ def prime_parsed(wire: tuple, msg: CertifiedMessage) -> None:
     flooded, ``msg`` its already-parsed certified form.  Sound because a
     ``CertifiedMessage`` *is* its tuple — parsing ``wire`` from scratch
     would reproduce ``msg`` element for element."""
-    cfg = perf_config()
-    if cfg.enabled and cfg.canonical_cache:
-        _PARSE_MEMO.put(wire, msg)
+    _PARSE_MEMO.put(wire, msg)
 
 
 #: (source, unit, key_repr) -> assertion bytes.  Only ~n*units distinct
@@ -196,10 +189,6 @@ _MAX_ASSERTION_BYTES = 4096
 
 def _compute_cert_bytes(scheme: SignatureScheme, msg: CertifiedMessage) -> bytes:
     key_repr = scheme.key_repr(msg.verify_key)
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.canonical_cache):
-        assertion = certificate_assertion(msg.source, msg.unit, key_repr)
-        return pds_message_bytes(assertion, msg.unit)
     try:
         table_key = (msg.source, msg.unit, key_repr)
         cached = _ASSERTION_BYTES.get(table_key)
@@ -223,9 +212,6 @@ def _cert_bytes_for(scheme: SignatureScheme, msg: CertifiedMessage) -> bytes:
     Raises ``TypeError`` for foreign key objects, like
     ``scheme.key_repr``; failures are not cached.
     """
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.canonical_cache):
-        return _compute_cert_bytes(scheme, msg)
     entry = _CERT_BYTES_MEMO.get(
         msg, lambda m: (scheme, _compute_cert_bytes(scheme, m))
     )
@@ -382,18 +368,13 @@ def _resolve_checks(
     cache_keys: list[Any] = [None] * len(checks)
     batchable: dict[Any, list[int]] = {}
     singles: list[int] = []
-    cfg = perf_config()
     for index, (check_scheme, verify_key, message, signature) in enumerate(checks):
         bucket_key, cached = lookup_verify(check_scheme, verify_key, message, signature)
         if cached is not None:
             outcomes[index] = cached
             continue
         cache_keys[index] = bucket_key
-        if (
-            cfg.enabled
-            and cfg.batch_verify
-            and isinstance(check_scheme, SchnorrScheme)
-        ):
+        if isinstance(check_scheme, SchnorrScheme):
             batchable.setdefault(check_scheme.group, []).append(index)
         else:
             singles.append(index)
@@ -422,10 +403,7 @@ def _parse(raw: Any) -> CertifiedMessage | None:
     if isinstance(raw, tuple) and len(raw) == 8:
         if isinstance(raw[1], int) and isinstance(raw[2], int) \
                 and isinstance(raw[3], int) and isinstance(raw[4], int):
-            cfg = perf_config()
-            if cfg.enabled and cfg.canonical_cache:
-                # one flooded tuple object → one CertifiedMessage object,
-                # so the per-message memos above hit on every re-receipt
-                return _PARSE_MEMO.get(raw, CertifiedMessage)
-            return CertifiedMessage(raw)
+            # one flooded tuple object → one CertifiedMessage object, so
+            # the per-message memos above hit on every re-receipt
+            return _PARSE_MEMO.get(raw, CertifiedMessage)
     return None

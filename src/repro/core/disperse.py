@@ -25,25 +25,13 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.perf.cache import canonical_body_key, canonical_key_fn, canonical_probe
-from repro.perf.config import perf_config
+from repro.perf.cache import canonical_probe
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext
 
 __all__ = ["DisperseService", "DISPERSE_CHANNEL"]
 
 DISPERSE_CHANNEL = "disperse"
-
-
-def _body_key(body: Any) -> Hashable:
-    """Dedup key for possibly-unhashable bodies.
-
-    One flood shares a single body object across every relay and
-    receiver, and each of them keys relay/receipt dedup on its canonical
-    encoding — so the encoding is memoized by object identity in the
-    perf layer (the key bytes are unchanged; only the re-encoding cost
-    goes away)."""
-    return canonical_body_key(body)
 
 
 class DisperseService:
@@ -82,8 +70,8 @@ class DisperseService:
         # of growing without bound across units
         self._relayed: set[Hashable] = set()
         self._relayed_round = -1
-        # lazily tag-binned view of _current (perf: consumers poll several
-        # tags per round and each receipts() call was a full scan)
+        # lazily tag-binned view of _current (consumers poll several tags
+        # per round; binning once beats a full scan per receipts() call)
         self._receipts_by_tag: dict[str, list[tuple[int, Any]]] | None = None
         if retransmit < 0:
             raise ValueError(f"retransmit must be >= 0, got {retransmit}")
@@ -320,18 +308,16 @@ class DisperseService:
         """Strings marked received this round under ``tag``, as
         ``(claimed_source, body)`` — the source is NOT authenticated.
 
-        Callers must treat the result as read-only: with the demux perf
-        flag on, every call for the same tag this round shares one
-        tag-binned list built in a single pass over the receipts.
+        Callers must treat the result as read-only: every call for the
+        same tag this round shares one tag-binned list built in a single
+        pass over the receipts.
         """
-        if perf_config().flag("inbox_demux"):
-            bins = self._receipts_by_tag
-            if bins is None:
-                bins = self._receipts_by_tag = {}
-                for t, src, body in self._current:
-                    bin_ = bins.get(t)
-                    if bin_ is None:
-                        bin_ = bins[t] = []
-                    bin_.append((src, body))
-            return bins.get(tag, [])
-        return [(src, body) for t, src, body in self._current if t == tag]
+        bins = self._receipts_by_tag
+        if bins is None:
+            bins = self._receipts_by_tag = {}
+            for t, src, body in self._current:
+                bin_ = bins.get(t)
+                if bin_ is None:
+                    bin_ = bins[t] = []
+                bin_.append((src, body))
+        return bins.get(tag, [])

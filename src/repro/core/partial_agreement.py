@@ -33,7 +33,7 @@ from repro.core.auth_send import AuthSendTransport
 from repro.core.certify import prime_parsed, verify_certified_body
 from repro.core.disperse import DisperseService
 from repro.perf.cache import canonical_body_key
-from repro.perf.config import perf_config
+from repro.perf.volume import aggregated_wire
 from repro.sim.node import NodeContext
 
 __all__ = ["PartialAgreementService", "NO_VALUE"]
@@ -46,7 +46,7 @@ _PA3_TAG = "pa3"
 
 def _value_key(value: Any) -> Hashable:
     # same key DISPERSE uses for dedup: canonical encoding with a repr
-    # fallback, memoized by object identity in the perf layer (values and
+    # fallback, memoized by object identity in repro.perf (values and
     # re-dispersed raw tuples are shared by reference across nodes)
     return canonical_body_key(value)
 
@@ -72,11 +72,17 @@ class PartialAgreementService:
     Owner contract per round: ``disperse.on_round`` and
     ``transport.begin_round`` first, then :meth:`on_round`, then any
     :meth:`start` calls; read :meth:`outputs`.
+
+    ``wire`` is the refresh wire format (:mod:`repro.perf.volume`): with
+    ``"aggregated"`` the step-3 re-dispersals of every session deciding in
+    a round leave as one broadcast flood.
     """
 
     def __init__(
-        self, transport: AuthSendTransport, disperse: DisperseService, n: int
+        self, transport: AuthSendTransport, disperse: DisperseService, n: int,
+        *, wire: str = "paper",
     ) -> None:
+        self.aggregated = aggregated_wire(wire)
         self.transport = transport
         self.disperse = disperse
         self.n = n
@@ -84,7 +90,7 @@ class PartialAgreementService:
         self.sessions: dict[Hashable, _Session] = {}
         self._outputs: list[tuple[Hashable, Any]] = []
         # raw certified messages awaiting the round's batched step-3
-        # re-dispersal (volume layer)
+        # re-dispersal (aggregated wire)
         self._pa3_pending: list[Any] = []
         self._pruned_through = -1
 
@@ -128,7 +134,7 @@ class PartialAgreementService:
                 session.decided = True
                 self._outputs.append((pa_id, self._step5(session)))
         if self._pa3_pending:
-            # volume layer: ONE broadcast flood carries every certified
+            # aggregated wire: ONE broadcast flood carries every certified
             # message this node re-disperses this round, instead of a
             # per-message × per-receiver dispersal.  Every node still
             # receives every re-dispersed certified message — the
@@ -241,12 +247,11 @@ class PartialAgreementService:
                 session.maj_authors = frozenset(authors)
                 break
         # step 3: re-disperse the certified messages of MAJ members
-        batched = perf_config().flag("msg_volume")
         for author in session.maj_authors:
             for value, raw in session.records[author].values():
                 if raw is None:
                     continue  # own input has no certified form
-                if batched:
+                if self.aggregated:
                     # collected across every session deciding this round;
                     # on_round flushes them as one broadcast flood
                     self._pa3_pending.append(raw)

@@ -138,6 +138,11 @@ class UlsCore:
     application sends; then use :meth:`app_send` / :meth:`app_accepted`
     for authenticated application traffic (this is the surface the Λ
     authenticator builds on) and :meth:`request_signature` for USign.
+
+    ``wire`` is the refresh wire format, ``"paper"`` (the paper-literal
+    messages, the default) or ``"aggregated"`` (:mod:`repro.perf.volume`);
+    it is passed to the transport, the signer, the refresh service and
+    PARTIAL-AGREEMENT.
     """
 
     def __init__(
@@ -149,6 +154,8 @@ class UlsCore:
         relay_fanout: int | None = None,
         cert_retransmit: int = 0,
         cert_grace_rounds: int = 1,
+        *,
+        wire: str = "paper",
     ) -> None:
         self.state = state
         self.node_id = node_id
@@ -160,15 +167,19 @@ class UlsCore:
                 initial_keys.keypair.verify_key
             )
         self.disperse = DisperseService(relay_fanout=relay_fanout)
-        self.transport = AuthSendTransport(self.keystore, state.public, self.disperse)
-        self.signer = ThresholdSigner(state, self.transport)
-        self.refresher = RefreshService(state, self.transport)
+        self.transport = AuthSendTransport(
+            self.keystore, state.public, self.disperse, wire=wire
+        )
+        self.signer = ThresholdSigner(state, self.transport, wire=wire)
+        self.refresher = RefreshService(state, self.transport, wire=wire)
         # Part (II) is started explicitly at its offset; the service must
         # not self-start at the top of the refreshment phase
         self.refresher.auto_start = False
         from repro.core.partial_agreement import PartialAgreementService
 
-        self.pa = PartialAgreementService(self.transport, self.disperse, self.n)
+        self.pa = PartialAgreementService(
+            self.transport, self.disperse, self.n, wire=wire
+        )
         #: units in which this node raised an alert
         self.alert_units: list[int] = []
         #: structured degradation events (also emitted as node output)
@@ -446,12 +457,14 @@ class UlsProgram(NodeProgram):
         relay_fanout: int | None = None,
         cert_retransmit: int = 0,
         cert_grace_rounds: int = 1,
+        *,
+        wire: str = "paper",
     ) -> None:
         super().__init__()
         self.core = UlsCore(
             state, scheme, initial_keys, node_id=state.node_id,
             relay_fanout=relay_fanout, cert_retransmit=cert_retransmit,
-            cert_grace_rounds=cert_grace_rounds,
+            cert_grace_rounds=cert_grace_rounds, wire=wire,
         )
         self._pending: dict[bytes, tuple[Any, int]] = {}
         self.signatures: dict[tuple[Any, int], Any] = {}

@@ -22,7 +22,6 @@ from repro.crypto.field import Polynomial
 from repro.crypto.group import SchnorrGroup
 from repro.crypto.hashing import encode_for_hash, hash_to_int, tagged_hash
 from repro.crypto.shamir import Share, ShamirDealer
-from repro.perf.config import perf_config
 from repro.perf.share_image import share_image_value
 
 __all__ = [
@@ -55,7 +54,7 @@ class FeldmanCommitment:
 
         Memoized (and fixed-base accelerated on large groups) per
         commitment through :mod:`repro.perf.share_image`; the value is
-        bit-identical with the perf layer on or off.
+        exactly the product of plain exponentiations.
         """
         return share_image_value(group, self.elements, x)
 
@@ -155,15 +154,10 @@ def verify_shares_batch(
     standard ``1/q`` soundness error; if it fails, the function falls back
     to per-item verification *in batch order*, so blame attribution — which
     dealer gets complained against, which partial emitter gets rejected —
-    is identical to the unbatched path.
-
-    With the ``feldman_batch`` flag off (or a batch of size ≤ 1) this is
-    exactly the per-item loop.
+    is identical to the unbatched path.  A batch of one is exactly the
+    per-item check.
     """
-    if not items:
-        return []
-    cfg = perf_config()
-    if len(items) == 1 or not (cfg.enabled and cfg.feldman_batch):
+    if len(items) < 2:
         return [commitment.verify_share(group, share) for commitment, share in items]
     q = group.q
     transcript = tagged_hash(

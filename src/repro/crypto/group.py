@@ -21,10 +21,20 @@ from functools import lru_cache
 
 from repro.crypto.field import PrimeField
 from repro.crypto.numbers import is_probable_prime, mod_inverse, random_safe_prime
-from repro.perf.config import perf_config, register_cache_clearer
+from repro.perf.registry import register_cache_clearer
 from repro.perf.fixed_base import FixedBaseWindow
 
-__all__ = ["GroupParams", "SchnorrGroup", "named_group", "NAMED_GROUP_NAMES"]
+__all__ = [
+    "FIXED_BASE_MIN_BITS",
+    "GroupParams",
+    "SchnorrGroup",
+    "named_group",
+    "NAMED_GROUP_NAMES",
+]
+
+#: smallest modulus size at which fixed-base windows engage: below it
+#: CPython's C ``pow`` beats any Python-level window walk
+FIXED_BASE_MIN_BITS = 192
 
 #: bound on per-group fixed-base windows kept for registered bases
 _MAX_BASE_WINDOWS = 16
@@ -113,6 +123,9 @@ class SchnorrGroup:
         self.q = params.q
         self.g = params.g
         self.scalar_field = PrimeField(params.q)
+        #: whether :meth:`base_power` and :meth:`fixed_power` go through
+        #: fixed-base windows (fixed per group, by its modulus size)
+        self.uses_windows = self.p.bit_length() >= FIXED_BASE_MIN_BITS
         # fixed-base precomputation (repro.perf): a window for g, built
         # lazily, plus a small pool of windows for registered long-lived
         # bases (e.g. the PDS key v_cert used by every VER-CERT)
@@ -146,8 +159,8 @@ class SchnorrGroup:
 
     def base_power(self, exponent: int) -> int:
         """``g ** exponent mod p`` (through the fixed-base window when the
-        perf layer is on and the modulus is large enough to profit)."""
-        if self._windows_enabled():
+        modulus is large enough to profit)."""
+        if self.uses_windows:
             window = self._g_window
             if window is None:
                 window = self._g_window = FixedBaseWindow(self.g, self.p, self.q)
@@ -157,14 +170,14 @@ class SchnorrGroup:
     def fixed_power(self, base: int, exponent: int) -> int:
         """``base ** exponent mod p`` for a *long-lived* base.
 
-        Builds (and keeps) a fixed-base window for ``base`` when the perf
-        layer is on — meant for bases that are exponentiated many times
-        over their lifetime, such as the PDS verification key ``v_cert``
-        checked by every VER-CERT, or a unit's certified local keys.
-        Falls back to :meth:`power` for small groups or when disabled.
-        The window pool is bounded; eviction is FIFO.
+        Builds (and keeps) a fixed-base window for ``base`` — meant for
+        bases that are exponentiated many times over their lifetime, such
+        as the PDS verification key ``v_cert`` checked by every VER-CERT,
+        or a unit's certified local keys.  Falls back to :meth:`power` for
+        groups below :data:`FIXED_BASE_MIN_BITS`.  The window pool is
+        bounded; eviction is FIFO.
         """
-        if not self._windows_enabled():
+        if not self.uses_windows:
             return pow(base, exponent % self.q, self.p)
         window = self._base_windows.get(base)
         if window is None:
@@ -172,14 +185,6 @@ class SchnorrGroup:
                 self._base_windows.pop(next(iter(self._base_windows)))
             window = self._base_windows[base] = FixedBaseWindow(base, self.p, self.q)
         return window.pow(exponent)
-
-    def _windows_enabled(self) -> bool:
-        cfg = perf_config()
-        return (
-            cfg.enabled
-            and cfg.fixed_base
-            and self.p.bit_length() >= cfg.fixed_base_min_bits
-        )
 
     def multiply(self, a: int, b: int) -> int:
         return (a * b) % self.p
@@ -193,11 +198,9 @@ class SchnorrGroup:
     def is_member(self, a: int) -> bool:
         """Check membership of the order-``q`` subgroup.
 
-        A pure predicate of the element, so outcomes are memoized when
-        the perf layer is on — the same keys, commitments and signature
-        components are membership-checked over and over."""
-        if not perf_config().enabled:
-            return 0 < a < self.p and pow(a, self.q, self.p) == 1
+        A pure predicate of the element, so outcomes are memoized — the
+        same keys, commitments and signature components are
+        membership-checked over and over."""
         cached = self._member_cache.get(a)
         if cached is None:
             cached = 0 < a < self.p and pow(a, self.q, self.p) == 1

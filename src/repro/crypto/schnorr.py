@@ -32,7 +32,7 @@ from typing import Sequence
 from repro.crypto.group import SchnorrGroup, named_group
 from repro.crypto.hashing import encode_for_hash, hash_to_int, tagged_hash
 from repro.crypto.signature import KeyPair, SignatureScheme
-from repro.perf.config import perf_config, register_cache_clearer
+from repro.perf.registry import register_cache_clearer
 
 __all__ = [
     "SchnorrSignature",
@@ -107,13 +107,10 @@ class SchnorrScheme(SignatureScheme):
 
         Exposed publicly because the threshold scheme computes the same
         challenge when assembling partial signatures.  Memoized under the
-        exact inputs when the perf layer is on (the threshold protocol
-        recomputes the same challenge once per partial signature).
+        exact inputs (the threshold protocol recomputes the same challenge
+        once per partial signature).
         """
-        cfg = perf_config()
-        if cfg.enabled and cfg.challenge_cache:
-            return _cached_challenge(self.group.q, commitment, y, message)
-        return hash_to_int(_CHALLENGE_TAG, self.group.q, commitment, y, message)
+        return _cached_challenge(self.group.q, commitment, y, message)
 
     def sign(self, signing_key: SchnorrSigningKey, message: bytes) -> SchnorrSignature:
         # Derandomized nonce (RFC-6979 style): hash of key and message.

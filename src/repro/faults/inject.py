@@ -22,7 +22,6 @@ import random
 from typing import Any
 
 from repro.faults.plan import FaultPlan, default_corruptor, mix_seed
-from repro.perf.config import perf_config
 from repro.sim.adversary_api import Adversary, AdversaryApi, FaithfulPlan
 from repro.sim.clock import RoundInfo, Schedule
 from repro.sim.messages import Envelope
@@ -137,30 +136,24 @@ class FaultInjectionAdversary(Adversary):
             plan.setdefault(receiver, [])
 
         round_number = info.round
-        if perf_config().flag("fault_index"):
-            # filter the static schedule down to this round's active
-            # faults once, instead of re-checking every fault's round
-            # window per envelope.  Order is preserved, so "first
-            # matching fault wins" and rng consumption are unchanged —
-            # an inactive fault never matches and never draws.
-            drops = [f for f in self.plan.drops
-                     if f.first_round <= round_number <= f.last_round]
-            delays = [f for f in self.plan.delays
-                      if f.first_round <= round_number <= f.last_round]
-            dups = [f for f in self.plan.duplications
-                    if f.first_round <= round_number <= f.last_round]
-            reorders = [f for f in self.plan.reorders if f.active(round_number)]
-            if (not drops and not delays and not dups and not reorders
-                    and round_number not in self._held):
-                # nothing can touch this round's traffic and nothing
-                # draws randomness: the base plan goes through untouched
-                # (keeping its faithfulness marker, if any)
-                return plan
-        else:
-            drops = self.plan.drops
-            delays = self.plan.delays
-            dups = self.plan.duplications
-            reorders = self.plan.reorders
+        # filter the static schedule down to this round's active faults
+        # once, instead of re-checking every fault's round window per
+        # envelope.  Order is preserved, so "first matching fault wins"
+        # and rng consumption are unchanged — an inactive fault never
+        # matches and never draws.
+        drops = [f for f in self.plan.drops
+                 if f.first_round <= round_number <= f.last_round]
+        delays = [f for f in self.plan.delays
+                  if f.first_round <= round_number <= f.last_round]
+        dups = [f for f in self.plan.duplications
+                if f.first_round <= round_number <= f.last_round]
+        reorders = [f for f in self.plan.reorders if f.active(round_number)]
+        if (not drops and not delays and not dups and not reorders
+                and round_number not in self._held):
+            # nothing can touch this round's traffic and nothing draws
+            # randomness: the base plan goes through untouched (keeping
+            # its faithfulness marker, if any)
+            return plan
 
         out: dict[int, list[Envelope]] = {receiver: [] for receiver in range(api.n)}
         for receiver in range(api.n):
@@ -189,8 +182,6 @@ class FaultInjectionAdversary(Adversary):
             out[envelope.receiver].append(envelope)
 
         for fault in reorders:
-            if not fault.active(info.round):
-                continue
             receivers = range(api.n) if fault.receiver is None else (fault.receiver,)
             for receiver in receivers:
                 if len(out[receiver]) > 1:
@@ -198,24 +189,21 @@ class FaultInjectionAdversary(Adversary):
                     self.stats["reordered"] += 1
         return out
 
-    def _link_fate(self, envelope: Envelope, info: RoundInfo,
-                   drops=None, delays=None, dups=None):
+    def _link_fate(self, envelope: Envelope, info: RoundInfo, drops, delays, dups):
         """First matching fault wins: ``"drop"``, release round (int) for a
         delay, ``(copies,)`` for duplication, ``None`` for clean delivery.
-
-        The fault lists default to the plan's full schedules; ``deliver``
-        passes this round's pre-filtered active faults instead.
+        The fault lists are this round's active faults, in plan order.
         """
         sender, receiver, channel = envelope.sender, envelope.receiver, envelope.channel
-        for fault in (self.plan.drops if drops is None else drops):
+        for fault in drops:
             if fault.matches(sender, receiver, channel, info.round):
                 if fault.probability >= 1.0 or self._rng.random() < fault.probability:
                     return "drop"
-        for fault in (self.plan.delays if delays is None else delays):
+        for fault in delays:
             if fault.matches(sender, receiver, channel, info.round):
                 if fault.probability >= 1.0 or self._rng.random() < fault.probability:
                     return info.round + fault.delay
-        for fault in (self.plan.duplications if dups is None else dups):
+        for fault in dups:
             if fault.matches(sender, receiver, channel, info.round):
                 if fault.probability >= 1.0 or self._rng.random() < fault.probability:
                     return (fault.copies,)

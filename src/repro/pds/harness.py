@@ -44,14 +44,20 @@ class PdsNodeProgram(NodeProgram):
             :func:`~repro.pds.keys.deal_initial_states` (the set-up
             phase's ``Gen``).
         transport: defaults to the direct AL transport.
+        wire: the refresh wire format of the signer and the refresh
+            service, ``"paper"`` or ``"aggregated"``
+            (:mod:`repro.perf.volume`).
     """
 
-    def __init__(self, state: PdsNodeState, transport: Transport | None = None) -> None:
+    def __init__(
+        self, state: PdsNodeState, transport: Transport | None = None, *,
+        wire: str = "paper",
+    ) -> None:
         super().__init__()
         self.state = state
         self.transport = transport or DirectTransport(channel="pds")
-        self.signer = ThresholdSigner(state, self.transport)
-        self.refresher = RefreshService(state, self.transport)
+        self.signer = ThresholdSigner(state, self.transport, wire=wire)
+        self.refresher = RefreshService(state, self.transport, wire=wire)
         #: message_bytes -> (m, u) for output formatting
         self._pending: dict[bytes, tuple[Any, int]] = {}
         #: (m, u) -> signature, for inspection by experiments

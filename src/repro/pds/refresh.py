@@ -43,8 +43,7 @@ from repro.crypto.hashing import encode_for_hash, tagged_hash
 from repro.crypto.shamir import Share
 from repro.pds.keys import PdsNodeState
 from repro.pds.transport import Transport
-from repro.perf.config import perf_config
-from repro.perf.volume import responder_sample
+from repro.perf.volume import aggregated_wire, responder_sample
 from repro.sim.node import NodeContext
 
 __all__ = ["RefreshService"]
@@ -72,7 +71,7 @@ class _Phase:
     need_recovery: bool = False
     requesters: set[int] = field(default_factory=set)
     #: requesters whose recovery already failed once under sampled help —
-    #: their requests get full-fan-out treatment (volume layer)
+    #: their requests get full-fan-out treatment (aggregated wire)
     escalated: set[int] = field(default_factory=set)
     zero_dealings: dict[int, _ZeroDealing] = field(default_factory=dict)
     zero_acks: dict[int, dict[int, bytes]] = field(default_factory=dict)
@@ -92,9 +91,16 @@ class RefreshService:
     Owner contract: call :meth:`on_round` every round (after
     ``transport.begin_round``); call :meth:`begin` at the first round of
     each refreshment phase.  Read :meth:`events` for completions.
+
+    ``wire`` is the refresh wire format (:mod:`repro.perf.volume`): with
+    ``"aggregated"`` recovery help comes from a sampled ``2t+1`` responders
+    first, escalating to full fan-out after a failed recovery.
     """
 
-    def __init__(self, state: PdsNodeState, transport: Transport) -> None:
+    def __init__(
+        self, state: PdsNodeState, transport: Transport, *, wire: str = "paper"
+    ) -> None:
+        self.aggregated = aggregated_wire(wire)
         self.state = state
         self.transport = transport
         self._phase: _Phase | None = None
@@ -102,16 +108,16 @@ class RefreshService:
         self._completed_start: int | None = None
         #: blame record: ``(unit, dealer)`` for every zero-dealing received
         #: from ``dealer`` that this node refused to ack (bad share, wrong
-        #: degree, or non-zero constant).  Identical with the perf layer on
-        #: or off — the batch verifier falls back to per-dealer checks on
-        #: failure, so attribution never changes.
+        #: degree, or non-zero constant).  The same as per-dealer checking
+        #: would give — the batch verifier falls back to per-dealer checks
+        #: on failure, so attribution never changes.
         self.rejected_dealers: set[tuple[int, int]] = set()
         #: when True (default), a refresh self-starts at the first round of
         #: every refreshment phase; ULS turns this off and calls begin()
         #: itself once Part (I) has finished
         self.auto_start = True
         # unit whose sampled-help recovery failed; the next request
-        # escalates to full fan-out (volume layer, deterministic fallback)
+        # escalates to full fan-out (aggregated wire, deterministic fallback)
         self._escalate_from_unit: int | None = None
 
     @property
@@ -412,12 +418,9 @@ class RefreshService:
         if not self.state.share_is_valid():
             phase.need_recovery = True
             phase.requesters.add(ctx.node_id)
-            if (
-                perf_config().flag("msg_volume")
-                and self._escalate_from_unit is not None
-            ):
+            if self.aggregated and self._escalate_from_unit is not None:
                 # a previous sampled-help recovery came up short: demand
-                # full fan-out this time (the layer-off behaviour)
+                # full fan-out this time (the paper wire's behaviour)
                 phase.escalated.add(ctx.node_id)
                 self.transport.send_to_all(ctx, ("rf-need", phase.unit, "esc"))
             else:
@@ -445,20 +448,19 @@ class RefreshService:
             return  # cannot help others while own share is suspect
         public = self.state.public
         field = public.group.scalar_field
-        sampled = perf_config().flag("msg_volume")
         for requester in sorted(phase.requesters):
             if requester == ctx.node_id:
                 continue
-            # volume layer: only the 2t+1 seed-deterministic responders
+            # aggregated wire: only the 2t+1 seed-deterministic responders
             # deal blinds for this requester, and sub-shares only travel
             # between them (non-sampled nodes end up with empty blind maps
             # and so send no help — the sample self-selects from public
             # inputs).  2t+1 holders still yield t+1 honest consistent
             # helps under t corruptions; an escalated request (a requester
             # whose sampled recovery already failed once) gets the full
-            # fan-out of the layer-off path.
+            # fan-out of the paper wire.
             receivers: tuple[int, ...] | None = None
-            if sampled and requester not in phase.escalated:
+            if self.aggregated and requester not in phase.escalated:
                 sample = responder_sample(
                     phase.unit, requester, public.n, public.threshold
                 )

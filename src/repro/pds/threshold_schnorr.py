@@ -57,7 +57,7 @@ from repro.crypto.schnorr import (
 from repro.pds.keys import PdsNodeState
 from repro.pds.transport import Transport
 from repro.perf.cache import cached_verify
-from repro.perf.config import perf_config
+from repro.perf.volume import aggregated_wire
 from repro.sim.node import NodeContext
 
 __all__ = ["ThresholdSigner", "pds_message_bytes", "verify_pds_signature"]
@@ -140,9 +140,17 @@ class ThresholdSigner:
     Owner contract per round (after ``transport.begin_round``): call
     :meth:`on_round` once, then :meth:`request` for any fresh sign
     requests; read :meth:`completed` / :meth:`failed`.
+
+    ``wire`` is the refresh wire format (:mod:`repro.perf.volume`): with
+    ``"aggregated"`` each round's acks, reveals and partials leave as one
+    plural body per node instead of one body per session.  Either way
+    every node accepts both forms.
     """
 
-    def __init__(self, state: PdsNodeState, transport: Transport) -> None:
+    def __init__(
+        self, state: PdsNodeState, transport: Transport, *, wire: str = "paper"
+    ) -> None:
+        self.aggregated = aggregated_wire(wire)
         self.state = state
         self.transport = transport
         self.scheme = scheme_for_group(state.public.group)
@@ -154,7 +162,7 @@ class ThresholdSigner:
         #: blame record: ``(sid, share_index)`` for every received partial
         #: signature that failed cryptographic verification (pre-checks and
         #: the equation itself; *not* the still-waiting-for-dealings case).
-        #: Identical with the perf layer on or off — the batch verifier
+        #: The same as per-emitter checking would give — the batch verifier
         #: falls back to per-emitter checks on failure.
         self.rejected_partials: set[tuple[str, int]] = set()
         # sessions used to accumulate for the whole run; finished ones are
@@ -164,7 +172,7 @@ class ThresholdSigner:
         # >1-unit-late arrivals impossible; the guard makes it structural).
         self._retired: dict[str, int] = {}
         self._pruned_through = -1
-        # round-wide aggregation buffers of the volume layer: one plural
+        # round-wide aggregation buffers of the aggregated wire: one plural
         # body per node per round instead of one send_to_all per session
         self._agg_acks: list[tuple] = []
         self._agg_reveals: list[tuple] = []
@@ -238,10 +246,10 @@ class ThresholdSigner:
             if not session.done and offset >= self.deadline_steps * delay:
                 session.failed = True
                 self._failed.append(session.message_bytes)
-        # volume layer: flush the round's per-session bodies as one plural
-        # message each.  request()/_deal run after on_round in the owner's
-        # round order, so dealings stay immediate (their shares are
-        # per-receiver private values anyway and are never aggregated).
+        # aggregated wire: flush the round's per-session bodies as one
+        # plural message each.  request()/_deal run after on_round in the
+        # owner's round order, so dealings stay immediate (their shares
+        # are per-receiver private values anyway and are never aggregated).
         if self._agg_acks:
             self.transport.send_to_all(ctx, ("ts-acks", tuple(self._agg_acks)))
             self._agg_acks = []
@@ -431,7 +439,7 @@ class ThresholdSigner:
                 commit_hash = _commit_hash(dealing.commitment.elements)
                 ack_list.append((dealer, commit_hash))
                 session.acks.setdefault(dealer, {})[ctx.node_id] = commit_hash
-        if perf_config().flag("msg_volume"):
+        if self.aggregated:
             self._agg_acks.append((sid, tuple(ack_list)))
         else:
             self.transport.send_to_all(ctx, ("ts-ack", sid, tuple(ack_list)))
@@ -460,7 +468,7 @@ class ThresholdSigner:
         if not missing:
             return
         commitment = session.dealings[ctx.node_id].commitment
-        if perf_config().flag("msg_volume"):
+        if self.aggregated:
             self._agg_reveals.append(
                 (sid, tuple(missing), tuple(commitment.elements))
             )
@@ -493,7 +501,7 @@ class ThresholdSigner:
         session.my_nonce_shares = None
         self.state.erasure_log.append((self.state.unit, f"nonce:{sid}"))
         session.partials.setdefault(self.state.share_index, (qual, s_value))
-        if perf_config().flag("msg_volume"):
+        if self.aggregated:
             self._agg_partials.append((sid, self.state.share_index, qual, s_value))
         else:
             body = ("ts-partial", sid, self.state.share_index, qual, s_value)
@@ -516,14 +524,6 @@ class ThresholdSigner:
         for dealer in qual:
             acc = group.multiply(acc, session.dealings[dealer].commitment.public_constant)
         return acc
-
-    def _verify_partial(
-        self, session: _Session, share_index: int, qual: tuple[int, ...], value: int
-    ) -> bool:
-        """Publicly verify one partial: ``g^s == nonce_image(j) · key_image(j)^e``."""
-        return self._verify_partials(
-            _session_id(session.message_bytes), session, [(share_index, qual, value)]
-        )[0]
 
     def _verify_partials(
         self,
@@ -575,8 +575,7 @@ class ThresholdSigner:
             key_image = self.state.key_commitment.share_image(group, share_index)
             rhs = group.multiply(nonce_image, group.power(key_image, challenge))
             checkable.append((position, share_index, value, rhs))
-        cfg = perf_config()
-        if len(checkable) >= 2 and cfg.enabled and cfg.partial_batch:
+        if len(checkable) >= 2:
             q = group.q
             transcript = tagged_hash(
                 _PBATCH_TAG,
@@ -604,28 +603,24 @@ class ThresholdSigner:
         return verdicts
 
     def _try_combine(self, sid: str, session: _Session) -> None:
-        cfg = perf_config()
-        use_memo = cfg.enabled and cfg.partial_batch
         key_commitment = self.state.key_commitment
         pending: list[tuple[int, tuple[int, ...], int]] = []
         verdicts: dict[int, bool] = {}
         for share_index, (qual, value) in session.partials.items():
-            if use_memo:
-                memo = session.verify_memo.get(share_index)
-                if (
-                    memo is not None
-                    and memo[0] == session.version
-                    and memo[1] is key_commitment
-                ):
-                    verdicts[share_index] = memo[2]
-                    continue
+            memo = session.verify_memo.get(share_index)
+            if (
+                memo is not None
+                and memo[0] == session.version
+                and memo[1] is key_commitment
+            ):
+                verdicts[share_index] = memo[2]
+                continue
             pending.append((share_index, qual, value))
         for (share_index, _qual, _value), verdict in zip(
             pending, self._verify_partials(sid, session, pending)
         ):
             verdicts[share_index] = verdict
-            if use_memo:
-                session.verify_memo[share_index] = (session.version, key_commitment, verdict)
+            session.verify_memo[share_index] = (session.version, key_commitment, verdict)
         by_qual: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for share_index, (qual, value) in session.partials.items():
             if verdicts[share_index]:

@@ -1,20 +1,23 @@
 """The performance layer: caches, precomputation and batching.
 
-Everything in this package is *transcript-neutral*: turning any flag on
-or off changes wall-clock time, never protocol behaviour.  The E14
-benchmark (``benchmarks/bench_e14_perf.py``) measures the layer against
-the unoptimized baseline and asserts bit-identical transcripts both ways;
-``docs/PROTOCOLS.md`` §12 states the security argument for each piece.
+Everything in this package is *transcript-neutral*: it changes
+wall-clock time, never protocol behaviour.  Each optimisation has one
+implementation; the per-seed digests committed in ``BENCH_E14.json`` and
+``BENCH_E16.json`` pin the behaviour (``tests/test_golden_digests.py``),
+and ``docs/PROTOCOLS.md`` §12 states the security argument for each piece.
 
 Components:
 
-* :mod:`repro.perf.config` — process-global feature switches
-  (``REPRO_PERF=0`` disables the whole layer);
+* :mod:`repro.perf.registry` — the cache-clearer registry
+  (:func:`clear_all_caches`) and the garbage-collection policy;
 * :mod:`repro.perf.cache` — the signature-verification cache and the
   identity-keyed canonical-encoding cache;
 * :mod:`repro.perf.fixed_base` — fixed-base exponentiation windows used
   by :class:`repro.crypto.group.SchnorrGroup` for ``g`` and long-lived
-  keys such as ``v_cert``.
+  keys such as ``v_cert``;
+* :mod:`repro.perf.share_image` — memoized Feldman share images;
+* :mod:`repro.perf.volume` — the aggregated refresh wire format's
+  broadcast sentinel and responder sampling.
 
 Batch Schnorr verification lives with the scheme itself
 (:meth:`repro.crypto.schnorr.SchnorrScheme.batch_verify`); the batched
@@ -29,23 +32,14 @@ from repro.perf.cache import (
     invalidate_verify_key,
     verification_cache,
 )
-from repro.perf.config import (
-    PerfConfig,
-    clear_all_caches,
-    configure,
-    perf_config,
-    register_cache_clearer,
-)
 from repro.perf.fixed_base import FixedBaseWindow
+from repro.perf.registry import clear_all_caches, register_cache_clearer
 from repro.perf.volume import BROADCAST, responder_sample, sample_size
 
 __all__ = [
     "BROADCAST",
     "responder_sample",
     "sample_size",
-    "PerfConfig",
-    "perf_config",
-    "configure",
     "register_cache_clearer",
     "clear_all_caches",
     "VerificationCache",

@@ -25,8 +25,8 @@ Two caches live here:
   the body, so an id can never be recycled while its entry is alive.
 
 The caches only ever memoize pure functions under exact keys, so they are
-transcript-neutral: any execution with caching on is bit-identical to the
-same execution with caching off.
+transcript-neutral: every execution is bit-identical to the same execution
+computed without them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
 from repro.crypto.hashing import encode_for_hash
-from repro.perf.config import perf_config, register_cache_clearer
+from repro.perf.registry import register_cache_clearer
 
 __all__ = [
     "VerificationCache",
@@ -47,7 +47,6 @@ __all__ = [
     "CanonicalKeyCache",
     "canonical_body_key",
     "canonical_encoding",
-    "canonical_key_fn",
     "canonical_probe",
 ]
 
@@ -154,9 +153,6 @@ def cached_verify(scheme: Any, verify_key: Any, message: bytes, signature: Any) 
     the security argument); a cached ``False`` is just as valid as a
     cached ``True`` because the key pins the exact signature bytes.
     """
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.verify_cache):
-        return scheme.verify(verify_key, message, signature)
     key_repr = _cacheable_key(scheme, verify_key, signature)
     if key_repr is None:
         _VERIFY_CACHE.skips += 1
@@ -175,13 +171,10 @@ def lookup_verify(
     """Split-phase cache probe for batched call sites.
 
     Returns ``(bucket_key, cached_result)``: the bucket key is ``None``
-    when the query is uncacheable (or the cache is off), the result is
-    ``None`` on a miss.  Callers that verify through a batch use
-    :func:`store_verify` with the returned key afterwards.
+    when the query is uncacheable, the result is ``None`` on a miss.
+    Callers that verify through a batch use :func:`store_verify` with the
+    returned key afterwards.
     """
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.verify_cache):
-        return None, None
     key_repr = _cacheable_key(scheme, verify_key, signature)
     if key_repr is None:
         _VERIFY_CACHE.skips += 1
@@ -266,9 +259,6 @@ def canonical_body_key(body: Any) -> Hashable:
     removes the re-encoding cost for bodies that flow through many relay
     hops and dedup checks per round.
     """
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.canonical_cache):
-        return _encode_or_repr(body)
     return _CANONICAL.get(body, _encode_or_repr)
 
 
@@ -289,32 +279,11 @@ def canonical_encoding(body: Any) -> bytes:
     raise TypeError(f"cannot encode {type(body).__name__} for hashing")
 
 
-def canonical_key_fn() -> Callable[[Any], Hashable]:
-    """A resolver bound to the current flag state, for per-round hot loops.
-
-    ``canonical_body_key`` re-reads the perf flags on every call; DISPERSE
-    keys every envelope it touches several times per round, so the flood
-    loop fetches one bound callable per round instead.  The returned
-    function computes byte-identical keys either way; it must not be held
-    across a :func:`repro.perf.config.configure` call.
-    """
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.canonical_cache):
-        return _encode_or_repr
-    entries = _CANONICAL._entries
-    cache = _CANONICAL
-
-    def resolve(body: Any) -> Hashable:
-        entry = entries.get(id(body))
-        if entry is not None and entry[0] is body:
-            cache.hits += 1
-            return entry[1]
-        cache.misses += 1
-        value = _encode_or_repr(body)
-        cache.put(body, value)
-        return value
-
-    return resolve
+def _canonical_miss(body: Any) -> Hashable:
+    _CANONICAL.misses += 1
+    value = _encode_or_repr(body)
+    _CANONICAL.put(body, value)
+    return value
 
 
 def canonical_probe() -> tuple[dict[int, tuple[Any, Any]], Callable[[Any], Hashable]]:
@@ -322,21 +291,7 @@ def canonical_probe() -> tuple[dict[int, tuple[Any, Any]], Callable[[Any], Hasha
 
     The caller probes ``entries.get(id(body))`` and, after the identity
     check ``entry[0] is body``, uses ``entry[1]``; on a miss it calls
-    ``miss(body)``, which computes, records and returns the key.  With the
-    cache off the returned dict is empty and never written, so every probe
-    falls through to a plain computation — same bytes, no memo.  Inlined
-    hits bypass the hit counter (only ``misses`` stays exact); like
-    :func:`canonical_key_fn`, the pair must not be held across a
-    ``configure()`` call.
+    ``miss(body)``, which computes, records and returns the key.  Inlined
+    hits bypass the hit counter (only ``misses`` stays exact).
     """
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.canonical_cache):
-        return {}, _encode_or_repr
-
-    def miss(body: Any) -> Hashable:
-        _CANONICAL.misses += 1
-        value = _encode_or_repr(body)
-        _CANONICAL.put(body, value)
-        return value
-
-    return _CANONICAL._entries, miss
+    return _CANONICAL._entries, _canonical_miss

@@ -8,9 +8,9 @@ the classic fixed-base windowing method (Brickell et al.; HAC 14.109).
 For a ``b``-bit order this replaces ``~1.5·b`` modular products inside
 ``pow`` with ``~b/w`` Python-level products, which wins once the modulus
 is large enough that bigint multiplication dominates interpreter
-overhead.  :mod:`repro.crypto.group` therefore only engages windows above
-``PerfConfig.fixed_base_min_bits`` (CPython's C ``pow`` is unbeatable for
-toy 64-bit groups).
+overhead.  :mod:`repro.crypto.group` therefore only engages windows from
+``FIXED_BASE_MIN_BITS`` up (CPython's C ``pow`` is unbeatable for toy
+64-bit groups).
 
 The computed value is exactly ``pow(base, exponent % order, modulus)`` —
 the window is a speedup, never a semantic change.

@@ -20,15 +20,16 @@ top of exactness: the bucket key pins the exact element vector, so a
 stale bucket is unreachable by construction; invalidation keeps the
 cache from carrying dead weight (and dead window tables) across units.
 
-For groups large enough that ``PerfConfig.fixed_base_min_bits`` engages
-(never the toy 64-bit test group), each bucket also lazily builds one
+For groups large enough that fixed-base windows engage
+(:data:`repro.crypto.group.FIXED_BASE_MIN_BITS`; never the toy 64-bit
+test group), each bucket also lazily builds one
 :class:`~repro.perf.fixed_base.FixedBaseWindow` per commitment element,
 so commitment evaluation at a fresh ``x`` costs table lookups instead of
 full ``pow`` calls.  The windows live *inside* the rotation bucket and
 die with it.
 
 Everything here is transcript-neutral: the computed value is exactly
-``Π pow(elements[k], x^k mod q, p)`` with or without the cache.
+``Π pow(elements[k], x^k mod q, p)``, the reference :func:`_plain_image`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Sequence
 
-from repro.perf.config import perf_config, register_cache_clearer
+from repro.perf.registry import register_cache_clearer
 from repro.perf.fixed_base import FixedBaseWindow
 
 __all__ = [
@@ -109,12 +110,7 @@ class ShareImageCache:
         return value
 
     def _compute(self, group, elements: tuple[int, ...], x: int, bucket: _Bucket) -> int:
-        cfg = perf_config()
-        if not (
-            cfg.enabled
-            and cfg.fixed_base
-            and group.p.bit_length() >= cfg.fixed_base_min_bits
-        ):
+        if not group.uses_windows:
             return _plain_image(group, elements, x)
         if bucket.windows is None:
             bucket.windows = [
@@ -168,10 +164,7 @@ def share_image_cache() -> ShareImageCache:
 
 
 def share_image_value(group, elements: tuple[int, ...], x: int) -> int:
-    """``Π elements[k]^{x^k}`` through the cache when the perf layer is on."""
-    cfg = perf_config()
-    if not (cfg.enabled and cfg.share_image_cache):
-        return _plain_image(group, elements, x)
+    """``Π elements[k]^{x^k}`` through the cache."""
     return _SHARE_IMAGES.image(group, elements, x)
 
 

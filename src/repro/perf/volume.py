@@ -1,11 +1,15 @@
-"""The message-volume layer: broadcast certification and sampled helpers.
+"""The aggregated refresh wire format: broadcast certification, receipt
+aggregation and sampled helpers.
 
 Everything else in :mod:`repro.perf` keeps the wire traffic bit-identical
-and only changes how fast each envelope is processed.  The volume layer
-(``PerfConfig.msg_volume``) is different: it changes *which* envelopes are
-sent on the refresh/DKG hot path, with a provable fallback so protocol
-outcomes — accepted messages, rejected-dealer sets, key histories, blame
-attribution — stay identical to the layer-off run.  Three mechanisms:
+and only changes how fast each envelope is processed.  The wire format is
+different: it is a parameter of each protocol instance,
+``wire="paper" | "aggregated"`` (:data:`WIRES`), and it decides *which*
+envelopes are sent on the refresh/DKG hot path.  ``"paper"`` (the
+default) is the paper-literal wire; ``"aggregated"`` applies three
+mechanisms, each with a provable fallback so protocol outcomes (accepted
+messages, rejected-dealer sets, key histories, blame attribution) stay
+identical to the paper wire:
 
 * **broadcast certification** — a round-wide message is signed once with
   the :data:`BROADCAST` destination sentinel instead of once per receiver;
@@ -28,26 +32,38 @@ attribution — stay identical to the layer-off run.  Three mechanisms:
 * **sampled need/help** — share-recovery responders are chosen by the
   seed-deterministic :func:`responder_sample` of size ``O(t)`` instead of
   all ``n-1`` holders; a failed recovery escalates the next request to
-  full fan-out, so liveness matches the layer-off run after one extra
+  full fan-out, so liveness matches the paper wire after one extra
   refresh and blame attribution is unaffected (help messages are never
   blamed).
 
 Because the wire traffic differs, parity is checked at the protocol
 outcome level (:func:`repro.analysis.digest.outcome_digest`, rejected
-sets, key histories) rather than by transcript digest.
+sets, key histories) rather than by transcript digest.  Every node of a
+network must use the same wire format.
 """
 
 from __future__ import annotations
 
 from repro.crypto.hashing import tagged_hash
 
-__all__ = ["BROADCAST", "responder_sample", "sample_size"]
+__all__ = ["BROADCAST", "WIRES", "aggregated_wire", "responder_sample", "sample_size"]
+
+#: the refresh wire formats a protocol instance can speak
+WIRES = ("paper", "aggregated")
 
 #: Destination sentinel for broadcast-certified messages.  Real node ids
 #: are non-negative, so the sentinel can never collide with a receiver.
 BROADCAST = -1
 
 _SAMPLE_TAG = "repro/volume/responder-sample"
+
+
+def aggregated_wire(wire: str) -> bool:
+    """Whether ``wire`` names the aggregated format (``ValueError`` for
+    anything but one of :data:`WIRES`)."""
+    if wire not in WIRES:
+        raise ValueError(f"wire must be one of {WIRES}, got {wire!r}")
+    return wire == "aggregated"
 
 
 def sample_size(n: int, t: int) -> int:

@@ -48,8 +48,9 @@ class FaithfulPlan(dict):
 
     The runner's accounting treats a ``FaithfulPlan`` whose ``source`` is
     the round's sent traffic as proven faithful (Definition 4 holds per
-    construction) and skips the full regroup-and-compare — one of the
-    simulation-floor optimizations (``PerfConfig.faithful_fastpath``).
+    construction) and skips the full regroup-and-compare
+    (:meth:`repro.sim.runner.Runner._plan_is_faithful`) and the plan
+    sanitation — one of the simulation-floor optimizations.
 
     Contract: holders must treat the plan and its lists as **read-only**.
     Code that wants to edit a faithful plan must build its own ``dict``
@@ -112,7 +113,7 @@ class AdversaryApi:
     ) -> None:
         self._nodes = nodes
         self.info = info
-        # ``rng`` may be a zero-arg factory (the runner's lazy_rng mode):
+        # ``rng`` may be a zero-arg factory (the runner always passes one):
         # deriving a PRF-seeded Random per round is measurable at the
         # simulation floor, and most adversaries never draw from it.  The
         # stream is identical whenever it is actually used.

@@ -40,9 +40,9 @@ class NodeContext:
     factory is invoked (once) on first access, so the stream any program
     actually sees is identical either way.
 
-    ``inbox`` optionally binds the round's delivered messages, enabling
-    :meth:`channel_view` — the shared per-channel demultiplexer that lets
-    every sub-protocol of a multiplexing program read only its own
+    ``inbox`` optionally binds the round's delivered messages, so that
+    :meth:`channel_view` can serve them from shared per-channel bins:
+    every sub-protocol of a multiplexing program reads only its own
     channel instead of re-scanning the whole inbox.
     """
 
@@ -55,7 +55,6 @@ class NodeContext:
         rom: Rom,
         external_inputs: list[Any],
         inbox: list[Envelope] | None = None,
-        demux: bool = False,
     ) -> None:
         self.node_id = node_id
         self.n = n
@@ -69,7 +68,6 @@ class NodeContext:
         self.rom = rom
         self.external_inputs = external_inputs
         self.inbox = _NO_INBOX if inbox is None else inbox
-        self._demux = demux
         self._bins: dict[str, list[Envelope]] | None = None
         self.outbox: list[Envelope] = []
         self.outputs: list[Any] = []
@@ -86,13 +84,13 @@ class NodeContext:
     def channel_view(self, inbox: list[Envelope], channel: str) -> list[Envelope]:
         """The envelopes of ``inbox`` on ``channel``, in arrival order.
 
-        When ``inbox`` is this round's bound inbox and demultiplexing is
-        on, the answer comes from per-channel bins built in one pass on
-        first use (every consumer shares them); otherwise it is a plain
-        scan.  Either way the result is the exact order-preserving filter
-        — callers must treat the returned list as read-only.
+        When ``inbox`` is this round's bound inbox, the answer comes from
+        per-channel bins built in one pass on first use (every consumer
+        shares them); otherwise it is a plain scan.  Either way the result
+        is the exact order-preserving filter — callers must treat the
+        returned list as read-only.
         """
-        if self._demux and inbox is self.inbox:
+        if inbox is self.inbox:
             bins = self._bins
             if bins is None:
                 bins = self._bins = {}

@@ -30,7 +30,6 @@ from typing import Any, Callable
 
 from repro.sim.adversary_api import Adversary, AdversaryApi, FaithfulPlan
 from repro.adversary.connectivity import ConnectivityTracker
-from repro.perf.config import perf_config
 from repro.sim.clock import Phase, RoundInfo, Schedule
 from repro.sim.messages import Envelope
 from repro.sim.node import Node, NodeContext, NodeProgram
@@ -82,6 +81,7 @@ class Runner:
         *,
         observers: list[RunObserver] | None = None,
         stream_digest: bool = False,
+        compact_records: bool = False,
     ) -> None:
         self.n = len(programs)
         if self.n < 2:
@@ -99,6 +99,10 @@ class Runner:
             node_outputs=[[] for _ in range(self.n)],
         )
         self._prev_status: list[bool] = [True] * self.n  # True = "good" last round
+        #: benchmark-sweep recording mode: round records keep counts, not
+        #: envelopes (:class:`CompactRoundRecord`); analyses that read
+        #: ``record.sent`` need the default full records
+        self.compact_records = compact_records
         # incremental canonical digest over the per-round records; with
         # compact records on it is the only way the round traffic remains
         # comparable to a full-mode run (see analysis.digest.rounds_digest).
@@ -143,13 +147,7 @@ class Runner:
         return inputs
 
     def _run_round(self, info: RoundInfo) -> None:
-        cfg = perf_config()
-        enabled = cfg.enabled
-        lazy_rng = enabled and cfg.lazy_rng
-        demux = enabled and cfg.inbox_demux
-        fastpath = enabled and cfg.faithful_fastpath
-        zero_copy = enabled and cfg.zero_copy_records
-        compact = enabled and cfg.compact_records
+        compact = self.compact_records
         randomness = self.randomness
         round_number = info.round
 
@@ -161,19 +159,15 @@ class Runner:
             if node.broken:
                 continue  # broken nodes have empty output; adversary acts for them
             node_id = node.node_id
-            if lazy_rng:
-                rng = lambda _i=node_id, _r=round_number: randomness.node_round(_i, _r)
-            else:
-                rng = randomness.node_round(node_id, round_number)
             ctx = NodeContext(
                 node_id=node_id,
                 n=self.n,
                 info=info,
-                rng=rng,
+                # derived on first use only: most programs never draw
+                rng=lambda _i=node_id, _r=round_number: randomness.node_round(_i, _r),
                 rom=node.rom,
                 external_inputs=self._inputs_for(node_id, info),
                 inbox=inbox,
-                demux=demux,
             )
             node.program.step(ctx, inbox)
             traffic.extend(ctx.outbox)
@@ -190,11 +184,9 @@ class Runner:
                 for node in self.nodes:
                     node.rom.freeze()
         else:
-            if lazy_rng:
-                api_rng = lambda _r=round_number: randomness.stream("api", _r)
-            else:
-                api_rng = randomness.stream("api", round_number)
-            api = AdversaryApi(self.nodes, info, api_rng)
+            api = AdversaryApi(
+                self.nodes, info, lambda _r=round_number: randomness.stream("api", _r)
+            )
             observed = tuple(traffic)  # rushing: the pre-injection view
             self.adversary.on_round(api, info, observed)
             self.execution.adversary_output.extend(api.output_entries)
@@ -207,11 +199,7 @@ class Runner:
         # envelope sits in its receiver's inbox, nothing was added or
         # dropped — so both the sanitation walk and the Definition 4
         # regroup-and-compare are already decided
-        provenly_faithful = (
-            fastpath
-            and type(plan) is FaithfulPlan
-            and plan.source is sent
-        )
+        provenly_faithful = type(plan) is FaithfulPlan and plan.source is sent
         if not provenly_faithful:
             self._sanitize_plan(plan)
         for node in self.nodes:
@@ -227,17 +215,14 @@ class Runner:
         digesting = self._rounds_digest is not None
         delivered: Any = None
         if digesting or not compact:
-            if zero_copy or compact:
-                # share the plan's own lists (and, for a complete faithful
-                # plan, the dict itself) instead of re-materializing tuples;
-                # holders must treat records as read-only — which was
-                # always the contract for transcripts
-                if type(plan) is FaithfulPlan:
-                    delivered = plan
-                else:
-                    delivered = {i: plan.get(i, ()) for i in range(self.n)}
+            # share the plan's own lists (and, for a complete faithful plan,
+            # the dict itself) instead of re-materializing tuples; holders
+            # must treat records as read-only — which was always the
+            # contract for transcripts
+            if type(plan) is FaithfulPlan:
+                delivered = plan
             else:
-                delivered = {i: tuple(plan.get(i, ())) for i in range(self.n)}
+                delivered = {i: plan.get(i, ()) for i in range(self.n)}
         if digesting:
             self._rounds_digest.update(
                 info, sent, delivered, broken, operational, unreliable
@@ -505,9 +490,11 @@ class ULRunner(Runner):
         *,
         observers: list[RunObserver] | None = None,
         stream_digest: bool = False,
+        compact_records: bool = False,
     ) -> None:
         super().__init__(programs, adversary, schedule, seed, input_provider,
-                         observers=observers, stream_digest=stream_digest)
+                         observers=observers, stream_digest=stream_digest,
+                         compact_records=compact_records)
         self.s = s
         self.tracker = ConnectivityTracker(self.n, s)
 

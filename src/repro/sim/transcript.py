@@ -32,10 +32,9 @@ RECOVERED = "recovered"
 class RoundRecord:
     """Everything that happened in one round.
 
-    Records are read-only in both letter and spirit: with the zero-copy
-    perf flag on, ``delivered`` shares the delivery plan's own lists
-    instead of per-receiver tuples, so mutating a record would corrupt
-    the transcript.
+    Records are read-only in both letter and spirit: ``delivered``
+    shares the delivery plan's own lists instead of per-receiver tuples,
+    so mutating a record would corrupt the transcript.
     """
 
     info: RoundInfo
@@ -66,8 +65,8 @@ class RoundRecord:
 class CompactRoundRecord:
     """A round record that keeps counts instead of envelopes.
 
-    Produced when ``PerfConfig.compact_records`` is on (benchmark-sweep
-    mode): the status fields analyses need (broken / operational /
+    Produced by ``Runner(compact_records=True)`` (benchmark-sweep mode):
+    the status fields analyses need (broken / operational /
     unreliable links, and the traffic *volumes*) survive, while the
     envelopes themselves are dropped the moment the round ends.  Runs in
     this mode remain comparable to full-mode runs through the streaming

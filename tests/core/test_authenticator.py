@@ -36,10 +36,10 @@ class PingProtocol(NodeProgram):
             ctx.send(successor, "ping", ("ping", self.node_id, ctx.info.round))
 
 
-def build(seed=5):
+def build(seed=5, wire="paper"):
     public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=seed)
     inners = [PingProtocol() for _ in range(N)]
-    programs = compile_protocol(inners, states, SCHEME, keys)
+    programs = compile_protocol(inners, states, SCHEME, keys, wire=wire)
     return public, programs, inners
 
 
@@ -48,8 +48,8 @@ def run(programs, adversary=None, units=3, seed=2):
     return runner.run(units=units), runner
 
 
-def test_compiled_protocol_delivers_pings():
-    _, programs, inners = build()
+def test_compiled_protocol_delivers_pings(wire):
+    _, programs, inners = build(wire=wire)
     execution, _ = run(programs, units=2)
     # node 1 received pings from node 0 during normal rounds
     from_zero = [p for _, sender, p in inners[1].received if sender == 0]
@@ -58,8 +58,8 @@ def test_compiled_protocol_delivers_pings():
         assert payload[0] == "ping" and payload[1] == 0
 
 
-def test_no_alerts_or_impersonations_in_benign_run():
-    _, programs, _ = build()
+def test_no_alerts_or_impersonations_in_benign_run(wire):
+    _, programs, _ = build(wire=wire)
     execution, _ = run(programs, units=3)
     for i in range(N):
         assert ALERT not in execution.outputs_of(i)
@@ -67,8 +67,8 @@ def test_no_alerts_or_impersonations_in_benign_run():
             assert impersonations(execution, i, unit) == set()
 
 
-def test_views_reflect_traffic():
-    _, programs, _ = build()
+def test_views_reflect_traffic(wire):
+    _, programs, _ = build(wire=wire)
     execution, _ = run(programs, units=2)
     sent = internal_sent(execution, 0, 1)
     assert sent  # node 0 sent pings during unit 1
@@ -88,11 +88,11 @@ def test_compile_protocol_validates_lengths():
         compile_protocol([PingProtocol()], states, SCHEME, keys)
 
 
-def test_cutoff_attack_awareness_and_no_forgery():
+def test_cutoff_attack_awareness_and_no_forgery(wire):
     """Proposition 31 end-to-end: the §1.1 attack against Λ(π).  The
     cut-off victim alerts in every unit it is impersonated-in/cut-off,
     and the Definition-10 external view shows no forged messages."""
-    _, programs, _ = build()
+    _, programs, _ = build(wire=wire)
     impersonator = UlsImpersonator(victim=3)
     adversary = CutOffAdversary(victim=3, break_unit=1, impersonator=impersonator)
     execution, _ = run(programs, adversary=adversary, units=3)
@@ -104,20 +104,20 @@ def test_cutoff_attack_awareness_and_no_forgery():
     assert impersonations(execution, 3, 2) == set()
 
 
-def test_cutoff_without_impersonation_still_alerts():
+def test_cutoff_without_impersonation_still_alerts(wire):
     """Even a pure denial (cut links, no forgeries): the victim cannot
     refresh its certificate and must alert — it cannot distinguish denial
     from impersonation, and the paper requires awareness either way."""
-    _, programs, _ = build()
+    _, programs, _ = build(wire=wire)
     adversary = CutOffAdversary(victim=2, break_unit=1)
     execution, _ = run(programs, adversary=adversary, units=3)
     assert execution.alerts_in_unit(2, 2) >= 1
 
 
-def test_cutoff_ends_node_recovers():
+def test_cutoff_ends_node_recovers(wire):
     """After the cut-off window closes the victim recovers at the next
     refreshment phase and stops alerting."""
-    _, programs, _ = build()
+    _, programs, _ = build(wire=wire)
     adversary = CutOffAdversary(victim=2, break_unit=1, cutoff_units=1)
     execution, _ = run(programs, adversary=adversary, units=4)
     # cut off during unit 2 -> alert; free again from unit 3's refresh

@@ -50,18 +50,18 @@ def run_al():
     return inners
 
 
-def run_ul_compiled():
+def run_ul_compiled(wire="paper"):
     public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=4)
     inners = [TalkativeProtocol() for _ in range(N)]
-    programs = compile_protocol(inners, states, SCHEME, keys)
+    programs = compile_protocol(inners, states, SCHEME, keys, wire=wire)
     runner = ULRunner(programs, PassiveAdversary(), SCHED, s=T, seed=4)
     runner.run(units=UNITS)
     return inners
 
 
-def test_compiled_protocol_delivers_identical_payload_multisets():
+def test_compiled_protocol_delivers_identical_payload_multisets(wire):
     al_inners = run_al()
-    ul_inners = run_ul_compiled()
+    ul_inners = run_ul_compiled(wire=wire)
     total_rounds = SCHED.total_rounds(UNITS)
     for node in range(N):
         def deliveries(inner):
@@ -80,10 +80,10 @@ def test_compiled_protocol_delivers_identical_payload_multisets():
         assert not extra, f"node {node} gained payloads under Λ: {sorted(extra)[:5]}"
 
 
-def test_refresh_phase_payloads_survive_the_key_switch():
+def test_refresh_phase_payloads_survive_the_key_switch(wire):
     """Specifically the switch-boundary payloads: every payload π sent
     during refreshment phases (except the in-flight tail) arrives."""
-    ul_inners = run_ul_compiled()
+    ul_inners = run_ul_compiled(wire=wire)
     refresh_rounds = set()
     for unit in range(1, UNITS):
         start = SCHED.refresh_start(unit)

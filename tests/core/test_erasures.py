@@ -54,15 +54,15 @@ def reachable_values(root, max_items=200_000):
     return found
 
 
-def run_network(units):
+def run_network(units, wire="paper"):
     public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=21)
-    programs = [UlsProgram(states[i], SCHEME, keys[i]) for i in range(N)]
+    programs = [UlsProgram(states[i], SCHEME, keys[i], wire=wire) for i in range(N)]
     runner = ULRunner(programs, PassiveAdversary(), SCHED, s=T, seed=21)
     return programs, runner
 
 
-def test_old_share_not_reachable_after_refresh():
-    programs, runner = run_network(units=2)
+def test_old_share_not_reachable_after_refresh(wire):
+    programs, runner = run_network(units=2, wire=wire)
     old_shares = [p.state.share.value for p in programs]
     runner.run(units=2)
     for program, old_value in zip(programs, old_shares):
@@ -74,8 +74,8 @@ def test_old_share_not_reachable_after_refresh():
         )
 
 
-def test_old_local_signing_key_not_reachable_after_refresh():
-    programs, runner = run_network(units=2)
+def test_old_local_signing_key_not_reachable_after_refresh(wire):
+    programs, runner = run_network(units=2, wire=wire)
     old_keys = [p.keystore.current.keypair.signing_key.x for p in programs]
     runner.run(units=2)
     for program, old_x in zip(programs, old_keys):
@@ -83,10 +83,10 @@ def test_old_local_signing_key_not_reachable_after_refresh():
         assert old_x not in values, "the unit-0 signing key was not erased"
 
 
-def test_current_secrets_are_present():
+def test_current_secrets_are_present(wire):
     """Sanity check on the scanner itself: the *current* secrets must be
     found (otherwise the negative assertions above prove nothing)."""
-    programs, runner = run_network(units=2)
+    programs, runner = run_network(units=2, wire=wire)
     runner.run(units=2)
     for program in programs:
         values = reachable_values(program)

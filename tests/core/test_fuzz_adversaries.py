@@ -71,11 +71,11 @@ def random_adversary(rng: random.Random):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(8))
-def test_fuzzed_composite_adversaries_stay_good(seed):
+def test_fuzzed_composite_adversaries_stay_good(seed, wire):
     rng = random.Random(1000 + seed)
     adversary = random_adversary(rng)
     public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=seed)
-    programs = [UlsProgram(states[i], SCHEME, keys[i]) for i in range(N)]
+    programs = [UlsProgram(states[i], SCHEME, keys[i], wire=wire) for i in range(N)]
     runner = ULRunner(programs, adversary, SCHED, s=T, seed=seed)
     execution = runner.run(units=UNITS)
 

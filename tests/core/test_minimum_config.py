@@ -13,9 +13,9 @@ N, T = 3, 1
 SCHED = uls_schedule()
 
 
-def build_and_run(adversary=None, units=2, seed=6, sign_plan=None):
+def build_and_run(adversary=None, units=2, seed=6, sign_plan=None, wire="paper"):
     public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=seed)
-    programs = [UlsProgram(states[i], SCHEME, keys[i]) for i in range(N)]
+    programs = [UlsProgram(states[i], SCHEME, keys[i], wire=wire) for i in range(N)]
     runner = ULRunner(programs, adversary or PassiveAdversary(), SCHED, s=T, seed=seed)
     for node_id, round_number, message in sign_plan or []:
         runner.add_external_input(node_id, round_number, ("sign", message))
@@ -23,10 +23,10 @@ def build_and_run(adversary=None, units=2, seed=6, sign_plan=None):
     return public, programs, execution
 
 
-def test_minimum_network_refreshes_and_signs():
+def test_minimum_network_refreshes_and_signs(wire):
     r1 = SCHED.first_normal_round(1)
     public, programs, execution = build_and_run(
-        sign_plan=[(i, r1, "tiny") for i in range(N)]
+        sign_plan=[(i, r1, "tiny") for i in range(N)], wire=wire
     )
     for program in programs:
         assert program.keystore.history == [(1, "ok")]
@@ -36,19 +36,20 @@ def test_minimum_network_refreshes_and_signs():
     assert verify_user_signature(public, "tiny", 1, signature)
 
 
-def test_minimum_network_survives_single_breakin():
+def test_minimum_network_survives_single_breakin(wire):
     plan = BreakinPlan(victims={0: frozenset({2})})
     public, programs, execution = build_and_run(
-        adversary=MobileBreakInAdversary(plan)
+        adversary=MobileBreakInAdversary(plan), wire=wire
     )
     assert programs[2].keystore.history == [(1, "ok")]
     assert programs[2].state.share_is_valid()
 
 
-def test_two_requests_needed_at_t1():
+def test_two_requests_needed_at_t1(wire):
     r0 = SCHED.first_normal_round(0)
     public, programs, execution = build_and_run(
-        sign_plan=[(0, r0, "solo")]  # only one request: below t+1 = 2
+        sign_plan=[(0, r0, "solo")],  # only one request: below t+1 = 2
+        wire=wire,
     )
     for i in range(N):
         assert ("signed", "solo", 0) not in execution.outputs_of(i)

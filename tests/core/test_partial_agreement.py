@@ -15,9 +15,9 @@ N, T = 5, 2
 SCHED = uls_schedule()
 
 
-def make_service(n=5):
+def make_service(n=5, wire="paper"):
     public, states, keys = build_uls_states(GROUP, SCHEME, n, (n - 1) // 2, seed=3)
-    program = UlsProgram(states[0], SCHEME, keys[0])
+    program = UlsProgram(states[0], SCHEME, keys[0], wire=wire)
     return program.core.pa
 
 
@@ -67,14 +67,14 @@ def test_majority_threshold_formula():
     assert make_service(7).majority == 4
 
 
-def test_duplicate_start_is_idempotent():
+def test_duplicate_start_is_idempotent(wire):
     """Starting the same session twice must not double-send (the paper:
     PARTIAL-AGREEMENT is run only once per node per refreshment phase)."""
     from repro.sim.clock import Schedule
     from repro.sim.node import NodeContext
 
     public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=3)
-    program = UlsProgram(states[0], SCHEME, keys[0])
+    program = UlsProgram(states[0], SCHEME, keys[0], wire=wire)
     service = program.core.pa
     sched = Schedule(1, 1, 5)
     ctx = NodeContext(0, N, sched.info(3), None, None, [])
@@ -84,11 +84,11 @@ def test_duplicate_start_is_idempotent():
     assert len(ctx.outbox) == sent_before  # second start ignored
 
 
-def test_all_nodes_agree_on_genuine_keys_end_to_end():
+def test_all_nodes_agree_on_genuine_keys_end_to_end(wire):
     """Integration: in a benign refresh, every node's PA outputs for every
     target coincide and match the target's announced key."""
     public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=6)
-    programs = [UlsProgram(states[i], SCHEME, keys[i]) for i in range(N)]
+    programs = [UlsProgram(states[i], SCHEME, keys[i], wire=wire) for i in range(N)]
     runner = ULRunner(programs, PassiveAdversary(), SCHED, s=T, seed=6)
     runner.run(units=2)
     for target in range(N):

@@ -102,12 +102,12 @@ def test_retransmit_zero_is_the_classic_protocol():
 
 # ----------------------------------------------------------- ULS degraded mode
 
-def build_programs(cert_retransmit=0, cert_grace_rounds=1, seed=7):
+def build_programs(cert_retransmit=0, cert_grace_rounds=1, seed=7, wire="paper"):
     public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=seed)
     programs = [
         UlsProgram(states[i], SCHEME, keys[i],
                    cert_retransmit=cert_retransmit,
-                   cert_grace_rounds=cert_grace_rounds)
+                   cert_grace_rounds=cert_grace_rounds, wire=wire)
         for i in range(N)
     ]
     return public, programs
@@ -118,18 +118,18 @@ def run_uls(programs, adversary=None, units=3, seed=3):
     return runner.run(units=units), runner
 
 
-def test_benign_run_emits_no_degraded_events():
-    _, programs = build_programs()
+def test_benign_run_emits_no_degraded_events(wire):
+    _, programs = build_programs(wire=wire)
     execution, _ = run_uls(programs)
     for program in programs:
         assert program.core.degraded_log == []
         assert program.keystore.history == [(1, "ok"), (2, "ok")]
 
 
-def test_no_certificate_degrades_alerts_and_recovers():
+def test_no_certificate_degrades_alerts_and_recovers(wire):
     """Full blackout of one node across unit 1: structured "no-certificate"
     degraded event + the paper's φ + alert, then recovery in unit 2."""
-    _, programs = build_programs()
+    _, programs = build_programs(wire=wire)
     unit1 = SCHED.rounds_of_unit(1)
     faults = [LinkFault(link=frozenset({0, j}), first_round=unit1[0],
                         last_round=unit1[-1]) for j in range(1, N)]
@@ -175,8 +175,8 @@ def late_certificate_attack():
     return FaultInjectionAdversary(plan, base=LinkAttackAdversary(blackout))
 
 
-def test_late_certificate_installs_in_grace_window_without_alert():
-    _, programs = build_programs()
+def test_late_certificate_installs_in_grace_window_without_alert(wire):
+    _, programs = build_programs(wire=wire)
     execution, _ = run_uls(programs, adversary=late_certificate_attack())
     victim = programs[0].core
     reasons = [event["reason"] for event in victim.degraded_log]
@@ -189,10 +189,10 @@ def test_late_certificate_installs_in_grace_window_without_alert():
     assert ALERT not in execution.outputs_of(0)
 
 
-def test_without_grace_the_same_delay_fails_the_unit():
+def test_without_grace_the_same_delay_fails_the_unit(wire):
     """Control: cert_grace_rounds=0 reproduces the classic protocol, which
     loses the unit to the very same one-round delay."""
-    _, programs = build_programs(cert_grace_rounds=0)
+    _, programs = build_programs(cert_grace_rounds=0, wire=wire)
     run_uls(programs, adversary=late_certificate_attack())
     victim = programs[0].core
     assert 1 in victim.alert_units
@@ -200,7 +200,7 @@ def test_without_grace_the_same_delay_fails_the_unit():
     assert dict(programs[0].keystore.history)[2] == "ok"  # recovery unchanged
 
 
-def test_partial_certification_is_reported_structurally():
+def test_partial_certification_is_reported_structurally(wire):
     """Suppressing three nodes' key announcements at unit 1's refresh
     start means PARTIAL-AGREEMENT decides φ for them and only 2 < n - t
     certificates are ever requested: every node reports
@@ -227,7 +227,7 @@ def test_partial_certification_is_reported_structurally():
                 ]
             return plan
 
-    _, programs = build_programs()
+    _, programs = build_programs(wire=wire)
     execution, _ = run_uls(programs, adversary=AnnouncementSuppressor(), units=2)
     for node, program in enumerate(programs):
         events = {e["reason"]: e for e in program.core.degraded_log
@@ -250,8 +250,8 @@ def test_partial_certification_is_reported_structurally():
         assert 1 in programs[healthy].core.alert_units
 
 
-def test_cert_retransmit_flows_through_to_disperse():
-    _, programs = build_programs(cert_retransmit=2)
+def test_cert_retransmit_flows_through_to_disperse(wire):
+    _, programs = build_programs(cert_retransmit=2, wire=wire)
     run_uls(programs, units=2)
     # benign run: retransmissions fire (cert sends are retried blindly)
     # but change nothing — dedup at the receiver absorbs them

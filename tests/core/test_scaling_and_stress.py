@@ -14,12 +14,12 @@ SCHEME = SchnorrScheme(GROUP)
 
 
 @pytest.mark.slow
-def test_seven_nodes_t3_full_cycle():
+def test_seven_nodes_t3_full_cycle(wire):
     """n = 7, t = 3 — the next resilience tier up; mobile break-ins of 3
     nodes per unit, refresh, recovery, signing."""
     n, t = 7, 3
     public, states, keys = build_uls_states(GROUP, SCHEME, n, t, seed=1)
-    programs = [UlsProgram(states[i], SCHEME, keys[i]) for i in range(n)]
+    programs = [UlsProgram(states[i], SCHEME, keys[i], wire=wire) for i in range(n)]
     schedule = uls_schedule()
     plan = BreakinPlan(victims={0: frozenset({0, 1, 2}), 1: frozenset({4, 5, 6})})
     runner = ULRunner(programs, MobileBreakInAdversary(plan), schedule, s=t, seed=1)
@@ -36,12 +36,12 @@ def test_seven_nodes_t3_full_cycle():
 
 
 @pytest.mark.slow
-def test_many_concurrent_signing_sessions():
+def test_many_concurrent_signing_sessions(wire):
     """Eight messages signed concurrently in one unit — sessions must not
     interfere (distinct nonces, distinct signatures, all verify)."""
     n, t = 5, 2
     public, states, keys = build_uls_states(GROUP, SCHEME, n, t, seed=2)
-    programs = [UlsProgram(states[i], SCHEME, keys[i]) for i in range(n)]
+    programs = [UlsProgram(states[i], SCHEME, keys[i], wire=wire) for i in range(n)]
     schedule = uls_schedule()
     runner = ULRunner(programs, PassiveAdversary(), schedule, s=t, seed=2)
     r0 = schedule.first_normal_round(0)
@@ -63,12 +63,12 @@ def test_many_concurrent_signing_sessions():
 
 
 @pytest.mark.slow
-def test_long_run_six_units():
+def test_long_run_six_units(wire):
     """Six time units with alternating break-ins: shares stay valid, key
     history is an unbroken chain of successes."""
     n, t = 5, 2
     public, states, keys = build_uls_states(GROUP, SCHEME, n, t, seed=3)
-    programs = [UlsProgram(states[i], SCHEME, keys[i]) for i in range(n)]
+    programs = [UlsProgram(states[i], SCHEME, keys[i], wire=wire) for i in range(n)]
     victims = {u: frozenset({u % n, (u + 2) % n}) for u in range(0, 6, 2)}
     runner = ULRunner(programs, MobileBreakInAdversary(BreakinPlan(victims=victims)),
                       uls_schedule(), s=t, seed=3)

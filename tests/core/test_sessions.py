@@ -22,9 +22,9 @@ SCHED = uls_schedule()
 class SessionChat(NodeProgram):
     """Sends one MAC'd chat message to every peer per normal round."""
 
-    def __init__(self, state, scheme, keys):
+    def __init__(self, state, scheme, keys, wire="paper"):
         super().__init__()
-        self.core = UlsCore(state, scheme, keys, node_id=state.node_id)
+        self.core = UlsCore(state, scheme, keys, node_id=state.node_id, wire=wire)
         self.sessions = SessionLayer(self.core)
         self.received = []
         self.fallbacks = 0
@@ -45,9 +45,9 @@ class SessionChat(NodeProgram):
                         self.fallbacks += 1
 
 
-def build(seed=3):
+def build(seed=3, wire="paper"):
     public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=seed)
-    programs = [SessionChat(states[i], SCHEME, keys[i]) for i in range(N)]
+    programs = [SessionChat(states[i], SCHEME, keys[i], wire=wire) for i in range(N)]
     return public, programs
 
 
@@ -65,8 +65,8 @@ def test_sessions_require_schnorr_keys():
         SessionLayer(core)
 
 
-def test_session_chat_flows_in_every_unit():
-    _, programs = build()
+def test_session_chat_flows_in_every_unit(wire):
+    _, programs = build(wire=wire)
     run(programs, units=2)
     for program in programs:
         units_seen = {unit for _, unit, _, _ in program.received}
@@ -76,8 +76,8 @@ def test_session_chat_flows_in_every_unit():
         assert program.fallbacks == 0  # hellos arrived before the first chat
 
 
-def test_session_keys_agree_pairwise():
-    _, programs = build()
+def test_session_keys_agree_pairwise(wire):
+    _, programs = build(wire=wire)
     run(programs, units=2)
     for i in range(N):
         for j in range(i + 1, N):
@@ -87,8 +87,8 @@ def test_session_keys_agree_pairwise():
             assert k_ij == k_ji
 
 
-def test_session_keys_rotate_each_unit():
-    _, programs = build()
+def test_session_keys_rotate_each_unit(wire):
+    _, programs = build(wire=wire)
     run(programs, units=2)
     layer = programs[0].sessions
     old = layer._session_keys.get((0, 1))
@@ -98,7 +98,7 @@ def test_session_keys_rotate_each_unit():
         assert old != new
 
 
-def test_forged_mac_rejected():
+def test_forged_mac_rejected(wire):
     class MacForger(Adversary):
         def deliver(self, api, info, traffic):
             plan = faithful_delivery(traffic, api.n)
@@ -108,14 +108,14 @@ def test_forged_mac_rejected():
                     ("mac", info.time_unit, info.round, ("forged",), b"bad-tag")))
             return plan
 
-    _, programs = build()
+    _, programs = build(wire=wire)
     run(programs, adversary=MacForger(), units=1)
     forged = [body for _, _, _, body in programs[0].received if body == ("forged",)]
     assert forged == []
     assert programs[0].sessions.rejected_count > 0
 
 
-def test_tampered_body_rejected():
+def test_tampered_body_rejected(wire):
     class Tamperer(Adversary):
         def deliver(self, api, info, traffic):
             plan = {i: [] for i in range(api.n)}
@@ -128,14 +128,14 @@ def test_tampered_body_rejected():
                 plan[envelope.receiver].append(envelope)
             return plan
 
-    _, programs = build()
+    _, programs = build(wire=wire)
     run(programs, adversary=Tamperer(), units=1)
     assert all(body != ("tampered",) for _, _, _, body in programs[0].received)
     # node 0 received nothing on the session channel (all tampered)
     assert all(src != 1 or body[0] == "chat" for _, _, src, body in programs[0].received)
 
 
-def test_replayed_mac_rejected():
+def test_replayed_mac_rejected(wire):
     class Replayer(Adversary):
         def __init__(self):
             self.stash = {}
@@ -149,7 +149,7 @@ def test_replayed_mac_rejected():
                 plan[envelope.receiver].append(envelope)
             return plan
 
-    _, programs = build()
+    _, programs = build(wire=wire)
     run(programs, adversary=Replayer(), units=1)
     # each (sender, round) chat arrives exactly once despite the replays
     from collections import Counter

@@ -31,9 +31,9 @@ N, T = 5, 2
 SCHED = uls_schedule()
 
 
-def build(seed=7):
+def build(seed=7, wire="paper"):
     public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=seed)
-    programs = [UlsProgram(states[i], SCHEME, keys[i]) for i in range(N)]
+    programs = [UlsProgram(states[i], SCHEME, keys[i], wire=wire) for i in range(N)]
     return public, programs
 
 
@@ -47,8 +47,8 @@ def run(programs, adversary=None, units=3, sign_plan=None, seed=3):
 
 # ---------------------------------------------------------------- benign runs
 
-def test_benign_run_no_alerts_and_stable_refresh():
-    public, programs = build()
+def test_benign_run_no_alerts_and_stable_refresh(wire):
+    public, programs = build(wire=wire)
     execution, _ = run(programs, units=3)
     for program in programs:
         assert program.core.alert_units == []
@@ -58,8 +58,8 @@ def test_benign_run_no_alerts_and_stable_refresh():
         assert ALERT not in execution.outputs_of(i)
 
 
-def test_signing_in_every_unit():
-    public, programs = build()
+def test_signing_in_every_unit(wire):
+    public, programs = build(wire=wire)
     sign_plan = []
     for unit in range(3):
         r = SCHED.first_normal_round(unit)
@@ -72,8 +72,8 @@ def test_signing_in_every_unit():
         assert verify_user_signature(public, f"m{unit}", unit, signature)
 
 
-def test_under_threshold_requests_do_not_sign():
-    public, programs = build()
+def test_under_threshold_requests_do_not_sign(wire):
+    public, programs = build(wire=wire)
     r = SCHED.first_normal_round(0)
     sign_plan = [(i, r, "under") for i in range(T)]
     execution, _ = run(programs, units=1, sign_plan=sign_plan)
@@ -81,13 +81,13 @@ def test_under_threshold_requests_do_not_sign():
         assert ("signed", "under", 0) not in execution.outputs_of(i)
 
 
-def test_old_certificates_die_with_their_unit():
+def test_old_certificates_die_with_their_unit(wire):
     """A unit-0 local key + certificate is useless in unit 1: VER-CERT's
     unit check rejects it (exercised inside the protocol by running two
     units; here we probe directly)."""
     from repro.core.certify import certify, ver_cert
 
-    public, programs = build()
+    public, programs = build(wire=wire)
     run(programs, units=2)
     stale_keys_program = programs[0]
     # fabricate a message with current keys but claim the wrong unit: the
@@ -100,11 +100,11 @@ def test_old_certificates_die_with_their_unit():
 
 # ------------------------------------------------------------- break-ins
 
-def test_mobile_breakins_with_full_recovery():
+def test_mobile_breakins_with_full_recovery(wire):
     """t nodes broken per unit, rotating; everyone recovers at the next
     refresh, nobody alerts, signing keeps working (Theorem 14's normal
     regime)."""
-    public, programs = build()
+    public, programs = build(wire=wire)
     plan = BreakinPlan(victims={0: frozenset({0, 1}), 1: frozenset({2, 3})})
     adversary = MobileBreakInAdversary(plan)
     r2 = SCHED.first_normal_round(2)
@@ -120,11 +120,11 @@ def test_mobile_breakins_with_full_recovery():
         assert ALERT not in execution.outputs_of(i)
 
 
-def test_stolen_state_is_useless_after_refresh():
+def test_stolen_state_is_useless_after_refresh(wire):
     """The proactive property end-to-end: state stolen in unit 0 (share +
     local keys) neither forges signatures nor authenticates messages in
     unit 1+."""
-    public, programs = build()
+    public, programs = build(wire=wire)
     plan = BreakinPlan(victims={0: frozenset({4})})
     stolen = {}
 
@@ -146,10 +146,10 @@ def test_stolen_state_is_useless_after_refresh():
                     expected_round=99, raw=tuple(msg)) is None
 
 
-def test_memory_corruption_recovers_via_refresh():
+def test_memory_corruption_recovers_via_refresh(wire):
     from repro.crypto.shamir import Share
 
-    public, programs = build()
+    public, programs = build(wire=wire)
 
     def corrupt(program, rng):
         state = program.state
@@ -165,11 +165,11 @@ def test_memory_corruption_recovers_via_refresh():
 
 # ------------------------------------------------------------- active attacks
 
-def test_cutoff_attack_alerts_and_does_not_forge():
+def test_cutoff_attack_alerts_and_does_not_forge(wire):
     """The §1.1 attack against ULS: the cut-off victim alerts in every
     affected unit (Prop. 31) and the adversary's stale keys produce no
     accepted messages at honest nodes."""
-    public, programs = build()
+    public, programs = build(wire=wire)
     impersonator = UlsImpersonator(victim=4)
     adversary = CutOffAdversary(victim=4, break_unit=1, impersonator=impersonator)
     execution, runner = run(programs, adversary=adversary, units=3)
@@ -188,7 +188,7 @@ def test_cutoff_attack_alerts_and_does_not_forge():
         assert accepted_from_victim == []
 
 
-def test_injection_flood_blocks_certification_but_alerts():
+def test_injection_flood_blocks_certification_but_alerts(wire):
     """§5.1: an almost-(t,t)-limited injector floods fake public keys at
     the start of every refreshment phase.  Emulation may fail (nodes can
     lose their certificates) but every affected node alerts."""
@@ -197,7 +197,7 @@ def test_injection_flood_blocks_certification_but_alerts():
         fake = SCHEME.generate(rng).verify_key
         return ("newkey", None, SCHEME.key_repr(fake))
 
-    public, programs = build()
+    public, programs = build(wire=wire)
     adversary = InjectionFloodAdversary(
         payload_factory=lambda c, r, rng: ("newkey", 1, SCHEME.key_repr(SCHEME.generate(rng).verify_key)),
         channel="newkey",
@@ -211,10 +211,10 @@ def test_injection_flood_blocks_certification_but_alerts():
             assert 1 in program.core.alert_units
 
 
-def test_replay_is_rejected():
+def test_replay_is_rejected(wire):
     """Replayed certified traffic fails VER-CERT's (u, w) binding: the run
     completes exactly as a benign one."""
-    public, programs = build()
+    public, programs = build(wire=wire)
     adversary = ReplayAdversary(delay=3, channels={"disperse"})
     execution, _ = run(programs, adversary=adversary, units=2)
     assert adversary.replayed_count > 0
@@ -223,11 +223,11 @@ def test_replay_is_rejected():
         assert program.keystore.history == [(1, "ok")]
 
 
-def test_link_faults_within_limits_are_tolerated():
+def test_link_faults_within_limits_are_tolerated(wire):
     """Killing all links of one node (t=2 allows it) during a whole unit:
     the victim misses its certificate and alerts; everyone else proceeds;
     the victim recovers at the following refresh once links return."""
-    public, programs = build()
+    public, programs = build(wire=wire)
     unit1 = SCHED.rounds_of_unit(1)
     faults = [
         LinkFault(link=frozenset({0, j}), first_round=unit1[0], last_round=unit1[-1])

@@ -23,9 +23,9 @@ N, T = 5, 2
 SCHED = uls_schedule()
 
 
-def run_with_scheme(scheme, units=2, seed=5):
+def run_with_scheme(scheme, units=2, seed=5, wire="paper"):
     public, states, keys = build_uls_states(GROUP, scheme, N, T, seed=seed)
-    programs = [UlsProgram(states[i], scheme, keys[i]) for i in range(N)]
+    programs = [UlsProgram(states[i], scheme, keys[i], wire=wire) for i in range(N)]
     runner = ULRunner(programs, PassiveAdversary(), SCHED, s=T, seed=seed)
     r1 = SCHED.first_normal_round(1)
     for i in range(N):
@@ -35,9 +35,9 @@ def run_with_scheme(scheme, units=2, seed=5):
 
 
 @pytest.mark.slow
-def test_uls_over_rsa_fdh():
+def test_uls_over_rsa_fdh(wire):
     scheme = RsaFdhScheme(modulus_bits=256)
-    public, programs, execution = run_with_scheme(scheme)
+    public, programs, execution = run_with_scheme(scheme, wire=wire)
     for program in programs:
         assert program.core.alert_units == []
         assert program.keystore.history == [(1, "ok")]
@@ -47,11 +47,11 @@ def test_uls_over_rsa_fdh():
 
 
 @pytest.mark.slow
-def test_uls_over_hash_based_signatures():
+def test_uls_over_hash_based_signatures(wire):
     """The from-one-way-functions-only instantiation: stateful one-time
     keys, rotated per unit before exhaustion."""
     scheme = MerkleSignatureScheme(capacity=128)
-    public, programs, execution = run_with_scheme(scheme)
+    public, programs, execution = run_with_scheme(scheme, wire=wire)
     for program in programs:
         assert program.core.alert_units == []
         assert program.keystore.history == [(1, "ok")]

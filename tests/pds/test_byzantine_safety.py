@@ -76,9 +76,9 @@ class ByzantineSigner(Adversary):
 
 
 @pytest.mark.parametrize("mode", ["bad-shares", "bad-partials", "equivocate"])
-def test_byzantine_participant_cannot_break_safety(mode):
+def test_byzantine_participant_cannot_break_safety(mode, wire):
     public, states = deal_initial_states(GROUP, N, T, random.Random(1))
-    programs = [PdsNodeProgram(state) for state in states]
+    programs = [PdsNodeProgram(state, wire=wire) for state in states]
     adversary = ByzantineSigner(victim=4, mode=mode)
     runner = ALRunner(programs, adversary, SCHED, seed=2)
     for i in range(N):
@@ -97,13 +97,13 @@ def test_byzantine_participant_cannot_break_safety(mode):
 
 
 @pytest.mark.parametrize("mode", ["bad-shares", "bad-partials"])
-def test_liveness_survives_noise_from_one_byzantine_node(mode):
+def test_liveness_survives_noise_from_one_byzantine_node(mode, wire):
     """With n - 1 = 4 >= t + 1 honest contributors, the corrupted traffic
     from one byzantine node must not prevent the signature (robustness:
     bad shares and partials are identified by Feldman verification and
     dropped)."""
     public, states = deal_initial_states(GROUP, N, T, random.Random(3))
-    programs = [PdsNodeProgram(state) for state in states]
+    programs = [PdsNodeProgram(state, wire=wire) for state in states]
     adversary = ByzantineSigner(victim=4, mode=mode)
     runner = ALRunner(programs, adversary, SCHED, seed=4)
     for i in range(N):

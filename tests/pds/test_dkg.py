@@ -36,7 +36,7 @@ def test_shares_reconstruct_the_public_key(ugen):
     assert GROUP.base_power(secret) == public.public_key
 
 
-def test_no_single_dealer_knows_the_secret(ugen):
+def test_no_single_dealer_knows_the_secret(ugen, wire):
     """Structural check: the dealing sub-shares were erased after the
     combine step (each program's dealing table is empty)."""
     # re-run to access program internals
@@ -45,7 +45,7 @@ def test_no_single_dealer_knows_the_secret(ugen):
     from repro.sim.clock import Schedule
     from repro.sim.runner import ALRunner
 
-    programs = [DkgUGenProgram(GROUP, N, T, SCHEME) for _ in range(N)]
+    programs = [DkgUGenProgram(GROUP, N, T, SCHEME, wire=wire) for _ in range(N)]
     runner = ALRunner(programs, PassiveAdversary(),
                       Schedule(setup_rounds=3, refresh_rounds=1, normal_rounds=8),
                       seed=9)
@@ -64,11 +64,11 @@ def test_unit0_certificates_verify(ugen):
         assert verify_pds_signature(public, assertion, 0, local_keys.certificate)
 
 
-def test_dkg_output_drives_a_full_uls_run(ugen):
+def test_dkg_output_drives_a_full_uls_run(ugen, wire):
     """Drop-in interchangeability with build_uls_states: a complete ULS
     run (refresh + signing) on DKG-produced material."""
     public, states, keys = ugen
-    programs = [UlsProgram(states[i], SCHEME, keys[i]) for i in range(N)]
+    programs = [UlsProgram(states[i], SCHEME, keys[i], wire=wire) for i in range(N)]
     schedule = uls_schedule()
     runner = ULRunner(programs, PassiveAdversary(), schedule, s=T, seed=4)
     r1 = schedule.first_normal_round(1)

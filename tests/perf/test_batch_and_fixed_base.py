@@ -10,9 +10,10 @@ import random
 
 import pytest
 
-from repro.crypto.group import named_group
+from repro.crypto import group as group_module
+from repro.crypto.group import SchnorrGroup, named_group
 from repro.crypto.schnorr import SchnorrScheme, SchnorrSignature, scheme_for_group
-from repro.perf import FixedBaseWindow, configure
+from repro.perf import FixedBaseWindow
 
 GROUP = named_group("toy64")
 SCHEME = SchnorrScheme(GROUP)
@@ -117,25 +118,39 @@ def test_window_widths_agree(width):
         assert window.pow(e) == pow(GROUP.g, e, GROUP.p)
 
 
-def test_group_uses_windows_when_forced(perf):
-    """Force-enable windows for the toy group (normally gated to >=192-bit
-    moduli) and check base_power/fixed_power still agree with pow."""
-    configure(fixed_base_min_bits=1)
-    rng = random.Random(88)
-    y = GROUP.base_power(rng.randrange(1, GROUP.q))
+def _check_windows_match_pow(group, seed):
+    rng = random.Random(seed)
+    y = group.power(group.g, rng.randrange(1, group.q))
     for _ in range(50):
-        e = rng.randrange(0, GROUP.q)
-        assert GROUP.base_power(e) == pow(GROUP.g, e, GROUP.p)
-        assert GROUP.fixed_power(y, e) == pow(y, e, GROUP.p)
-    assert GROUP._g_window is not None  # the window actually engaged
-    assert y in GROUP._base_windows
+        e = rng.randrange(0, 2 * group.q)
+        assert group.base_power(e) == pow(group.g, e % group.q, group.p)
+        assert group.fixed_power(y, e) == pow(y, e % group.q, group.p)
+    assert group._g_window is not None  # the window actually engaged
+    assert y in group._base_windows
 
 
-def test_verify_unchanged_with_windows_forced(perf):
+def test_group_uses_windows_when_forced(perf, monkeypatch):
+    """Lower the size gate (normally >=192-bit moduli) so a toy group
+    engages windows, and check base_power/fixed_power still agree with
+    pow."""
+    monkeypatch.setattr(group_module, "FIXED_BASE_MIN_BITS", 1)
+    group = SchnorrGroup(GROUP.params, check=False)
+    assert group.uses_windows and not GROUP.uses_windows
+    _check_windows_match_pow(group, seed=88)
+
+
+def test_toy256_windows_match_pow(perf):
+    """toy256 is above the size gate: its windows engage by default."""
+    group = named_group("toy256")
+    assert group.uses_windows
+    _check_windows_match_pow(group, seed=89)
+
+
+def test_verify_unchanged_with_windows_forced(perf, monkeypatch):
     rng = random.Random(99)
     pair = SCHEME.generate(rng)
     sig = SCHEME.sign(pair.signing_key, b"windowed")
     assert SCHEME.verify(pair.verify_key, b"windowed", sig)
-    configure(fixed_base_min_bits=1)
+    monkeypatch.setattr(GROUP, "uses_windows", True)
     assert SCHEME.verify(pair.verify_key, b"windowed", sig)
     assert not SCHEME.verify(pair.verify_key, b"other", sig)

@@ -1,11 +1,11 @@
-"""Blame-attribution parity: perf layer on vs. off.
+"""Blame-attribution parity: batched verifiers vs. their per-item fallbacks.
 
 The batched verifiers (`verify_shares_batch`, the partial-signature RLC
-check) fall back to per-item verification whenever a batch fails, so the
-*blame records* — ``RefreshService.rejected_dealers`` and
-``ThresholdSigner.rejected_partials`` — must be identical with the perf
-layer on or off, under faults as well as in the all-honest case.  Three
-angles:
+check, batched VER-CERT) fall back to per-item verification whenever a
+batch fails, so the *blame records* — ``RefreshService.rejected_dealers``
+and ``ThresholdSigner.rejected_partials`` — must be identical to those of
+a run that checks every item alone (the ``per_item`` reference), under
+faults as well as in the all-honest case.  Three angles:
 
 * seeded E13-style chaos runs of the full ULS (property test),
 * a deterministic `_on_zero_deals` drive with a forged share and a
@@ -28,7 +28,6 @@ from repro.pds.harness import PdsNodeProgram, required_refresh_rounds
 from repro.pds.keys import deal_initial_states
 from repro.pds.refresh import RefreshService, _Phase
 from repro.pds.transport import DirectTransport
-from repro.perf import configure
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.clock import Schedule
 from repro.sim.runner import ALRunner, ULRunner
@@ -59,14 +58,13 @@ def _run_uls_chaos(seed: int):
 
 
 @pytest.mark.parametrize("seed", [101, 107, 113])
-def test_uls_chaos_blame_parity(perf, seed):
-    configure(enabled=True)
-    output_on, dealers_on, partials_on = _run_uls_chaos(seed)
-    configure(enabled=False)
-    output_off, dealers_off, partials_off = _run_uls_chaos(seed)
-    assert output_on == output_off
-    assert dealers_on == dealers_off
-    assert partials_on == partials_off
+def test_uls_chaos_blame_parity(perf, per_item, seed):
+    output_batched, dealers_batched, partials_batched = _run_uls_chaos(seed)
+    per_item()
+    output_single, dealers_single, partials_single = _run_uls_chaos(seed)
+    assert output_batched == output_single
+    assert dealers_batched == dealers_single
+    assert partials_batched == partials_single
 
 
 # --------------------------------------- deterministic refresh blame
@@ -92,16 +90,15 @@ def _drive_zero_deals() -> tuple[set, dict]:
     return service.rejected_dealers, phase.zero_dealings
 
 
-def test_zero_deal_blame_deterministic(perf):
-    configure(enabled=True, feldman_batch=True)
-    rejected_on, dealings_on = _drive_zero_deals()
-    configure(enabled=True, feldman_batch=False)
-    rejected_off, dealings_off = _drive_zero_deals()
+def test_zero_deal_blame_deterministic(perf, per_item):
+    rejected_batched, dealings_batched = _drive_zero_deals()
+    per_item()
+    rejected_single, dealings_single = _drive_zero_deals()
 
     # exact blame either way: dealer 3 forged its sub-share, dealer 4
     # dealt a non-zero sharing
-    assert rejected_on == rejected_off == {(1, 3), (1, 4)}
-    for dealings in (dealings_on, dealings_off):
+    assert rejected_batched == rejected_single == {(1, 3), (1, 4)}
+    for dealings in (dealings_batched, dealings_single):
         # the forged dealing is recorded with an unusable share ...
         assert dealings[3].my_share_value is None
         # ... the non-zero dealing is rejected outright (never acked)
@@ -109,8 +106,8 @@ def test_zero_deal_blame_deterministic(perf):
         # honest dealers' sub-shares survive
         assert dealings[1].my_share_value is not None
         assert dealings[2].my_share_value is not None
-    assert {d: z.my_share_value for d, z in dealings_on.items()} == \
-        {d: z.my_share_value for d, z in dealings_off.items()}
+    assert {d: z.my_share_value for d, z in dealings_batched.items()} == \
+        {d: z.my_share_value for d, z in dealings_single.items()}
 
 
 # --------------------------------------- corrupted-signer AL parity
@@ -147,15 +144,14 @@ def _run_corrupted_signing(seed: int = 41):
     )
 
 
-def test_corrupted_partial_blame_parity(perf):
-    configure(enabled=True)
-    output_on, rejected_on = _run_corrupted_signing()
-    configure(enabled=False)
-    output_off, rejected_off = _run_corrupted_signing()
+def test_corrupted_partial_blame_parity(perf, per_item):
+    output_batched, rejected_batched = _run_corrupted_signing()
+    per_item()
+    output_single, rejected_single = _run_corrupted_signing()
 
-    assert output_on == output_off
-    assert rejected_on == rejected_off
-    # every honest node blames node 0's share index, in both modes
+    assert output_batched == output_single
+    assert rejected_batched == rejected_single
+    # every honest node blames node 0's share index, both ways
     for node_id in range(1, N):
-        assert rejected_on[node_id], node_id
-        assert all(index == 1 for _, index in rejected_on[node_id])
+        assert rejected_batched[node_id], node_id
+        assert all(index == 1 for _, index in rejected_batched[node_id])

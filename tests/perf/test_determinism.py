@@ -4,9 +4,9 @@
   and signing never reads or advances any RNG (module-level ``random``
   included) — the parallel benchmark harness replays executions across
   processes and needs byte-identical transcripts.
-* The whole perf layer is transcript-neutral: a ULS execution with every
-  optimization on is equal, record for record, to the same execution
-  with the layer off.
+* The perf layer is transcript-neutral: a ULS execution with every
+  batch path and fixed-base windows engaged is equal, record for record,
+  to the same execution checking every item alone with cold caches.
 """
 
 import random
@@ -15,7 +15,6 @@ from repro.adversary.strategies import BreakinPlan, MobileBreakInAdversary
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
-from repro.perf import configure
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.runner import ULRunner
 
@@ -91,32 +90,32 @@ def _assert_same_execution(left, right):
     assert left.adversary_output == right.adversary_output
 
 
-def test_perf_layer_is_transcript_neutral_benign(perf):
-    # msg_volume is pinned off on both sides: it is the one flag that is
-    # *not* transcript-neutral by design (outcome-level parity instead,
-    # see test_msg_volume.py) — and enabled=False would mask it anyway
-    configure(enabled=True, fixed_base_min_bits=1, msg_volume=False)
-    optimized = _run_uls(PassiveAdversary)
-    configure(enabled=False, msg_volume=False)
-    baseline = _run_uls(PassiveAdversary)
-    _assert_same_execution(optimized, baseline)
+def _optimized_and_baseline(adversary_factory, monkeypatch, per_item):
+    """The run with toy64's fixed-base windows forced on, then the
+    per-item reference run without them."""
+    monkeypatch.setattr(GROUP, "uses_windows", True)
+    optimized = _run_uls(adversary_factory)
+    monkeypatch.setattr(GROUP, "uses_windows", False)
+    per_item()
+    return optimized, _run_uls(adversary_factory)
 
 
-def test_perf_layer_is_transcript_neutral_under_attack(perf):
+def test_perf_layer_is_transcript_neutral_benign(perf, per_item, monkeypatch):
+    _assert_same_execution(
+        *_optimized_and_baseline(PassiveAdversary, monkeypatch, per_item)
+    )
+
+
+def test_perf_layer_is_transcript_neutral_under_attack(perf, per_item, monkeypatch):
     def adversary():
         return MobileBreakInAdversary(
             BreakinPlan(victims={1: frozenset({2}), 2: frozenset({4})})
         )
 
-    configure(enabled=True, fixed_base_min_bits=1, msg_volume=False)
-    optimized = _run_uls(adversary)
-    configure(enabled=False, msg_volume=False)
-    baseline = _run_uls(adversary)
-    _assert_same_execution(optimized, baseline)
+    _assert_same_execution(*_optimized_and_baseline(adversary, monkeypatch, per_item))
 
 
 def test_repeat_run_with_caches_warm_is_identical(perf):
-    configure(enabled=True)
     first = _run_uls(PassiveAdversary)
     second = _run_uls(PassiveAdversary)  # warm caches, same seeds
     _assert_same_execution(first, second)

@@ -3,7 +3,7 @@
 The batch equation must answer exactly what the per-item loop answers:
 all-True for honest batches, and — via the per-item fallback — the exact
 same verdict vector when anything in the batch is forged, so blame
-attribution is identical with the ``feldman_batch`` flag on or off.
+attribution is identical to checking every share alone.
 """
 
 import random
@@ -11,7 +11,6 @@ import random
 from repro.crypto.feldman import FeldmanDealer, verify_shares_batch
 from repro.crypto.group import named_group
 from repro.crypto.shamir import Share
-from repro.perf import configure
 
 GROUP = named_group("toy64")
 N, T = 7, 2
@@ -75,25 +74,18 @@ def test_single_bad_dealer_among_good_is_named_exactly(perf):
         assert verdicts == expected, bad_position
 
 
-def test_flag_off_matches_flag_on(perf):
-    """Verdict vectors are identical with batching disabled (mixed batch:
-    honest, forged share, forged commitment)."""
-    def build():
-        items = deal_batch(6, seed=9)
-        items[1] = forge_share(items[1])
-        items[4] = forge_commitment(items[4])
-        return items
-
-    configure(enabled=True, feldman_batch=True)
-    batched = verify_shares_batch(GROUP, build())
-    configure(enabled=True, feldman_batch=False)
-    unbatched = verify_shares_batch(GROUP, build())
-    assert batched == unbatched == [True, False, True, True, False, True]
-
-
 def test_batch_matches_individual_verification(perf):
     items = deal_batch(8, seed=4)
     items[0] = forge_share(items[0], delta=5)
     items[7] = forge_share(items[7], delta=7)
     expected = [commitment.verify_share(GROUP, share) for commitment, share in items]
     assert verify_shares_batch(GROUP, items) == expected
+
+    # mixed batch: honest, forged share, forged commitment
+    items = deal_batch(6, seed=9)
+    items[1] = forge_share(items[1])
+    items[4] = forge_commitment(items[4])
+    expected = [commitment.verify_share(GROUP, share) for commitment, share in items]
+    assert verify_shares_batch(GROUP, items) == expected == [
+        True, False, True, True, False, True
+    ]

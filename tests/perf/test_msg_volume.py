@@ -1,19 +1,19 @@
-"""The message-volume layer (``PerfConfig.msg_volume``): parity & fallback.
+"""The aggregated refresh wire (``wire="aggregated"``): parity & fallback.
 
-The layer changes *which* envelopes carry the refresh/DKG protocols —
-receipt aggregation over the DISPERSE broadcast primitive, plural
-threshold-signer rounds, sampled refresh-help — so unlike every other
-perf flag, transcript-digest parity is impossible by construction.  What
-these tests pin down instead is the contract docs/PROTOCOLS.md §12
-states:
+The aggregated wire changes *which* envelopes carry the refresh/DKG
+protocols — receipt aggregation over the DISPERSE broadcast primitive,
+plural threshold-signer rounds, sampled refresh-help — so unlike every
+perf optimisation, transcript-digest parity with the paper wire is
+impossible by construction.  What these tests pin down instead is the
+contract docs/PROTOCOLS.md §12 states:
 
 * **outcome parity** — node outputs, system log, blame records
   (``rejected_dealers`` / ``rejected_partials``), key histories and
-  certified key reprs are bit-identical with the layer on or off, under
-  seeded E13-style chaos as well as in the all-honest case;
+  certified key reprs are bit-identical on either wire, under seeded
+  E13-style chaos as well as in the all-honest case;
 * **volume** — messages per refreshment phase drop ≥ 2× even at small n;
 * **deterministic fallback** — a requester whose sampled-help recovery
-  came up short escalates to the full fan-out (the layer-off path) at
+  came up short escalates to the full fan-out (the paper wire's path) at
   its next request, and recovers;
 * **broadcast certification** — the ``BROADCAST`` destination sentinel
   is accepted for any receiver while every other step-1 rejection is
@@ -21,12 +21,14 @@ states:
 * **bounded state** — the per-unit ingest state that used to grow for
   the whole run (PA sessions, signer sessions, the AUTH-SEND accepted
   log, ULS pending signatures) stays O(active units) across many
-  refreshes.
+  refreshes;
+* **independence** — the wire is a parameter of each protocol instance,
+  so networks on both formats can run interleaved in one process.
 """
 
 import pytest
 
-from repro.analysis.digest import outcome_digest
+from repro.analysis.digest import outcome_digest, transcript_digest
 from repro.analysis.metrics import message_stats
 from repro.core.certify import certify, ver_cert, ver_cert_many
 from repro.core.uls import UlsProgram, _O_PART2, build_uls_states, uls_schedule
@@ -35,7 +37,7 @@ from repro.crypto.schnorr import SchnorrScheme
 from repro.crypto.shamir import Share
 from repro.faults import FaultInjectionAdversary, FaultPlan
 from repro.pds.refresh import RefreshService
-from repro.perf import BROADCAST, configure, responder_sample, sample_size
+from repro.perf import BROADCAST, responder_sample, sample_size
 from repro.sim.adversary_api import Adversary, PassiveAdversary, faithful_delivery
 from repro.sim.clock import Phase
 from repro.sim.runner import ULRunner
@@ -44,17 +46,25 @@ GROUP = named_group("toy64")
 SCHEME = SchnorrScheme(GROUP)
 
 
-def _run_uls(n, t, seed, adversary=None, units=2, normal_rounds=12):
+def _build_uls(n, t, seed, adversary=None, normal_rounds=12, *, wire,
+               compact_records=False):
     public, states, keys = build_uls_states(GROUP, SCHEME, n, t, seed=seed)
     programs = [
-        UlsProgram(states[i], SCHEME, keys[i], cert_retransmit=1, cert_grace_rounds=1)
+        UlsProgram(states[i], SCHEME, keys[i], cert_retransmit=1, cert_grace_rounds=1,
+                   wire=wire)
         for i in range(n)
     ]
     schedule = uls_schedule(normal_rounds=normal_rounds)
     runner = ULRunner(programs, adversary or PassiveAdversary(), schedule,
-                      s=t, seed=seed)
-    execution = runner.run(units=units)
-    return programs, execution
+                      s=t, seed=seed, compact_records=compact_records)
+    return programs, runner
+
+
+def _run_uls(n, t, seed, adversary=None, units=2, normal_rounds=12, *, wire,
+             compact_records=False):
+    programs, runner = _build_uls(n, t, seed, adversary, normal_rounds, wire=wire,
+                                  compact_records=compact_records)
+    return programs, runner.run(units=units)
 
 
 def _outcomes(programs, execution):
@@ -129,22 +139,16 @@ def test_ver_cert_many_matches_ver_cert_on_broadcast(perf):
 # --------------------------------------------------- volume + outcome parity
 
 def test_msgs_per_refresh_halved_with_identical_outcomes(perf):
-    configure(enabled=True, msg_volume=False)
-    programs_off, execution_off = _run_uls(7, 2, seed=5)
-    off = message_stats(execution_off).per_refresh_phase
-    outcomes_off = _outcomes(programs_off, execution_off)
-    digest_off = outcome_digest(execution_off)
+    programs_paper, execution_paper = _run_uls(7, 2, seed=5, wire="paper")
+    paper = message_stats(execution_paper).per_refresh_phase
+    programs_agg, execution_agg = _run_uls(7, 2, seed=5, wire="aggregated")
+    aggregated = message_stats(execution_agg).per_refresh_phase
 
-    configure(enabled=True, msg_volume=True)
-    programs_on, execution_on = _run_uls(7, 2, seed=5)
-    on = message_stats(execution_on).per_refresh_phase
-    outcomes_on = _outcomes(programs_on, execution_on)
-    digest_on = outcome_digest(execution_on)
-
-    assert on * 2 <= off, (on, off)
-    assert digest_on == digest_off
-    assert outcomes_on == outcomes_off
-    for program in programs_on:
+    assert aggregated * 2 <= paper, (aggregated, paper)
+    assert outcome_digest(execution_agg) == outcome_digest(execution_paper)
+    assert _outcomes(programs_agg, execution_agg) == \
+        _outcomes(programs_paper, execution_paper)
+    for program in programs_agg:
         assert program.keystore.history == [(1, "ok")]
         assert program.state.share_is_valid()
 
@@ -152,27 +156,15 @@ def test_msgs_per_refresh_halved_with_identical_outcomes(perf):
 @pytest.mark.parametrize("seed", [101, 113, 17])
 def test_chaos_outcome_parity(perf, seed):
     """E13-style chaos: break-ins, drops and forgeries from a seeded fault
-    plan produce identical protocol outcomes with the layer on or off."""
-    schedule = uls_schedule()
-    plan = FaultPlan.generate(seed=seed, n=5, t=2, schedule=schedule, units=3)
+    plan produce identical protocol outcomes on either wire."""
+    plan = FaultPlan.generate(seed=seed, n=5, t=2, schedule=uls_schedule(), units=3)
 
-    def run():
-        public, states, keys = build_uls_states(GROUP, SCHEME, 5, 2, seed=seed)
-        programs = [
-            UlsProgram(states[i], SCHEME, keys[i], cert_retransmit=1,
-                       cert_grace_rounds=1)
-            for i in range(5)
-        ]
-        runner = ULRunner(programs, FaultInjectionAdversary(plan), schedule,
-                          s=2, seed=seed)
-        execution = runner.run(units=3)
+    def run(wire):
+        programs, execution = _run_uls(5, 2, seed, FaultInjectionAdversary(plan),
+                                       units=3, wire=wire)
         return _outcomes(programs, execution)
 
-    configure(enabled=True, msg_volume=True)
-    outcomes_on = run()
-    configure(enabled=True, msg_volume=False)
-    outcomes_off = run()
-    assert outcomes_on == outcomes_off
+    assert run("aggregated") == run("paper")
 
 
 # -------------------------------------------------- sampled-help escalation
@@ -212,13 +204,12 @@ class _HelpBlocker(Adversary):
         return plan
 
 
-def _run_escalation(msg_volume: bool, spy_needs, spy_blinds):
-    configure(enabled=True, msg_volume=msg_volume)
+def _run_escalation(wire: str, spy_needs, spy_blinds):
     needs, blinds = [], []
     spy_needs.append(needs)
     spy_blinds.append(blinds)
     programs, execution = _run_uls(
-        7, 2, seed=23, adversary=_HelpBlocker(victim=6), units=3
+        7, 2, seed=23, adversary=_HelpBlocker(victim=6), units=3, wire=wire
     )
     return programs, execution, needs, blinds
 
@@ -250,10 +241,10 @@ def refresh_spies(monkeypatch):
 def test_sampled_help_escalates_to_full_fanout(perf, refresh_spies):
     need_runs, blind_runs = refresh_spies
     programs, execution, needs, blinds = _run_escalation(
-        True, need_runs, blind_runs
+        "aggregated", need_runs, blind_runs
     )
     victim = programs[6]
-    # unit 1: recovery starved -> failed + alert; the layer marks the unit
+    # unit 1: recovery starved -> failed + alert; the service marks the unit
     assert 1 in victim.core.alert_units
     # unit 2: the request escalated to full fan-out...
     assert ("rf-need", 2, "esc") in needs
@@ -277,28 +268,26 @@ def test_sampled_help_escalates_to_full_fanout(perf, refresh_spies):
 def test_escalation_scenario_outcome_parity(perf, refresh_spies):
     """The same starved-recovery scenario ends identically either way:
     failed at unit 1, recovered at unit 2 — escalation restores exactly
-    the layer-off liveness."""
+    the paper wire's liveness."""
     need_runs, blind_runs = refresh_spies
-    programs_on, execution_on, needs_on, _ = _run_escalation(
-        True, need_runs, blind_runs
+    programs_agg, execution_agg, _, _ = _run_escalation(
+        "aggregated", need_runs, blind_runs
     )
-    outcomes_on = _outcomes(programs_on, execution_on)
-    programs_off, execution_off, needs_off, _ = _run_escalation(
-        False, need_runs, blind_runs
+    programs_paper, execution_paper, needs_paper, _ = _run_escalation(
+        "paper", need_runs, blind_runs
     )
-    outcomes_off = _outcomes(programs_off, execution_off)
-    assert outcomes_on == outcomes_off
-    assert outcome_digest(execution_on) == outcome_digest(execution_off)
-    # layer-off never escalates (every request is full fan-out already)
-    assert not any(len(body) >= 3 and body[2] == "esc" for body in needs_off)
+    assert _outcomes(programs_agg, execution_agg) == \
+        _outcomes(programs_paper, execution_paper)
+    assert outcome_digest(execution_agg) == outcome_digest(execution_paper)
+    # the paper wire never escalates (every request is full fan-out already)
+    assert not any(len(body) >= 3 and body[2] == "esc" for body in needs_paper)
 
 
 # ------------------------------------------------------------ bounded state
 
 def test_per_unit_state_stays_bounded_across_refreshes(perf):
-    configure(enabled=True, msg_volume=True)
     n, units = 5, 4
-    programs, execution = _run_uls(5, 2, seed=11, units=units)
+    programs, execution = _run_uls(5, 2, seed=11, units=units, wire="aggregated")
     last = units - 1
     for program in programs:
         core = program.core
@@ -333,15 +322,8 @@ def test_failed_signings_release_pending_state(perf):
     """A signing request that can never complete is dropped from
     ``UlsProgram._pending`` with an explicit ``sign-failed`` output
     instead of leaking for the rest of the run."""
-    configure(enabled=True, msg_volume=True)
-    public, states, keys = build_uls_states(GROUP, SCHEME, 5, 2, seed=3)
-    programs = [
-        UlsProgram(states[i], SCHEME, keys[i], cert_retransmit=1,
-                   cert_grace_rounds=1)
-        for i in range(5)
-    ]
-    schedule = uls_schedule()
-    runner = ULRunner(programs, PassiveAdversary(), schedule, s=2, seed=3)
+    programs, runner = _build_uls(5, 2, seed=3, wire="aggregated")
+    schedule = runner.schedule
     # only one node asks: t+1 = 3 partials never materialize
     runner.add_external_input(0, schedule.first_normal_round(0), ("sign", "solo"))
     execution = runner.run(units=2)
@@ -353,10 +335,8 @@ def test_failed_signings_release_pending_state(perf):
 # ------------------------------------------------- per-channel counters
 
 def test_compact_records_carry_channel_counts(perf):
-    configure(enabled=True, msg_volume=True, compact_records=False)
-    _, full = _run_uls(5, 2, seed=7)
-    configure(enabled=True, msg_volume=True, compact_records=True)
-    _, compact = _run_uls(5, 2, seed=7)
+    _, full = _run_uls(5, 2, seed=7, wire="aggregated")
+    _, compact = _run_uls(5, 2, seed=7, wire="aggregated", compact_records=True)
 
     assert len(full.records) == len(compact.records)
     for full_record, compact_record in zip(full.records, compact.records):
@@ -367,3 +347,46 @@ def test_compact_records_carry_channel_counts(perf):
     compact_stats = message_stats(compact)
     assert full_stats == compact_stats
     assert compact_stats.by_channel  # non-trivial traffic was counted
+
+
+# ------------------------------------------------- one process, two wires
+
+def _interleave(runners, units):
+    """Run several networks round by round in lockstep — ``Runner.run``
+    for each, with their rounds alternating."""
+    for runner in runners:
+        runner.adversary.begin(runner.n, runner.schedule, runner.randomness.adversary())
+    for round_number in range(runners[0].schedule.total_rounds(units)):
+        for runner in runners:
+            runner._run_round(runner.schedule.info(round_number))
+    for runner in runners:
+        runner.execution.adversary_output.extend(runner.adversary.finish())
+    return [runner.execution for runner in runners]
+
+
+def test_paper_and_aggregated_networks_interleave(perf):
+    """The wire is per instance: a paper network and an aggregated one
+    stepped alternately in one process each reproduce their solo run."""
+    wires = ("paper", "aggregated")
+
+    def build(wire):
+        programs, runner = _build_uls(5, 2, seed=9, wire=wire)
+        for node in range(5):
+            runner.add_external_input(node, runner.schedule.first_normal_round(0),
+                                      ("sign", "interleaved"))
+        return runner
+
+    solo = {wire: build(wire).run(units=2) for wire in wires}
+    together = dict(zip(wires, _interleave([build(wire) for wire in wires], units=2)))
+    for wire in wires:
+        assert outcome_digest(together[wire]) == outcome_digest(solo[wire]), wire
+        assert transcript_digest(together[wire]) == transcript_digest(solo[wire]), wire
+    # the two wires really differ on the wire, and agree on the outcome
+    assert ("signed", "interleaved", 0) in solo["aggregated"].outputs_of(0)
+    assert transcript_digest(solo["paper"]) != transcript_digest(solo["aggregated"])
+    assert outcome_digest(solo["paper"]) == outcome_digest(solo["aggregated"])
+
+
+def test_unknown_wire_is_rejected():
+    with pytest.raises(ValueError, match="wire"):
+        _build_uls(5, 2, seed=1, wire="aggregate")

@@ -2,10 +2,14 @@
 
 The batched entry point is the transport hot path; these tests drive it
 with mixed batches — valid messages, forgeries, replays, garbage — and
-compare index-by-index against the sequential reference, under every
-perf-flag combination that changes its code path.
+compare index-by-index against sequential ``ver_cert`` from cold caches.
+The comparison runs with either of its two optimisations, the
+verification cache and the batch equation, replaced by its fallback
+(every check verified in full; every batch reported failed, so each
+signature is verified alone), and with both and neither kept.
 """
 
+import importlib
 import random
 
 import pytest
@@ -14,7 +18,10 @@ from repro.core.certify import certify, ver_cert, ver_cert_many
 from repro.core.uls import build_uls_states
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme, SchnorrSignature
-from repro.perf import clear_all_caches, configure
+from repro.perf import clear_all_caches
+
+# the module, not the function repro.core re-exports under the same name
+certify_module = importlib.import_module("repro.core.certify")
 
 GROUP = named_group("toy64")
 SCHEME = SchnorrScheme(GROUP)
@@ -77,23 +84,33 @@ def _sequential(setup, items):
     ]
 
 
-FLAG_SETS = [
-    pytest.param(dict(enabled=False), id="perf-off"),
-    pytest.param(dict(enabled=True), id="perf-on"),
-    pytest.param(dict(enabled=True, batch_verify=False), id="cache-only"),
-    pytest.param(dict(enabled=True, verify_cache=False), id="batch-only"),
+#: which of ver_cert_many's optimisations each case keeps
+KEPT = [
+    pytest.param(dict(cache=False, batch=False), id="perf-off"),
+    pytest.param(dict(cache=True, batch=True), id="perf-on"),
+    pytest.param(dict(cache=True, batch=False), id="cache-only"),
+    pytest.param(dict(cache=False, batch=True), id="batch-only"),
 ]
 
 
-@pytest.mark.parametrize("flags", FLAG_SETS)
-def test_matches_sequential(perf, setup, flags):
+def _keep(monkeypatch, cache: bool, batch: bool) -> None:
+    """Replace the optimisations not kept by their fallbacks."""
+    clear_all_caches()
+    if not cache:
+        monkeypatch.setattr(certify_module, "lookup_verify", lambda *args: (None, None))
+        monkeypatch.setattr(certify_module, "cached_verify",
+                            lambda scheme, key, message, sig: scheme.verify(key, message, sig))
+    if not batch:
+        monkeypatch.setattr(SchnorrScheme, "batch_verify", lambda self, items: False)
+
+
+@pytest.mark.parametrize("kept", KEPT)
+def test_matches_sequential(perf, setup, monkeypatch, kept):
     public, _, _ = setup
     items = _mixed_items(setup)
-
-    configure(enabled=False)  # reference pass: plain verifier, no caches
     expected = _sequential(setup, items)
 
-    configure(**flags)
+    _keep(monkeypatch, **kept)
     batched = ver_cert_many(SCHEME, public, receiver=1, expected_unit=0,
                             expected_round=7, items=items)
 
@@ -105,14 +122,13 @@ def test_matches_sequential(perf, setup, flags):
             assert got == want
 
 
-@pytest.mark.parametrize("flags", FLAG_SETS)
-def test_matches_sequential_warm_cache(perf, setup, flags):
+@pytest.mark.parametrize("kept", KEPT)
+def test_matches_sequential_warm_cache(perf, setup, monkeypatch, kept):
     """Same comparison with a pre-warmed cache (second identical round)."""
     public, _, _ = setup
     items = _mixed_items(setup)
-    configure(enabled=False)
     expected = _sequential(setup, items)
-    configure(**flags)
+    _keep(monkeypatch, **kept)
     first = ver_cert_many(SCHEME, public, receiver=1, expected_unit=0,
                           expected_round=7, items=items)
     second = ver_cert_many(SCHEME, public, receiver=1, expected_unit=0,

@@ -114,16 +114,6 @@ def test_failed_rollover_still_invalidates(perf):
     assert bucket not in cache._buckets
 
 
-def test_cache_disabled_bypasses_everything(perf, pair):
-    from repro.perf import configure
-
-    configure(verify_cache=False)
-    cache = verification_cache()
-    sig = SCHEME.sign(pair.signing_key, b"msg")
-    assert cached_verify(SCHEME, pair.verify_key, b"msg", sig)
-    assert len(cache) == 0
-
-
 def test_lru_bounds():
     cache = VerificationCache(max_keys=2, max_entries_per_key=3)
     for key in ("k1", "k2", "k3"):
