@@ -2,8 +2,9 @@
 
 Costs of the primitives everything else is built from, across security
 parameters: centralized signing/verification (Schnorr at three group
-sizes, RSA-FDH, hash-based), Feldman share verification, and the
-threshold combine step (Lagrange interpolation) as a function of t.
+sizes, RSA-FDH, hash-based), batched Schnorr verification (one
+multi-exponentiation), Feldman share verification, and the threshold
+combine step (Lagrange interpolation) as a function of t.
 """
 
 import random
@@ -33,6 +34,22 @@ def test_schnorr_verify(benchmark, group_name):
     signature = scheme.sign(pair.signing_key, MESSAGE)
     benchmark(lambda: scheme.verify(pair.verify_key, MESSAGE, signature))
     assert scheme.verify(pair.verify_key, MESSAGE, signature)
+
+
+@pytest.mark.parametrize("group_name", ["toy64", "toy256", "toy512"])
+def test_schnorr_batch_verify(benchmark, group_name):
+    """15 signatures shaped like one round of VER-CERT: every other one
+    under a shared key (the certificates under ``v_cert``), the rest
+    under distinct keys (the message signatures)."""
+    scheme = SchnorrScheme(named_group(group_name))
+    rng = random.Random(6)
+    shared = scheme.generate(rng)
+    items = []
+    for i in range(15):
+        pair = shared if i % 2 else scheme.generate(rng)
+        message = MESSAGE + b" #%d" % i
+        items.append((pair.verify_key, message, scheme.sign(pair.signing_key, message)))
+    assert benchmark(lambda: scheme.batch_verify(items))
 
 
 def test_rsa_fdh_sign(benchmark):

@@ -52,9 +52,8 @@ class FeldmanCommitment:
     def share_image(self, group: SchnorrGroup, x: int) -> int:
         """Compute ``g^{f(x)} = Π elements[k]^{x^k}`` from public data.
 
-        Memoized (and fixed-base accelerated on large groups) per
-        commitment through :mod:`repro.perf.share_image`; the value is
-        exactly the product of plain exponentiations.
+        Memoized per commitment through :mod:`repro.perf.share_image`;
+        the value is exactly the product of plain exponentiations.
         """
         return share_image_value(group, self.elements, x)
 
@@ -150,7 +149,9 @@ def verify_shares_batch(
 
     with exponents aggregated per distinct base (all zero-dealings share
     the identity constant term, and co-dealt commitments frequently repeat
-    elements).  If the aggregate holds, every share is valid up to the
+    elements) and the right-hand side one
+    :meth:`~repro.crypto.group.SchnorrGroup.multi_power` call.  If the
+    aggregate holds, every share is valid up to the
     standard ``1/q`` soundness error; if it fails, the function falls back
     to per-item verification *in batch order*, so blame attribution — which
     dealer gets complained against, which partial emitter gets rejected —

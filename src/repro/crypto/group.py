@@ -10,6 +10,14 @@ safe-prime parameters at several sizes.  ``toy64`` is the default for unit
 tests (fast, structurally identical to the large groups); ``toy512`` and
 ``modp1024`` are realistic sizes.  Fresh parameters of any size can be
 generated with :meth:`SchnorrGroup.generate`.
+
+Every exponentiation of the package goes through this one engine
+(``docs/PROTOCOLS.md`` §12): :meth:`SchnorrGroup.base_power` and
+:meth:`SchnorrGroup.fixed_power` walk fixed-base windows,
+:meth:`SchnorrGroup.multi_power` is an interleaved-window (Straus)
+multi-exponentiation, and :meth:`SchnorrGroup.is_member` decides
+membership by the Legendre symbol.  Each computes exactly the value of
+the plain ``pow`` expression its docstring names.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import random
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from repro.crypto.field import PrimeField
 from repro.crypto.numbers import is_probable_prime, mod_inverse, random_safe_prime
@@ -25,16 +34,11 @@ from repro.perf.registry import register_cache_clearer
 from repro.perf.fixed_base import FixedBaseWindow
 
 __all__ = [
-    "FIXED_BASE_MIN_BITS",
     "GroupParams",
     "SchnorrGroup",
     "named_group",
     "NAMED_GROUP_NAMES",
 ]
-
-#: smallest modulus size at which fixed-base windows engage: below it
-#: CPython's C ``pow`` beats any Python-level window walk
-FIXED_BASE_MIN_BITS = 192
 
 #: bound on per-group fixed-base windows kept for registered bases
 _MAX_BASE_WINDOWS = 16
@@ -100,6 +104,34 @@ def _clear_group_caches() -> None:
         group._member_cache.clear()
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol ``(a / n)`` for odd ``n > 0`` (binary algorithm;
+    for a prime ``n`` it is the Legendre symbol)."""
+    a %= n
+    result = 1
+    while a:
+        zeros = (a & -a).bit_length() - 1
+        if zeros:
+            a >>= zeros
+            if zeros & 1 and n & 7 in (3, 5):
+                result = -result
+        if a & n & 2:  # both are 3 mod 4: quadratic reciprocity flips
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
+
+
+def _straus_width(bits: int) -> int:
+    """Window width ``w`` minimizing one term's cost in
+    :meth:`SchnorrGroup.multi_power`: ``2^w`` products to build its table
+    plus ``bits/w`` to multiply its digits in (the ``bits`` squarings are
+    shared by all terms, whatever ``w``)."""
+    width = 1
+    while (2 << width) + bits / (width + 1) < (1 << width) + bits / width:
+        width += 1
+    return width
+
+
 class SchnorrGroup:
     """The order-``q`` subgroup of ``Z_p*`` for a safe prime ``p = 2q + 1``.
 
@@ -108,24 +140,23 @@ class SchnorrGroup:
     :attr:`scalar_field`.
     """
 
-    def __init__(self, params: GroupParams, check: bool = True) -> None:
-        if check:
-            if params.p != 2 * params.q + 1:
-                raise ValueError("p must equal 2q + 1")
-            if not is_probable_prime(params.p) or not is_probable_prime(params.q):
-                raise ValueError("p and q must both be prime")
-            if not (1 < params.g < params.p) or pow(params.g, params.q, params.p) != 1:
-                raise ValueError("g must generate the order-q subgroup")
-            if params.g == 1:
-                raise ValueError("g must not be the identity")
+    def __init__(self, params: GroupParams) -> None:
+        # a safe prime is what makes the order-q subgroup exactly the
+        # quadratic residues, which is_member's Legendre test relies on
+        if params.p != 2 * params.q + 1:
+            raise ValueError("p must equal 2q + 1")
+        if not is_probable_prime(params.p) or not is_probable_prime(params.q):
+            raise ValueError("p and q must both be prime")
+        if not (1 < params.g < params.p) or pow(params.g, params.q, params.p) != 1:
+            raise ValueError("g must generate the order-q subgroup")
+        if params.g == 1:
+            raise ValueError("g must not be the identity")
         self.params = params
         self.p = params.p
         self.q = params.q
         self.g = params.g
         self.scalar_field = PrimeField(params.q)
-        #: whether :meth:`base_power` and :meth:`fixed_power` go through
-        #: fixed-base windows (fixed per group, by its modulus size)
-        self.uses_windows = self.p.bit_length() >= FIXED_BASE_MIN_BITS
+        self._straus_width = _straus_width(params.q.bit_length())
         # fixed-base precomputation (repro.perf): a window for g, built
         # lazily, plus a small pool of windows for registered long-lived
         # bases (e.g. the PDS key v_cert used by every VER-CERT)
@@ -158,27 +189,22 @@ class SchnorrGroup:
         return pow(base, exponent % self.q, self.p)
 
     def base_power(self, exponent: int) -> int:
-        """``g ** exponent mod p`` (through the fixed-base window when the
-        modulus is large enough to profit)."""
-        if self.uses_windows:
-            window = self._g_window
-            if window is None:
-                window = self._g_window = FixedBaseWindow(self.g, self.p, self.q)
-            return window.pow(exponent)
-        return pow(self.g, exponent % self.q, self.p)
+        """``g ** exponent mod p``, through the fixed-base window of ``g``."""
+        window = self._g_window
+        if window is None:
+            window = self._g_window = FixedBaseWindow(self.g, self.p, self.q)
+        return window.pow(exponent)
 
     def fixed_power(self, base: int, exponent: int) -> int:
         """``base ** exponent mod p`` for a *long-lived* base.
 
         Builds (and keeps) a fixed-base window for ``base`` — meant for
         bases that are exponentiated many times over their lifetime, such
-        as the PDS verification key ``v_cert`` checked by every VER-CERT,
-        or a unit's certified local keys.  Falls back to :meth:`power` for
-        groups below :data:`FIXED_BASE_MIN_BITS`.  The window pool is
-        bounded; eviction is FIFO.
+        as the PDS verification key ``v_cert`` checked by every single
+        VER-CERT.  The window pool is bounded and evicts FIFO, so a
+        stream of distinct bases rebuilds a window per call: batch checks
+        put their keys into :meth:`multi_power` instead.
         """
-        if not self.uses_windows:
-            return pow(base, exponent % self.q, self.p)
         window = self._base_windows.get(base)
         if window is None:
             while len(self._base_windows) >= _MAX_BASE_WINDOWS:
@@ -196,14 +222,17 @@ class SchnorrGroup:
         return (a * self.invert(b)) % self.p
 
     def is_member(self, a: int) -> bool:
-        """Check membership of the order-``q`` subgroup.
+        """Check membership of the order-``q`` subgroup, i.e. Euler's
+        criterion ``0 < a < p and pow(a, q, p) == 1``.
 
-        A pure predicate of the element, so outcomes are memoized — the
-        same keys, commitments and signature components are
-        membership-checked over and over."""
+        For the safe prime ``p = 2q + 1`` the order-``q`` subgroup is
+        exactly the quadratic residues mod ``p``, so the Legendre symbol
+        decides it without an exponentiation.  A pure predicate of the
+        element, so outcomes are memoized — the same keys, commitments
+        and signature components are membership-checked over and over."""
         cached = self._member_cache.get(a)
         if cached is None:
-            cached = 0 < a < self.p and pow(a, self.q, self.p) == 1
+            cached = 0 < a < self.p and _jacobi(a, self.p) == 1
             if len(self._member_cache) >= _MAX_MEMBER_CACHE:
                 self._member_cache.clear()
             self._member_cache[a] = cached
@@ -213,11 +242,50 @@ class SchnorrGroup:
         """Uniform nonzero scalar (suitable as a secret key or nonce)."""
         return rng.randrange(1, self.q)
 
-    def multi_power(self, bases_and_exponents: list[tuple[int, int]]) -> int:
-        """Product of ``base_i ** exp_i`` — convenience for commitment checks."""
+    def multi_power(self, bases_and_exponents: Iterable[tuple[int, int]]) -> int:
+        """``Π pow(base_i, exp_i % q, p)`` in one interleaved-window
+        (Straus) multi-exponentiation — the engine of every
+        random-linear-combination batch check.
+
+        Each base gets a table of its powers ``0 .. 2^w - 1``; the
+        exponents are cut into ``w``-bit digits, and one shared chain of
+        squarings walks the digit positions from the top, multiplying in
+        every term's table entry for its digit.  ``w`` follows from the
+        exponent size (:func:`_straus_width`); a lone term goes to
+        ``pow``, which a table cannot beat without reuse.
+        """
+        p, q = self.p, self.q
+        terms = [
+            (base, reduced)
+            for base, exponent in bases_and_exponents
+            if (reduced := exponent % q)
+        ]
+        if len(terms) < 2:
+            return pow(terms[0][0], terms[0][1], p) if terms else 1
+        width = self._straus_width
+        mask = (1 << width) - 1
+        # columns[i]: the table entries multiplied in at digit position i
+        columns: list[list[int]] = []
+        for base, exponent in terms:
+            base %= p
+            table = [1, base]
+            for _ in range(mask - 1):
+                table.append(table[-1] * base % p)
+            position = 0
+            while exponent:
+                digit = exponent & mask
+                if digit:
+                    while len(columns) <= position:
+                        columns.append([])
+                    columns[position].append(table[digit])
+                exponent >>= width
+                position += 1
         acc = 1
-        for base, exponent in bases_and_exponents:
-            acc = (acc * pow(base, exponent % self.q, self.p)) % self.p
+        step = 1 << width
+        for column in reversed(columns):
+            acc = pow(acc, step, p)
+            for entry in column:
+                acc = acc * entry % p
         return acc
 
     # -- equality / descriptor --------------------------------------------

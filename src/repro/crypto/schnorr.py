@@ -16,10 +16,11 @@ of the parallel benchmark harness relies on, and (c) nonce reuse across
 distinct messages is structurally impossible.
 
 Performance layer hooks (all transcript-neutral, see :mod:`repro.perf`):
-Fiat–Shamir challenges are memoized under their exact inputs, ``y^e``
-goes through a fixed-base window for long-lived keys on large groups,
-and :meth:`SchnorrScheme.batch_verify` checks many signatures with one
-random-linear-combination equation.
+Fiat–Shamir challenges are memoized under their exact inputs, a single
+:meth:`SchnorrScheme.verify` raises ``y`` to ``e`` through a fixed-base
+window kept for the long-lived key, and :meth:`SchnorrScheme.batch_verify`
+checks many signatures with one random-linear-combination equation whose
+right-hand side is a single multi-exponentiation.
 """
 
 from __future__ import annotations
@@ -126,10 +127,24 @@ class SchnorrScheme(SignatureScheme):
     def _well_formed(self, verify_key: object, signature: object) -> bool:
         """The structural part of verification (types, subgroup
         membership, response range) — shared by :meth:`verify` and
-        :meth:`batch_verify` so both reject exactly the same garbage."""
+        :meth:`batch_verify` so both reject exactly the same garbage.
+
+        The fields are checked too: a signature or key built off the
+        wire can carry a float, a string or a list, which must be
+        rejected here rather than raise inside the arithmetic.  Subgroup
+        membership of ``R`` and ``y`` keeps the batch equation in step
+        with :meth:`verify`: a non-member ``-R`` contributes
+        ``(-1)^{c_i}`` to the batch, which vanishes whenever ``c_i`` is
+        even (docs/PROTOCOLS.md §12)."""
         if not isinstance(signature, SchnorrSignature):
             return False
         if not isinstance(verify_key, SchnorrVerifyKey):
+            return False
+        if not (
+            type(signature.commitment) is int
+            and type(signature.response) is int
+            and type(verify_key.y) is int
+        ):
             return False
         if not self.group.is_member(signature.commitment):
             return False
@@ -163,9 +178,10 @@ class SchnorrScheme(SignatureScheme):
 
             g^(Σ c_i·s_i)  ==  Π R_i^{c_i} · Π y^{Σ_{i: y_i=y} c_i·e_i}
 
-        (exponents of shared keys are aggregated, so a flood of
-        certificates under the one PDS key ``v_cert`` costs a single
-        ``y``-exponentiation for the whole batch).  Returns True iff
+        whose right-hand side is one :meth:`SchnorrGroup.multi_power`
+        call over every ``R_i`` and every distinct key (exponents of a
+        shared base are aggregated, so a flood of certificates under the
+        one PDS key ``v_cert`` adds a single term).  Returns True iff
         every signature in the batch verifies, up to the standard
         ``1/q`` soundness error of batch verification; a False verdict
         says *at least one* item is bad — callers fall back to
@@ -190,20 +206,14 @@ class SchnorrScheme(SignatureScheme):
             ),
         )
         s_total = 0
-        commitment_part = group.identity
-        key_exponents: dict[int, int] = {}
+        exponents: dict[int, int] = {}  # base (R_i or key y) -> exponent
         for index, (verify_key, message, signature) in enumerate(items):
             c = 1 + hash_to_int(_BATCH_TAG, q - 1, transcript, index)
             e = self.challenge(signature.commitment, verify_key.y, message)
             s_total = (s_total + c * signature.response) % q
-            commitment_part = group.multiply(
-                commitment_part, group.power(signature.commitment, c)
-            )
-            key_exponents[verify_key.y] = (key_exponents.get(verify_key.y, 0) + c * e) % q
-        rhs = commitment_part
-        for y, exponent in key_exponents.items():
-            rhs = group.multiply(rhs, group.fixed_power(y, exponent))
-        return group.base_power(s_total) == rhs
+            exponents[signature.commitment] = exponents.get(signature.commitment, 0) + c
+            exponents[verify_key.y] = exponents.get(verify_key.y, 0) + c * e
+        return group.base_power(s_total) == group.multi_power(exponents.items())
 
 
 @lru_cache(maxsize=64)

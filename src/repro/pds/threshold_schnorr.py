@@ -538,10 +538,17 @@ class ThresholdSigner:
         dealer in the claimed qualified set is rejected with blame; a qual
         naming dealings we have not (yet) received is rejected *without*
         blame — the dealings may still arrive.  The surviving equations
-        are checked with one random-linear-combination equation
-        (coefficients by Fiat–Shamir over the whole batch, mirroring
-        :meth:`~repro.crypto.schnorr.SchnorrScheme.batch_verify`); on
-        batch failure the fallback re-checks each emitter individually, so
+        ``g^{s_j} = nonce_image_j · key_image_j^{e_j}`` are checked with
+        one random-linear-combination equation, mirroring
+        :meth:`~repro.crypto.schnorr.SchnorrScheme.batch_verify`:
+
+            g^(Σ c_j·s_j)  ==  Π nonce_image_j^{c_j} · key_image_j^{c_j·e_j}
+
+        with the right-hand side one multi-exponentiation and the
+        coefficients drawn by Fiat–Shamir from every
+        ``(share_index, value, nonce_image, key_image, e)`` of the batch.
+        On batch failure the fallback re-checks each emitter individually
+        (the only place an item's own right-hand side is computed), so
         blame attribution is identical to the unbatched path.
         """
         if not items:
@@ -549,8 +556,8 @@ class ThresholdSigner:
         group = self.state.public.group
         n = self.state.public.n
         verdicts = [False] * len(items)
-        # (position, share_index, value, rhs = nonce_image * key_image^e)
-        checkable: list[tuple[int, int, int, int]] = []
+        # (position, share_index, value, nonce_image, key_image, challenge)
+        checkable: list[tuple[int, int, int, int, int, int]] = []
         for position, (share_index, qual, value) in enumerate(items):
             if not isinstance(share_index, int):
                 continue  # not attributable to any emitter index
@@ -573,29 +580,33 @@ class ThresholdSigner:
                     session.dealings[dealer].commitment.share_image(group, share_index),
                 )
             key_image = self.state.key_commitment.share_image(group, share_index)
-            rhs = group.multiply(nonce_image, group.power(key_image, challenge))
-            checkable.append((position, share_index, value, rhs))
+            checkable.append(
+                (position, share_index, value, nonce_image, key_image, challenge)
+            )
         if len(checkable) >= 2:
             q = group.q
+            # (share_index, value, nonce_image, key_image, e) fixes the
+            # item's equation, so a bad item survives with prob. <= 1/q
             transcript = tagged_hash(
                 _PBATCH_TAG,
                 session.message_bytes,
-                *(
-                    encode_for_hash((share_index, value, rhs))
-                    for _, share_index, value, rhs in checkable
-                ),
+                *(encode_for_hash(item[1:]) for item in checkable),
             )
             value_total = 0
-            rhs_total = group.identity
-            for index, (_, _share_index, value, rhs) in enumerate(checkable):
+            terms: list[tuple[int, int]] = []
+            for index, (_, _, value, nonce_image, key_image, challenge) in enumerate(
+                checkable
+            ):
                 c = 1 + hash_to_int(_PBATCH_TAG, q - 1, transcript, index)
                 value_total = (value_total + c * value) % q
-                rhs_total = group.multiply(rhs_total, group.power(rhs, c))
-            if group.base_power(value_total) == rhs_total:
-                for position, _, _, _ in checkable:
-                    verdicts[position] = True
+                terms.append((nonce_image, c))
+                terms.append((key_image, c * challenge))
+            if group.base_power(value_total) == group.multi_power(terms):
+                for item in checkable:
+                    verdicts[item[0]] = True
                 return verdicts
-        for position, share_index, value, rhs in checkable:
+        for position, share_index, value, nonce_image, key_image, challenge in checkable:
+            rhs = group.multiply(nonce_image, group.power(key_image, challenge))
             valid = group.base_power(value) == rhs
             verdicts[position] = valid
             if not valid:

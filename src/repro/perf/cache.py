@@ -131,15 +131,13 @@ def verification_cache() -> VerificationCache:
 
 def _cacheable_key(scheme: Any, verify_key: Any, signature: Any) -> Hashable | None:
     """The bucket key, or None when the query cannot be cached safely
-    (foreign key type, or a signature object that is not hashable — e.g.
-    adversarial garbage off the wire)."""
+    (foreign key type, or a key or signature object that is not hashable
+    — e.g. adversarial garbage off the wire)."""
     try:
         key_repr = scheme.key_repr(verify_key)
-    except (TypeError, NotImplementedError):
-        return None
-    try:
+        hash(key_repr)
         hash(signature)
-    except TypeError:
+    except (TypeError, NotImplementedError):
         return None
     return key_repr
 

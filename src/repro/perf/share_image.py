@@ -13,20 +13,15 @@ bucket: a refreshed key has a new commitment vector and therefore a new
 bucket).  :meth:`ShareImageCache.invalidate` drops a superseded
 commitment's whole bucket in O(1) —
 :meth:`repro.pds.keys.PdsNodeState.install_share` calls it whenever a
-refresh replaces the key commitment, so a pre-refresh image (or a
-pre-refresh fixed-base window, see below) can never be consulted for a
-post-refresh key.  As with the verification cache, this is hygiene on
-top of exactness: the bucket key pins the exact element vector, so a
-stale bucket is unreachable by construction; invalidation keeps the
-cache from carrying dead weight (and dead window tables) across units.
+refresh replaces the key commitment, so a pre-refresh image can never
+be consulted for a post-refresh key.  As with the verification cache,
+this is hygiene on top of exactness: the bucket key pins the exact
+element vector, so a stale bucket is unreachable by construction;
+invalidation keeps the cache from carrying dead weight across units.
 
-For groups large enough that fixed-base windows engage
-(:data:`repro.crypto.group.FIXED_BASE_MIN_BITS`; never the toy 64-bit
-test group), each bucket also lazily builds one
-:class:`~repro.perf.fixed_base.FixedBaseWindow` per commitment element,
-so commitment evaluation at a fresh ``x`` costs table lookups instead of
-full ``pow`` calls.  The windows live *inside* the rotation bucket and
-die with it.
+A miss evaluates the image with plain exponentiations: the exponents
+``x^k ≤ n^t`` are a few bits long, so each ``pow`` is a handful of
+squarings, and no per-element window could pay for its table.
 
 Everything here is transcript-neutral: the computed value is exactly
 ``Π pow(elements[k], x^k mod q, p)``, the reference :func:`_plain_image`.
@@ -38,7 +33,6 @@ from collections import OrderedDict
 from typing import Sequence
 
 from repro.perf.registry import register_cache_clearer
-from repro.perf.fixed_base import FixedBaseWindow
 
 __all__ = [
     "ShareImageCache",
@@ -59,16 +53,6 @@ def _plain_image(group, elements: Sequence[int], x: int) -> int:
     return acc
 
 
-class _Bucket:
-    """Images (and optional per-element windows) of one commitment."""
-
-    __slots__ = ("images", "windows")
-
-    def __init__(self) -> None:
-        self.images: dict[int, int] = {}
-        self.windows: list[FixedBaseWindow] | None = None
-
-
 class ShareImageCache:
     """Bucketed LRU of share-image evaluations, one bucket per commitment.
 
@@ -84,7 +68,8 @@ class ShareImageCache:
     def __init__(self, max_buckets: int = 512, max_entries_per_bucket: int = 4096) -> None:
         self.max_buckets = max_buckets
         self.max_entries_per_bucket = max_entries_per_bucket
-        self._buckets: OrderedDict[tuple, _Bucket] = OrderedDict()
+        #: ``(p, elements)`` -> evaluation point -> image
+        self._buckets: OrderedDict[tuple, dict[int, int]] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -93,36 +78,20 @@ class ShareImageCache:
         key = (group.p, elements)
         bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = self._buckets[key] = _Bucket()
+            bucket = self._buckets[key] = {}
             while len(self._buckets) > self.max_buckets:
                 self._buckets.popitem(last=False)
         else:
             self._buckets.move_to_end(key)
-        cached = bucket.images.get(x)
+        cached = bucket.get(x)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        value = self._compute(group, elements, x, bucket)
-        bucket.images[x] = value
-        while len(bucket.images) > self.max_entries_per_bucket:
-            bucket.images.pop(next(iter(bucket.images)))
+        value = bucket[x] = _plain_image(group, elements, x)
+        while len(bucket) > self.max_entries_per_bucket:
+            bucket.pop(next(iter(bucket)))
         return value
-
-    def _compute(self, group, elements: tuple[int, ...], x: int, bucket: _Bucket) -> int:
-        if not group.uses_windows:
-            return _plain_image(group, elements, x)
-        if bucket.windows is None:
-            bucket.windows = [
-                FixedBaseWindow(element, group.p, group.q) for element in elements
-            ]
-        acc = group.identity
-        power_of_x = 1
-        q = group.q
-        for window in bucket.windows:
-            acc = group.multiply(acc, window.pow(power_of_x))
-            power_of_x = (power_of_x * x) % q
-        return acc
 
     def has_bucket(self, group, elements: tuple[int, ...]) -> bool:
         """Whether a rotation bucket for this commitment is live (the
@@ -136,13 +105,13 @@ class ShareImageCache:
         if bucket is None:
             return 0
         self.invalidations += 1
-        return len(bucket.images)
+        return len(bucket)
 
     def clear(self) -> None:
         self._buckets.clear()
 
     def __len__(self) -> int:
-        return sum(len(bucket.images) for bucket in self._buckets.values())
+        return sum(len(bucket) for bucket in self._buckets.values())
 
     def stats(self) -> dict[str, int]:
         return {

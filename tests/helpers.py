@@ -2,7 +2,8 @@
 
 These are deliberately trivial protocols used to exercise the *simulator*
 semantics (delivery, break-ins, rushing, connectivity) independently of
-the real cryptographic protocols.
+the real cryptographic protocols.  At the end, the plain-``pow``
+references the group's exponentiation engine is tested against.
 """
 
 from __future__ import annotations
@@ -99,3 +100,19 @@ class InjectingAdversary(Adversary):
         forged = api.forge_envelope(1, 0, "echo", ("forged", info.round))
         plan[0].append(forged)
         return plan
+
+
+# -- plain-pow references of repro.crypto.group's engine --------------------
+
+
+def pow_product(group, bases_and_exponents) -> int:
+    """``Π pow(base_i, exp_i % q, p)``: the reference of ``multi_power``."""
+    acc = 1
+    for base, exponent in bases_and_exponents:
+        acc = acc * pow(base, exponent % group.q, group.p) % group.p
+    return acc
+
+
+def euler_member(group, a) -> bool:
+    """Euler's criterion, the reference of ``is_member``."""
+    return 0 < a < group.p and pow(a, group.q, group.p) == 1

@@ -10,10 +10,11 @@ import random
 
 import pytest
 
-from repro.crypto import group as group_module
-from repro.crypto.group import SchnorrGroup, named_group
+from repro.crypto.feldman import FeldmanDealer
+from repro.crypto.group import NAMED_GROUP_NAMES, named_group
 from repro.crypto.schnorr import SchnorrScheme, SchnorrSignature, scheme_for_group
 from repro.perf import FixedBaseWindow
+from repro.perf.share_image import share_image_value
 
 GROUP = named_group("toy64")
 SCHEME = SchnorrScheme(GROUP)
@@ -118,39 +119,75 @@ def test_window_widths_agree(width):
         assert window.pow(e) == pow(GROUP.g, e, GROUP.p)
 
 
-def _check_windows_match_pow(group, seed):
-    rng = random.Random(seed)
-    y = group.power(group.g, rng.randrange(1, group.q))
-    for _ in range(50):
+@pytest.mark.parametrize("name", NAMED_GROUP_NAMES)
+def test_named_group_windows_match_pow(perf, name):
+    """Every named group, toy64 included, goes through fixed-base windows
+    in ``base_power`` and ``fixed_power``; both compute exactly ``pow``."""
+    group = named_group(name)
+    rng = random.Random(88)
+    y = pow(group.g, rng.randrange(1, group.q), group.p)
+    for _ in range(20):
         e = rng.randrange(0, 2 * group.q)
         assert group.base_power(e) == pow(group.g, e % group.q, group.p)
         assert group.fixed_power(y, e) == pow(y, e % group.q, group.p)
-    assert group._g_window is not None  # the window actually engaged
+    assert group._g_window is not None  # the windows actually engaged
     assert y in group._base_windows
 
 
-def test_group_uses_windows_when_forced(perf, monkeypatch):
-    """Lower the size gate (normally >=192-bit moduli) so a toy group
-    engages windows, and check base_power/fixed_power still agree with
-    pow."""
-    monkeypatch.setattr(group_module, "FIXED_BASE_MIN_BITS", 1)
-    group = SchnorrGroup(GROUP.params, check=False)
-    assert group.uses_windows and not GROUP.uses_windows
-    _check_windows_match_pow(group, seed=88)
+@pytest.mark.parametrize("name", ["toy64", "toy256"])
+def test_batch_paths_build_no_windows(perf, monkeypatch, name):
+    """Batch checks put every key into one multi-exponentiation instead
+    of a fixed-base window each: with 40 distinct keys, far more than the
+    window pool holds, ``batch_verify`` builds no window (``g``'s own is
+    built by signing), and neither does share-image evaluation."""
+    group = named_group(name)
+    scheme = SchnorrScheme(group)
+    rng = random.Random(21)
+    items = []
+    for i in range(40):
+        pair = scheme.generate(rng)
+        msg = b"batch item %d" % i
+        items.append((pair.verify_key, msg, scheme.sign(pair.signing_key, msg)))
+    dealing = FeldmanDealer(group, n=7, threshold=2).deal(5, rng)
+    built = []
+    init = FixedBaseWindow.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FixedBaseWindow, "__init__", counting_init)
+    assert scheme.batch_verify(items)
+    key, msg, sig = items[17]
+    items[17] = (key, msg, SchnorrSignature(sig.commitment, (sig.response + 1) % group.q))
+    assert not scheme.batch_verify(items)
+    for x in range(1, 8):
+        share_image_value(group, dealing.commitment.elements, x)
+    assert built == []
 
 
-def test_toy256_windows_match_pow(perf):
-    """toy256 is above the size gate: its windows engage by default."""
-    group = named_group("toy256")
-    assert group.uses_windows
-    _check_windows_match_pow(group, seed=89)
-
-
-def test_verify_unchanged_with_windows_forced(perf, monkeypatch):
-    rng = random.Random(99)
-    pair = SCHEME.generate(rng)
-    sig = SCHEME.sign(pair.signing_key, b"windowed")
-    assert SCHEME.verify(pair.verify_key, b"windowed", sig)
-    monkeypatch.setattr(GROUP, "uses_windows", True)
-    assert SCHEME.verify(pair.verify_key, b"windowed", sig)
-    assert not SCHEME.verify(pair.verify_key, b"other", sig)
+@pytest.mark.parametrize("name", ["toy64", "toy256"])
+def test_batch_many_keys_matches_single_verify(perf, name):
+    """Distinct keys, a shared key and a repeated signature in one batch:
+    the multi-exponentiation accepts it, and each single flip of a
+    response or message makes it fail, as single ``verify`` does."""
+    scheme = SchnorrScheme(named_group(name))
+    rng = random.Random(5)
+    pairs = [scheme.generate(rng) for _ in range(6)]
+    items = []
+    for i in range(15):
+        pair = pairs[i % len(pairs)]
+        msg = b"item %d" % i
+        items.append((pair.verify_key, msg, scheme.sign(pair.signing_key, msg)))
+    items.append(items[3])
+    assert all(scheme.verify(*item) for item in items)
+    assert scheme.batch_verify(items)
+    for position in (0, 7, 15):
+        key, msg, sig = items[position]
+        bad_response = SchnorrSignature(sig.commitment, (sig.response + 1) % scheme.group.q)
+        assert not scheme.batch_verify(
+            items[:position] + [(key, msg, bad_response)] + items[position + 1:]
+        )
+        assert not scheme.batch_verify(
+            items[:position] + [(key, msg + b"!", sig)] + items[position + 1:]
+        )

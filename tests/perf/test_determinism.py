@@ -5,8 +5,9 @@
   included) — the parallel benchmark harness replays executions across
   processes and needs byte-identical transcripts.
 * The perf layer is transcript-neutral: a ULS execution with every
-  batch path and fixed-base windows engaged is equal, record for record,
-  to the same execution checking every item alone with cold caches.
+  batch path and the group's exponentiation engine engaged is equal,
+  record for record, to the same execution checking every item alone
+  with cold caches and plain ``pow``.
 """
 
 import random
@@ -90,29 +91,25 @@ def _assert_same_execution(left, right):
     assert left.adversary_output == right.adversary_output
 
 
-def _optimized_and_baseline(adversary_factory, monkeypatch, per_item):
-    """The run with toy64's fixed-base windows forced on, then the
-    per-item reference run without them."""
-    monkeypatch.setattr(GROUP, "uses_windows", True)
+def _optimized_and_baseline(adversary_factory, per_item):
+    """The run as the package computes it, then the per-item, plain-``pow``
+    reference run."""
     optimized = _run_uls(adversary_factory)
-    monkeypatch.setattr(GROUP, "uses_windows", False)
     per_item()
     return optimized, _run_uls(adversary_factory)
 
 
-def test_perf_layer_is_transcript_neutral_benign(perf, per_item, monkeypatch):
-    _assert_same_execution(
-        *_optimized_and_baseline(PassiveAdversary, monkeypatch, per_item)
-    )
+def test_perf_layer_is_transcript_neutral_benign(perf, per_item):
+    _assert_same_execution(*_optimized_and_baseline(PassiveAdversary, per_item))
 
 
-def test_perf_layer_is_transcript_neutral_under_attack(perf, per_item, monkeypatch):
+def test_perf_layer_is_transcript_neutral_under_attack(perf, per_item):
     def adversary():
         return MobileBreakInAdversary(
             BreakinPlan(victims={1: frozenset({2}), 2: frozenset({4})})
         )
 
-    _assert_same_execution(*_optimized_and_baseline(adversary, monkeypatch, per_item))
+    _assert_same_execution(*_optimized_and_baseline(adversary, per_item))
 
 
 def test_repeat_run_with_caches_warm_is_identical(perf):
