@@ -22,9 +22,7 @@ nodes:
   nodes, so echo broadcast alone cannot give consistency; this is exactly
   why the paper's PARTIAL-AGREEMENT (Fig. 5) adds a second, *signed*
   cross-check round — equivocation by certified senders becomes provable
-  and both conflicting values are discarded (Lemma 16).  Full agreement at
-  any ``t < n`` needs signature chains
-  (:mod:`repro.agreement.dolev_strong`).
+  and both conflicting values are discarded (Lemma 16).
 
 An equivocating broadcaster may always cause some honest nodes to deliver
 ``⊥`` rather than a value.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.certify import CertifiedMessage, certify, prime_parsed, ver_cert_many
+from repro.core.certify import CertifiedMessage, certify, ver_cert_many
 from repro.core.disperse import DisperseService
 from repro.core.keystore import KeyStore
 from repro.pds.keys import PdsPublic
@@ -31,8 +31,8 @@ __all__ = ["AuthSendTransport", "AcceptedCertified"]
 
 
 class AcceptedCertified(Accepted):
-    """An accepted message plus the raw certified tuple it arrived in
-    (PARTIAL-AGREEMENT step 3 re-disperses those raw tuples)."""
+    """An accepted message plus the certified message it arrived in
+    (PARTIAL-AGREEMENT step 3 re-disperses those)."""
 
     __slots__ = ("raw",)
 
@@ -137,9 +137,7 @@ class AuthSendTransport(Transport):
         if msg is None:
             return
         self.sent_count += 1
-        wire = tuple(msg)
-        prime_parsed(wire, msg)  # receivers parse the same object we flood
-        self.disperse.send(ctx, receiver, wire, tag=self.tag)
+        self.disperse.send(ctx, receiver, msg, tag=self.tag)
 
     def send_broadcast(self, ctx: NodeContext, body: Any) -> None:
         """One certificate, one flood, every node accepts.
@@ -161,9 +159,7 @@ class AuthSendTransport(Transport):
         if msg is None:
             return
         self.sent_count += 1
-        wire = tuple(msg)
-        prime_parsed(wire, msg)
-        self.disperse.broadcast(ctx, wire, tag=self.tag)
+        self.disperse.broadcast(ctx, msg, tag=self.tag)
 
     def send_to_all(self, ctx: NodeContext, body: Any) -> None:
         """Round-wide send; on the aggregated wire a single broadcast
@@ -173,17 +169,5 @@ class AuthSendTransport(Transport):
         else:
             super().send_to_all(ctx, body)
 
-    def accepted(self) -> list[Accepted]:
-        return list(self._accepted)
-
-    def accepted_view(self) -> list[Accepted]:
-        return self._accepted
-
-    def accepted_certified(self) -> list[AcceptedCertified]:
-        """Accepted messages with raw certified tuples (for PA step 3)."""
-        return list(self._accepted)
-
-    def accepted_certified_view(self) -> list[AcceptedCertified]:
-        """Read-only variant of :meth:`accepted_certified` (the internal
-        list is replaced, never mutated, each ``begin_round``)."""
+    def accepted_view(self) -> list[AcceptedCertified]:
         return self._accepted

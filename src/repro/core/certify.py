@@ -37,7 +37,6 @@ from repro.perf.volume import BROADCAST
 __all__ = [
     "CertifiedMessage",
     "certify",
-    "prime_parsed",
     "ver_cert",
     "ver_cert_many",
     "verify_certified_body",
@@ -45,8 +44,11 @@ __all__ = [
 
 
 class CertifiedMessage(tuple):
-    """The tuple ``⟨m, i, j, u, w, σ, v, cert⟩`` of Fig. 3 (a thin subclass
-    for readability; stays a plain tuple on the wire)."""
+    """The tuple ``⟨m, i, j, u, w, σ, v, cert⟩`` of Fig. 3.
+
+    AUTH-SEND floods the object :func:`certify` returns, and every layer
+    handles that same object.  Being a tuple, it encodes, dedups and
+    digests exactly like a plain one."""
 
     __slots__ = ()
 
@@ -104,21 +106,13 @@ def _signed_bytes(message: Any, source: int, destination: int, unit: int, round_
     )
 
 
-# DISPERSE floods hand the *same* certified tuple object to every relay
-# and receiver, and PARTIAL-AGREEMENT re-disperses raw tuples wholesale —
-# so the parse, the signed-body encoding and the certificate-assertion
-# encoding of one message are recomputed many times per round.  All three
-# are memoized by tuple identity (exact: same object, same result).  The
-# parse memo is what makes the downstream memos effective: it hands every
-# caller of the same raw tuple the same CertifiedMessage object.
-_PARSE_MEMO = CanonicalKeyCache(maxsize=8192)
-register_cache_clearer(_PARSE_MEMO.clear)
-
+# DISPERSE floods hand the *same* certified message object to every
+# relay and receiver, and PARTIAL-AGREEMENT re-disperses accepted ones
+# wholesale, so the signed-body encoding of one message is needed many
+# times per round.  It is memoized by message identity (exact: same
+# object, same result); CERTIFY seeds it with the bytes it just signed.
 _SIGNED_BYTES_MEMO = CanonicalKeyCache(maxsize=8192)
 register_cache_clearer(_SIGNED_BYTES_MEMO.clear)
-
-_CERT_BYTES_MEMO = CanonicalKeyCache(maxsize=8192)
-register_cache_clearer(_CERT_BYTES_MEMO.clear)
 
 
 def _compute_signed_bytes(msg: "CertifiedMessage") -> bytes:
@@ -170,14 +164,6 @@ def certify(
     return msg
 
 
-def prime_parsed(wire: tuple, msg: CertifiedMessage) -> None:
-    """Seed the parse memo: ``wire`` is the plain tuple about to be
-    flooded, ``msg`` its already-parsed certified form.  Sound because a
-    ``CertifiedMessage`` *is* its tuple — parsing ``wire`` from scratch
-    would reproduce ``msg`` element for element."""
-    _PARSE_MEMO.put(wire, msg)
-
-
 #: (source, unit, key_repr) -> assertion bytes.  Only ~n*units distinct
 #: assertions ever exist per execution, but every signed message carries
 #: one — a content-keyed table collapses the re-encoding.  Bounded by
@@ -187,7 +173,14 @@ register_cache_clearer(_ASSERTION_BYTES.clear)
 _MAX_ASSERTION_BYTES = 4096
 
 
-def _compute_cert_bytes(scheme: SignatureScheme, msg: CertifiedMessage) -> bytes:
+def _cert_bytes_for(scheme: SignatureScheme, msg: CertifiedMessage) -> bytes:
+    """Canonical bytes of the certificate assertion the PDS must have
+    signed for ``msg`` — a pure function of the message's own fields
+    (source, unit, attached key), served from ``_ASSERTION_BYTES``.
+
+    Raises ``TypeError`` for foreign key objects, like
+    ``scheme.key_repr``.
+    """
     key_repr = scheme.key_repr(msg.verify_key)
     try:
         table_key = (msg.source, msg.unit, key_repr)
@@ -204,33 +197,6 @@ def _compute_cert_bytes(scheme: SignatureScheme, msg: CertifiedMessage) -> bytes
     return cached
 
 
-def _cert_bytes_for(scheme: SignatureScheme, msg: CertifiedMessage) -> bytes:
-    """Canonical bytes of the certificate assertion the PDS must have
-    signed for ``msg`` — a pure function of the message's own fields
-    (source, unit, attached key), memoized by message identity.
-
-    Raises ``TypeError`` for foreign key objects, like
-    ``scheme.key_repr``; failures are not cached.
-    """
-    entry = _CERT_BYTES_MEMO.get(
-        msg, lambda m: (scheme, _compute_cert_bytes(scheme, m))
-    )
-    if entry[0] is scheme:
-        return entry[1]
-    return _compute_cert_bytes(scheme, msg)
-
-
-def _check_certificate(
-    scheme: SignatureScheme, public: PdsPublic, msg: CertifiedMessage
-) -> bool:
-    """Step 2 of VER-CERT: the attached key is certified for (i, u)."""
-    try:
-        cert_bytes = _cert_bytes_for(scheme, msg)
-    except TypeError:
-        return False
-    return verify_pds_signature_bytes(public, cert_bytes, msg.certificate)
-
-
 def ver_cert(
     scheme: SignatureScheme,
     public: PdsPublic,
@@ -240,33 +206,23 @@ def ver_cert(
     expected_round: int,
     raw: Any,
 ) -> CertifiedMessage | None:
-    """Fig. 3 VER-CERT.  Returns the accepted message, or None on reject."""
+    """Fig. 3 VER-CERT.  Returns the accepted message, or None on reject.
+
+    Checks source and destination here; the unit/round pin and steps 2-3
+    are :func:`verify_certified_body`.
+    """
     msg = _parse(raw)
-    if msg is None:
-        return None
     # step 1: format and time.  A message signed with the BROADCAST
     # destination is addressed to everyone: the signature still binds
     # source, unit and round (which is what step 1's replay/reflection
     # protection rests on), so accepting the sentinel for any receiver is
     # sound — the per-receiver destination only ever narrowed who may
     # accept, and the sender explicitly chose not to narrow.
-    if msg.source != alleged_source:
+    if msg is None or msg.source != alleged_source:
         return None
     if msg.destination != receiver and msg.destination != BROADCAST:
         return None
-    if msg.unit != expected_unit or msg.round != expected_round:
-        return None
-    # step 2: certificate
-    if not _check_certificate(scheme, public, msg):
-        return None
-    # step 3: message signature
-    try:
-        body = _signed_bytes_for(msg)
-    except TypeError:
-        return None
-    if not cached_verify(scheme, msg.verify_key, body, msg.signature):
-        return None
-    return msg
+    return verify_certified_body(scheme, public, expected_unit, expected_round, msg)
 
 
 def verify_certified_body(
@@ -284,15 +240,15 @@ def verify_certified_body(
     destination is whoever the author originally sent its input to.
     """
     msg = _parse(raw)
-    if msg is None:
-        return None
-    if msg.unit != expected_unit or msg.round != expected_round:
-        return None
-    if not _check_certificate(scheme, public, msg):
+    if msg is None or msg.unit != expected_unit or msg.round != expected_round:
         return None
     try:
+        cert_bytes = _cert_bytes_for(scheme, msg)
         body = _signed_bytes_for(msg)
     except TypeError:
+        return None
+    # step 2: certificate, then step 3: message signature
+    if not verify_pds_signature_bytes(public, cert_bytes, msg.certificate):
         return None
     if not cached_verify(scheme, msg.verify_key, body, msg.signature):
         return None
@@ -398,12 +354,13 @@ def _resolve_checks(
 
 
 def _parse(raw: Any) -> CertifiedMessage | None:
+    """The certified message ``raw`` is: honest traffic already carries
+    the object :func:`certify` returned; only adversarial injections
+    arrive as plain tuples."""
     if isinstance(raw, CertifiedMessage):
         return raw
     if isinstance(raw, tuple) and len(raw) == 8:
         if isinstance(raw[1], int) and isinstance(raw[2], int) \
                 and isinstance(raw[3], int) and isinstance(raw[4], int):
-            # one flooded tuple object → one CertifiedMessage object, so
-            # the per-message memos above hit on every re-receipt
-            return _PARSE_MEMO.get(raw, CertifiedMessage)
+            return CertifiedMessage(raw)
     return None

@@ -207,6 +207,8 @@ class DisperseService:
                     and payload[0] in ("bcst", "bcsting")
                 ):
                     kind, tag, src, body = payload
+                    if type(tag) is not str or type(src) is not int:
+                        continue  # not an honest shape: injected, dropped
                     entry = key_entries.get(id(body))
                     key = (
                         entry[1]
@@ -241,6 +243,9 @@ class DisperseService:
                         current.append((tag, src, body))
                 continue
             kind, tag, src, dst, body = payload
+            if (type(tag) is not str or type(src) is not int
+                    or type(dst) is not int or not 0 <= dst < n):
+                continue  # not an honest shape: injected, dropped
             if kind == "fwd":
                 if dst == node_id:
                     # the direct path; buffer so receipt timing is uniform
@@ -257,9 +262,7 @@ class DisperseService:
                         continue
                     relayed.add(relay_key)
                     relayed_count += 1
-                    # same validation + envelope as ctx.send(dst, ...)
-                    if not 0 <= dst < n:
-                        raise ValueError(f"receiver {dst} out of range")
+                    # the envelope ctx.send(dst, ...) would build
                     outbox_append(
                         Envelope(
                             node_id,

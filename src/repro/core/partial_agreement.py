@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable
 
 from repro.core.auth_send import AuthSendTransport
-from repro.core.certify import prime_parsed, verify_certified_body
+from repro.core.certify import verify_certified_body
 from repro.core.disperse import DisperseService
 from repro.perf.cache import canonical_body_key
 from repro.perf.volume import aggregated_wire
@@ -47,7 +47,7 @@ _PA3_TAG = "pa3"
 def _value_key(value: Any) -> Hashable:
     # same key DISPERSE uses for dedup: canonical encoding with a repr
     # fallback, memoized by object identity in repro.perf (values and
-    # re-dispersed raw tuples are shared by reference across nodes)
+    # re-dispersed certified messages are shared by reference across nodes)
     return canonical_body_key(value)
 
 
@@ -173,7 +173,7 @@ class PartialAgreementService:
             bucket[key] = (value, raw)
 
     def _ingest_step1(self, ctx: NodeContext) -> None:
-        for accepted in self.transport.accepted_certified_view():
+        for accepted in self.transport.accepted_view():
             body = accepted.body
             if not (isinstance(body, tuple) and len(body) == 3 and body[0] == "pa1"):
                 continue
@@ -186,9 +186,7 @@ class PartialAgreementService:
                     unit=ctx.info.time_unit,
                 )
                 self.sessions[pa_id] = session
-            raw = tuple(accepted.raw)
-            prime_parsed(raw, accepted.raw)  # step-3 receivers re-parse this
-            self._record(session, accepted.sender, value, raw)
+            self._record(session, accepted.sender, value, accepted.raw)
 
     def _ingest_step3(self, ctx: NodeContext) -> None:
         for _claimed_src, body in self.disperse.receipts(_PA3_TAG):
@@ -210,7 +208,10 @@ class PartialAgreementService:
                 ):
                     continue
                 _, pa_id, value = inner
-                session = self.sessions.get(pa_id)
+                try:
+                    session = self.sessions.get(pa_id)
+                except TypeError:  # unhashable: no session has this id
+                    continue
                 if session is None:
                     continue
                 raw_key = _value_key(raw)

@@ -66,7 +66,7 @@ class SessionLayer:
     # -- key management ---------------------------------------------------
 
     def _harvest_peer_keys(self) -> None:
-        for accepted in self.core.transport.accepted_certified_view():
+        for accepted in self.core.transport.accepted_view():
             raw = accepted.raw
             verify_key = raw.verify_key
             if isinstance(verify_key, SchnorrVerifyKey):

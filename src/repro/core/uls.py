@@ -38,6 +38,7 @@ from repro.core.auth_send import AuthSendTransport
 from repro.core.certify import certificate_assertion
 from repro.core.disperse import DisperseService
 from repro.core.keystore import KeyStore, LocalKeys
+from repro.crypto.hashing import encode_for_hash
 from repro.crypto.schnorr import SchnorrScheme, SchnorrSigningKey
 from repro.crypto.shamir import reconstruct_secret
 from repro.crypto.signature import SignatureScheme
@@ -345,7 +346,13 @@ class UlsCore:
             payload = envelope.payload
             if not (isinstance(payload, tuple) and len(payload) == 3 and payload[0] == "newkey"):
                 continue
-            if payload[1] != unit:
+            # a key_repr is a tuple, and PA step 1 certifies it, so
+            # CERTIFY must be able to encode it; anything else is forged
+            if payload[1] != unit or not isinstance(payload[2], tuple):
+                continue
+            try:
+                encode_for_hash(payload[2])
+            except TypeError:
                 continue
             self._announced.setdefault(envelope.sender, payload[2])
         my_repr = self.keystore.pending_key_repr()

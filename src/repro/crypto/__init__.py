@@ -20,7 +20,6 @@ from repro.crypto.field import PrimeField, Polynomial
 from repro.crypto.group import SchnorrGroup, named_group
 from repro.crypto.hash_sig import MerkleSignatureScheme
 from repro.crypto.lamport import LamportScheme
-from repro.crypto.pedersen import PedersenParams, PedersenVssDealer
 from repro.crypto.rsa import RsaFdhScheme
 from repro.crypto.schnorr import SchnorrScheme
 from repro.crypto.shamir import Share, ShamirDealer, reconstruct_secret
@@ -36,8 +35,6 @@ __all__ = [
     "named_group",
     "MerkleSignatureScheme",
     "LamportScheme",
-    "PedersenParams",
-    "PedersenVssDealer",
     "RsaFdhScheme",
     "SchnorrScheme",
     "Share",

@@ -18,7 +18,7 @@ transport.
 
 Per-round usage contract: the owner program calls ``begin_round`` with
 the round's inbox once per round *before* any sub-protocol logic runs;
-sub-protocols then read ``accepted`` and call ``send``.
+sub-protocols then read ``accepted_view`` and call ``send``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class Accepted:
 class Transport(ABC):
     """See module docstring."""
 
-    #: rounds from ``send`` to the receiver's ``accepted``
+    #: rounds from ``send`` to the receiver's ``accepted_view``
     delay: int = 1
 
     @abstractmethod
@@ -67,18 +67,12 @@ class Transport(ABC):
         """Queue ``body`` for the receiver."""
 
     @abstractmethod
-    def accepted(self) -> list[Accepted]:
-        """Messages accepted this round (reset every ``begin_round``)."""
-
     def accepted_view(self) -> list[Accepted]:
-        """Read-only view of :meth:`accepted`.
+        """Messages accepted this round (replaced every ``begin_round``).
 
-        Sub-protocols iterate the acceptances several times per round;
-        transports that keep an internal list expose it here directly so
-        each consumer doesn't force a defensive copy.  Callers must not
-        mutate the result.  The default just defers to :meth:`accepted`.
+        The transport's own list, not a copy: sub-protocols iterate it
+        several times per round and must not mutate it.
         """
-        return self.accepted()
 
     def send_to_all(self, ctx: NodeContext, body: Any) -> None:
         """Point-to-point send to every other node (n-1 messages).
@@ -125,9 +119,6 @@ class DirectTransport(Transport):
 
     def send(self, ctx: NodeContext, receiver: int, body: Any) -> None:
         ctx.send(receiver, self.channel, body)
-
-    def accepted(self) -> list[Accepted]:
-        return list(self._accepted)
 
     def accepted_view(self) -> list[Accepted]:
         return self._accepted

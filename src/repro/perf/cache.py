@@ -210,23 +210,19 @@ class CanonicalKeyCache:
     def __init__(self, maxsize: int = 16384) -> None:
         self.maxsize = maxsize
         self._entries: OrderedDict[int, tuple[Any, Any]] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def get(self, obj: Any, compute: Callable[[Any], Any]) -> Any:
         entry = self._entries.get(id(obj))
         if entry is not None and entry[0] is obj:
-            self.hits += 1
             return entry[1]
-        self.misses += 1
         value = compute(obj)
         self.put(obj, value)
         return value
 
     def put(self, obj: Any, value: Any) -> None:
-        """Seed the memo with a value the caller just computed (e.g. the
-        sender priming the parse memo for the wire tuple it is about to
-        flood, so receivers never recompute it)."""
+        """Seed the memo with a value the caller just computed (e.g.
+        CERTIFY storing the signed-body bytes of the message it returns,
+        so no verifier of that object recomputes them)."""
         self._entries[id(obj)] = (obj, value)
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
@@ -278,7 +274,6 @@ def canonical_encoding(body: Any) -> bytes:
 
 
 def _canonical_miss(body: Any) -> Hashable:
-    _CANONICAL.misses += 1
     value = _encode_or_repr(body)
     _CANONICAL.put(body, value)
     return value
@@ -289,7 +284,6 @@ def canonical_probe() -> tuple[dict[int, tuple[Any, Any]], Callable[[Any], Hasha
 
     The caller probes ``entries.get(id(body))`` and, after the identity
     check ``entry[0] is body``, uses ``entry[1]``; on a miss it calls
-    ``miss(body)``, which computes, records and returns the key.  Inlined
-    hits bypass the hit counter (only ``misses`` stays exact).
+    ``miss(body)``, which computes, records and returns the key.
     """
     return _CANONICAL._entries, _canonical_miss

@@ -4,11 +4,16 @@ import random
 
 import pytest
 
-from repro.core.certify import certify, ver_cert, verify_certified_body
+from repro.core import auth_send
+from repro.core.auth_send import AuthSendTransport
+from repro.core.certify import CertifiedMessage, certify, ver_cert, verify_certified_body
+from repro.core.disperse import DISPERSE_CHANNEL
 from repro.core.keystore import KeyStore, LocalKeys, certificate_assertion
-from repro.core.uls import build_uls_states
+from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
+from repro.sim.adversary_api import PassiveAdversary
+from repro.sim.runner import ULRunner
 
 GROUP = named_group("toy64")
 SCHEME = SchnorrScheme(GROUP)
@@ -120,6 +125,39 @@ def test_verify_certified_body_ignores_destination(setup):
     # time still pinned
     assert verify_certified_body(SCHEME, public, expected_unit=0,
                                  expected_round=8, raw=tuple(msg)) is None
+
+
+def test_certified_messages_travel_as_themselves(monkeypatch, wire):
+    """AUTH-SEND floods the object CERTIFY returned, and every acceptance
+    hands on that very object: no copy is made and none is re-parsed."""
+    issued = {}
+
+    def recording_certify(*args, **kwargs):
+        msg = certify(*args, **kwargs)
+        if msg is not None:
+            issued[id(msg)] = msg
+        return msg
+
+    accepted = []
+    begin_round = AuthSendTransport.begin_round
+
+    def recording_begin_round(self, ctx, inbox):
+        begin_round(self, ctx, inbox)
+        accepted.extend(self.accepted_view())
+
+    monkeypatch.setattr(auth_send, "certify", recording_certify)
+    monkeypatch.setattr(AuthSendTransport, "begin_round", recording_begin_round)
+    _, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=7)
+    programs = [UlsProgram(states[i], SCHEME, keys[i], wire=wire) for i in range(N)]
+    execution = ULRunner(programs, PassiveAdversary(), uls_schedule(), s=T, seed=3).run(units=2)
+    bodies = [
+        envelope.payload[-1]
+        for record in execution.records
+        for envelope in record.sent
+        if envelope.channel == DISPERSE_CHANNEL and envelope.payload[1] == "auth"
+    ]
+    assert bodies and all(type(body) is CertifiedMessage for body in bodies)
+    assert accepted and all(issued.get(id(a.raw)) is a.raw for a in accepted)
 
 
 def test_certificate_assertion_format():

@@ -1,0 +1,181 @@
+"""Unauthenticated garbage on the links never crashes an honest node.
+
+The UL adversary may inject anything on any link (§2.2), without breaking
+into a node.  Three places parse that input before any authentication:
+DISPERSE's relay loop, PARTIAL-AGREEMENT step 3 (re-dispersed certified
+messages) and the cleartext key announcement.  Each must drop what is
+not an honest shape, so a run with one forged envelope has the same
+outcome as the passive run, and a run flooded with random garbage still
+completes.
+"""
+
+import random
+
+import pytest
+
+from repro.analysis.digest import outcome_digest
+from repro.core.disperse import DISPERSE_CHANNEL
+from repro.core.uls import NEWKEY_CHANNEL, UlsProgram, build_uls_states, uls_schedule
+from repro.crypto.group import named_group
+from repro.crypto.schnorr import SchnorrScheme
+from repro.perf import clear_all_caches
+from repro.sim.adversary_api import Adversary, PassiveAdversary, faithful_delivery
+from repro.sim.runner import ULRunner
+
+GROUP = named_group("toy64")
+SCHEME = SchnorrScheme(GROUP)
+N, T = 5, 2
+VICTIM = 1
+BODY = ("x",)
+
+#: name -> (channel, payload for the unit being refreshed); each one is
+#: malformed where a node parses it before any authentication
+FORGED = {
+    "fwd-dst-out-of-range": (DISPERSE_CHANNEL, lambda u: ("fwd", "auth", 0, 99, BODY)),
+    "fwd-unhashable-tag": (DISPERSE_CHANNEL, lambda u: ("fwd", ["auth"], 0, 2, BODY)),
+    "fwding-unhashable-tag": (DISPERSE_CHANNEL, lambda u: ("fwding", ["auth"], 0, 1, BODY)),
+    "bcst-unhashable-tag": (DISPERSE_CHANNEL, lambda u: ("bcst", ["auth"], 0, BODY)),
+    "pa3-unhashable-session": (
+        DISPERSE_CHANNEL,
+        lambda u: ("fwding", "pa3", 0, 1, (("pa1", [1], 5), 0, 1, u, 3, None, None, None)),
+    ),
+    "newkey-unencodable": (NEWKEY_CHANNEL, lambda u: ("newkey", u, ("schnorr", 1.5))),
+}
+
+
+def _announced_unit(traffic):
+    """The unit of the key announcements in this round's traffic, if any."""
+    for envelope in traffic:
+        payload = envelope.payload
+        if envelope.channel == NEWKEY_CHANNEL and isinstance(payload, tuple):
+            return payload[1]
+    return None
+
+
+class _ForgeOnce(Adversary):
+    """Delivers faithfully and, in the round the nodes announce their
+    fresh keys, puts one forged envelope (claimed sender 0) first in
+    node 1's inbox, ahead of node 0's genuine announcement (the first
+    announcement per sender counts)."""
+
+    def __init__(self, channel, make_payload):
+        self.channel = channel
+        self.make_payload = make_payload
+        self.injected = 0
+
+    def deliver(self, api, info, traffic):
+        plan = faithful_delivery(traffic, api.n)
+        unit = _announced_unit(traffic)
+        if unit is not None and not self.injected:
+            plan[VICTIM].insert(0, api.forge_envelope(
+                0, VICTIM, self.channel, self.make_payload(unit)))
+            self.injected += 1
+        return plan
+
+
+class _ReplaceAnnouncements(Adversary):
+    """Swaps node 0's key announcement to every node for one carrying
+    ``key``, or drops it when ``key`` is None."""
+
+    def __init__(self, key=None):
+        self.key = key
+        self.replaced = 0
+
+    def deliver(self, api, info, traffic):
+        plan = {i: [] for i in range(api.n)}
+        for envelope in traffic:
+            if envelope.channel == NEWKEY_CHANNEL and envelope.sender == 0:
+                self.replaced += 1
+                if self.key is None:
+                    continue
+                envelope = api.forge_envelope(
+                    0, envelope.receiver, NEWKEY_CHANNEL,
+                    ("newkey", envelope.payload[1], self.key))
+            plan[envelope.receiver].append(envelope)
+        return plan
+
+
+def _garbage(rng):
+    """One value of a type no honest field ever has, or an honest-looking
+    one out of place."""
+    return rng.choice([
+        [1], ["auth"], {"k": 1}, 1.5, None, -1, 99, "auth", "pa3", 0, 1, (), (1, [2]),
+    ])
+
+
+class _RandomInjector(Adversary):
+    """Delivers faithfully plus, every round, a few random malformed
+    DISPERSE, PA step-3 and key-announcement envelopes to random nodes."""
+
+    PER_ROUND = 3
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.injected = 0
+
+    def _payload(self, unit):
+        rng = self.rng
+        shape = rng.randrange(4)
+        if shape == 0:
+            kind = rng.choice(["fwd", "fwding"])
+            return DISPERSE_CHANNEL, (kind, _garbage(rng), _garbage(rng), _garbage(rng), BODY)
+        if shape == 1:
+            kind = rng.choice(["bcst", "bcsting"])
+            return DISPERSE_CHANNEL, (kind, _garbage(rng), _garbage(rng), BODY)
+        if shape == 2:
+            inner = ("pa1", _garbage(rng), _garbage(rng))
+            raw = (inner, 0, 1, unit, rng.randrange(40), None, None, None)
+            return DISPERSE_CHANNEL, ("fwding", "pa3", 0, rng.randrange(N), raw)
+        return NEWKEY_CHANNEL, ("newkey", unit, ("schnorr", _garbage(rng)))
+
+    def deliver(self, api, info, traffic):
+        plan = faithful_delivery(traffic, api.n)
+        for _ in range(self.PER_ROUND):
+            receiver = self.rng.randrange(api.n)
+            sender = (receiver + 1 + self.rng.randrange(api.n - 1)) % api.n
+            channel, payload = self._payload(info.time_unit)
+            plan[receiver].insert(0, api.forge_envelope(sender, receiver, channel, payload))
+            self.injected += 1
+        return plan
+
+
+def _run(adversary):
+    clear_all_caches()
+    sched = uls_schedule()
+    _, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=7)
+    programs = [UlsProgram(states[i], SCHEME, keys[i]) for i in range(N)]
+    runner = ULRunner(programs, adversary, sched, s=T, seed=3)
+    runner.add_external_input(0, sched.setup_rounds + 1, ("sign", ("doc", 1)))
+    return runner.run(units=2)
+
+
+@pytest.fixture(scope="module")
+def passive_digest():
+    return outcome_digest(_run(PassiveAdversary()))
+
+
+@pytest.mark.parametrize("name", sorted(FORGED))
+def test_one_forged_envelope_changes_nothing(passive_digest, name):
+    channel, make_payload = FORGED[name]
+    forger = _ForgeOnce(channel, make_payload)
+    execution = _run(forger)
+    assert forger.injected == 1
+    assert outcome_digest(execution) == passive_digest
+
+
+def test_key_that_is_no_key_repr_counts_as_dropped():
+    """An encodable key that is not a tuple, announced to every node in
+    node 0's name, would agree at a majority and reach the certificate
+    request, which builds a tuple from the key.  It must count as a
+    dropped announcement."""
+    replacer = _ReplaceAnnouncements(5)
+    replaced = _run(replacer)
+    assert replacer.replaced == N - 1
+    assert outcome_digest(replaced) == outcome_digest(_run(_ReplaceAnnouncements()))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_injection_completes(seed):
+    injector = _RandomInjector(seed)
+    _run(injector)
+    assert injector.injected > 0
