@@ -178,7 +178,10 @@ class PartialAgreementService:
             if not (isinstance(body, tuple) and len(body) == 3 and body[0] == "pa1"):
                 continue
             _, pa_id, value = body
-            session = self.sessions.get(pa_id)
+            try:
+                session = self.sessions.get(pa_id)
+            except TypeError:  # unhashable: no session can have this id
+                continue
             if session is None:
                 # a participant without an input learns of the session here
                 session = _Session(

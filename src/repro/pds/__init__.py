@@ -9,10 +9,15 @@
   Shamir sharings).
 - :mod:`repro.pds.refresh` — the refresh protocol ``Rfr`` (share renewal,
   commitment sync, share recovery).
+- :mod:`repro.pds.dealing` — the joint-Feldman dealing round (deal, ack,
+  reveal, QUAL) that signing, renewal and the DKG share.
+- :mod:`repro.pds.dkg` — the distributed ``UGen`` (joint-Feldman DKG plus
+  threshold-certified unit-0 keys).
 - :mod:`repro.pds.harness` — an AL-model node program wiring the above to
   the §3.2 operation conventions.
 - :mod:`repro.pds.transport` — the send abstraction that lets the same
-  protocols run over AL links or over AUTH-SEND (the §4 transformation).
+  protocols run over AL links or over AUTH-SEND (the §4 transformation),
+  and the one body shape check (``well_formed``) every handler relies on.
 """
 
 from repro.pds.dkg import DkgUGenProgram, run_distributed_ugen

@@ -7,7 +7,9 @@ writes: during the adversary-free set-up the nodes
 
 1. run joint-Feldman DKG — every node deals a Feldman sharing of a random
    scalar; shares are summed and commitments multiplied, so the global
-   secret ``x = Σ r_i`` is never held by anyone (not even a dealer);
+   secret ``x = Σ r_i`` is never held by anyone (not even a dealer).  This
+   is the dealing round of :mod:`repro.pds.dealing` in which every dealer
+   qualifies: the set-up is reliable, so no ack or reveal step is needed;
 2. generate their unit-0 local keys of the centralized scheme; and
 3. certify every node's key with the freshly-shared threshold signer.
 
@@ -19,16 +21,14 @@ produces — drop-in interchangeable, minus the dealer.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.keystore import LocalKeys, certificate_assertion
-from repro.crypto.feldman import FeldmanCommitment, FeldmanDealer, verify_shares_batch
 from repro.crypto.group import SchnorrGroup
 from repro.crypto.shamir import Share
 from repro.crypto.signature import SignatureScheme
+from repro.pds.dealing import DealingRound
 from repro.pds.keys import PdsNodeState, PdsPublic
 from repro.pds.threshold_schnorr import ThresholdSigner, pds_message_bytes
-from repro.pds.transport import DirectTransport
+from repro.pds.transport import DirectTransport, well_formed
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.clock import Phase, Schedule
 from repro.sim.messages import Envelope
@@ -38,6 +38,8 @@ from repro.sim.runner import ALRunner
 __all__ = ["DkgUGenProgram", "run_distributed_ugen"]
 
 _DKG_CHANNEL = "dkg"
+#: field types per payload kind (see :func:`~repro.pds.transport.well_formed`)
+_SHAPES = {"deal": (tuple, object), "key": (tuple,)}
 
 
 class DkgUGenProgram(NodeProgram):
@@ -60,7 +62,8 @@ class DkgUGenProgram(NodeProgram):
         self.initial_keys: LocalKeys | None = None
         self.transport = DirectTransport(channel="pds")
         self.signer: ThresholdSigner | None = None
-        self._dealings: dict[int, tuple[FeldmanCommitment, int]] = {}
+        #: the key dealing round; dropped with its sub-shares after combine
+        self._round: DealingRound | None = None
         self._peer_reprs: dict[int, tuple] = {}
         self._keypair = None
         self._requested = False
@@ -68,61 +71,32 @@ class DkgUGenProgram(NodeProgram):
     # -- phase 1: joint-Feldman DKG (set-up rounds 0-1) ----------------------
 
     def _deal(self, ctx: NodeContext) -> None:
-        dealer = FeldmanDealer(self.group, n=self.n, threshold=self.t)
+        self._round = DealingRound(self.group, self.n, self.t, ctx.node_id)
         secret = self.group.random_scalar(ctx.rng)
-        dealing = dealer.deal(secret, ctx.rng)
-        self._dealings[ctx.node_id] = (
-            dealing.commitment, dealing.shares[ctx.node_id].value
-        )
+        dealing = self._round.deal(secret, ctx.rng)
         for receiver in range(self.n):
             if receiver != ctx.node_id:
                 ctx.send(receiver, _DKG_CHANNEL,
-                         ("deal", tuple(dealing.commitment.elements),
+                         ("deal", dealing.commitment.elements,
                           dealing.shares[receiver].value))
 
     def _combine(self, ctx: NodeContext, inbox: list[Envelope]) -> None:
         # all dealings are verified as one batch (random-linear-combination
-        # multi-exponentiation); the fallback inside verify_shares_batch
-        # keeps per-dealer verdicts identical to checking each in turn
-        deals: list[tuple[int, FeldmanCommitment, int]] = []
-        for envelope in inbox:
-            payload = envelope.payload
-            # defensive: the set-up is reliable by assumption, but a
-            # malformed payload must not crash the combine step
-            if (
-                envelope.channel != _DKG_CHANNEL
-                or not isinstance(payload, tuple)
-                or len(payload) != 3
-                or payload[0] != "deal"
-            ):
-                continue
-            _, elements, share_value = payload
-            deals.append(
-                (envelope.sender, FeldmanCommitment(elements=tuple(elements)), share_value)
-            )
-        verdicts = verify_shares_batch(
-            self.group,
-            [
-                (commitment, Share(x=ctx.node_id + 1, value=value))
-                for _, commitment, value in deals
-            ],
+        # multi-exponentiation) whose per-item fallback keeps per-dealer
+        # verdicts identical to checking each in turn.  Defensive: the
+        # set-up is reliable by assumption, but a malformed payload is
+        # dropped rather than crash the combine step
+        self._round.receive(
+            (envelope.sender,) + envelope.payload[1:]
+            for envelope in ctx.channel_view(inbox, _DKG_CHANNEL)
+            if well_formed(envelope.payload, _SHAPES) and envelope.payload[0] == "deal"
         )
-        for (sender, commitment, share_value), valid in zip(deals, verdicts):
-            if valid:
-                self._dealings.setdefault(sender, (commitment, share_value))
-        if len(self._dealings) != self.n:
+        everyone = range(self.n)
+        if not self._round.holds(everyone):
             raise RuntimeError(
-                f"DKG expects all {self.n} dealings during the reliable set-up; "
-                f"got {len(self._dealings)}"
+                f"DKG expects all {self.n} valid dealings during the reliable set-up"
             )
-        total = 0
-        combined: FeldmanCommitment | None = None
-        for dealer_id in sorted(self._dealings):
-            commitment, share_value = self._dealings[dealer_id]
-            total = (total + share_value) % self.group.q
-            combined = commitment if combined is None else combined.combine(
-                self.group, commitment
-            )
+        total, combined = self._round.qual_sum(everyone)
         public = PdsPublic(
             group=self.group,
             public_key=combined.public_constant,
@@ -136,7 +110,7 @@ class DkgUGenProgram(NodeProgram):
             key_commitment=combined,
         )
         self.signer = ThresholdSigner(self.state, self.transport, wire=self.wire)
-        self._dealings.clear()  # the individual sub-shares are erased
+        self._round = None  # the individual sub-shares are erased
 
     # -- phase 2: local keys + threshold certificates ---------------------------
 
@@ -147,8 +121,6 @@ class DkgUGenProgram(NodeProgram):
                 self._deal(ctx)
             elif info.index_in_phase == 1:
                 self._combine(ctx, inbox)
-                if info.is_phase_end and "pds_public_key" not in ctx.rom:
-                    ctx.write_rom("pds_public_key", self.state.public.public_key)
             if info.is_phase_end and "pds_public_key" not in ctx.rom:
                 ctx.write_rom("pds_public_key", self.state.public.public_key)
             return
@@ -162,15 +134,10 @@ class DkgUGenProgram(NodeProgram):
             self._peer_reprs[ctx.node_id] = my_repr
             ctx.broadcast(_DKG_CHANNEL, ("key", my_repr))
 
-        for envelope in inbox:
+        for envelope in ctx.channel_view(inbox, _DKG_CHANNEL):
             payload = envelope.payload
-            if (
-                envelope.channel == _DKG_CHANNEL
-                and isinstance(payload, tuple)
-                and len(payload) == 2
-                and payload[0] == "key"
-            ):
-                self._peer_reprs.setdefault(envelope.sender, tuple(payload[1]))
+            if well_formed(payload, _SHAPES) and payload[0] == "key":
+                self._peer_reprs.setdefault(envelope.sender, payload[1])
 
         if (
             info.phase is Phase.NORMAL

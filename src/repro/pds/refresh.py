@@ -26,7 +26,9 @@ an ack round fixes the qualified set, each node adds the qualified
 sub-shares to its share and multiplies the corresponding commitments.
 The secret is unchanged, every share is re-randomized, and the old share
 is **erased** (§6: a node that skips the erasure would hand its next
-intruder last unit's share).
+intruder last unit's share).  The deal, ack, reveal and QUAL steps are
+the joint-Feldman dealing round of :mod:`repro.pds.dealing`, in its
+zero-sharing form.
 
 Step schedule (Δ = transport delay, offsets from the phase start):
 ``0`` sync + zero-deal → ``Δ`` adopt/complain + zero-ack →
@@ -36,13 +38,12 @@ Step schedule (Δ = transport delay, offsets from the phase start):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
-from repro.crypto.feldman import FeldmanCommitment, FeldmanDealer, verify_shares_batch
-from repro.crypto.hashing import encode_for_hash, tagged_hash
+from repro.crypto.feldman import FeldmanCommitment, FeldmanDealer
 from repro.crypto.shamir import Share
+from repro.pds.dealing import DealingRound, commitment_of
 from repro.pds.keys import PdsNodeState
-from repro.pds.transport import Transport
+from repro.pds.transport import Transport, well_formed
 from repro.perf.volume import aggregated_wire, responder_sample
 from repro.sim.node import NodeContext
 
@@ -50,21 +51,23 @@ __all__ = ["RefreshService"]
 
 _COMMIT_TAG = "repro/rfr/commit"
 
-
-def _commit_hash(elements: tuple[int, ...]) -> bytes:
-    return tagged_hash(_COMMIT_TAG, encode_for_hash(tuple(elements)))
-
-
-@dataclass
-class _ZeroDealing:
-    commitment: FeldmanCommitment
-    my_share_value: int | None
+#: field types per body kind (see :func:`~repro.pds.transport.well_formed`)
+_SHAPES = {
+    "rf-sync": (int, tuple),  # unit, key commitment
+    "rf-zdeal": (int, tuple, object),  # unit, elements, sub-share
+    "rf-zack": (int, tuple),  # unit, ack list
+    "rf-need": (int, ...),  # unit[, "esc"]
+    "rf-blind": (int, int, tuple, int),  # unit, requester, elements, sub-share
+    "rf-zreveal": (int, tuple, tuple),  # unit, points, elements
+    "rf-help": (int, int, int, tuple, tuple),  # unit, x, value, blind set, elements
+}
 
 
 @dataclass
 class _Phase:
     unit: int
     start_round: int
+    zeros: DealingRound
     sync_sent: bool = False
     synced: FeldmanCommitment | None = None
     sync_votes: dict[int, tuple[int, ...]] = field(default_factory=dict)
@@ -73,9 +76,6 @@ class _Phase:
     #: requesters whose recovery already failed once under sampled help —
     #: their requests get full-fan-out treatment (aggregated wire)
     escalated: set[int] = field(default_factory=set)
-    zero_dealings: dict[int, _ZeroDealing] = field(default_factory=dict)
-    zero_acks: dict[int, dict[int, bytes]] = field(default_factory=dict)
-    my_zero_shares: list[int] | None = None
     # blinding state, per requester j: dealer -> (commitment, my sub-share)
     blinds: dict[int, dict[int, tuple[FeldmanCommitment, int]]] = field(default_factory=dict)
     helped: bool = False
@@ -120,11 +120,6 @@ class RefreshService:
         # escalates to full fan-out (aggregated wire, deterministic fallback)
         self._escalate_from_unit: int | None = None
 
-    @property
-    def rounds_required(self) -> int:
-        """Rounds a refresh phase must span for this transport."""
-        return 4 * self.transport.delay + 1
-
     def begin(self, ctx: NodeContext, unit: int) -> None:
         """Start the refresh for time unit ``unit`` (phase-start round).
 
@@ -138,8 +133,14 @@ class RefreshService:
         Performs step 0 (sync + zero-deal) immediately, so ``begin`` may
         be called after this round's :meth:`on_round` already ran (the ULS
         Part (II) hand-off does exactly that)."""
-        self._phase = _Phase(unit=unit, start_round=ctx.info.round)
+        self._phase = self._open(unit, ctx.info.round)
         self._send_sync_and_zero_deal(ctx, self._phase)
+
+    def _open(self, unit: int, start_round: int) -> _Phase:
+        public = self.state.public
+        zeros = DealingRound(public.group, public.n, public.threshold, self.state.node_id,
+                             _COMMIT_TAG, zero=True)
+        return _Phase(unit, start_round, zeros)
 
     def events(self) -> list[tuple[str, int]]:
         """Completed refreshes this round: ``("ok"|"failed", unit)``."""
@@ -160,7 +161,7 @@ class RefreshService:
             self._send_sync_and_zero_deal(ctx, phase)
         elif offset == delay:
             self._adopt_commitment_and_complain(ctx, phase)
-            self._send_zero_acks(ctx, phase)
+            self._send_zero_ack(ctx, phase)
         elif offset == 2 * delay:
             self._send_blinds(ctx, phase)
             self._send_zero_reveals(ctx, phase)
@@ -178,7 +179,7 @@ class RefreshService:
         if self._completed_start == phase_start:
             return
         if self._phase is None or self._phase.start_round != phase_start:
-            self._phase = _Phase(unit=ctx.info.time_unit, start_round=phase_start)
+            self._phase = self._open(ctx.info.time_unit, phase_start)
 
     # -- inbound -----------------------------------------------------------------
 
@@ -198,13 +199,14 @@ class RefreshService:
             if not isinstance(body, tuple) or len(body) < 2:
                 continue
             kind = body[0]
-            if kind == "rf-zdeal":
-                zdeal_run.append((accepted.sender, body))
-                continue
-            if zdeal_run:
+            if kind != "rf-zdeal" and zdeal_run:
                 self._on_zero_deals(zdeal_run, phase)
                 zdeal_run = []
-            if kind == "rf-sync":
+            if not well_formed(body, _SHAPES):
+                continue
+            if kind == "rf-zdeal":
+                zdeal_run.append((accepted.sender, body))
+            elif kind == "rf-sync":
                 self._on_sync(accepted.sender, body, phase)
             elif kind == "rf-zack":
                 self._on_zero_ack(accepted.sender, body, phase)
@@ -220,93 +222,44 @@ class RefreshService:
             self._on_zero_deals(zdeal_run, phase)
 
     def _on_sync(self, sender: int, body: tuple, phase: _Phase) -> None:
-        try:
-            _, unit, elements = body
-        except ValueError:
-            return
-        if unit == phase.unit:
-            phase.sync_votes.setdefault(sender, tuple(elements))
+        _, unit, elements = body
+        degree = self.state.public.threshold
+        if unit == phase.unit and commitment_of(elements, degree) is not None:
+            phase.sync_votes.setdefault(sender, elements)
 
     def _on_zero_deals(self, run: list[tuple[int, tuple]], phase: _Phase) -> None:
         """Handle a run of zero-dealings; first message per dealer wins.
 
-        Structural checks (unit, dedup, zero constant, degree bound, share
-        type) happen per message in arrival order; the surviving share
-        checks go through :func:`verify_shares_batch`, whose per-item
-        fallback keeps verdicts — and therefore ack lists and blame —
-        identical to checking each dealer individually.
+        The dealing round checks each dealing in arrival order and the
+        surviving sub-shares as one batch; its verdicts — and therefore
+        ack lists and blame — are those of checking each dealer alone.
         """
-        group = self.state.public.group
-        to_verify: list[tuple[int, FeldmanCommitment, int]] = []
-        for dealer, body in run:
-            try:
-                _, unit, elements, share_value = body
-            except ValueError:
-                continue
-            if unit != phase.unit or dealer in phase.zero_dealings:
-                continue
-            if any(dealer == queued for queued, _, _ in to_verify):
-                continue  # an earlier dealing from this dealer is already queued
-            commitment = FeldmanCommitment(elements=tuple(elements))
-            if commitment.public_constant != group.identity:
-                self.rejected_dealers.add((phase.unit, dealer))
-                continue  # not a sharing of zero: reject outright
-            if commitment.degree_bound != self.state.public.threshold:
-                self.rejected_dealers.add((phase.unit, dealer))
-                continue
-            if not isinstance(share_value, int):
-                self.rejected_dealers.add((phase.unit, dealer))
-                phase.zero_dealings[dealer] = _ZeroDealing(
-                    commitment=commitment, my_share_value=None
-                )
-                continue
-            to_verify.append((dealer, commitment, share_value))
-        verdicts = verify_shares_batch(
-            group,
-            [
-                (commitment, Share(x=self.state.share_index, value=value))
-                for _, commitment, value in to_verify
-            ],
-        )
-        for (dealer, commitment, value), valid in zip(to_verify, verdicts):
-            if not valid:
-                self.rejected_dealers.add((phase.unit, dealer))
-            phase.zero_dealings[dealer] = _ZeroDealing(
-                commitment=commitment, my_share_value=value if valid else None
-            )
+        items = [
+            (dealer, elements, share_value)
+            for dealer, (_, unit, elements, share_value) in run
+            if unit == phase.unit
+        ]
+        for dealer in phase.zeros.receive(items):
+            self.rejected_dealers.add((phase.unit, dealer))
 
     def _on_zero_ack(self, acker: int, body: tuple, phase: _Phase) -> None:
-        try:
-            _, unit, ack_list = body
-        except ValueError:
-            return
-        if unit != phase.unit:
-            return
-        for item in ack_list:
-            try:
-                dealer, commit_hash = item
-            except (TypeError, ValueError):
-                continue
-            phase.zero_acks.setdefault(dealer, {}).setdefault(acker, commit_hash)
+        _, unit, ack_list = body
+        if unit == phase.unit:
+            phase.zeros.receive_acks(acker, ack_list)
 
     def _on_need(self, sender: int, body: tuple, phase: _Phase) -> None:
         if body[1] == phase.unit:
             phase.requesters.add(sender)
-            if len(body) >= 3 and body[2] == "esc":
+            if body[2:3] == ("esc",):
                 phase.escalated.add(sender)
 
     def _on_blind(self, ctx: NodeContext, dealer: int, body: tuple, phase: _Phase) -> None:
-        try:
-            _, unit, requester, elements, share_value = body
-        except ValueError:
-            return
-        if unit != phase.unit or not isinstance(share_value, int):
-            return
-        commitment = FeldmanCommitment(elements=tuple(elements))
-        group = self.state.public.group
+        _, unit, requester, elements, share_value = body
         # blinding polynomials have degree exactly t (combine() requires it)
-        if commitment.degree_bound != self.state.public.threshold:
+        commitment = commitment_of(elements, self.state.public.threshold)
+        if unit != phase.unit or commitment is None:
             return
+        group = self.state.public.group
         # a blinding polynomial must vanish at the requester's index
         if commitment.share_image(group, requester + 1) != group.identity:
             return
@@ -315,39 +268,18 @@ class RefreshService:
         phase.blinds.setdefault(requester, {}).setdefault(dealer, (commitment, share_value))
 
     def _on_zero_reveal(self, dealer: int, body: tuple, phase: _Phase) -> None:
-        try:
-            _, unit, revealed, elements = body
-        except ValueError:
-            return
-        if unit != phase.unit:
-            return
-        commitment = FeldmanCommitment(elements=tuple(elements))
-        group = self.state.public.group
-        if commitment.public_constant != group.identity:
-            return
-        existing = phase.zero_dealings.get(dealer)
-        if existing is not None and existing.my_share_value is not None:
-            return
-        for item in revealed:
-            try:
-                x, value = item
-            except (TypeError, ValueError):
-                continue
-            if x == self.state.share_index and isinstance(value, int):
-                if commitment.verify_share(group, Share(x=x, value=value)):
-                    phase.zero_dealings[dealer] = _ZeroDealing(
-                        commitment=commitment, my_share_value=value
-                    )
+        _, unit, points, elements = body
+        if unit == phase.unit:
+            phase.zeros.receive_reveal(dealer, points, elements)
 
     def _on_help(self, sender: int, body: tuple, phase: _Phase) -> None:
-        try:
-            _, unit, helper_index, value, blind_set, combined_elements = body
-        except ValueError:
+        _, unit, helper_index, value, blind_set, combined_elements = body
+        combined = commitment_of(combined_elements, self.state.public.threshold)
+        if unit != phase.unit or not phase.need_recovery or combined is None:
             return
-        if unit != phase.unit or not phase.need_recovery or not isinstance(value, int):
-            return
+        if not all(isinstance(dealer, int) for dealer in blind_set):
+            return  # the blind set keys the help buckets
         group = self.state.public.group
-        combined = FeldmanCommitment(elements=tuple(combined_elements))
         # the combined polynomial must agree with the key sharing at my index
         if phase.synced is not None:
             mine = phase.synced.share_image(group, self.state.share_index)
@@ -356,7 +288,7 @@ class RefreshService:
         # and the helper's value must lie on the combined polynomial
         if not combined.verify_share(group, Share(x=helper_index, value=value)):
             return
-        key = (tuple(blind_set), tuple(combined_elements))
+        key = (blind_set, combined_elements)
         bucket = phase.helps.setdefault(key, [])
         if all(x != helper_index for x, _ in bucket):
             bucket.append((helper_index, value))
@@ -371,15 +303,8 @@ class RefreshService:
         phase.sync_votes[ctx.node_id] = elements
         self.transport.send_to_all(ctx, ("rf-sync", phase.unit, elements))
 
-        public = self.state.public
-        dealer = FeldmanDealer(public.group, n=public.n, threshold=public.threshold)
-        dealing = dealer.deal_zero(ctx.rng)
-        phase.my_zero_shares = [share.value for share in dealing.shares]
-        phase.zero_dealings[ctx.node_id] = _ZeroDealing(
-            commitment=dealing.commitment,
-            my_share_value=dealing.shares[self.state.share_index - 1].value,
-        )
-        for receiver in range(public.n):
+        dealing = phase.zeros.deal(0, ctx.rng)
+        for receiver in range(self.state.public.n):
             if receiver == ctx.node_id:
                 continue
             self.transport.send(
@@ -388,7 +313,7 @@ class RefreshService:
                 (
                     "rf-zdeal",
                     phase.unit,
-                    tuple(dealing.commitment.elements),
+                    dealing.commitment.elements,
                     dealing.shares[receiver].value,
                 ),
             )
@@ -434,14 +359,8 @@ class RefreshService:
             return rom_value
         return self.state.public.public_key
 
-    def _send_zero_acks(self, ctx: NodeContext, phase: _Phase) -> None:
-        ack_list = []
-        for dealer, dealing in phase.zero_dealings.items():
-            if dealing.my_share_value is not None:
-                commit_hash = _commit_hash(dealing.commitment.elements)
-                ack_list.append((dealer, commit_hash))
-                phase.zero_acks.setdefault(dealer, {})[ctx.node_id] = commit_hash
-        self.transport.send_to_all(ctx, ("rf-zack", phase.unit, tuple(ack_list)))
+    def _send_zero_ack(self, ctx: NodeContext, phase: _Phase) -> None:
+        self.transport.send_to_all(ctx, ("rf-zack", phase.unit, phase.zeros.ack_list()))
 
     def _send_blinds(self, ctx: NodeContext, phase: _Phase) -> None:
         if phase.need_recovery or not self.state.share_is_valid():
@@ -501,20 +420,9 @@ class RefreshService:
                 )
 
     def _send_zero_reveals(self, ctx: NodeContext, phase: _Phase) -> None:
-        if phase.my_zero_shares is None:
-            return
-        my_acks = phase.zero_acks.get(ctx.node_id, {})
-        missing = [
-            (j + 1, phase.my_zero_shares[j])
-            for j in range(self.state.public.n)
-            if j != ctx.node_id and j not in my_acks
-        ]
-        if not missing:
-            return
-        commitment = phase.zero_dealings[ctx.node_id].commitment
-        self.transport.send_to_all(
-            ctx, ("rf-zreveal", phase.unit, tuple(missing), tuple(commitment.elements))
-        )
+        reveal = phase.zeros.reveal()
+        if reveal is not None:
+            self.transport.send_to_all(ctx, ("rf-zreveal", phase.unit) + reveal)
 
     def _send_helps(self, ctx: NodeContext, phase: _Phase) -> None:
         if phase.helped or phase.need_recovery or not self.state.share_is_valid():
@@ -574,36 +482,19 @@ class RefreshService:
             # up short marks the next unit's request for full fan-out
             self._escalate_from_unit = None if recovered else phase.unit
 
-        # 2. fix the qualified zero-dealings
-        threshold = self.state.public.n - self.state.public.threshold
-        qual: list[int] = []
-        for dealer, acks in phase.zero_acks.items():
-            counts: dict[bytes, int] = {}
-            for commit_hash in acks.values():
-                counts[commit_hash] = counts.get(commit_hash, 0) + 1
-            if any(count >= threshold for count in counts.values()):
-                qual.append(dealer)
-        qual.sort()
-
-        # 3. apply the renewal if we hold every qualified sub-share
-        usable = all(
-            dealer in phase.zero_dealings
-            and phase.zero_dealings[dealer].my_share_value is not None
-            for dealer in qual
-        )
-        if qual and usable and self.state.share_is_valid():
-            new_value = self.state.share.value
-            new_commitment = phase.synced or self.state.key_commitment
-            for dealer in qual:
-                dealing = phase.zero_dealings[dealer]
-                new_value = (new_value + dealing.my_share_value) % group.q
-                new_commitment = new_commitment.combine(group, dealing.commitment)
+        # 2. apply the renewal if we hold every qualified sub-share
+        zeros = phase.zeros
+        qual = zeros.qual()
+        if qual and zeros.holds(qual) and self.state.share_is_valid():
+            new_value, new_commitment = zeros.qual_sum(
+                qual, self.state.share.value, phase.synced or self.state.key_commitment
+            )
             self.state.install_share(
                 Share(x=self.state.share_index, value=new_value),
                 new_commitment,
                 unit=phase.unit,
             )
-            phase.my_zero_shares = None  # erase dealt sub-shares (§6)
+            zeros.my_shares = None  # erase dealt sub-shares (§6)
             phase.outcome = "ok"
         else:
             # keep whatever commitment consensus we reached; share may be bad

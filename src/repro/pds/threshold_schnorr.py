@@ -23,6 +23,9 @@ One signing session (per message) runs in four transport steps:
    broadcast the partial signature ``s_j = k_j + e·x_j`` where
    ``k_j = Σ_{d∈QUAL} f_d(j)``.
 
+Steps 1–3 and the qualified set are the joint-Feldman dealing round of
+:mod:`repro.pds.dealing`, which the refresh and the DKG share.
+
 Partial signatures are *publicly verifiable* against the Feldman
 commitments (``g^{s_j} = nonce_image(j) · key_image(j)^e``), which is what
 makes the scheme robust: any ``t + 1`` verified partials interpolate (at
@@ -46,16 +49,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.crypto.feldman import FeldmanCommitment, FeldmanDealer
 from repro.crypto.hashing import encode_for_hash, hash_to_int, tagged_hash
-from repro.crypto.schnorr import (
-    SchnorrScheme,
-    SchnorrSignature,
-    SchnorrVerifyKey,
-    scheme_for_group,
-)
+from repro.crypto.schnorr import SchnorrSignature, SchnorrVerifyKey, scheme_for_group
+from repro.pds.dealing import DealingRound
 from repro.pds.keys import PdsNodeState
-from repro.pds.transport import Transport
+from repro.pds.transport import Transport, well_formed
 from repro.perf.cache import cached_verify
 from repro.perf.volume import aggregated_wire
 from repro.sim.node import NodeContext
@@ -65,6 +63,17 @@ __all__ = ["ThresholdSigner", "pds_message_bytes", "verify_pds_signature"]
 _SID_TAG = "repro/tsig/session"
 _COMMIT_TAG = "repro/tsig/commit"
 _PBATCH_TAG = "repro/tsig/pbatch"
+
+#: field types per body kind (see :func:`~repro.pds.transport.well_formed`)
+_SHAPES = {
+    "ts-deal": (str, bytes, tuple, object),  # sid, m, elements, sub-share
+    "ts-ack": (str, tuple),  # sid, ack list
+    "ts-reveal": (str, tuple, tuple),  # sid, points, elements
+    "ts-partial": (str, int, tuple, int),  # sid, share index, qual, value
+}
+#: the aggregated wire's plural forms: a tuple of solo bodies minus their kind
+_SOLO = {kind + "s": kind for kind in ("ts-ack", "ts-reveal", "ts-partial")}
+_SHAPES.update({plural: (tuple,) for plural in _SOLO})
 
 
 def pds_message_bytes(message: Any, unit: int) -> bytes:
@@ -82,16 +91,7 @@ def verify_pds_signature(public, message: Any, unit: int, signature: Any) -> boo
     certificate is checked by every node that receives it, and ``v_cert``
     never changes, so after the first full verification the rest of the
     network answers from the cache."""
-    return cached_verify(
-        scheme_for_group(public.group),
-        SchnorrVerifyKey(y=public.public_key),
-        pds_message_bytes(message, unit),
-        signature,
-    )
-
-
-def _commit_hash(elements: tuple[int, ...]) -> bytes:
-    return tagged_hash(_COMMIT_TAG, encode_for_hash(tuple(elements)))
+    return verify_pds_signature_bytes(public, pds_message_bytes(message, unit), signature)
 
 
 def _session_id(message_bytes: bytes) -> str:
@@ -99,15 +99,10 @@ def _session_id(message_bytes: bytes) -> str:
 
 
 @dataclass
-class _Dealing:
-    commitment: FeldmanCommitment
-    my_share_value: int | None  # f_d(me+1), None until known valid
-
-
-@dataclass
 class _Session:
     message_bytes: bytes
     start_round: int
+    nonces: DealingRound
     contributor: bool = False
     dealt: bool = False
     acked: bool = False
@@ -115,20 +110,15 @@ class _Session:
     partial_sent: bool = False
     done: bool = False
     failed: bool = False
-    my_nonce_shares: list[int] | None = None  # f_me(j+1) for all j; erased after use
-    dealings: dict[int, _Dealing] = field(default_factory=dict)
-    acks: dict[int, dict[int, bytes]] = field(default_factory=dict)  # dealer -> acker -> hash
     qual: tuple[int, ...] | None = None
     partials: dict[int, tuple[tuple[int, ...], int]] = field(default_factory=dict)
     signature: SchnorrSignature | None = None
-    #: bumped whenever ``dealings`` changes; a partial's verification
-    #: verdict is a pure function of (dealings, key commitment, partial),
-    #: so a memoized verdict stays valid while the version and the key
-    #: commitment object are unchanged
-    version: int = 0
-    #: share_index -> (version, key_commitment, verdict).  The commitment
-    #: is held by strong reference and compared with ``is`` — an id() key
-    #: could be recycled after a refresh drops the old commitment.
+    #: share_index -> (nonces.version, key_commitment, verdict).  A
+    #: partial's verdict is a pure function of (dealings, key commitment,
+    #: partial), so a memoized verdict stays valid while the version and
+    #: the key commitment object are unchanged.  The commitment is held by
+    #: strong reference and compared with ``is`` — an id() key could be
+    #: recycled after a refresh drops the old commitment.
     verify_memo: dict[int, tuple[int, Any, bool]] = field(default_factory=dict)
     #: time unit the session was created in (retention bookkeeping)
     unit: int = 0
@@ -192,11 +182,7 @@ class ThresholdSigner:
         session = self.sessions.get(sid)
         if session is None:
             self._retired.pop(sid, None)  # an explicit request reopens
-            session = _Session(
-                message_bytes=message_bytes, start_round=ctx.info.round,
-                unit=ctx.info.time_unit,
-            )
-            self.sessions[sid] = session
+            session = self._open(ctx, sid, message_bytes, ctx.info.round)
         session.contributor = True
         if not session.dealt and ctx.info.round == session.start_round:
             self._deal(ctx, sid, session)
@@ -209,10 +195,6 @@ class ThresholdSigner:
     def failed(self) -> list[bytes]:
         """Sessions that hit their deadline without a signature this round."""
         return list(self._failed)
-
-    def signature_for(self, message_bytes: bytes) -> SchnorrSignature | None:
-        session = self.sessions.get(_session_id(message_bytes))
-        return session.signature if session else None
 
     # -- round processing ----------------------------------------------------
 
@@ -231,7 +213,7 @@ class ThresholdSigner:
             if not session.acked and offset >= delay:
                 self._send_acks(ctx, sid, session)
             if offset >= 2 * delay and session.qual is None:
-                self._fix_qual(session)
+                session.qual = session.nonces.qual()
                 if session.contributor and not session.revealed:
                     self._send_reveals(ctx, sid, session)
             if (
@@ -280,31 +262,33 @@ class ThresholdSigner:
     def _ingest(self, ctx: NodeContext) -> None:
         for accepted in self.transport.accepted_view():
             body = accepted.body
-            if not isinstance(body, tuple) or len(body) < 2:
+            if not well_formed(body, _SHAPES):
                 continue
-            kind = body[0]
-            if kind == "ts-deal":
-                self._on_deal(ctx, accepted.sender, body)
-            elif kind == "ts-ack":
-                self._on_ack(accepted.sender, body)
-            elif kind == "ts-reveal":
-                self._on_reveal(ctx, accepted.sender, body)
-            elif kind == "ts-partial":
-                self._on_partial(accepted.sender, body)
-            elif kind == "ts-acks":
+            solos = [body]
+            if body[0] in _SOLO:
                 # plural forms: each item goes through exactly its solo
                 # handler, so acceptance/blame behaviour is identical
-                for item in body[1] if isinstance(body[1], tuple) else ():
-                    if isinstance(item, tuple) and len(item) == 2:
-                        self._on_ack(accepted.sender, ("ts-ack",) + item)
-            elif kind == "ts-reveals":
-                for item in body[1] if isinstance(body[1], tuple) else ():
-                    if isinstance(item, tuple) and len(item) == 3:
-                        self._on_reveal(ctx, accepted.sender, ("ts-reveal",) + item)
-            elif kind == "ts-partials":
-                for item in body[1] if isinstance(body[1], tuple) else ():
-                    if isinstance(item, tuple) and len(item) == 4:
-                        self._on_partial(accepted.sender, ("ts-partial",) + item)
+                solos = [(_SOLO[body[0]],) + item for item in body[1] if isinstance(item, tuple)]
+                solos = [solo for solo in solos if well_formed(solo, _SHAPES)]
+            for solo in solos:
+                kind = solo[0]
+                if kind == "ts-deal":
+                    self._on_deal(ctx, accepted.sender, solo)
+                elif kind == "ts-ack":
+                    self._on_ack(accepted.sender, solo)
+                elif kind == "ts-reveal":
+                    self._on_reveal(accepted.sender, solo)
+                elif kind == "ts-partial":
+                    self._on_partial(solo)
+
+    def _open(self, ctx: NodeContext, sid: str, message_bytes: bytes, start: int) -> _Session:
+        public = self.state.public
+        nonces = DealingRound(
+            public.group, public.n, public.threshold, self.state.node_id, _COMMIT_TAG
+        )
+        session = _Session(message_bytes, start, nonces, unit=ctx.info.time_unit)
+        self.sessions[sid] = session
+        return session
 
     def _get_session(
         self, ctx: NodeContext, sid: str, message_bytes: bytes
@@ -314,109 +298,45 @@ class ThresholdSigner:
             if sid in self._retired:
                 return None  # finished and pruned; do not resurrect
             # we learn of the session one transport delay after it started
-            session = _Session(
-                message_bytes=message_bytes,
-                start_round=ctx.info.round - self.transport.delay,
-                unit=ctx.info.time_unit,
+            session = self._open(
+                ctx, sid, message_bytes, ctx.info.round - self.transport.delay
             )
-            self.sessions[sid] = session
         return session
 
     def _on_deal(self, ctx: NodeContext, dealer: int, body: tuple) -> None:
-        try:
-            _, sid, message_bytes, elements, share_value = body
-        except ValueError:
-            return
-        if not isinstance(message_bytes, bytes) or _session_id(message_bytes) != sid:
+        _, sid, message_bytes, elements, share_value = body
+        if _session_id(message_bytes) != sid:
             return
         session = self._get_session(ctx, sid, message_bytes)
-        if session is None:
-            return
-        if dealer in session.dealings:
-            return  # first dealing wins
-        commitment = FeldmanCommitment(elements=tuple(elements))
-        if commitment.degree_bound != self.state.public.threshold:
-            return
-        group = self.state.public.group
-        valid = isinstance(share_value, int) and commitment.verify_share(
-            group, _share_at(self.state.share_index, share_value)
-        )
-        session.dealings[dealer] = _Dealing(
-            commitment=commitment, my_share_value=share_value if valid else None
-        )
-        session.version += 1
+        if session is not None:
+            session.nonces.receive([(dealer, elements, share_value)])
 
     def _on_ack(self, acker: int, body: tuple) -> None:
-        try:
-            _, sid, ack_list = body
-        except ValueError:
-            return
+        _, sid, ack_list = body
         session = self.sessions.get(sid)
-        if session is None:
-            return
-        for item in ack_list:
-            try:
-                dealer, commit_hash = item
-            except (TypeError, ValueError):
-                continue
-            session.acks.setdefault(dealer, {}).setdefault(acker, commit_hash)
+        if session is not None:
+            session.nonces.receive_acks(acker, ack_list)
 
-    def _on_reveal(self, ctx: NodeContext, dealer: int, body: tuple) -> None:
-        try:
-            _, sid, revealed, elements = body
-        except ValueError:
-            return
+    def _on_reveal(self, dealer: int, body: tuple) -> None:
+        _, sid, points, elements = body
         session = self.sessions.get(sid)
-        if session is None:
-            return
-        commitment = FeldmanCommitment(elements=tuple(elements))
-        group = self.state.public.group
-        existing = session.dealings.get(dealer)
-        if existing is not None and existing.my_share_value is not None:
-            return  # we already hold a valid share from this dealer
-        for item in revealed:
-            try:
-                x, value = item
-            except (TypeError, ValueError):
-                continue
-            if x == self.state.share_index and isinstance(value, int):
-                if commitment.verify_share(group, _share_at(x, value)):
-                    session.dealings[dealer] = _Dealing(
-                        commitment=commitment, my_share_value=value
-                    )
-                    session.version += 1
+        if session is not None:
+            session.nonces.receive_reveal(dealer, points, elements)
 
-    def _on_partial(self, emitter: int, body: tuple) -> None:
-        try:
-            _, sid, share_index, qual, value = body
-        except ValueError:
-            return
+    def _on_partial(self, body: tuple) -> None:
+        _, sid, share_index, qual, value = body
         session = self.sessions.get(sid)
-        if session is None or not isinstance(value, int) or not isinstance(share_index, int):
-            return
-        try:
-            qual_tuple = tuple(qual)
-        except TypeError:
-            return  # a corrupted body can carry a non-iterable here
-        if not all(type(d) is int for d in qual_tuple):
+        if session is None or not all(type(d) is int for d in qual):
             return  # non-int dealer ids could not name any dealing
-        session.partials.setdefault(share_index, (qual_tuple, value))
+        session.partials.setdefault(share_index, (qual, value))
 
     # -- outbound steps ----------------------------------------------------------
 
     def _deal(self, ctx: NodeContext, sid: str, session: _Session) -> None:
         session.dealt = True
-        public = self.state.public
-        dealer = FeldmanDealer(public.group, n=public.n, threshold=public.threshold)
-        nonce = public.group.random_scalar(ctx.rng)
-        dealing = dealer.deal(nonce, ctx.rng)
-        session.my_nonce_shares = [share.value for share in dealing.shares]
-        session.dealings[ctx.node_id] = _Dealing(
-            commitment=dealing.commitment,
-            my_share_value=dealing.shares[self.state.share_index - 1].value,
-        )
-        session.version += 1
-        for receiver in range(public.n):
+        nonce = self.state.public.group.random_scalar(ctx.rng)
+        dealing = session.nonces.deal(nonce, ctx.rng)
+        for receiver in range(self.state.public.n):
             if receiver == ctx.node_id:
                 continue
             self.transport.send(
@@ -426,79 +346,45 @@ class ThresholdSigner:
                     "ts-deal",
                     sid,
                     session.message_bytes,
-                    tuple(dealing.commitment.elements),
+                    dealing.commitment.elements,
                     dealing.shares[receiver].value,
                 ),
             )
 
     def _send_acks(self, ctx: NodeContext, sid: str, session: _Session) -> None:
         session.acked = True
-        ack_list = []
-        for dealer, dealing in session.dealings.items():
-            if dealing.my_share_value is not None:
-                commit_hash = _commit_hash(dealing.commitment.elements)
-                ack_list.append((dealer, commit_hash))
-                session.acks.setdefault(dealer, {})[ctx.node_id] = commit_hash
+        ack_list = session.nonces.ack_list()
         if self.aggregated:
-            self._agg_acks.append((sid, tuple(ack_list)))
+            self._agg_acks.append((sid, ack_list))
         else:
-            self.transport.send_to_all(ctx, ("ts-ack", sid, tuple(ack_list)))
-
-    def _fix_qual(self, session: _Session) -> None:
-        threshold = self.state.public.n - self.state.public.threshold
-        qual = []
-        for dealer, acks in session.acks.items():
-            counts: dict[bytes, int] = {}
-            for commit_hash in acks.values():
-                counts[commit_hash] = counts.get(commit_hash, 0) + 1
-            if any(count >= threshold for count in counts.values()):
-                qual.append(dealer)
-        session.qual = tuple(sorted(qual))
+            self.transport.send_to_all(ctx, ("ts-ack", sid, ack_list))
 
     def _send_reveals(self, ctx: NodeContext, sid: str, session: _Session) -> None:
         session.revealed = True
-        if session.my_nonce_shares is None:
+        reveal = session.nonces.reveal()
+        if reveal is None:
             return
-        my_acks = session.acks.get(ctx.node_id, {})
-        missing = [
-            (j + 1, session.my_nonce_shares[j])
-            for j in range(self.state.public.n)
-            if j != ctx.node_id and (j not in my_acks)
-        ]
-        if not missing:
-            return
-        commitment = session.dealings[ctx.node_id].commitment
         if self.aggregated:
-            self._agg_reveals.append(
-                (sid, tuple(missing), tuple(commitment.elements))
-            )
+            self._agg_reveals.append((sid,) + reveal)
         else:
-            self.transport.send_to_all(
-                ctx, ("ts-reveal", sid, tuple(missing), tuple(commitment.elements))
-            )
+            self.transport.send_to_all(ctx, ("ts-reveal", sid) + reveal)
 
     def _send_partial(self, ctx: NodeContext, sid: str, session: _Session) -> None:
         session.partial_sent = True
         qual = session.qual or ()
-        if not qual:
-            return
-        if any(
-            d not in session.dealings or session.dealings[d].my_share_value is None
-            for d in qual
-        ):
+        if not qual or not session.nonces.holds(qual):
             return  # missing a QUAL dealing; cannot contribute
         if self.state.share is None:
             return
-        group = self.state.public.group
-        q = group.q
-        nonce_share = sum(session.dealings[d].my_share_value for d in qual) % q
+        q = self.state.public.group.q
+        nonce_share = sum(session.nonces.dealings[d][1] for d in qual) % q
         commitment_r = self._group_nonce(session, qual)
         challenge = self.scheme.challenge(
             commitment_r, self.state.public.public_key, session.message_bytes
         )
         s_value = (nonce_share + challenge * self.state.share.value) % q
         # the nonce shares have served their purpose: erase them (§6)
-        session.my_nonce_shares = None
+        session.nonces.my_shares = None
         self.state.erasure_log.append((self.state.unit, f"nonce:{sid}"))
         session.partials.setdefault(self.state.share_index, (qual, s_value))
         if self.aggregated:
@@ -522,7 +408,8 @@ class ThresholdSigner:
         group = self.state.public.group
         acc = group.identity
         for dealer in qual:
-            acc = group.multiply(acc, session.dealings[dealer].commitment.public_constant)
+            commitment, _ = session.nonces.dealings[dealer]
+            acc = group.multiply(acc, commitment.public_constant)
         return acc
 
     def _verify_partials(
@@ -558,16 +445,15 @@ class ThresholdSigner:
         verdicts = [False] * len(items)
         # (position, share_index, value, nonce_image, key_image, challenge)
         checkable: list[tuple[int, int, int, int, int, int]] = []
+        dealings = session.nonces.dealings
         for position, (share_index, qual, value) in enumerate(items):
-            if not isinstance(share_index, int):
-                continue  # not attributable to any emitter index
             if not (1 <= share_index <= n):
                 self.rejected_partials.add((sid, share_index))
                 continue
             if len(set(qual)) != len(qual):
                 self.rejected_partials.add((sid, share_index))
                 continue
-            if any(d not in session.dealings for d in qual):
+            if any(d not in dealings for d in qual):
                 continue  # missing dealings: unverifiable for now, no blame
             commitment_r = self._group_nonce(session, qual)
             challenge = self.scheme.challenge(
@@ -576,8 +462,7 @@ class ThresholdSigner:
             nonce_image = group.identity
             for dealer in qual:
                 nonce_image = group.multiply(
-                    nonce_image,
-                    session.dealings[dealer].commitment.share_image(group, share_index),
+                    nonce_image, dealings[dealer][0].share_image(group, share_index)
                 )
             key_image = self.state.key_commitment.share_image(group, share_index)
             checkable.append(
@@ -621,7 +506,7 @@ class ThresholdSigner:
             memo = session.verify_memo.get(share_index)
             if (
                 memo is not None
-                and memo[0] == session.version
+                and memo[0] == session.nonces.version
                 and memo[1] is key_commitment
             ):
                 verdicts[share_index] = memo[2]
@@ -631,7 +516,9 @@ class ThresholdSigner:
             pending, self._verify_partials(sid, session, pending)
         ):
             verdicts[share_index] = verdict
-            session.verify_memo[share_index] = (session.version, key_commitment, verdict)
+            session.verify_memo[share_index] = (
+                session.nonces.version, key_commitment, verdict
+            )
         by_qual: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for share_index, (qual, value) in session.partials.items():
             if verdicts[share_index]:
@@ -661,14 +548,3 @@ def verify_pds_signature_bytes(public, message_bytes: bytes, signature: Any) -> 
         message_bytes,
         signature,
     )
-
-
-def _share_at(x: int, value: int):
-    from repro.crypto.shamir import Share
-
-    if not isinstance(x, int) or x < 1:
-        # f(0) is the shared secret itself; negative points are never valid
-        # protocol indices.  Raising here keeps a coding error from quietly
-        # evaluating commitments at the secret's own point.
-        raise ValueError(f"share evaluation point must be a positive int, got {x!r}")
-    return Share(x=x, value=value)

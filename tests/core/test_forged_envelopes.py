@@ -7,6 +7,10 @@ messages) and the cleartext key announcement.  Each must drop what is
 not an honest shape, so a run with one forged envelope has the same
 outcome as the passive run, and a run flooded with random garbage still
 completes.
+
+A broken node can also certify garbage under its own keys (§4.2), and
+that passes VER-CERT.  The handlers behind AUTH-SEND must drop it too: a
+run with one such body has the outcome of the same break-in without it.
 """
 
 import random
@@ -14,6 +18,7 @@ import random
 import pytest
 
 from repro.analysis.digest import outcome_digest
+from repro.core.certify import CertifiedMessage, certify, ver_cert
 from repro.core.disperse import DISPERSE_CHANNEL
 from repro.core.uls import NEWKEY_CHANNEL, UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import named_group
@@ -179,3 +184,77 @@ def test_random_injection_completes(seed):
     injector = _RandomInjector(seed)
     _run(injector)
     assert injector.injected > 0
+
+
+# ------------------------------------------- certified by a broken node
+
+#: bodies node 4 certifies under its own keys; each is malformed where an
+#: honest node parses it after VER-CERT
+CERTIFIED = {
+    "rf-sync-int-commitment": ("rf-sync", 1, 5),
+    "ts-ack-unhashable-session": ("ts-ack", [1], ()),
+    "pa1-unhashable-session": ("pa1", [1], ("schnorr", 3)),
+}
+
+
+def _starts_part2(traffic):
+    """Whether an honest rf-sync, Part II's first step, is on the wire."""
+    return any(
+        isinstance(envelope.payload[-1], CertifiedMessage)
+        and envelope.payload[-1].message[:1] == ("rf-sync",)
+        for envelope in traffic
+        if envelope.channel == DISPERSE_CHANNEL
+    )
+
+
+class _CertifiedByBrokenNode(Adversary):
+    """Delivers faithfully.  In the round Part II of unit 1's refresh
+    starts, breaks into node 4, which has installed its unit-1 keys by
+    then, and keeps it.  In that round node 4 AUTH-SENDs ``body`` to node
+    0: certified under its own current keys and flooded to every relay.
+    Without ``body`` it sends nothing (the reference run)."""
+
+    BROKEN = 4
+    TARGET = 0
+
+    def __init__(self, body=None):
+        self.body = body
+        self.broken = False
+        self.sent = 0
+        self.passes_ver_cert = False
+
+    def on_round(self, api, info, traffic):
+        if self.broken or not _starts_part2(traffic):
+            return
+        self.broken = True
+        program = api.break_into(self.BROKEN)
+        if self.body is None:
+            return
+        msg = certify(SCHEME, program.keystore.current, self.body,
+                      self.BROKEN, self.TARGET, info.round)
+        self.passes_ver_cert = ver_cert(
+            SCHEME, program.state.public, self.TARGET, self.BROKEN,
+            expected_unit=info.time_unit, expected_round=info.round, raw=msg,
+        ) is not None
+        for relay in range(api.n):
+            if relay != self.BROKEN:
+                api.send_as(self.BROKEN, relay, DISPERSE_CHANNEL,
+                            ("fwd", "auth", self.BROKEN, self.TARGET, msg))
+        self.sent += 1
+
+
+@pytest.fixture(scope="module")
+def withheld_digest():
+    """The same break-in, node 4 sending nothing."""
+    adversary = _CertifiedByBrokenNode()
+    digest = outcome_digest(_run(adversary))
+    assert adversary.broken
+    return digest
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certified_malformed_body_changes_nothing(withheld_digest, name):
+    adversary = _CertifiedByBrokenNode(CERTIFIED[name])
+    execution = _run(adversary)
+    assert adversary.sent == 1 and adversary.passes_ver_cert
+    assert outcome_digest(execution) == withheld_digest

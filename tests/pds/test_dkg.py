@@ -38,7 +38,7 @@ def test_shares_reconstruct_the_public_key(ugen):
 
 def test_no_single_dealer_knows_the_secret(ugen, wire):
     """Structural check: the dealing sub-shares were erased after the
-    combine step (each program's dealing table is empty)."""
+    combine step (each program has dropped its dealing round)."""
     # re-run to access program internals
     from repro.pds.dkg import DkgUGenProgram
     from repro.sim.adversary_api import PassiveAdversary
@@ -51,7 +51,7 @@ def test_no_single_dealer_knows_the_secret(ugen, wire):
                       seed=9)
     runner.run(units=1)
     for program in programs:
-        assert program._dealings == {}
+        assert program._round is None
 
 
 def test_unit0_certificates_verify(ugen):

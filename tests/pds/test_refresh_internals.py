@@ -82,9 +82,7 @@ def test_sync_adopts_majority_commitment_anchored_at_rom_key():
     state.key_commitment = dealer.deal(123, random.Random(2)).commitment
 
     service = RefreshService(state, DirectTransport())
-    from repro.pds.refresh import _Phase
-
-    phase = _Phase(unit=1, start_round=0)
+    phase = service._open(unit=1, start_round=0)
     phase.sync_votes = {
         0: tuple(state.key_commitment.elements),  # own corrupt copy
         1: tuple(good.elements),
@@ -118,9 +116,7 @@ def test_sync_rejects_majority_with_wrong_anchor():
     assert rogue.public_constant != public.public_key
 
     service = RefreshService(state, DirectTransport())
-    from repro.pds.refresh import _Phase
-
-    phase = _Phase(unit=1, start_round=0)
+    phase = service._open(unit=1, start_round=0)
     phase.sync_votes = {
         1: tuple(rogue.elements),
         2: tuple(rogue.elements),

@@ -1,10 +1,7 @@
 """Input guards inside the threshold signer.
 
-``_share_at`` must reject evaluation points that are not positive ints —
-``x = 0`` is the secret's own point, and a stringly-typed index off the
-wire must never reach polynomial evaluation.  ``_group_nonce`` must
-reject qualified sets with duplicate dealers, which would double-count a
-dealer's nonce contribution.
+``_group_nonce`` must reject qualified sets with duplicate dealers, which
+would double-count a dealer's nonce contribution.
 """
 
 import random
@@ -13,39 +10,25 @@ import pytest
 
 from repro.crypto.feldman import FeldmanDealer
 from repro.crypto.group import named_group
-from repro.crypto.shamir import Share
+from repro.pds.dealing import DealingRound
 from repro.pds.keys import deal_initial_states
-from repro.pds.threshold_schnorr import ThresholdSigner, _Dealing, _Session, _share_at
+from repro.pds.threshold_schnorr import ThresholdSigner, _Session
 from repro.pds.transport import DirectTransport
 
 GROUP = named_group("toy64")
-
-
-def test_share_at_accepts_positive_points():
-    share = _share_at(1, 42)
-    assert isinstance(share, Share)
-    assert (share.x, share.value) == (1, 42)
-    assert _share_at(7, 0).x == 7
-
-
-@pytest.mark.parametrize("x", [0, -1, -7, "2", 2.0, None])
-def test_share_at_rejects_non_positive_or_non_int_points(x):
-    with pytest.raises(ValueError, match="share evaluation point"):
-        _share_at(x, 42)
 
 
 def _signer_with_session(seed=0):
     rng = random.Random(seed)
     public, states = deal_initial_states(GROUP, n=5, threshold=2, rng=rng)
     signer = ThresholdSigner(states[0], DirectTransport())
-    session = _Session(message_bytes=b"m", start_round=0)
+    session = _Session(
+        message_bytes=b"m", start_round=0, nonces=DealingRound(GROUP, 5, 2, me=0)
+    )
     dealer = FeldmanDealer(GROUP, n=5, threshold=2)
     for d in range(1, 4):
         dealing = dealer.deal(rng.randrange(GROUP.q), rng)
-        session.dealings[d] = _Dealing(
-            commitment=dealing.commitment,
-            my_share_value=dealing.shares[0].value,
-        )
+        session.nonces.dealings[d] = (dealing.commitment, dealing.shares[0].value)
     return signer, session
 
 
@@ -60,8 +43,8 @@ def test_group_nonce_rejects_duplicate_dealers():
 def test_group_nonce_is_product_of_public_constants():
     signer, session = _signer_with_session(seed=1)
     expected = GROUP.multiply(
-        session.dealings[1].commitment.public_constant,
-        session.dealings[2].commitment.public_constant,
+        session.nonces.dealings[1][0].public_constant,
+        session.nonces.dealings[2][0].public_constant,
     )
     assert signer._group_nonce(session, (1, 2)) == expected
     # empty qualified set is the group identity (vacuous product)

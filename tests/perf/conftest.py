@@ -10,7 +10,7 @@ import pytest
 
 from repro.crypto.group import SchnorrGroup
 from repro.crypto.schnorr import SchnorrScheme
-from repro.pds import dkg, refresh
+from repro.pds import dealing
 from repro.pds.threshold_schnorr import ThresholdSigner
 from repro.perf import clear_all_caches
 from tests.helpers import euler_member, pow_product
@@ -51,8 +51,7 @@ def per_item(monkeypatch):
 
     def apply():
         monkeypatch.setattr(SchnorrScheme, "batch_verify", lambda self, items: False)
-        monkeypatch.setattr(refresh, "verify_shares_batch", _per_share)
-        monkeypatch.setattr(dkg, "verify_shares_batch", _per_share)
+        monkeypatch.setattr(dealing, "verify_shares_batch", _per_share)
         monkeypatch.setattr(ThresholdSigner, "_verify_partials", one_at_a_time)
         for name, plain in PLAIN_POW_ENGINE.items():
             monkeypatch.setattr(SchnorrGroup, name, plain)

@@ -26,7 +26,7 @@ from repro.crypto.shamir import Share
 from repro.faults import FaultInjectionAdversary, FaultPlan
 from repro.pds.harness import PdsNodeProgram, required_refresh_rounds
 from repro.pds.keys import deal_initial_states
-from repro.pds.refresh import RefreshService, _Phase
+from repro.pds.refresh import RefreshService
 from repro.pds.transport import DirectTransport
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.clock import Schedule
@@ -73,7 +73,7 @@ def _drive_zero_deals() -> tuple[set, dict]:
     rng = random.Random(31)
     public, states = deal_initial_states(GROUP, n=N, threshold=T, rng=rng)
     service = RefreshService(states[0], DirectTransport())
-    phase = _Phase(unit=1, start_round=0)
+    phase = service._open(unit=1, start_round=0)
     dealer = FeldmanDealer(GROUP, n=N, threshold=T)
     my_x = states[0].share_index
     run = []
@@ -87,7 +87,7 @@ def _drive_zero_deals() -> tuple[set, dict]:
     run.append((4, ("rf-zdeal", 1, nonzero.commitment.elements,
                     nonzero.shares[my_x - 1].value)))
     service._on_zero_deals(run, phase)
-    return service.rejected_dealers, phase.zero_dealings
+    return service.rejected_dealers, phase.zeros.dealings
 
 
 def test_zero_deal_blame_deterministic(perf, per_item):
@@ -100,14 +100,14 @@ def test_zero_deal_blame_deterministic(perf, per_item):
     assert rejected_batched == rejected_single == {(1, 3), (1, 4)}
     for dealings in (dealings_batched, dealings_single):
         # the forged dealing is recorded with an unusable share ...
-        assert dealings[3].my_share_value is None
+        assert dealings[3][1] is None
         # ... the non-zero dealing is rejected outright (never acked)
         assert 4 not in dealings
         # honest dealers' sub-shares survive
-        assert dealings[1].my_share_value is not None
-        assert dealings[2].my_share_value is not None
-    assert {d: z.my_share_value for d, z in dealings_batched.items()} == \
-        {d: z.my_share_value for d, z in dealings_single.items()}
+        assert dealings[1][1] is not None
+        assert dealings[2][1] is not None
+    assert {d: value for d, (_, value) in dealings_batched.items()} == \
+        {d: value for d, (_, value) in dealings_single.items()}
 
 
 # --------------------------------------- corrupted-signer AL parity
