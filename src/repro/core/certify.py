@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.crypto.hashing import encode_for_hash
-from repro.crypto.schnorr import SchnorrScheme, SchnorrVerifyKey, scheme_for_group
+from repro.crypto.schnorr import SchnorrScheme, SchnorrSignature, SchnorrVerifyKey, scheme_for_group
 from repro.crypto.signature import SignatureError, SignatureScheme
 from repro.core.keystore import LocalKeys, certificate_assertion
 from repro.pds.keys import PdsPublic
@@ -29,6 +29,7 @@ from repro.perf.cache import (
     cached_verify,
     canonical_encoding,
     lookup_verify,
+    seed_canonical_key,
     store_verify,
 )
 from repro.perf.registry import register_cache_clearer
@@ -91,6 +92,9 @@ class CertifiedMessage(tuple):
 # reuse its identity-memoized encoding instead of being re-walked once per
 # destination — the bytes are identical to encoding the whole tuple.
 _SIGNED_HEADER = b"L" + (6).to_bytes(8, "big") + encode_for_hash("auth-msg")
+# the 8-tuple ⟨m, i, j, u, w, σ, v, cert⟩ encodes as its own list header,
+# the five element encodings the signed body ends with, then σ, v, cert
+_WIRE_HEADER = b"L" + (8).to_bytes(8, "big")
 
 
 def _signed_bytes(message: Any, source: int, destination: int, unit: int, round_w: int) -> bytes:
@@ -161,6 +165,17 @@ def certify(
     # the sender already paid for the signed-body encoding; seed the memo
     # so no verifier of this object ever recomputes it
     _SIGNED_BYTES_MEMO.put(msg, body)
+    # and its wire encoding, the key DISPERSE and PARTIAL-AGREEMENT
+    # recognise its copies by (other schemes' messages are keyed on use)
+    if type(signature) is SchnorrSignature:
+        key_encoding = keys.key_encoding
+        if key_encoding is not None:
+            seed_canonical_key(msg, b"".join((
+                _WIRE_HEADER,
+                body[len(_SIGNED_HEADER):],
+                encode_for_hash(signature),
+                key_encoding,
+            )))
     return msg
 
 

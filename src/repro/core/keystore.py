@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
+from repro.crypto.hashing import encode_for_hash
 from repro.crypto.signature import KeyPair, SignatureScheme
 from repro.perf.cache import invalidate_verify_key
 
@@ -45,6 +47,17 @@ class LocalKeys:
     def usable(self) -> bool:
         """True iff the node can CERTIFY messages with these keys."""
         return self.keypair is not None and self.certificate is not None
+
+    @cached_property
+    def key_encoding(self) -> bytes | None:
+        """The encodings of the verify key and the certificate, which end
+        the wire encoding of every message these keys certify (None when
+        either cannot be encoded).  Read only once the keys are usable:
+        neither changes after that."""
+        try:
+            return encode_for_hash(self.keypair.verify_key) + encode_for_hash(self.certificate)
+        except TypeError:
+            return None
 
 
 class KeyStore:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from repro.crypto.field import Polynomial
 from repro.crypto.group import SchnorrGroup
-from repro.crypto.hashing import encode_for_hash, hash_to_int, tagged_hash
+from repro.crypto.hashing import batch_coefficients, encode_for_hash, tagged_hash
 from repro.crypto.shamir import Share, ShamirDealer
 from repro.perf.share_image import share_image_value
 
@@ -140,10 +140,12 @@ def verify_shares_batch(
     whole batch, checked with one random-linear-combination equation.
 
     Mirrors :meth:`repro.crypto.schnorr.SchnorrScheme.batch_verify`:
-    coefficients ``c_i ∈ [1, q)`` come from a Fiat–Shamir hash of the whole
-    batch (every commitment vector, evaluation point and claimed value), so
-    the check is deterministic and an adversary cannot pick shares after
-    the coefficients are fixed.  The verified equation is
+    full-length coefficients ``c_i ∈ [1, q)`` come from one
+    :func:`~repro.crypto.hashing.batch_coefficients` stream keyed by a
+    Fiat–Shamir hash of the whole batch (every commitment vector,
+    evaluation point and claimed value), so the check is deterministic
+    and an adversary cannot pick shares after the coefficients are
+    fixed.  The verified equation is
 
         g^(Σ c_i·v_i)  ==  Π_i Π_k elements_{i,k}^{c_i·x_i^k}
 
@@ -170,8 +172,8 @@ def verify_shares_batch(
     )
     value_total = 0
     base_exponents: dict[int, int] = {}
-    for index, (commitment, share) in enumerate(items):
-        c = 1 + hash_to_int(_BATCH_TAG, q - 1, transcript, index)
+    coefficients = batch_coefficients(_BATCH_TAG, transcript, len(items), q)
+    for c, (commitment, share) in zip(coefficients, items):
         value_total = (value_total + c * share.value) % q
         power_of_x = 1
         for element in commitment.elements:

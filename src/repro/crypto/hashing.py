@@ -1,6 +1,8 @@
-"""Hashing utilities: domain-separated SHA-256, hash-to-integer, and a PRF.
+"""Hashing utilities: domain-separated SHA-256, hash-to-integer, batch
+coefficients, a canonical value encoding, and a PRF.
 
-Every hash in this package goes through :func:`tagged_hash` so distinct
+Every hash in this package is keyed by a domain tag (:func:`tagged_hash`,
+and the SHAKE-256 stream of :func:`batch_coefficients`) so distinct
 protocol uses (Schnorr challenges, Merkle nodes, certificate bodies, ...)
 live in disjoint domains — a message signed in one role can never collide
 with a message signed in another.  This mirrors the paper's insistence on
@@ -18,7 +20,9 @@ __all__ = [
     "sha256",
     "tagged_hash",
     "hash_to_int",
+    "batch_coefficients",
     "encode_for_hash",
+    "register_record",
     "prf",
     "DIGEST_BYTES",
 ]
@@ -55,12 +59,29 @@ def tagged_hash(tag: str, *chunks: bytes) -> bytes:
     return h.digest()
 
 
+#: exact type -> (encoding prefix, field names) of the record types that
+#: encode by value; filled by :func:`register_record`
+_RECORDS: dict[type, tuple[bytes, tuple[str, ...]]] = {}
+
+
+def register_record(cls: type, *fields: str) -> None:
+    """Make instances of exactly ``cls`` (not of a subclass) encodable:
+    ``R``, the class name, then the tuple of ``fields``.  No tuple
+    encoding starts with ``R``, so a record never encodes like the tuple
+    of its own fields."""
+    header = b"L" + len(fields).to_bytes(8, "big")
+    _RECORDS[cls] = (b"R" + encode_for_hash(cls.__name__) + header, fields)
+
+
 def encode_for_hash(value: object) -> bytes:
     """Deterministically encode common values for hashing.
 
-    Supports ``bytes``, ``str``, ``int``, ``bool``, ``None`` and (nested)
-    tuples/lists of those.  Every encoding is self-delimiting, so distinct
-    structures never encode to the same byte string.
+    Supports ``bytes``, ``str``, ``int``, ``bool``, ``None``, (nested)
+    tuples and lists of those, and the types of :func:`register_record`.
+    Every encoding is self-delimiting and starts with a type tag, so
+    distinct structures never encode to the same byte string.  The
+    encoding is also the dedup key of a wire body, so a list and a tuple
+    must encode apart (docs/PROTOCOLS.md §12).
     """
     # exact-type dispatch first — ints and tuples dominate protocol
     # traffic, and ``type(x) is int`` safely excludes bool.  Subclasses
@@ -70,7 +91,7 @@ def encode_for_hash(value: object) -> bytes:
     if kind is int:
         raw = value.to_bytes((value.bit_length() + 8) // 8 + 1, "big", signed=True)
         return b"I" + len(raw).to_bytes(8, "big") + raw
-    if kind is tuple or kind is list:
+    if kind is tuple:
         parts = [encode_for_hash(item) for item in value]
         return b"L" + len(parts).to_bytes(8, "big") + b"".join(parts)
     if kind is str:
@@ -82,22 +103,24 @@ def encode_for_hash(value: object) -> bytes:
         return b"T" if value else b"F"
     if value is None:
         return b"N"
+    record = _RECORDS.get(kind)
+    if record is not None:
+        prefix, fields = record
+        return prefix + b"".join(encode_for_hash(getattr(value, name)) for name in fields)
     if isinstance(value, bytes):
         return b"B" + len(value).to_bytes(8, "big") + value
     if isinstance(value, str):
         raw = value.encode("utf-8")
         return b"S" + len(raw).to_bytes(8, "big") + raw
-    if isinstance(value, bool):  # must precede int (bool is a subclass)
-        return b"T" if value else b"F"
     if isinstance(value, int):
         raw = value.to_bytes((value.bit_length() + 8) // 8 + 1, "big", signed=True)
         return b"I" + len(raw).to_bytes(8, "big") + raw
-    if value is None:
-        return b"N"
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, tuple):
         parts = [encode_for_hash(item) for item in value]
-        body = b"".join(parts)
-        return b"L" + len(parts).to_bytes(8, "big") + body
+        return b"L" + len(parts).to_bytes(8, "big") + b"".join(parts)
+    if isinstance(value, list):
+        parts = [encode_for_hash(item) for item in value]
+        return b"A" + len(parts).to_bytes(8, "big") + b"".join(parts)
     raise TypeError(f"cannot encode {type(value).__name__} for hashing")
 
 
@@ -118,6 +141,25 @@ def hash_to_int(tag: str, modulus: int, *values: object) -> int:
         acc = (acc << (8 * DIGEST_BYTES)) | int.from_bytes(digest, "big")
         counter += 1
     return acc % modulus
+
+
+def batch_coefficients(tag: str, transcript: bytes, count: int, q: int) -> list[int]:
+    """The ``count`` Fiat–Shamir coefficients of one
+    random-linear-combination batch check, from one SHAKE-256 stream
+    keyed by ``tag`` and the batch ``transcript``.
+
+    Each coefficient reduces ``|q| + 128`` bits of the stream into
+    ``[1, q - 1]``, the range and margin of ``hash_to_int``: full-length
+    coefficients, so a bad item passes with probability at most ``1/q``
+    (docs/PROTOCOLS.md §12).
+    """
+    width = (q.bit_length() + 128 + 7) // 8
+    tag_digest = _tag_digest(tag)
+    stream = hashlib.shake_256(tag_digest + tag_digest + transcript).digest(count * width)
+    return [
+        1 + int.from_bytes(stream[start:start + width], "big") % (q - 1)
+        for start in range(0, count * width, width)
+    ]
 
 
 def prf(key: bytes, *values: object) -> bytes:

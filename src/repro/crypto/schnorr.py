@@ -31,7 +31,13 @@ from functools import lru_cache
 from typing import Sequence
 
 from repro.crypto.group import SchnorrGroup, named_group
-from repro.crypto.hashing import encode_for_hash, hash_to_int, tagged_hash
+from repro.crypto.hashing import (
+    batch_coefficients,
+    encode_for_hash,
+    hash_to_int,
+    register_record,
+    tagged_hash,
+)
 from repro.crypto.signature import KeyPair, SignatureScheme
 from repro.perf.registry import register_cache_clearer
 
@@ -69,6 +75,12 @@ class SchnorrSignature:
 
     commitment: int  # R = g^k
     response: int  # s = k + e*x mod q
+
+
+# a certified message carries a signature and a verify key, and DISPERSE
+# recognises its copies by encode_for_hash (docs/PROTOCOLS.md §12)
+register_record(SchnorrVerifyKey, "y")
+register_record(SchnorrSignature, "commitment", "response")
 
 
 @lru_cache(maxsize=16384)
@@ -170,9 +182,11 @@ class SchnorrScheme(SignatureScheme):
         """Check many ``(verify_key, message, signature)`` triples with
         one random-linear-combination equation.
 
-        Draws coefficients ``c_i ∈ [1, q)`` by Fiat–Shamir from a hash of
-        the *whole batch* (keys, commitments, responses and messages), so
-        the check is deterministic — replays reproduce it bit-for-bit —
+        Draws full-length coefficients ``c_i ∈ [1, q)`` by Fiat–Shamir
+        from a hash of the *whole batch* (keys, commitments, responses
+        and messages), all from one
+        :func:`~repro.crypto.hashing.batch_coefficients` stream, so the
+        check is deterministic — replays reproduce it bit-for-bit —
         while an adversary cannot choose signatures after the
         coefficients are fixed.  The verified equation is
 
@@ -207,8 +221,8 @@ class SchnorrScheme(SignatureScheme):
         )
         s_total = 0
         exponents: dict[int, int] = {}  # base (R_i or key y) -> exponent
-        for index, (verify_key, message, signature) in enumerate(items):
-            c = 1 + hash_to_int(_BATCH_TAG, q - 1, transcript, index)
+        coefficients = batch_coefficients(_BATCH_TAG, transcript, len(items), q)
+        for c, (verify_key, message, signature) in zip(coefficients, items):
             e = self.challenge(signature.commitment, verify_key.y, message)
             s_total = (s_total + c * signature.response) % q
             exponents[signature.commitment] = exponents.get(signature.commitment, 0) + c

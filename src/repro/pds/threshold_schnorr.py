@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.crypto.hashing import encode_for_hash, hash_to_int, tagged_hash
+from repro.crypto.hashing import batch_coefficients, encode_for_hash, tagged_hash
 from repro.crypto.schnorr import SchnorrSignature, SchnorrVerifyKey, scheme_for_group
 from repro.pds.dealing import DealingRound
 from repro.pds.keys import PdsNodeState
@@ -432,8 +432,10 @@ class ThresholdSigner:
             g^(Σ c_j·s_j)  ==  Π nonce_image_j^{c_j} · key_image_j^{c_j·e_j}
 
         with the right-hand side one multi-exponentiation and the
-        coefficients drawn by Fiat–Shamir from every
-        ``(share_index, value, nonce_image, key_image, e)`` of the batch.
+        coefficients drawn by Fiat–Shamir, from one
+        :func:`~repro.crypto.hashing.batch_coefficients` stream keyed by
+        every ``(share_index, value, nonce_image, key_image, e)`` of the
+        batch.
         On batch failure the fallback re-checks each emitter individually
         (the only place an item's own right-hand side is computed), so
         blame attribution is identical to the unbatched path.
@@ -479,10 +481,10 @@ class ThresholdSigner:
             )
             value_total = 0
             terms: list[tuple[int, int]] = []
-            for index, (_, _, value, nonce_image, key_image, challenge) in enumerate(
-                checkable
+            coefficients = batch_coefficients(_PBATCH_TAG, transcript, len(checkable), q)
+            for c, (_, _, value, nonce_image, key_image, challenge) in zip(
+                coefficients, checkable
             ):
-                c = 1 + hash_to_int(_PBATCH_TAG, q - 1, transcript, index)
                 value_total = (value_total + c * value) % q
                 terms.append((nonce_image, c))
                 terms.append((key_image, c * challenge))

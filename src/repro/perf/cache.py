@@ -21,8 +21,11 @@ Two caches live here:
   wire bodies *by object identity*.  The simulator passes message bodies
   by reference (one flood shares one body object across all relays and
   receivers), so DISPERSE's per-round ``encode_for_hash`` of the same
-  body collapses to a dict lookup.  Entries hold a strong reference to
-  the body, so an id can never be recycled while its entry is alive.
+  body collapses to a dict lookup.  CERTIFY seeds the entry of every
+  Schnorr-keyed message it returns (:func:`seed_canonical_key`), so an
+  honest certified message is never encoded here at all.  Entries hold a
+  strong reference to the body, so an id can never be recycled while its
+  entry is alive.
 
 The caches only ever memoize pure functions under exact keys, so they are
 transcript-neutral: every execution is bit-identical to the same execution
@@ -48,6 +51,7 @@ __all__ = [
     "canonical_body_key",
     "canonical_encoding",
     "canonical_probe",
+    "seed_canonical_key",
 ]
 
 
@@ -249,11 +253,19 @@ def canonical_body_key(body: Any) -> Hashable:
     """The canonical dedup key of a wire body — ``encode_for_hash`` when
     encodable, ``repr`` otherwise — memoized by object identity.
 
-    This is byte-for-byte the key DISPERSE always used; the cache only
-    removes the re-encoding cost for bodies that flow through many relay
-    hops and dedup checks per round.
+    ``repr`` serves only bodies holding a value that cannot be encoded,
+    which only injected traffic carries (a ``str`` key never equals a
+    ``bytes`` one).  The cache only removes the re-encoding cost for
+    bodies that flow through many relay hops and dedup checks per round.
     """
     return _CANONICAL.get(body, _encode_or_repr)
+
+
+def seed_canonical_key(body: Any, encoding: bytes) -> None:
+    """Record ``encoding``, which must equal ``encode_for_hash(body)``,
+    as the canonical key of ``body`` (CERTIFY builds it from the bytes it
+    has just signed)."""
+    _CANONICAL.put(body, encoding)
 
 
 def canonical_encoding(body: Any) -> bytes:

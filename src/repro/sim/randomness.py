@@ -36,7 +36,7 @@ class RandomnessSource:
 
     def stream(self, *labels: object) -> random.Random:
         """A fresh ``random.Random`` determined by the labels."""
-        material = prf(self._key, list(labels))
+        material = prf(self._key, labels)
         return random.Random(int.from_bytes(material, "big"))
 
     def node_round(self, node_id: int, round_number: int) -> random.Random:

@@ -6,13 +6,19 @@ import pytest
 
 from repro.core import auth_send
 from repro.core.auth_send import AuthSendTransport
+from repro.core.authenticator import compile_protocol
 from repro.core.certify import CertifiedMessage, certify, ver_cert, verify_certified_body
 from repro.core.disperse import DISPERSE_CHANNEL
 from repro.core.keystore import KeyStore, LocalKeys, certificate_assertion
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import named_group
-from repro.crypto.schnorr import SchnorrScheme
+from repro.crypto.hashing import encode_for_hash
+from repro.crypto.schnorr import SchnorrScheme, SchnorrSignature
+from repro.perf import cache, clear_all_caches
+from repro.perf.cache import canonical_body_key, canonical_probe
 from repro.sim.adversary_api import PassiveAdversary
+from repro.sim.clock import Phase
+from repro.sim.node import NodeProgram
 from repro.sim.runner import ULRunner
 
 GROUP = named_group("toy64")
@@ -158,6 +164,69 @@ def test_certified_messages_travel_as_themselves(monkeypatch, wire):
     ]
     assert bodies and all(type(body) is CertifiedMessage for body in bodies)
     assert accepted and all(issued.get(id(a.raw)) is a.raw for a in accepted)
+
+
+class _Ping(NodeProgram):
+    """π for Λ: every normal round, each node pings its successor."""
+
+    def step(self, ctx, inbox):
+        if ctx.info.phase is Phase.NORMAL:
+            ctx.send((self.node_id + 1) % self.n, "ping", ("ping", ctx.info.round))
+
+
+def _run_honest(network, wire):
+    clear_all_caches()
+    _, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=7)
+    if network == "authenticator":
+        programs = compile_protocol([_Ping() for _ in range(N)], states, SCHEME, keys,
+                                    wire=wire)
+    else:
+        programs = [UlsProgram(states[i], SCHEME, keys[i], wire=wire) for i in range(N)]
+    sched = uls_schedule()
+    runner = ULRunner(programs, PassiveAdversary(), sched, s=T, seed=3)
+    runner.add_external_input(0, sched.setup_rounds + 1, ("sign", ("doc", 1)))
+    return runner.run(units=2)
+
+
+@pytest.mark.parametrize("network", ["uls", "authenticator"])
+def test_wire_key_is_the_canonical_encoding(monkeypatch, network, wire):
+    """CERTIFY seeds the key DISPERSE and PARTIAL-AGREEMENT recognise a
+    message by, and that key is the message's own canonical encoding."""
+    seeded = []
+
+    def recording_certify(*args, **kwargs):
+        msg = certify(*args, **kwargs)
+        if msg is not None:
+            entries, _ = canonical_probe()
+            entry = entries.get(id(msg))
+            seeded.append((msg, entry[1] if entry is not None and entry[0] is msg else None))
+        return msg
+
+    monkeypatch.setattr(auth_send, "certify", recording_certify)
+    _run_honest(network, wire)
+    assert seeded
+    for msg, key in seeded:
+        assert type(key) is bytes
+        assert key == encode_for_hash(tuple(msg)) == canonical_body_key(msg)
+
+
+def test_honest_certified_messages_are_never_encoded_for_dedup(monkeypatch, wire):
+    """No Schnorr-keyed certified message of an honest run reaches the
+    encode-or-repr fallback of the canonical-key memo: each one's key was
+    seeded when it was certified."""
+    calls = {"certified": 0, "all": 0}
+    encode_or_repr = cache._encode_or_repr
+
+    def counting(body):
+        calls["all"] += 1
+        if isinstance(body, CertifiedMessage) and type(body.signature) is SchnorrSignature:
+            calls["certified"] += 1
+        return encode_or_repr(body)
+
+    monkeypatch.setattr(cache, "_encode_or_repr", counting)
+    _run_honest("uls", wire)
+    assert calls["all"] > 0
+    assert calls["certified"] == 0
 
 
 def test_certificate_assertion_format():

@@ -8,6 +8,10 @@ not an honest shape, so a run with one forged envelope has the same
 outcome as the passive run, and a run flooded with random garbage still
 completes.
 
+A forged copy of a genuine certified message, in another shape, must not
+stand in for it either: DISPERSE keeps one copy per key, so a copy that
+shared the genuine message's key would shadow it (Lemma 15).
+
 A broken node can also certify garbage under its own keys (§4.2), and
 that passes VER-CERT.  The handlers behind AUTH-SEND must drop it too: a
 run with one such body has the outcome of the same break-in without it.
@@ -18,6 +22,7 @@ import random
 import pytest
 
 from repro.analysis.digest import outcome_digest
+from repro.core.authenticator import compile_protocol
 from repro.core.certify import CertifiedMessage, certify, ver_cert
 from repro.core.disperse import DISPERSE_CHANNEL
 from repro.core.uls import NEWKEY_CHANNEL, UlsProgram, build_uls_states, uls_schedule
@@ -25,6 +30,8 @@ from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
 from repro.perf import clear_all_caches
 from repro.sim.adversary_api import Adversary, PassiveAdversary, faithful_delivery
+from repro.sim.clock import Phase
+from repro.sim.node import NodeProgram
 from repro.sim.runner import ULRunner
 
 GROUP = named_group("toy64")
@@ -184,6 +191,77 @@ def test_random_injection_completes(seed):
     injector = _RandomInjector(seed)
     _run(injector)
     assert injector.injected > 0
+
+
+# ------------------------------------------ copies of another shape
+
+APP_PAYLOAD = ("ping", 7)
+
+#: name -> the forged copy of node 0's genuine certified message ``msg``
+SHADOWS = {
+    "message-as-list": lambda msg: (list(msg.message),) + tuple(msg[1:]),
+    "plain-8-tuple": lambda msg: tuple(msg),
+    "signature-as-tuple": lambda msg: tuple(msg[:5])
+    + ((msg.signature.commitment, msg.signature.response),) + tuple(msg[6:]),
+}
+
+
+class _SendOnce(NodeProgram):
+    """π for Λ: node 0 sends node 1 one app message, in the first normal
+    round."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent = False
+
+    def step(self, ctx, inbox):
+        if self.node_id == 0 and not self.sent and ctx.info.phase is Phase.NORMAL:
+            ctx.send(1, "app", APP_PAYLOAD)
+            self.sent = True
+
+
+class _ShadowOnce(Adversary):
+    """Delivers faithfully.  In the round node 0 floods its app message
+    to node 1, puts one ``("fwd", "auth", 0, 1, make(msg))`` first in
+    node 1's inbox, ahead of every genuine copy."""
+
+    def __init__(self, make):
+        self.make = make
+        self.injected = 0
+
+    def deliver(self, api, info, traffic):
+        plan = faithful_delivery(traffic, api.n)
+        for envelope in traffic:
+            payload = envelope.payload
+            if self.injected or envelope.channel != DISPERSE_CHANNEL:
+                continue
+            if payload[:4] == ("fwd", "auth", 0, 1) and payload[4].message[0] == "app":
+                plan[VICTIM].insert(0, api.forge_envelope(
+                    0, VICTIM, DISPERSE_CHANNEL, ("fwd", "auth", 0, 1, self.make(payload[4]))))
+                self.injected += 1
+        return plan
+
+
+def _app_received(adversary):
+    clear_all_caches()
+    _, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=7)
+    programs = compile_protocol([_SendOnce() for _ in range(N)], states, SCHEME, keys)
+    execution = ULRunner(programs, adversary, uls_schedule(), s=T, seed=3).run(units=1)
+    return [entry for entry in execution.outputs_of(VICTIM)
+            if isinstance(entry, tuple) and entry[0] == "app-recv"]
+
+
+@pytest.mark.parametrize("name", sorted(SHADOWS))
+def test_copy_of_another_shape_cannot_shadow_the_message(name):
+    """Node 1 delivers node 0's app message whatever copy arrives first.
+    A list and a tuple, or a Schnorr record and the tuple of its fields,
+    encode apart; if they did not, the forged copy would take the genuine
+    message's DISPERSE key and the genuine copies would be dropped as
+    duplicates."""
+    assert _app_received(PassiveAdversary()) == [("app-recv", 0, "app", APP_PAYLOAD)]
+    shadow = _ShadowOnce(SHADOWS[name])
+    assert _app_received(shadow) == [("app-recv", 0, "app", APP_PAYLOAD)]
+    assert shadow.injected == 1
 
 
 # ------------------------------------------- certified by a broken node

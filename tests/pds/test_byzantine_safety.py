@@ -34,16 +34,26 @@ SIGN_ROUND = SCHED.first_normal_round(0)
 
 
 class ByzantineSigner(Adversary):
-    """Breaks one node and replays distorted copies of the signing
-    traffic it observes: corrupted shares in dealings, random partials,
-    equivocated commitments to half the nodes."""
+    """Breaks one node in the signing round and replays distorted copies
+    of the signing traffic it observes: corrupted shares in dealings,
+    random partials (one body each or a round's plural ``ts-partials``),
+    equivocated commitments to half the nodes.  ``sent`` counts the
+    distorted bodies sent."""
 
     def __init__(self, victim: int, mode: str) -> None:
         self.victim = victim
         self.mode = mode
+        self.sent = 0
+
+    def _send(self, api, body, to=None, distorted=True) -> None:
+        for receiver in range(api.n):
+            if receiver != self.victim and (to is None or to(receiver)):
+                api.send_as(self.victim, receiver, "pds", body)
+                self.sent += distorted
 
     def on_round(self, api, info, traffic) -> None:
-        if info.round == SIGN_ROUND - 1:
+        # the runner calls the adversary from the first normal round on
+        if info.round == SIGN_ROUND:
             api.break_into(self.victim)
         if not api.is_broken(self.victim):
             return
@@ -54,17 +64,17 @@ class ByzantineSigner(Adversary):
             payload = envelope.payload
             if payload[0] == "ts-deal" and self.mode == "bad-shares":
                 # re-send the observed dealing with corrupted share values
-                corrupted = (payload[0], payload[1], payload[2], payload[3],
-                             rng.randrange(GROUP.q))
-                for receiver in range(api.n):
-                    if receiver != self.victim:
-                        api.send_as(self.victim, receiver, "pds", corrupted)
+                self._send(api, (payload[0], payload[1], payload[2], payload[3],
+                                 rng.randrange(GROUP.q)))
             elif payload[0] == "ts-partial" and self.mode == "bad-partials":
-                forged = (payload[0], payload[1], self.victim + 1, payload[3],
-                          rng.randrange(GROUP.q))
-                for receiver in range(api.n):
-                    if receiver != self.victim:
-                        api.send_as(self.victim, receiver, "pds", forged)
+                self._send(api, (payload[0], payload[1], self.victim + 1, payload[3],
+                                 rng.randrange(GROUP.q)))
+            elif payload[0] == "ts-partials" and self.mode == "bad-partials":
+                # the aggregated wire's plural form: (sid, index, qual, value)
+                self._send(api, (payload[0], tuple(
+                    (sid, self.victim + 1, qual, rng.randrange(GROUP.q))
+                    for sid, _index, qual, _value in payload[1]
+                )))
             elif payload[0] == "ts-deal" and self.mode == "equivocate":
                 # send two different (valid-looking) commitment vectors to
                 # the two halves of the network
@@ -74,10 +84,9 @@ class ByzantineSigner(Adversary):
                 )
                 fake = (payload[0], payload[1], payload[2], fake_elements,
                         rng.randrange(GROUP.q))
-                for receiver in range(api.n):
-                    if receiver != self.victim:
-                        chosen = fake if receiver % 2 == 0 else payload
-                        api.send_as(self.victim, receiver, "pds", chosen)
+                self._send(api, fake, to=lambda receiver: receiver % 2 == 0)
+                self._send(api, payload, to=lambda receiver: receiver % 2 == 1,
+                           distorted=False)
 
 
 @pytest.mark.parametrize("mode", ["bad-shares", "bad-partials", "equivocate"])
@@ -89,6 +98,7 @@ def test_byzantine_participant_cannot_break_safety(mode, wire):
     for i in range(N):
         runner.add_external_input(i, SIGN_ROUND, ("sign", "target"))
     execution = runner.run(units=1)
+    assert adversary.sent >= 1
 
     # outcome 1 or 2: a correct signature, or nothing — never garbage
     for program in programs[:4]:  # honest nodes
@@ -114,6 +124,7 @@ def test_liveness_survives_noise_from_one_byzantine_node(mode, wire):
     for i in range(N):
         runner.add_external_input(i, SIGN_ROUND, ("sign", "robust"))
     runner.run(units=1)
+    assert adversary.sent >= 1
     signed = sum(1 for p in programs[:4] if ("robust", 0) in p.signatures)
     assert signed >= T + 1
     signature = next(p.signatures[("robust", 0)] for p in programs[:4]
