@@ -5,7 +5,9 @@
 - :mod:`repro.adversary.connectivity` — reliable links and s-operational
   node tracking (Definitions 4–6).
 - :mod:`repro.adversary.limits` — t-limited / (s,t)-limited audits
-  (Definitions 3 and 7).
+  (Definitions 3 and 7), folded through the one per-unit count,
+  :class:`~repro.adversary.limits.UnitLedger`, that the runtime monitor
+  also keeps.
 - :mod:`repro.adversary.strategies` — concrete attack strategies used by
   the experiments (mobile break-ins, link droppers/modifiers, the §1.1
   cut-off impersonation attack, the §5.1 injection flood, replay).

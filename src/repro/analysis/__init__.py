@@ -1,11 +1,16 @@
-"""Post-hoc analysis of executions.
+"""Analysis of executions, live or post hoc.
 
 - :mod:`repro.analysis.goodness` — the Definition 17/18 classification
   (GOOD vs BAD1/BAD2/BAD3) that drives the Theorem 14 experiments.
-- :mod:`repro.analysis.emulation` — finite emulation invariants derived
-  from the ideal signing process (§3.1, Lemmas 26–28).
-- :mod:`repro.analysis.monitor` — the same invariants evaluated
-  *during* the run (attach to a runner as an observer; fail-fast).
+- :mod:`repro.analysis.monitor` — the one implementation of the
+  emulation invariants I1–I3 and the per-round Definition 7 limit,
+  evaluated *during* the run (attach to a runner as an observer;
+  fail-fast).
+- :mod:`repro.analysis.emulation` — the invariants' definitions (§3.1,
+  Lemmas 26–28) and their post-hoc check, which replays a finished
+  execution through the monitor (:func:`repro.sim.runner.replay`).
+- :mod:`repro.analysis.awareness` — the §5.1 global-awareness signal,
+  read from the same replay.
 - :mod:`repro.analysis.metrics` — message/alert/availability statistics.
 - :mod:`repro.analysis.digest` — canonical transcript digests (the
   determinism-replay primitive).

@@ -8,16 +8,18 @@ the system as a whole can still notice: under a genuinely (t,t)-limited
 adversary at most ``t`` nodes per unit can be impaired, so **more than
 t alerting nodes in one unit is proof the adversary exceeded the model**.
 
-:func:`global_awareness` scans an execution for that signal.  Operators
-in the paper's deployment story would treat it as the trigger for
-out-of-band recovery.
+:func:`global_awareness` scans an execution for that signal, reading each
+unit's alerting nodes from a replay of the runtime invariant monitor.
+Operators in the paper's deployment story would treat it as the trigger
+for out-of-band recovery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.sim.node import ALERT
+from repro.analysis.monitor import RuntimeInvariantMonitor
+from repro.sim.runner import replay
 from repro.sim.transcript import Execution
 
 __all__ = ["GlobalAwarenessReport", "global_awareness"]
@@ -41,18 +43,7 @@ class GlobalAwarenessReport:
 
 def global_awareness(execution: Execution, t: int) -> GlobalAwarenessReport:
     """Compute the §5.1 global-awareness signal for an execution."""
-    alerting: dict[int, frozenset[int]] = {}
-    exceeded: list[int] = []
-    for unit in range(execution.units()):
-        nodes = frozenset(
-            node
-            for node in range(execution.n)
-            if any(entry == ALERT for entry in execution.outputs_of_in_unit(node, unit))
-        )
-        if nodes:
-            alerting[unit] = nodes
-        if len(nodes) > t:
-            exceeded.append(unit)
-    return GlobalAwarenessReport(
-        t=t, alerting_nodes=alerting, model_exceeded_units=tuple(exceeded)
-    )
+    monitor = replay(execution, RuntimeInvariantMonitor(t, fail_fast=False))
+    alerting = monitor.alerting_nodes()
+    exceeded = tuple(unit for unit, nodes in alerting.items() if len(nodes) > t)
+    return GlobalAwarenessReport(t=t, alerting_nodes=alerting, model_exceeded_units=exceeded)

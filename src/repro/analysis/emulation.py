@@ -18,6 +18,11 @@ a working distinguisher — experiments assert zero violations:
 - **I3 (alert soundness)**: a node that stayed operational through a
   whole unit never alerts in it (t-emulation makes alerts impossible for
   operational nodes — §2.3).
+
+The invariants are implemented once, in
+:class:`~repro.analysis.monitor.RuntimeInvariantMonitor`, which also
+fixes when each one is decided; :func:`check_emulation_invariants`
+replays a finished execution through it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.sim.node import ALERT
+from repro.analysis.monitor import RuntimeInvariantMonitor
+from repro.sim.runner import replay
 from repro.sim.transcript import Execution
 
 __all__ = ["EmulationReport", "check_emulation_invariants"]
@@ -42,63 +48,16 @@ class EmulationReport:
         return not self.violations
 
 
-def _operational_throughout_unit(execution: Execution, unit: int) -> frozenset[int]:
-    nodes = frozenset(range(execution.n))
-    for record in execution.rounds_in_unit(unit):
-        nodes &= record.operational
-    return nodes
-
-
 def check_emulation_invariants(execution: Execution, t: int) -> EmulationReport:
-    """Run invariants I1–I3 over an execution's global output."""
-    report = EmulationReport()
-    asked: dict[tuple[Any, int], set[int]] = {}
-    signed: dict[tuple[Any, int], set[int]] = {}
+    """Run invariants I1–I3 over an execution's global output.
 
-    for node in range(execution.n):
-        for entry in execution.outputs_of(node):
-            if not isinstance(entry, tuple) or len(entry) != 3:
-                continue
-            head, message, unit = entry
-            if head == "asked-to-sign":
-                asked.setdefault((_key(message), unit), set()).add(node)
-            elif head == "signed":
-                signed.setdefault((_key(message), unit), set()).add(node)
-
-    report.request_counts = {key: len(nodes) for key, nodes in asked.items()}
-    report.signed_messages = set(signed)
-
-    # I1: signed => enough requests (crediting broken nodes to the forger)
-    for key, signers in signed.items():
-        _message, unit = key
-        requesters = asked.get(key, set())
-        credited = len(requesters) + len(execution.broken_in_unit(unit))
-        if credited < t + 1:
-            report.violations.append(("I1-threshold", (key, sorted(signers), credited)))
-
-    # I2: n - t operational requesters => everyone of them signed
-    for key, requesters in asked.items():
-        _message, unit = key
-        stable = _operational_throughout_unit(execution, unit)
-        stable_requesters = requesters & stable
-        if len(stable_requesters) >= execution.n - t:
-            missing = stable_requesters - signed.get(key, set())
-            if missing:
-                report.violations.append(("I2-liveness", (key, sorted(missing))))
-
-    # I3: operational-throughout nodes never alert
-    for unit in range(execution.units()):
-        stable = _operational_throughout_unit(execution, unit)
-        for node in stable:
-            if any(entry == ALERT for entry in execution.outputs_of_in_unit(node, unit)):
-                report.violations.append(("I3-false-alert", (unit, node)))
-
-    return report
-
-
-def _key(value: Any) -> Any:
-    try:
-        hash(value)
-        return value
-    except TypeError:
-        return repr(value)
+    Violations come in detection order; the per-round adversary limit,
+    which the monitor also checks, is left to
+    :func:`repro.adversary.limits.audit_st_limited`.
+    """
+    monitor = replay(execution, RuntimeInvariantMonitor(t, fail_fast=False))
+    return EmulationReport(
+        violations=[v.as_tuple() for v in monitor.violations if v.invariant != "L1-limit"],
+        signed_messages=monitor.signed_messages(),
+        request_counts=monitor.request_counts(),
+    )

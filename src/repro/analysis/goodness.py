@@ -68,22 +68,18 @@ class GoodnessReport:
         return "GOOD"
 
 
-def _raw_certified_payloads(payload: Any):
-    """Extract candidate certified tuples from a DISPERSE envelope payload."""
-    if isinstance(payload, tuple) and len(payload) == 5 and payload[0] in ("fwd", "fwding"):
+def _raw_certified_payloads(payload: Any, heads: tuple[str, ...] = ("fwd", "fwding")):
+    """Extract candidate certified tuples from a DISPERSE envelope payload
+    whose head is one of ``heads``."""
+    if isinstance(payload, tuple) and len(payload) == 5 and payload[0] in heads:
         raw = payload[4]
         if isinstance(raw, tuple) and len(raw) == 8:
             yield raw
 
 
-def _stamp(msg: CertifiedMessage) -> tuple:
-    return (
-        _key(msg.message),
-        msg.source,
-        msg.destination,
-        msg.unit,
-        msg.round,
-    )
+def _stamp(msg: CertifiedMessage) -> Any:
+    """The message's ``(m, i, j, u, w)``, in a hashable form."""
+    return _key((msg.message, msg.source, msg.destination, msg.unit, msg.round))
 
 
 def _key(value: Any) -> Any:
@@ -122,15 +118,14 @@ def classify_execution(
     verified_cache: dict[Any, CertifiedMessage | None] = {}
 
     # -- collect everything genuinely sent, and everything delivered --------
-    sent_stamps: set[tuple] = set()
+    sent_stamps: set[Any] = set()
     sent_key_reprs: dict[tuple[int, int], set[tuple]] = {}  # (node, unit) -> reprs used
     for record in execution.records:
         for envelope in record.sent:
             if envelope.channel != "disperse":
                 continue
-            if envelope.payload[0] != "fwd":  # only the origination counts as "sent"
-                continue
-            for raw in _raw_certified_payloads(envelope.payload):
+            # only the origination counts as "sent"
+            for raw in _raw_certified_payloads(envelope.payload, ("fwd",)):
                 msg = CertifiedMessage(raw)
                 if envelope.sender != msg.source:
                     continue  # someone forwarding another's message
@@ -156,7 +151,7 @@ def classify_execution(
             return True
         return key_history.get(node, {}).get(unit) == "ok"
 
-    seen_forged: set[tuple] = set()
+    seen_forged: set[Any] = set()
     for record in execution.records:
         for receiver, envelopes in record.delivered.items():
             for envelope in envelopes:

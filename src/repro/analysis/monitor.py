@@ -1,15 +1,17 @@
-"""Runtime invariant monitoring: fail-fast emulation checking.
+"""Runtime invariant monitoring: the one implementation of I1–I3.
 
-:func:`repro.analysis.emulation.check_emulation_invariants` is post-hoc —
-a run that breaks Lemma 26/27 invariants in round 3 still burns every
-remaining unit before the transcript is inspected.
-:class:`RuntimeInvariantMonitor` is the incremental version: attached to
-a runner as a :class:`~repro.sim.runner.RunObserver`, it consumes each
+:class:`RuntimeInvariantMonitor` decides the emulation invariants I1–I3
+(defined in :mod:`repro.analysis.emulation`) and the Definition 7
+per-round limit.  Attached to a runner as a
+:class:`~repro.sim.runner.RunObserver`, it consumes each
 :class:`~repro.sim.transcript.RoundRecord` and each node-output entry the
 moment it appears and raises :class:`InvariantViolationError` (or, with
 ``fail_fast=False``, records the violation) with *exact round
 attribution*: the round of the offending event and the round at which the
-violation became decidable.
+violation became decidable.  The post-hoc checks
+(:func:`~repro.analysis.emulation.check_emulation_invariants`,
+:func:`~repro.analysis.awareness.global_awareness`) replay a finished
+execution through this same monitor (:func:`repro.sim.runner.replay`).
 
 A round-by-round checker must respect what is decidable *when* — the
 invariants quantify over whole time units, so checking them naively
@@ -18,36 +20,32 @@ under-requested until the unit's requests and break-ins have all
 happened).  The finalization points are:
 
 - **L1 (adversary limit, Definition 7)** — per round, immediately: the
-  impaired set ``broken ∪ non-operational`` may never exceed ``limit_t``
-  nodes.  This is the instantaneous reading audited post-hoc by
-  :func:`repro.adversary.limits.audit_st_limited`, and the only invariant
-  that is decidable the very round it breaks — it is what powers the
-  "fail-fast with the exact round number" guarantee on over-budget plans.
-- **I1 (threshold)** — decided for a ``signed`` event once its unit's
-  data is final: at the unit boundary for events inside the unit,
+  impaired set ``broken ∪ non-operational`` may never exceed ``t``
+  nodes.  The count is the monitor's
+  :class:`~repro.adversary.limits.UnitLedger`, the same fold that
+  :func:`repro.adversary.limits.audit_st_limited` runs post hoc, and L1
+  is the only invariant that is decidable the very round it breaks — it
+  is what powers the "fail-fast with the exact round number" guarantee
+  on over-budget plans.
+- **I1 (threshold)** — decided once per ``(message, unit)`` once the
+  unit's data is final: at the unit boundary for events inside the unit,
   immediately for events arriving after it (threshold signing may
-  legitimately complete early in unit ``u + 1``).
+  legitimately complete early in unit ``u + 1``).  The report names
+  every node that reported the message signed; a later signer is added
+  to it.
 - **I2 (liveness)** — decided when unit ``u + 2`` starts (one-unit grace
-  for late ``signed`` events) or at run end.
+  for late ``signed`` events) or at run end; a ``signed`` reported later
+  than that does not count.
 - **I3 (alert soundness)** — decided at the unit boundary ("operational
-  throughout the unit" is not knowable earlier).
-
-The monitor also collects the protocol's structured ``("degraded", {...})``
-events (see :mod:`repro.core.uls`) — degradation is *not* a violation (it
-is the protocol surviving a fault), but analyses and benchmarks want the
-list.
-
-On a clean (in-limits) run, ``monitor.violations`` at run end equals the
-post-hoc checker's violations plus the L1 stream — the chaos tests assert
-this equivalence.
+  throughout the unit" is not knowable earlier), once per alerting node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.analysis.emulation import _key
+from repro.adversary.limits import UnitLedger
 from repro.sim.node import ALERT
 from repro.sim.runner import RunObserver
 from repro.sim.transcript import Execution, RoundRecord
@@ -84,59 +82,40 @@ class InvariantViolationError(AssertionError):
 
 @dataclass
 class _UnitState:
-    broken: set[int] = field(default_factory=set)
-    stable: set[int] | None = None          # intersection of operational sets
-    alerts: list[tuple[int, int]] = field(default_factory=list)  # (node, round)
-    pending_signed: list[tuple[Any, int, int]] = field(default_factory=list)
-    # pending_signed: (key, node, event_round) awaiting the unit boundary
+    alerts: dict[int, int] = field(default_factory=dict)      # node -> first alert round
+    asked: dict[Any, set[int]] = field(default_factory=dict)  # message -> requesters
+    signed: dict[Any, set[int]] = field(default_factory=dict)  # message -> reporters
+    # message -> round of its first "signed", awaiting the unit boundary
+    pending: dict[Any, int] = field(default_factory=dict)
+    final: bool = False      # I1 and I3 decided
+    i2_final: bool = False
 
 
 class RuntimeInvariantMonitor(RunObserver):
     """Incremental I1/I2/I3 + per-round adversary-limit checking.
 
     Args:
-        t: the protocol's resilience threshold (I1/I2/I3 use it exactly as
-            the post-hoc checker does).
-        limit_t: the per-round impaired-set bound for the L1 check
-            (defaults to ``t``).
-        check_limits: set ``False`` to disable L1 when the experiment
-            deliberately exceeds the adversary budget (e.g. the §5.1
-            almost-limited attacks, where emulation is *supposed* to
-            degrade and only I3 awareness is asserted).
+        t: the protocol's resilience threshold, which is also the
+            per-round impaired-set bound of the L1 check.
         fail_fast: raise :class:`InvariantViolationError` at detection
             (default); otherwise collect into :attr:`violations`.
     """
 
-    def __init__(
-        self,
-        t: int,
-        *,
-        limit_t: int | None = None,
-        check_limits: bool = True,
-        fail_fast: bool = True,
-    ) -> None:
+    def __init__(self, t: int, *, fail_fast: bool = True) -> None:
         self.t = t
-        self.limit_t = t if limit_t is None else limit_t
-        self.check_limits = check_limits
         self.fail_fast = fail_fast
         self.violations: list[Violation] = []
-        self.degraded_events: list[tuple[int, int, dict]] = []  # (node, round, payload)
         self.rounds_seen = 0
         self.finalized = False
-        self._cursor: list[int] | None = None   # per-node index into node_outputs
+        self.ledger = UnitLedger()
         self._units: dict[int, _UnitState] = {}
-        self._asked: dict[Any, set[int]] = {}   # (key, unit) -> requesters
-        self._signed: dict[Any, set[int]] = {}  # (key, unit) -> reporters
-        self._i1_done: dict[int, bool] = {}     # unit -> boundary finalized
-        self._i2_done: set[int] = set()
+        self._i1: dict[Any, int] = {}  # (message, unit) -> index in violations
         self._last_unit = -1
 
     # -- RunObserver ----------------------------------------------------------
 
     def on_round(self, execution: Execution, record: RoundRecord) -> None:
         n = execution.n
-        if self._cursor is None:
-            self._cursor = [0] * n
         info = record.info
         unit = info.time_unit
         self.rounds_seen += 1
@@ -148,31 +127,21 @@ class RuntimeInvariantMonitor(RunObserver):
             for done in range(0, unit - 1):
                 self._finalize_i2(done, n, detected_round=info.round)
             self._last_unit = unit
-
-        state = self._units.setdefault(unit, _UnitState())
-        state.broken |= record.broken
-        operational = set(record.operational)
-        state.stable = operational if state.stable is None else state.stable & operational
+        self._units.setdefault(unit, _UnitState())
 
         # L1: the only invariant decidable the round it breaks
-        if self.check_limits:
-            impaired = set(record.broken) | (set(range(n)) - operational)
-            if len(impaired) > self.limit_t:
-                self._violate(Violation(
-                    invariant="L1-limit",
-                    unit=unit,
-                    event_round=info.round,
-                    detected_round=info.round,
-                    details={"impaired": sorted(impaired), "limit": self.limit_t},
-                ))
+        impaired = self.ledger.add(n, record)
+        if len(impaired) > self.t:
+            self._violate(Violation(
+                invariant="L1-limit",
+                unit=unit,
+                event_round=info.round,
+                detected_round=info.round,
+                details={"impaired": sorted(impaired), "limit": self.t},
+            ))
 
-        # consume new node-output entries
-        for node in range(n):
-            outputs = execution.node_outputs[node]
-            for index in range(self._cursor[node], len(outputs)):
-                event_round, entry = outputs[index]
-                self._consume(node, event_round, entry, unit, n)
-            self._cursor[node] = len(outputs)
+        for node, event_round, entry in self.new_outputs(execution, record):
+            self._consume(node, event_round, entry, unit)
 
     def on_run_end(self, execution: Execution) -> None:
         if self.finalized:
@@ -194,57 +163,75 @@ class RuntimeInvariantMonitor(RunObserver):
         """Violations in the post-hoc checker's ``(label, payload)`` shape."""
         return [violation.as_tuple() for violation in self.violations]
 
+    def signed_messages(self) -> set[tuple[Any, int]]:
+        """Every ``(message, unit)`` some node reported signed."""
+        return {(message, unit) for unit, state in self._units.items()
+                for message in state.signed}
+
+    def request_counts(self) -> dict[tuple[Any, int], int]:
+        """Per ``(message, unit)``, how many nodes were asked to sign it."""
+        return {(message, unit): len(nodes) for unit, state in self._units.items()
+                for message, nodes in state.asked.items()}
+
+    def alerting_nodes(self) -> dict[int, frozenset[int]]:
+        """Per unit with an alert, the alerting nodes (the sets I3 judges)."""
+        units = sorted(unit for unit, state in self._units.items() if state.alerts)
+        return {unit: frozenset(self._units[unit].alerts) for unit in units}
+
     # -- internals ------------------------------------------------------------
 
-    def _consume(self, node: int, event_round: int, entry: Any, unit: int, n: int) -> None:
+    def _consume(self, node: int, event_round: int, entry: Any, unit: int) -> None:
         if entry == ALERT:
-            self._units.setdefault(unit, _UnitState()).alerts.append((node, event_round))
-            return
-        if isinstance(entry, tuple) and len(entry) == 2 and entry[0] == "degraded" \
-                and isinstance(entry[1], dict):
-            self.degraded_events.append((node, event_round, entry[1]))
+            self._units[unit].alerts.setdefault(node, event_round)
             return
         if not isinstance(entry, tuple) or len(entry) != 3:
             return
         head, message, event_unit = entry
+        if head not in ("asked-to-sign", "signed"):
+            return
+        state = self._units.setdefault(event_unit, _UnitState())
+        message = _key(message)
         if head == "asked-to-sign":
-            self._asked.setdefault((_key(message), event_unit), set()).add(node)
-        elif head == "signed":
-            key = (_key(message), event_unit)
-            self._signed.setdefault(key, set()).add(node)
-            if self._i1_done.get(event_unit):
-                # the event's unit is over: its request/break-in data is
-                # final, so this signature is decidable right now
-                self._check_i1(key, node, event_round, detected_round=event_round, n=n)
-            else:
-                self._units.setdefault(event_unit, _UnitState()).pending_signed.append(
-                    (key, node, event_round)
-                )
+            state.asked.setdefault(message, set()).add(node)
+            return
+        state.signed.setdefault(message, set()).add(node)
+        if state.final:
+            # the event's unit is over: its request/break-in data is
+            # final, so this signature is decidable right now
+            self._check_i1(event_unit, message, event_round, detected_round=event_round)
+        else:
+            state.pending.setdefault(message, event_round)
 
-    def _check_i1(self, key: Any, node: int, event_round: int, detected_round: int, n: int) -> None:
-        _message, unit = key
-        requesters = self._asked.get(key, set())
-        credited = len(requesters) + len(self._units.get(unit, _UnitState()).broken)
-        if credited < self.t + 1:
+    def _check_i1(self, unit: int, message: Any, event_round: int, detected_round: int) -> None:
+        state = self._units[unit]
+        key = (message, unit)
+        credited = len(state.asked.get(message, ())) + len(self.ledger.broken.get(unit, ()))
+        details = (key, sorted(state.signed[message]), credited)
+        index = self._i1.get(key)
+        if index is not None:
+            self.violations[index] = replace(self.violations[index], details=details)
+        elif credited < self.t + 1:
+            self._i1[key] = len(self.violations)
             self._violate(Violation(
                 invariant="I1-threshold",
                 unit=unit,
                 event_round=event_round,
                 detected_round=detected_round,
-                details=(key, [node], credited),
+                details=details,
             ))
 
     def _finalize_unit(self, unit: int, n: int, detected_round: int) -> None:
-        if self._i1_done.get(unit):
-            return
-        self._i1_done[unit] = True
         state = self._units.setdefault(unit, _UnitState())
-        for key, node, event_round in state.pending_signed:
-            self._check_i1(key, node, event_round, detected_round=detected_round, n=n)
-        state.pending_signed.clear()
-        # I3: stability over the unit is now known
-        stable = state.stable if state.stable is not None else set(range(n))
-        for node, event_round in state.alerts:
+        if state.final:
+            return
+        state.final = True
+        for message, event_round in state.pending.items():
+            self._check_i1(unit, message, event_round, detected_round=detected_round)
+        state.pending.clear()
+        # I3: stability over the unit is now known (a unit that no record
+        # reached had every node operational)
+        stable = self.ledger.operational.get(unit, frozenset(range(n)))
+        for node, event_round in state.alerts.items():
             if node in stable:
                 self._violate(Violation(
                     invariant="I3-false-alert",
@@ -255,27 +242,33 @@ class RuntimeInvariantMonitor(RunObserver):
                 ))
 
     def _finalize_i2(self, unit: int, n: int, detected_round: int) -> None:
-        if unit in self._i2_done:
+        state = self._units.setdefault(unit, _UnitState())
+        if state.i2_final:
             return
-        self._i2_done.add(unit)
-        state = self._units.get(unit)
-        stable = state.stable if state and state.stable is not None else set(range(n))
-        for key, requesters in self._asked.items():
-            if key[1] != unit:
-                continue
+        state.i2_final = True
+        stable = self.ledger.operational.get(unit, frozenset(range(n)))
+        for message, requesters in state.asked.items():
             stable_requesters = requesters & stable
             if len(stable_requesters) >= n - self.t:
-                missing = stable_requesters - self._signed.get(key, set())
+                missing = stable_requesters - state.signed.get(message, set())
                 if missing:
                     self._violate(Violation(
                         invariant="I2-liveness",
                         unit=unit,
                         event_round=detected_round,
                         detected_round=detected_round,
-                        details=(key, sorted(missing)),
+                        details=((message, unit), sorted(missing)),
                     ))
 
     def _violate(self, violation: Violation) -> None:
         self.violations.append(violation)
         if self.fail_fast:
             raise InvariantViolationError(violation)
+
+
+def _key(value: Any) -> Any:
+    try:
+        hash(value)
+        return value
+    except TypeError:
+        return repr(value)

@@ -50,7 +50,6 @@ class RecoverySloObserver(RunObserver):
         self.dwells: list[dict] = []         # resolved degraded dwells
         self.unrecovered: list[dict] = []    # spans still open at run end
         self._n: int | None = None
-        self._cursor: list[int] | None = None
         self._open: dict[int, dict] = {}     # node -> open span
         self._open_dwells: dict[int, list[dict]] = {}
         self._last_degraded: dict[int, int] = {}
@@ -61,10 +60,7 @@ class RecoverySloObserver(RunObserver):
     # -- RunObserver -----------------------------------------------------------
 
     def on_round(self, execution: Execution, record: RoundRecord) -> None:
-        n = execution.n
-        if self._cursor is None:
-            self._n = n
-            self._cursor = [0] * n
+        n = self._n = execution.n
         info = record.info
         unit = info.time_unit
         self._units_seen.add(unit)
@@ -88,13 +84,8 @@ class RecoverySloObserver(RunObserver):
                 dwell["dwell_rounds"] = info.round - dwell["round"]
                 self.dwells.append(dwell)
 
-        # consume new node-output entries
-        for node in range(n):
-            outputs = execution.node_outputs[node]
-            for index in range(self._cursor[node], len(outputs)):
-                event_round, entry = outputs[index]
-                self._consume(node, event_round, entry, unit, impaired)
-            self._cursor[node] = len(outputs)
+        for node, event_round, entry in self.new_outputs(execution, record):
+            self._consume(node, event_round, entry, unit, impaired)
 
     def on_run_end(self, execution: Execution) -> None:
         if self._finalized:

@@ -26,7 +26,7 @@ frozen when it ends.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, TypeVar
 
 from repro.sim.adversary_api import Adversary, AdversaryApi, FaithfulPlan
 from repro.adversary.connectivity import ConnectivityTracker
@@ -42,7 +42,7 @@ from repro.sim.transcript import (
     RoundRecord,
 )
 
-__all__ = ["Runner", "ALRunner", "ULRunner", "RunObserver"]
+__all__ = ["Runner", "ALRunner", "ULRunner", "RunObserver", "replay"]
 
 InputProvider = Callable[[int, RoundInfo], list[Any]]
 
@@ -54,16 +54,55 @@ class RunObserver:
     *during* the run, not after it — which is what lets a monitor
     fail-fast on the exact round an invariant breaks instead of burning
     the remaining units (see
-    :class:`repro.analysis.monitor.RuntimeInvariantMonitor`).  Observers
+    :class:`repro.analysis.monitor.RuntimeInvariantMonitor`).  The same
+    observer replays a finished execution through :func:`replay`, so a
+    post-hoc check is the live one fed from the transcript.  Observers
     must treat the execution as read-only; they are analysis, not
     protocol.
     """
+
+    #: per node, how many of its outputs :meth:`new_outputs` has yielded
+    _outputs_seen: list[int] | None = None
 
     def on_round(self, execution: Execution, record: RoundRecord) -> None:
         """Called after every round's record is appended."""
 
     def on_run_end(self, execution: Execution) -> None:
         """Called once after the last round (adversary output included)."""
+
+    def new_outputs(
+        self, execution: Execution, record: RoundRecord
+    ) -> Iterator[tuple[int, int, Any]]:
+        """Yield ``(node, round, entry)`` for each node output stamped up
+        to ``record``'s round that this observer has not seen yet.
+
+        Live, that is exactly the round's own outputs (they are stamped
+        the round they are made, before its record is appended); in a
+        replay the stamps keep the outputs in step with the records.
+        """
+        seen = self._outputs_seen
+        if seen is None:
+            seen = self._outputs_seen = [0] * execution.n
+        last = record.info.round
+        for node, outputs in enumerate(execution.node_outputs):
+            while seen[node] < len(outputs) and outputs[seen[node]][0] <= last:
+                event_round, entry = outputs[seen[node]]
+                seen[node] += 1
+                yield node, event_round, entry
+
+
+_Observer = TypeVar("_Observer", bound=RunObserver)
+
+
+def replay(execution: Execution, *observers: _Observer) -> _Observer:
+    """Feed a finished execution through ``observers`` exactly as
+    :meth:`Runner.run` does live; returns the first observer."""
+    for record in execution.records:
+        for observer in observers:
+            observer.on_round(execution, record)
+    for observer in observers:
+        observer.on_run_end(execution)
+    return observers[0]
 
 
 class Runner:

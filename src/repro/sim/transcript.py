@@ -172,9 +172,6 @@ class Execution:
             nodes |= frozenset(range(self.n)) - rec.operational
         return frozenset(nodes)
 
-    def operational_at_end_of_unit(self, unit: int) -> frozenset[int]:
-        return self.rounds_in_unit(unit)[-1].operational
-
     def alerts_in_unit(self, node_id: int, unit: int) -> int:
         from repro.sim.node import ALERT
 

@@ -1,5 +1,7 @@
 """Tests for execution classification and emulation invariants."""
 
+import pytest
+
 from repro.adversary.impersonation import UlsImpersonator
 from repro.adversary.strategies import BreakinPlan, CutOffAdversary, MobileBreakInAdversary
 from repro.analysis.emulation import check_emulation_invariants
@@ -8,6 +10,7 @@ from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
 from repro.sim.adversary_api import PassiveAdversary
+from repro.sim.clock import Phase
 from repro.sim.runner import ULRunner
 
 GROUP = named_group("toy64")
@@ -169,3 +172,36 @@ def test_goodness_detects_rogue_key_as_bad2():
     )
     report = classify_execution(execution, public, SCHEME, histories, T)
     assert report.classification == "BAD2"
+
+
+class DisperseBodySender(MobileBreakInAdversary):
+    """Breaks into node 4 during unit 1 and, while inside, sends ``body``
+    to node 0 on the DISPERSE channel in every normal round (``None``
+    withholds it)."""
+
+    def __init__(self, body):
+        super().__init__(BreakinPlan(victims={1: frozenset({4})}))
+        self.body = body
+
+    def on_round(self, api, info, traffic):
+        super().on_round(api, info, traffic)
+        if self.body is not None and info.phase is Phase.NORMAL and api.is_broken(4):
+            api.send_as(4, 0, "disperse", self.body)
+
+
+def classification_under(body):
+    execution, programs, histories, public = run(adversary=DisperseBodySender(body))
+    return classify_execution(execution, public, SCHEME, histories, T).classification
+
+
+@pytest.mark.parametrize("body", [
+    5,
+    (),
+    ("fwd", "auth", 4, 0, ("m", 4, [0], 1, 2, "s", "v", "c")),
+], ids=["int", "empty-tuple", "list-field"])
+def test_malformed_disperse_body_from_a_broken_node_is_classified(body):
+    """A broken node may put any body on the wire: the classifier must
+    give the run the class it has with that body withheld."""
+    withheld = classification_under(None)
+    assert withheld == "GOOD"
+    assert classification_under(body) == withheld

@@ -3,6 +3,7 @@
 import pytest
 
 from tests.helpers import EchoProgram
+from repro.adversary.limits import audit_st_limited
 from repro.analysis import (
     InvariantViolationError,
     RuntimeInvariantMonitor,
@@ -89,28 +90,19 @@ def test_fail_fast_false_collects_everything():
     assert all(v.invariant == "L1-limit" for v in monitor.violations)
 
 
-def test_check_limits_false_disables_l1():
-    plan = FaultPlan(seed=1, crashes=tuple(
-        CrashFault(node=i, first_round=6, last_round=8) for i in range(T + 1)))
-    monitor = RuntimeInvariantMonitor(T, check_limits=False, fail_fast=True)
-    programs = [EchoProgram() for _ in range(N)]
-    run_monitored(programs, FaultInjectionAdversary(plan), monitor)
-    assert monitor.ok
-
-
 # ------------------------------------------------------------------- I3 alerts
 
 class AlwaysAlertProgram(NodeProgram):
-    """Alerts at one fixed round while staying fully operational — the
+    """Alerts at fixed rounds while staying fully operational — the
     textbook I3 violation (an ideal-model node never alerts unprovoked)."""
 
-    def __init__(self, alert_round):
+    def __init__(self, *alert_rounds):
         super().__init__()
-        self.alert_round = alert_round
+        self.alert_rounds = alert_rounds
 
     def step(self, ctx: NodeContext, inbox: list[Envelope]) -> None:
         ctx.broadcast("noise", ctx.info.round)
-        if ctx.info.round == self.alert_round:
+        if ctx.info.round in self.alert_rounds:
             ctx.alert()
 
 
@@ -183,18 +175,24 @@ def test_i1_violation_attributes_the_signed_event():
     assert any(label == "I1-threshold" for label, _ in post.violations)
 
 
+class LateForger(FakeSignerProgram):
+    """Reports, in a later unit, a signature on ``message`` for unit 0."""
+
+    def __init__(self, forge_round, message="late-forgery"):
+        super().__init__(forge_round)
+        self.message = message
+
+    def step(self, ctx, inbox):
+        ctx.broadcast("noise", ctx.info.round)
+        if ctx.info.round == self.forge_round:
+            ctx.output(("signed", self.message, 0))  # claims unit 0
+
+
 def test_i1_signed_event_after_its_unit_is_decided_immediately():
     """A forged "signed" for unit 0 appearing in unit 1 is decidable the
     round it appears (unit 0's data is final by then)."""
     forge_round = SCHED.first_normal_round(1) + 1
     programs = [FakeSignerProgram(-1) for _ in range(N)]
-
-    class LateForger(FakeSignerProgram):
-        def step(self, ctx, inbox):
-            ctx.broadcast("noise", ctx.info.round)
-            if ctx.info.round == self.forge_round:
-                ctx.output(("signed", "late-forgery", 0))  # claims unit 0
-
     programs[0] = LateForger(forge_round)
     monitor = RuntimeInvariantMonitor(T, fail_fast=False)
     run_monitored(programs, PassiveAdversary(), monitor, units=2)
@@ -233,16 +231,18 @@ def test_legitimately_requested_signature_is_not_flagged():
 
 # ----------------------------------------------------------------- I2 liveness
 
+class AskOnlyProgram(NodeProgram):
+    """Is asked to sign at round 5 and never reports a signature."""
+
+    def step(self, ctx, inbox):
+        ctx.broadcast("noise", ctx.info.round)
+        if ctx.info.round == 5:
+            ctx.output(("asked-to-sign", "m", ctx.info.time_unit))
+
+
 def test_i2_violation_detected_with_one_unit_grace():
     """All n nodes ask, nobody signs: I2 breaks.  Detection must wait one
     full unit (signatures may legitimately complete in u+1) and then fire."""
-
-    class AskOnlyProgram(NodeProgram):
-        def step(self, ctx, inbox):
-            ctx.broadcast("noise", ctx.info.round)
-            if ctx.info.round == 5:
-                ctx.output(("asked-to-sign", "m", ctx.info.time_unit))
-
     programs = [AskOnlyProgram() for _ in range(N)]
     monitor = RuntimeInvariantMonitor(T, fail_fast=False)
     execution = run_monitored(programs, PassiveAdversary(), monitor, units=3)
@@ -259,6 +259,9 @@ def test_i2_violation_detected_with_one_unit_grace():
 # ------------------------------------------------------------ degraded events
 
 def test_degraded_events_are_collected_not_flagged():
+    """Degradation is the protocol surviving a fault, not a violation
+    (the SLO observer is what measures degraded events)."""
+
     class DegradingProgram(NodeProgram):
         def step(self, ctx, inbox):
             ctx.broadcast("noise", ctx.info.round)
@@ -270,6 +273,68 @@ def test_degraded_events_are_collected_not_flagged():
     monitor = RuntimeInvariantMonitor(T, fail_fast=True)
     run_monitored(programs, PassiveAdversary(), monitor, units=2)
     assert monitor.ok
-    assert len(monitor.degraded_events) == N
-    node, event_round, payload = monitor.degraded_events[0]
-    assert event_round == 6 and payload["reason"] == "test"
+
+
+# ------------------------------------------------ live and replayed agree
+
+LATE_ROUND = SCHED.first_normal_round(1) + 1
+
+VIOLATING_RUNS = {
+    # scenario -> (programs, adversary, units)
+    "forged-signed": lambda: (
+        [FakeSignerProgram(7 if i == 0 else -1) for i in range(N)], PassiveAdversary(), 2),
+    "late-signed": lambda: (
+        [LateForger(LATE_ROUND if i == 0 else -1) for i in range(N)], PassiveAdversary(), 2),
+    "unprovoked-alert": lambda: (
+        [AlwaysAlertProgram(7 if i == 0 else -1) for i in range(N)], PassiveAdversary(), 2),
+    # one I3 violation per alerting node and unit, however often it alerts
+    "repeated-alert": lambda: (
+        [AlwaysAlertProgram(*((7, 8) if i == 0 else ())) for i in range(N)],
+        PassiveAdversary(), 2),
+    "ask-only": lambda: ([AskOnlyProgram() for _ in range(N)], PassiveAdversary(), 3),
+    "over-budget-crash": lambda: (
+        [EchoProgram() for _ in range(N)],
+        FaultInjectionAdversary(FaultPlan(seed=1, crashes=tuple(
+            CrashFault(node=i, first_round=6, last_round=8) for i in range(T + 1)))),
+        3),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(VIOLATING_RUNS))
+def test_live_and_replayed_results_agree_on_violating_runs(scenario):
+    """The post-hoc checks replay the live monitor: the I1-I3 tuples are
+    the same list, and L1 fires in exactly the units the audit flags."""
+    programs, adversary, units = VIOLATING_RUNS[scenario]()
+    monitor = RuntimeInvariantMonitor(T, fail_fast=False)
+    execution = run_monitored(programs, adversary, monitor, units=units)
+    assert not monitor.ok
+    live = [v.as_tuple() for v in monitor.violations if v.invariant != "L1-limit"]
+    assert live == check_emulation_invariants(execution, T).violations
+    l1_units = {v.unit for v in monitor.violations if v.invariant == "L1-limit"}
+    assert l1_units == set(audit_st_limited(execution, T).violations)
+
+
+def test_two_signers_of_one_unrequested_message_are_one_i1_violation():
+    """Two nodes report the same unrequested signature: one I1 violation
+    naming both, live and post hoc."""
+    programs = [FakeSignerProgram(7 if i < 2 else -1) for i in range(N)]
+    monitor = RuntimeInvariantMonitor(T, fail_fast=False)
+    execution = run_monitored(programs, PassiveAdversary(), monitor, units=2)
+    expected = [("I1-threshold", (("forged-msg", 0), [0, 1], 0))]
+    assert monitor.violation_tuples() == expected
+    assert check_emulation_invariants(execution, T).violations == expected
+
+
+def test_a_later_signer_joins_the_open_i1_violation():
+    """A third node reports the same signature late, in unit 1: the
+    violation decided at the unit boundary now names it too."""
+    programs = [FakeSignerProgram(7 if i < 2 else -1) for i in range(N)]
+    programs[2] = LateForger(LATE_ROUND, message="forged-msg")
+    monitor = RuntimeInvariantMonitor(T, fail_fast=False)
+    execution = run_monitored(programs, PassiveAdversary(), monitor, units=2)
+    expected = [("I1-threshold", (("forged-msg", 0), [0, 1, 2], 0))]
+    assert monitor.violation_tuples() == expected
+    (violation,) = monitor.violations
+    assert violation.event_round == 7
+    assert violation.detected_round == SCHED.rounds_of_unit(1)[0]
+    assert check_emulation_invariants(execution, T).violations == expected

@@ -20,7 +20,7 @@ from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
 from repro.faults import CrashFault, FaultInjectionAdversary, FaultPlan
 from repro.sim.clock import Schedule
-from repro.sim.runner import ULRunner
+from repro.sim.runner import ULRunner, replay
 
 GROUP = named_group("toy64")
 SCHEME = SchnorrScheme(GROUP)
@@ -64,6 +64,29 @@ def test_slo_agrees_with_the_e7_recovery_contract():
     report = slo.report()
     assert report["ttr_units_max"] == 1
     assert report["signing_availability"]["2"] == 1.0  # machinery restored
+
+
+def run_fault_plan(seed=103):
+    """One generated fault plan over ULS, shaped like E13's chaos runs."""
+    schedule = uls_schedule()
+    plan = FaultPlan.generate(seed=seed, n=N, t=T, schedule=schedule, units=UNITS)
+    public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=seed)
+    programs = [UlsProgram(states[i], SCHEME, keys[i], cert_retransmit=1,
+                           cert_grace_rounds=1) for i in range(N)]
+    slo = RecoverySloObserver()
+    runner = ULRunner(programs, FaultInjectionAdversary(plan), schedule, s=T,
+                      seed=seed, observers=[slo])
+    return runner.run(units=UNITS), slo
+
+
+def test_replayed_slo_report_equals_the_live_one():
+    """The observer reads outputs through ``RunObserver.new_outputs``, so
+    a finished execution replayed through it gives the live report."""
+    execution, _, live, _ = run_e7_scenario()
+    assert replay(execution, RecoverySloObserver()).report() == live.report()
+    execution, live = run_fault_plan()
+    assert live.spans and live.unrecovered
+    assert replay(execution, RecoverySloObserver()).report() == live.report()
 
 
 def test_slo_report_is_json_ready():
@@ -139,15 +162,19 @@ def test_alert_latency_and_degraded_dwell_bookkeeping():
     execution = _Execution(n)
     slo = RecoverySloObserver()
 
-    slo.on_round(execution, _Record(0, 0, n))                 # all fine
-    slo.on_round(execution, _Record(1, 0, n, impaired=[1]))   # span opens at 1
+    def step(record):
+        execution.records.append(record)
+        slo.on_round(execution, record)
+
+    step(_Record(0, 0, n))                 # all fine
+    step(_Record(1, 0, n, impaired=[1]))   # span opens at 1
     execution.node_outputs[1].append((3, ("degraded", {"reason": "no-certificate",
                                                        "unit": 0})))
     execution.node_outputs[1].append((3, ALERT))
     execution.node_outputs[2].append((3, ("degraded", {"reason": "certificate-late",
                                                        "unit": 0})))
-    slo.on_round(execution, _Record(3, 0, n, impaired=[1]))
-    slo.on_round(execution, _Record(6, 1, n))                 # node 1 back at 6
+    step(_Record(3, 0, n, impaired=[1]))
+    step(_Record(6, 1, n))                 # node 1 back at 6
     slo.on_run_end(execution)
 
     (alert,) = slo.alerts
@@ -159,3 +186,5 @@ def test_alert_latency_and_degraded_dwell_bookkeeping():
     assert availability[0] == 1.0 - 1 / n  # only no-certificate counts
     assert availability[1] == 1.0
     assert slo.report()["signing_availability_min"] == 1.0 - 1 / n
+    # replayed, the round stamps put each output back in its round
+    assert replay(execution, RecoverySloObserver()).report() == slo.report()
