@@ -2,8 +2,9 @@
 
 Costs of the primitives everything else is built from, across security
 parameters: centralized signing/verification (Schnorr at three group
-sizes, RSA-FDH, hash-based), batched Schnorr verification (one
-multi-exponentiation), Feldman share verification, and the threshold
+sizes, RSA-FDH, hash-based), one round of VER-CERT's Schnorr checks
+(``batch_verify``, each signature checked on its own through the windows
+kept for its key), Feldman share verification, and the threshold
 combine step (Lagrange interpolation) as a function of t.
 """
 
@@ -40,7 +41,8 @@ def test_schnorr_verify(benchmark, group_name):
 def test_schnorr_batch_verify(benchmark, group_name):
     """15 signatures shaped like one round of VER-CERT: every other one
     under a shared key (the certificates under ``v_cert``), the rest
-    under distinct keys (the message signatures)."""
+    under distinct keys (the message signatures).  The keys' windows are
+    built in the first call and kept, as they are for a unit's keys."""
     scheme = SchnorrScheme(named_group(group_name))
     rng = random.Random(6)
     shared = scheme.generate(rng)

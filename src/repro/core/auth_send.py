@@ -104,10 +104,10 @@ class AuthSendTransport(Transport):
         receipts = self.disperse.receipts(self.tag)
         if not receipts:
             return
-        # batched VER-CERT: one round's receipts resolve their signature
-        # checks together (cache + random-linear-combination batch); the
-        # accept/reject outcome per receipt is identical to sequential
-        # ver_cert — see repro.core.certify.ver_cert_many.
+        # one round's receipts go through VER-CERT together (certificates,
+        # then the certified bodies, each from the cache or checked on its
+        # own); the accept/reject outcome per receipt is identical to
+        # sequential ver_cert — see repro.core.certify.ver_cert_many.
         for msg in ver_cert_many(
             self.keystore.scheme,
             self.public,

@@ -278,27 +278,23 @@ def ver_cert_many(
     expected_round: int,
     items: Sequence[tuple[int, Any]],
 ) -> list[CertifiedMessage | None]:
-    """VER-CERT over one round's worth of receipts, batched.
+    """VER-CERT over one round's worth of receipts.
 
     ``items`` are ``(alleged_source, raw)`` pairs as produced by
     DISPERSE; the result list is index-aligned (``None`` = rejected), so
     acceptance order — and with it the transcript — is exactly that of
     running :func:`ver_cert` sequentially.
 
-    The speedup comes from resolving all signature checks of the round
-    together: format/time checks run first (free), then every remaining
-    certificate and message-signature check is answered from the
-    verification cache or folded into one random-linear-combination
-    batch per group (certificates all verify under the single PDS key
-    ``v_cert``, so a flood of them costs one ``v_cert`` exponentiation).
-    A failing batch falls back to individual verification, so rejected
-    messages are attributed identically to the sequential path.
+    Each step runs for the whole round before the next, in Fig. 3's
+    order: the format/time checks (free), then every certificate under
+    ``v_cert``, then the message signatures of the certified messages
+    only.  So a signature is checked only under a key certified for the
+    current unit, and a flood under fresh keys gets no further than the
+    certificate.  Each step answers its checks from the verification
+    cache first (:func:`_resolve_checks`).
     """
     results: list[CertifiedMessage | None] = [None] * len(items)
-    candidates: list[tuple[int, CertifiedMessage, int, int]] = []
-    checks: list[tuple[SignatureScheme, Any, bytes, Any]] = []
-    pds_scheme = scheme_for_group(public.group)
-    pds_key = SchnorrVerifyKey(y=public.public_key)
+    candidates: list[tuple[int, CertifiedMessage, bytes, bytes]] = []
     for index, (alleged_source, raw) in enumerate(items):
         msg = _parse(raw)
         if msg is None:
@@ -316,56 +312,49 @@ def ver_cert_many(
             body = _signed_bytes_for(msg)
         except TypeError:
             continue
-        cert_check = len(checks)
-        checks.append((pds_scheme, pds_key, cert_bytes, msg.certificate))
-        body_check = len(checks)
-        checks.append((scheme, msg.verify_key, body, msg.signature))
-        candidates.append((index, msg, cert_check, body_check))
-    outcomes = _resolve_checks(checks)
-    for index, msg, cert_check, body_check in candidates:
-        # steps 2 + 3: certificate, then message signature
-        if outcomes[cert_check] and outcomes[body_check]:
+        candidates.append((index, msg, cert_bytes, body))
+    # step 2: certificate
+    pds_key = SchnorrVerifyKey(y=public.public_key)
+    certified = _resolve_checks(
+        scheme_for_group(public.group),
+        [(pds_key, cert_bytes, msg.certificate) for _, msg, cert_bytes, _ in candidates],
+    )
+    candidates = [candidate for candidate, ok in zip(candidates, certified) if ok]
+    # step 3: message signature
+    signed = _resolve_checks(
+        scheme, [(msg.verify_key, body, msg.signature) for _, msg, _, body in candidates]
+    )
+    for (index, msg, _, _), ok in zip(candidates, signed):
+        if ok:
             results[index] = msg
     return results
 
 
 def _resolve_checks(
-    checks: Sequence[tuple[SignatureScheme, Any, bytes, Any]]
+    scheme: SignatureScheme, checks: Sequence[tuple[Any, bytes, Any]]
 ) -> list[bool]:
-    """Answer a round's signature checks: cache first, then one batch per
-    Schnorr group, individual (cached) verification for everything else
-    and for the members of a failing batch."""
-    outcomes: list[bool | None] = [None] * len(checks)
-    cache_keys: list[Any] = [None] * len(checks)
-    batchable: dict[Any, list[int]] = {}
-    singles: list[int] = []
-    for index, (check_scheme, verify_key, message, signature) in enumerate(checks):
-        bucket_key, cached = lookup_verify(check_scheme, verify_key, message, signature)
-        if cached is not None:
+    """Verdicts of ``(verify_key, message, signature)`` checks under one
+    scheme: cache hits first; a Schnorr scheme checks the rest in one
+    :meth:`~repro.crypto.schnorr.SchnorrScheme.batch_verify` call, and if
+    that fails, or for any other scheme, each goes through
+    :func:`cached_verify` alone, which attributes every rejection."""
+    outcomes: list[bool] = [False] * len(checks)
+    pending: list[tuple[int, Any]] = []  # (index, cache bucket key)
+    for index, (verify_key, message, signature) in enumerate(checks):
+        bucket_key, cached = lookup_verify(scheme, verify_key, message, signature)
+        if cached is None:
+            pending.append((index, bucket_key))
+        else:
             outcomes[index] = cached
-            continue
-        cache_keys[index] = bucket_key
-        if isinstance(check_scheme, SchnorrScheme):
-            batchable.setdefault(check_scheme.group, []).append(index)
-        else:
-            singles.append(index)
-    for group, indices in batchable.items():
-        if len(indices) < 2:
-            singles.extend(indices)
-            continue
-        batch_scheme = checks[indices[0]][0]
-        batch = [(checks[i][1], checks[i][2], checks[i][3]) for i in indices]
-        if batch_scheme.batch_verify(batch):
-            for i in indices:
-                outcomes[i] = True
-                store_verify(cache_keys[i], checks[i][2], checks[i][3], True)
-        else:
-            # at least one member is bad: attribute blame individually
-            singles.extend(indices)
-    for i in singles:
-        check_scheme, verify_key, message, signature = checks[i]
-        outcomes[i] = cached_verify(check_scheme, verify_key, message, signature)
-    return [bool(outcome) for outcome in outcomes]
+    if len(pending) >= 2 and isinstance(scheme, SchnorrScheme):
+        if scheme.batch_verify([checks[index] for index, _ in pending]):
+            for index, bucket_key in pending:
+                outcomes[index] = True
+                store_verify(bucket_key, checks[index][1], checks[index][2], True)
+            pending = []
+    for index, _ in pending:
+        outcomes[index] = cached_verify(scheme, *checks[index])
+    return outcomes
 
 
 def _parse(raw: Any) -> CertifiedMessage | None:

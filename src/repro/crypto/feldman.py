@@ -20,7 +20,6 @@ from typing import Sequence
 
 from repro.crypto.field import Polynomial
 from repro.crypto.group import SchnorrGroup
-from repro.crypto.hashing import batch_coefficients, encode_for_hash, tagged_hash
 from repro.crypto.shamir import Share, ShamirDealer
 from repro.perf.share_image import share_image_value
 
@@ -30,9 +29,6 @@ __all__ = [
     "FeldmanDealer",
     "verify_shares_batch",
 ]
-
-_BATCH_TAG = "repro/feldman/batch"
-
 
 @dataclass(frozen=True)
 class FeldmanCommitment:
@@ -136,52 +132,13 @@ def verify_shares_batch(
     group: SchnorrGroup,
     items: Sequence[tuple[FeldmanCommitment, Share]],
 ) -> list[bool]:
-    """Per-item verdicts of ``commitment.verify_share(group, share)`` for a
-    whole batch, checked with one random-linear-combination equation.
+    """Per-item verdicts of ``commitment.verify_share(group, share)``, in
+    batch order, each share checked on its own.
 
-    Mirrors :meth:`repro.crypto.schnorr.SchnorrScheme.batch_verify`:
-    full-length coefficients ``c_i ∈ [1, q)`` come from one
-    :func:`~repro.crypto.hashing.batch_coefficients` stream keyed by a
-    Fiat–Shamir hash of the whole batch (every commitment vector,
-    evaluation point and claimed value), so the check is deterministic
-    and an adversary cannot pick shares after the coefficients are
-    fixed.  The verified equation is
-
-        g^(Σ c_i·v_i)  ==  Π_i Π_k elements_{i,k}^{c_i·x_i^k}
-
-    with exponents aggregated per distinct base (all zero-dealings share
-    the identity constant term, and co-dealt commitments frequently repeat
-    elements) and the right-hand side one
-    :meth:`~repro.crypto.group.SchnorrGroup.multi_power` call.  If the
-    aggregate holds, every share is valid up to the
-    standard ``1/q`` soundness error; if it fails, the function falls back
-    to per-item verification *in batch order*, so blame attribution — which
-    dealer gets complained against, which partial emitter gets rejected —
-    is identical to the unbatched path.  A batch of one is exactly the
-    per-item check.
+    The share images are cached per commitment and their exponents
+    ``x^k ≤ n^t`` are short (:mod:`repro.perf.share_image`), so checking
+    alone costs one window walk for ``g^{v}`` per item.  A commitment
+    element outside the order-``q`` subgroup, such as ``p − C``, fails
+    its item's check and no other's (docs/PROTOCOLS.md §12).
     """
-    if len(items) < 2:
-        return [commitment.verify_share(group, share) for commitment, share in items]
-    q = group.q
-    transcript = tagged_hash(
-        _BATCH_TAG,
-        *(
-            encode_for_hash((commitment.elements, share.x, share.value))
-            for commitment, share in items
-        ),
-    )
-    value_total = 0
-    base_exponents: dict[int, int] = {}
-    coefficients = batch_coefficients(_BATCH_TAG, transcript, len(items), q)
-    for c, (commitment, share) in zip(coefficients, items):
-        value_total = (value_total + c * share.value) % q
-        power_of_x = 1
-        for element in commitment.elements:
-            base_exponents[element] = (
-                base_exponents.get(element, 0) + c * power_of_x
-            ) % q
-            power_of_x = (power_of_x * share.x) % q
-    rhs = group.multi_power(list(base_exponents.items()))
-    if group.base_power(value_total) == rhs:
-        return [True] * len(items)
     return [commitment.verify_share(group, share) for commitment, share in items]

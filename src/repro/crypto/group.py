@@ -13,11 +13,12 @@ generated with :meth:`SchnorrGroup.generate`.
 
 Every exponentiation of the package goes through this one engine
 (``docs/PROTOCOLS.md`` §12): :meth:`SchnorrGroup.base_power` and
-:meth:`SchnorrGroup.fixed_power` walk fixed-base windows,
-:meth:`SchnorrGroup.multi_power` is an interleaved-window (Straus)
-multi-exponentiation, and :meth:`SchnorrGroup.is_member` decides
-membership by the Legendre symbol.  Each computes exactly the value of
-the plain ``pow`` expression its docstring names.
+:meth:`SchnorrGroup.fixed_power` walk fixed-base windows, and
+:meth:`SchnorrGroup.is_member` decides membership by the Legendre
+symbol.  :meth:`SchnorrGroup.multi_power`, an interleaved-window
+(Straus) multi-exponentiation, has no caller in the protocols; the
+benchmark's tracer still patches it by name.  Each computes exactly the
+value of the plain ``pow`` expression its docstring names.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ __all__ = [
     "NAMED_GROUP_NAMES",
 ]
 
-#: bound on per-group fixed-base windows kept for registered bases
-_MAX_BASE_WINDOWS = 16
+#: leak guard on per-group fixed-base windows: a window lives as long as
+#: its key, and the keys in force number at most 2n + 1 (n local keys,
+#: n key images and v_cert; n = 37 needs 75)
+_MAX_BASE_WINDOWS = 128
 
 #: bound on per-group memoized membership checks
 _MAX_MEMBER_CACHE = 8192
@@ -158,8 +161,8 @@ class SchnorrGroup:
         self.scalar_field = PrimeField(params.q)
         self._straus_width = _straus_width(params.q.bit_length())
         # fixed-base precomputation (repro.perf): a window for g, built
-        # lazily, plus a small pool of windows for registered long-lived
-        # bases (e.g. the PDS key v_cert used by every VER-CERT)
+        # lazily, plus one window per long-lived base in force (v_cert,
+        # the local keys, the key images), dropped with its key
         self._g_window: FixedBaseWindow | None = None
         self._base_windows: dict[int, FixedBaseWindow] = {}
         self._member_cache: dict[int, bool] = {}
@@ -199,11 +202,11 @@ class SchnorrGroup:
         """``base ** exponent mod p`` for a *long-lived* base.
 
         Builds (and keeps) a fixed-base window for ``base`` — meant for
-        bases that are exponentiated many times over their lifetime, such
-        as the PDS verification key ``v_cert`` checked by every single
-        VER-CERT.  The window pool is bounded and evicts FIFO, so a
-        stream of distinct bases rebuilds a window per call: batch checks
-        put their keys into :meth:`multi_power` instead.
+        keys in force, each raised many times over its lifetime: the PDS
+        key ``v_cert``, the local keys of VER-CERT and the key images of
+        partial signatures.  The rotation hooks drop a superseded key's
+        window (:meth:`drop_window`); the pool's FIFO bound is only a leak
+        guard above every live set.
         """
         window = self._base_windows.get(base)
         if window is None:
@@ -211,6 +214,10 @@ class SchnorrGroup:
                 self._base_windows.pop(next(iter(self._base_windows)))
             window = self._base_windows[base] = FixedBaseWindow(base, self.p, self.q)
         return window.pow(exponent)
+
+    def drop_window(self, base: int) -> None:
+        """Forget the fixed-base window of a key no longer in force."""
+        self._base_windows.pop(base, None)
 
     def multiply(self, a: int, b: int) -> int:
         return (a * b) % self.p
@@ -228,8 +235,8 @@ class SchnorrGroup:
         For the safe prime ``p = 2q + 1`` the order-``q`` subgroup is
         exactly the quadratic residues mod ``p``, so the Legendre symbol
         decides it without an exponentiation.  A pure predicate of the
-        element, so outcomes are memoized — the same keys, commitments
-        and signature components are membership-checked over and over."""
+        element, so outcomes are memoized — every signature check
+        tests its key, and the keys are few."""
         cached = self._member_cache.get(a)
         if cached is None:
             cached = 0 < a < self.p and _jacobi(a, self.p) == 1
@@ -244,8 +251,7 @@ class SchnorrGroup:
 
     def multi_power(self, bases_and_exponents: Iterable[tuple[int, int]]) -> int:
         """``Π pow(base_i, exp_i % q, p)`` in one interleaved-window
-        (Straus) multi-exponentiation — the engine of every
-        random-linear-combination batch check.
+        (Straus) multi-exponentiation.  No protocol path calls it.
 
         Each base gets a table of its powers ``0 .. 2^w - 1``; the
         exponents are cut into ``w``-bit digits, and one shared chain of

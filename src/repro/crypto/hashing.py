@@ -1,12 +1,12 @@
-"""Hashing utilities: domain-separated SHA-256, hash-to-integer, batch
-coefficients, a canonical value encoding, and a PRF.
+"""Hashing utilities: domain-separated SHA-256, hash-to-integer, a
+canonical value encoding, and a PRF.
 
-Every hash in this package is keyed by a domain tag (:func:`tagged_hash`,
-and the SHAKE-256 stream of :func:`batch_coefficients`) so distinct
-protocol uses (Schnorr challenges, Merkle nodes, certificate bodies, ...)
-live in disjoint domains — a message signed in one role can never collide
-with a message signed in another.  This mirrors the paper's insistence on
-binding signatures to ``(m, i, j, u, w)`` tuples (Fig. 3).
+Every hash in this package is keyed by a domain tag (:func:`tagged_hash`)
+so distinct protocol uses (Schnorr challenges, Merkle nodes, certificate
+bodies, ...) live in disjoint domains — a message signed in one role can
+never collide with a message signed in another.  This mirrors the
+paper's insistence on binding signatures to ``(m, i, j, u, w)`` tuples
+(Fig. 3).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "sha256",
     "tagged_hash",
     "hash_to_int",
-    "batch_coefficients",
     "encode_for_hash",
     "register_record",
     "prf",
@@ -141,25 +140,6 @@ def hash_to_int(tag: str, modulus: int, *values: object) -> int:
         acc = (acc << (8 * DIGEST_BYTES)) | int.from_bytes(digest, "big")
         counter += 1
     return acc % modulus
-
-
-def batch_coefficients(tag: str, transcript: bytes, count: int, q: int) -> list[int]:
-    """The ``count`` Fiat–Shamir coefficients of one
-    random-linear-combination batch check, from one SHAKE-256 stream
-    keyed by ``tag`` and the batch ``transcript``.
-
-    Each coefficient reduces ``|q| + 128`` bits of the stream into
-    ``[1, q - 1]``, the range and margin of ``hash_to_int``: full-length
-    coefficients, so a bad item passes with probability at most ``1/q``
-    (docs/PROTOCOLS.md §12).
-    """
-    width = (q.bit_length() + 128 + 7) // 8
-    tag_digest = _tag_digest(tag)
-    stream = hashlib.shake_256(tag_digest + tag_digest + transcript).digest(count * width)
-    return [
-        1 + int.from_bytes(stream[start:start + width], "big") % (q - 1)
-        for start in range(0, count * width, width)
-    ]
 
 
 def prf(key: bytes, *values: object) -> bytes:

@@ -16,11 +16,10 @@ of the parallel benchmark harness relies on, and (c) nonce reuse across
 distinct messages is structurally impossible.
 
 Performance layer hooks (all transcript-neutral, see :mod:`repro.perf`):
-Fiat–Shamir challenges are memoized under their exact inputs, a single
-:meth:`SchnorrScheme.verify` raises ``y`` to ``e`` through a fixed-base
-window kept for the long-lived key, and :meth:`SchnorrScheme.batch_verify`
-checks many signatures with one random-linear-combination equation whose
-right-hand side is a single multi-exponentiation.
+Fiat–Shamir challenges are memoized under their exact inputs, and
+:meth:`SchnorrScheme.verify` raises ``g`` to ``s`` and ``y`` to ``e``
+through fixed-base windows kept for as long as the key is in force.
+:meth:`SchnorrScheme.batch_verify` checks each signature on its own.
 """
 
 from __future__ import annotations
@@ -31,13 +30,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from repro.crypto.group import SchnorrGroup, named_group
-from repro.crypto.hashing import (
-    batch_coefficients,
-    encode_for_hash,
-    hash_to_int,
-    register_record,
-    tagged_hash,
-)
+from repro.crypto.hashing import hash_to_int, register_record
 from repro.crypto.signature import KeyPair, SignatureScheme
 from repro.perf.registry import register_cache_clearer
 
@@ -50,7 +43,6 @@ __all__ = [
 ]
 
 _CHALLENGE_TAG = "repro/schnorr/challenge"
-_BATCH_TAG = "repro/schnorr/batch"
 
 
 @dataclass(frozen=True)
@@ -137,17 +129,15 @@ class SchnorrScheme(SignatureScheme):
         return SchnorrSignature(commitment=commitment, response=s)
 
     def _well_formed(self, verify_key: object, signature: object) -> bool:
-        """The structural part of verification (types, subgroup
-        membership, response range) — shared by :meth:`verify` and
-        :meth:`batch_verify` so both reject exactly the same garbage.
+        """The structural part of verification: types, ranges and the
+        key's subgroup membership.
 
         The fields are checked too: a signature or key built off the
         wire can carry a float, a string or a list, which must be
-        rejected here rather than raise inside the arithmetic.  Subgroup
-        membership of ``R`` and ``y`` keeps the batch equation in step
-        with :meth:`verify`: a non-member ``-R`` contributes
-        ``(-1)^{c_i}`` to the batch, which vanishes whenever ``c_i`` is
-        even (docs/PROTOCOLS.md §12)."""
+        rejected here rather than raise inside the arithmetic.  ``R``
+        needs only ``0 < R < p``: with ``y`` in the order-``q``
+        subgroup, ``g^s ≡ R·y^e`` forces ``R ≡ g^s·y^{−e}``, a member
+        (docs/PROTOCOLS.md §12)."""
         if not isinstance(signature, SchnorrSignature):
             return False
         if not isinstance(verify_key, SchnorrVerifyKey):
@@ -158,7 +148,7 @@ class SchnorrScheme(SignatureScheme):
             and type(verify_key.y) is int
         ):
             return False
-        if not self.group.is_member(signature.commitment):
+        if not (0 < signature.commitment < self.group.p):
             return False
         if not self.group.is_member(verify_key.y):
             return False
@@ -179,55 +169,15 @@ class SchnorrScheme(SignatureScheme):
     def batch_verify(
         self, items: Sequence[tuple[SchnorrVerifyKey, bytes, object]]
     ) -> bool:
-        """Check many ``(verify_key, message, signature)`` triples with
-        one random-linear-combination equation.
+        """True iff every ``(verify_key, message, signature)`` triple
+        verifies, each checked on its own by :meth:`verify`.
 
-        Draws full-length coefficients ``c_i ∈ [1, q)`` by Fiat–Shamir
-        from a hash of the *whole batch* (keys, commitments, responses
-        and messages), all from one
-        :func:`~repro.crypto.hashing.batch_coefficients` stream, so the
-        check is deterministic — replays reproduce it bit-for-bit —
-        while an adversary cannot choose signatures after the
-        coefficients are fixed.  The verified equation is
-
-            g^(Σ c_i·s_i)  ==  Π R_i^{c_i} · Π y^{Σ_{i: y_i=y} c_i·e_i}
-
-        whose right-hand side is one :meth:`SchnorrGroup.multi_power`
-        call over every ``R_i`` and every distinct key (exponents of a
-        shared base are aggregated, so a flood of certificates under the
-        one PDS key ``v_cert`` adds a single term).  Returns True iff
-        every signature in the batch verifies, up to the standard
-        ``1/q`` soundness error of batch verification; a False verdict
-        says *at least one* item is bad — callers fall back to
-        individual verification to attribute blame (see
-        :func:`repro.core.certify.ver_cert_many`).
+        VER-CERT hands one round's uncached checks here
+        (:func:`repro.core.certify.ver_cert_many`); a False verdict says
+        *at least one* item is bad, and the caller verifies each item
+        alone to attribute the rejection.
         """
-        if not items:
-            return True
-        group = self.group
-        q = group.q
-        for verify_key, _message, signature in items:
-            if not self._well_formed(verify_key, signature):
-                return False
-        transcript = tagged_hash(
-            _BATCH_TAG,
-            *(
-                encode_for_hash(
-                    (verify_key.y, signature.commitment, signature.response)
-                )
-                + message
-                for verify_key, message, signature in items
-            ),
-        )
-        s_total = 0
-        exponents: dict[int, int] = {}  # base (R_i or key y) -> exponent
-        coefficients = batch_coefficients(_BATCH_TAG, transcript, len(items), q)
-        for c, (verify_key, message, signature) in zip(coefficients, items):
-            e = self.challenge(signature.commitment, verify_key.y, message)
-            s_total = (s_total + c * signature.response) % q
-            exponents[signature.commitment] = exponents.get(signature.commitment, 0) + c
-            exponents[verify_key.y] = exponents.get(verify_key.y, 0) + c * e
-        return group.base_power(s_total) == group.multi_power(exponents.items())
+        return all(self.verify(*item) for item in items)
 
 
 @lru_cache(maxsize=64)

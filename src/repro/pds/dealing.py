@@ -85,8 +85,7 @@ class DealingRound:
         (the first per dealer counts) and return the dealers to blame: a
         malformed commitment is dropped; a dealing with a bad sub-share is
         kept without one, so it is not acked.
-        One :func:`verify_shares_batch` checks the sub-shares; its per-item
-        fallback keeps every verdict what checking it alone would give."""
+        :func:`verify_shares_batch` checks each sub-share on its own."""
         blamed: list[int] = []
         queued: dict[int, tuple[FeldmanCommitment, int]] = {}
         for dealer, elements, value in items:

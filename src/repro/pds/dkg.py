@@ -81,11 +81,9 @@ class DkgUGenProgram(NodeProgram):
                           dealing.shares[receiver].value))
 
     def _combine(self, ctx: NodeContext, inbox: list[Envelope]) -> None:
-        # all dealings are verified as one batch (random-linear-combination
-        # multi-exponentiation) whose per-item fallback keeps per-dealer
-        # verdicts identical to checking each in turn.  Defensive: the
-        # set-up is reliable by assumption, but a malformed payload is
-        # dropped rather than crash the combine step
+        # the dealing round checks each dealing on its own.  Defensive:
+        # the set-up is reliable by assumption, but a malformed payload
+        # is dropped rather than crash the combine step
         self._round.receive(
             (envelope.sender,) + envelope.payload[1:]
             for envelope in ctx.channel_view(inbox, _DKG_CHANNEL)

@@ -108,9 +108,7 @@ class RefreshService:
         self._completed_start: int | None = None
         #: blame record: ``(unit, dealer)`` for every zero-dealing received
         #: from ``dealer`` that this node refused to ack (bad share, wrong
-        #: degree, or non-zero constant).  The same as per-dealer checking
-        #: would give — the batch verifier falls back to per-dealer checks
-        #: on failure, so attribution never changes.
+        #: degree, or non-zero constant).
         self.rejected_dealers: set[tuple[int, int]] = set()
         #: when True (default), a refresh self-starts at the first round of
         #: every refreshment phase; ULS turns this off and calls begin()
@@ -187,25 +185,15 @@ class RefreshService:
         phase = self._phase
         if phase is None:
             return
-        # Consecutive rf-zdeal messages are collected into one run and
-        # verified as a batch (one RLC multi-exponentiation instead of one
-        # share check per dealer).  The run is flushed before any other
-        # message kind is handled, so every cross-handler ordering effect
-        # (e.g. a reveal racing a delayed dealing from the same dealer) is
-        # exactly what per-message processing would have produced.
-        zdeal_run: list[tuple[int, tuple]] = []
         for accepted in self.transport.accepted_view():
             body = accepted.body
             if not isinstance(body, tuple) or len(body) < 2:
                 continue
             kind = body[0]
-            if kind != "rf-zdeal" and zdeal_run:
-                self._on_zero_deals(zdeal_run, phase)
-                zdeal_run = []
             if not well_formed(body, _SHAPES):
                 continue
             if kind == "rf-zdeal":
-                zdeal_run.append((accepted.sender, body))
+                self._on_zero_deal(accepted.sender, body, phase)
             elif kind == "rf-sync":
                 self._on_sync(accepted.sender, body, phase)
             elif kind == "rf-zack":
@@ -218,8 +206,6 @@ class RefreshService:
                 self._on_zero_reveal(accepted.sender, body, phase)
             elif kind == "rf-help":
                 self._on_help(accepted.sender, body, phase)
-        if zdeal_run:
-            self._on_zero_deals(zdeal_run, phase)
 
     def _on_sync(self, sender: int, body: tuple, phase: _Phase) -> None:
         _, unit, elements = body
@@ -227,20 +213,13 @@ class RefreshService:
         if unit == phase.unit and commitment_of(elements, degree) is not None:
             phase.sync_votes.setdefault(sender, elements)
 
-    def _on_zero_deals(self, run: list[tuple[int, tuple]], phase: _Phase) -> None:
-        """Handle a run of zero-dealings; first message per dealer wins.
-
-        The dealing round checks each dealing in arrival order and the
-        surviving sub-shares as one batch; its verdicts — and therefore
-        ack lists and blame — are those of checking each dealer alone.
-        """
-        items = [
-            (dealer, elements, share_value)
-            for dealer, (_, unit, elements, share_value) in run
-            if unit == phase.unit
-        ]
-        for dealer in phase.zeros.receive(items):
-            self.rejected_dealers.add((phase.unit, dealer))
+    def _on_zero_deal(self, dealer: int, body: tuple, phase: _Phase) -> None:
+        """Take one zero-dealing; the first per dealer counts, and one
+        the dealing round refuses blames its dealer."""
+        _, unit, elements, share_value = body
+        if unit == phase.unit:
+            for blamed in phase.zeros.receive([(dealer, elements, share_value)]):
+                self.rejected_dealers.add((phase.unit, blamed))
 
     def _on_zero_ack(self, acker: int, body: tuple, phase: _Phase) -> None:
         _, unit, ack_list = body

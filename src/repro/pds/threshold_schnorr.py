@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.crypto.hashing import batch_coefficients, encode_for_hash, tagged_hash
+from repro.crypto.hashing import encode_for_hash, tagged_hash
 from repro.crypto.schnorr import SchnorrSignature, SchnorrVerifyKey, scheme_for_group
 from repro.pds.dealing import DealingRound
 from repro.pds.keys import PdsNodeState
@@ -62,7 +62,6 @@ __all__ = ["ThresholdSigner", "pds_message_bytes", "verify_pds_signature"]
 
 _SID_TAG = "repro/tsig/session"
 _COMMIT_TAG = "repro/tsig/commit"
-_PBATCH_TAG = "repro/tsig/pbatch"
 
 #: field types per body kind (see :func:`~repro.pds.transport.well_formed`)
 _SHAPES = {
@@ -152,8 +151,6 @@ class ThresholdSigner:
         #: blame record: ``(sid, share_index)`` for every received partial
         #: signature that failed cryptographic verification (pre-checks and
         #: the equation itself; *not* the still-waiting-for-dealings case).
-        #: The same as per-emitter checking would give — the batch verifier
-        #: falls back to per-emitter checks on failure.
         self.rejected_partials: set[tuple[str, int]] = set()
         # sessions used to accumulate for the whole run; finished ones are
         # now retired after the unit following theirs.  The sid -> unit
@@ -279,7 +276,7 @@ class ThresholdSigner:
                 elif kind == "ts-reveal":
                     self._on_reveal(accepted.sender, solo)
                 elif kind == "ts-partial":
-                    self._on_partial(solo)
+                    self._on_partial(accepted.sender, solo)
 
     def _open(self, ctx: NodeContext, sid: str, message_bytes: bytes, start: int) -> _Session:
         public = self.state.public
@@ -323,8 +320,12 @@ class ThresholdSigner:
         if session is not None:
             session.nonces.receive_reveal(dealer, points, elements)
 
-    def _on_partial(self, body: tuple) -> None:
+    def _on_partial(self, sender: int, body: tuple) -> None:
         _, sid, share_index, qual, value = body
+        if share_index != sender + 1:
+            # a node speaks only for its own share: a partial under another
+            # index would shadow the honest one (the first per index counts)
+            return
         session = self.sessions.get(sid)
         if session is None or not all(type(d) is int for d in qual):
             return  # non-int dealer ids could not name any dealing
@@ -418,35 +419,22 @@ class ThresholdSigner:
         session: _Session,
         items: list[tuple[int, tuple[int, ...], int]],
     ) -> list[bool]:
-        """Per-item verdicts for a batch of ``(share_index, qual, value)``.
+        """Per-item verdicts for ``(share_index, qual, value)`` partials,
+        each checked on its own.
 
-        Pre-checks run per item in order: an out-of-range evaluation point
-        (``x ≤ 0`` would be the secret constant itself) or a duplicated
-        dealer in the claimed qualified set is rejected with blame; a qual
-        naming dealings we have not (yet) received is rejected *without*
-        blame — the dealings may still arrive.  The surviving equations
-        ``g^{s_j} = nonce_image_j · key_image_j^{e_j}`` are checked with
-        one random-linear-combination equation, mirroring
-        :meth:`~repro.crypto.schnorr.SchnorrScheme.batch_verify`:
-
-            g^(Σ c_j·s_j)  ==  Π nonce_image_j^{c_j} · key_image_j^{c_j·e_j}
-
-        with the right-hand side one multi-exponentiation and the
-        coefficients drawn by Fiat–Shamir, from one
-        :func:`~repro.crypto.hashing.batch_coefficients` stream keyed by
-        every ``(share_index, value, nonce_image, key_image, e)`` of the
-        batch.
-        On batch failure the fallback re-checks each emitter individually
-        (the only place an item's own right-hand side is computed), so
-        blame attribution is identical to the unbatched path.
+        An out-of-range evaluation point (``x ≤ 0`` would be the secret
+        constant itself) or a duplicated dealer in the claimed qualified
+        set is rejected with blame; a qual naming dealings we have not
+        (yet) received is rejected *without* blame — the dealings may
+        still arrive.  The rest must satisfy
+        ``g^{s_j} = nonce_image_j · key_image_j^{e}``; the key image is
+        raised through a fixed-base window, since it stays in force until
+        the next refresh (:meth:`repro.pds.keys.PdsNodeState.install_share`
+        drops it).
         """
-        if not items:
-            return []
         group = self.state.public.group
         n = self.state.public.n
         verdicts = [False] * len(items)
-        # (position, share_index, value, nonce_image, key_image, challenge)
-        checkable: list[tuple[int, int, int, int, int, int]] = []
         dealings = session.nonces.dealings
         for position, (share_index, qual, value) in enumerate(items):
             if not (1 <= share_index <= n):
@@ -467,33 +455,7 @@ class ThresholdSigner:
                     nonce_image, dealings[dealer][0].share_image(group, share_index)
                 )
             key_image = self.state.key_commitment.share_image(group, share_index)
-            checkable.append(
-                (position, share_index, value, nonce_image, key_image, challenge)
-            )
-        if len(checkable) >= 2:
-            q = group.q
-            # (share_index, value, nonce_image, key_image, e) fixes the
-            # item's equation, so a bad item survives with prob. <= 1/q
-            transcript = tagged_hash(
-                _PBATCH_TAG,
-                session.message_bytes,
-                *(encode_for_hash(item[1:]) for item in checkable),
-            )
-            value_total = 0
-            terms: list[tuple[int, int]] = []
-            coefficients = batch_coefficients(_PBATCH_TAG, transcript, len(checkable), q)
-            for c, (_, _, value, nonce_image, key_image, challenge) in zip(
-                coefficients, checkable
-            ):
-                value_total = (value_total + c * value) % q
-                terms.append((nonce_image, c))
-                terms.append((key_image, c * challenge))
-            if group.base_power(value_total) == group.multi_power(terms):
-                for item in checkable:
-                    verdicts[item[0]] = True
-                return verdicts
-        for position, share_index, value, nonce_image, key_image, challenge in checkable:
-            rhs = group.multiply(nonce_image, group.power(key_image, challenge))
+            rhs = group.multiply(nonce_image, group.fixed_power(key_image, challenge))
             valid = group.base_power(value) == rhs
             verdicts[position] = valid
             if not valid:

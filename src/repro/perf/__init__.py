@@ -1,4 +1,4 @@
-"""The performance layer: caches, precomputation and batching.
+"""The performance layer: caches and precomputation.
 
 Everything in this package is *transcript-neutral*: it changes
 wall-clock time, never protocol behaviour.  Each optimisation has one
@@ -13,15 +13,17 @@ Components:
 * :mod:`repro.perf.cache` — the signature-verification cache and the
   identity-keyed canonical-encoding cache;
 * :mod:`repro.perf.fixed_base` — fixed-base exponentiation windows used
-  by :class:`repro.crypto.group.SchnorrGroup` for ``g`` and long-lived
-  keys such as ``v_cert``;
+  by :class:`repro.crypto.group.SchnorrGroup` for ``g`` and each key in
+  force (``v_cert``, the local keys, the key images), dropped with the
+  key by the rotation hooks of :mod:`repro.perf.cache` and
+  :mod:`repro.perf.share_image`;
 * :mod:`repro.perf.share_image` — memoized Feldman share images;
 * :mod:`repro.perf.volume` — the aggregated refresh wire format's
   broadcast sentinel and responder sampling.
 
-Batch Schnorr verification lives with the scheme itself
-(:meth:`repro.crypto.schnorr.SchnorrScheme.batch_verify`); the batched
-VER-CERT entry point is :func:`repro.core.certify.ver_cert_many`.
+The round-wide VER-CERT entry point is
+:func:`repro.core.certify.ver_cert_many`; it checks each signature on
+its own, certificates before bodies.
 """
 
 from repro.perf.cache import (

@@ -11,7 +11,8 @@ Two caches live here:
   goes through the full verifier.  Entries are bucketed per verification
   key, which makes key-rotation invalidation O(1): when a ULS node
   installs a new unit's local keys the superseded key's whole bucket is
-  dropped (see :meth:`repro.core.keystore.KeyStore.install_pending`).
+  dropped, and with it the key's fixed-base window (see
+  :meth:`repro.core.keystore.KeyStore.install_pending`).
   Rotation invalidation is hygiene, not a safety requirement — stale
   entries are unreachable anyway because VER-CERT pins the expected time
   unit before any signature check — but it keeps the cache from carrying
@@ -149,11 +150,10 @@ def _cacheable_key(scheme: Any, verify_key: Any, signature: Any) -> Hashable | N
 def cached_verify(scheme: Any, verify_key: Any, message: bytes, signature: Any) -> bool:
     """``scheme.verify`` through the verification cache.
 
-    An outcome is only ever stored after the full verifier ran (or, at
-    the batched call sites, after a whole batch passed the
-    random-linear-combination check — see ``docs/PROTOCOLS.md`` §12 for
-    the security argument); a cached ``False`` is just as valid as a
-    cached ``True`` because the key pins the exact signature bytes.
+    An outcome is only ever stored after the full verifier ran, here or
+    at VER-CERT's ``batch_verify`` call, which verifies every item; a
+    cached ``False`` is just as valid as a cached ``True`` because the
+    key pins the exact signature bytes.
     """
     key_repr = _cacheable_key(scheme, verify_key, signature)
     if key_repr is None:
@@ -194,11 +194,17 @@ def store_verify(
 
 
 def invalidate_verify_key(scheme: Any, verify_key: Any) -> int:
-    """Drop all cached outcomes under one verification key (rotation)."""
+    """Drop all cached outcomes under one verification key (rotation),
+    and the key's fixed-base window if it has one."""
     try:
         key_repr = scheme.key_repr(verify_key)
     except (TypeError, NotImplementedError):
         return 0
+    # imported here: the group imports repro.perf, which imports this module
+    from repro.crypto.schnorr import SchnorrVerifyKey
+
+    if isinstance(verify_key, SchnorrVerifyKey):
+        scheme.group.drop_window(verify_key.y)
     return _VERIFY_CACHE.invalidate_key(key_repr)
 
 

@@ -11,8 +11,9 @@ named group, the toy 64-bit one included: CPython's ``pow`` on 64-bit
 operands takes about 17 µs, a window walk about 4 µs (Python 3.11 on
 one Xeon core; at 256 bits, 128 µs against 29 µs).  Building a table
 costs about six ``pow`` calls, so it pays only for a base raised many
-times — ``g`` and long-lived keys such as ``v_cert``
-(:meth:`repro.crypto.group.SchnorrGroup.base_power` / ``fixed_power``).
+times — ``g`` and the keys in force: ``v_cert``, the local keys and the
+key images (:meth:`repro.crypto.group.SchnorrGroup.base_power` /
+``fixed_power``).
 
 The computed value is exactly ``pow(base, exponent % order, modulus)`` —
 the window is a speedup, never a semantic change.

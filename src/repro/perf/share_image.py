@@ -11,7 +11,8 @@ that exact key.
 Entries are grouped into one *bucket per commitment* (the rotation
 bucket: a refreshed key has a new commitment vector and therefore a new
 bucket).  :meth:`ShareImageCache.invalidate` drops a superseded
-commitment's whole bucket in O(1) —
+commitment's whole bucket in O(1), and the fixed-base windows the
+partial-signature checks keep for its images (the key images) —
 :meth:`repro.pds.keys.PdsNodeState.install_share` calls it whenever a
 refresh replaces the key commitment, so a pre-refresh image can never
 be consulted for a post-refresh key.  As with the verification cache,
@@ -99,11 +100,14 @@ class ShareImageCache:
         return (group.p, tuple(elements)) in self._buckets
 
     def invalidate(self, group, elements: tuple[int, ...]) -> int:
-        """Drop one commitment's whole bucket (key rotation).  Returns the
-        number of image entries dropped."""
+        """Drop one commitment's whole bucket (key rotation), with the
+        fixed-base windows of its images.  Returns the number of image
+        entries dropped."""
         bucket = self._buckets.pop((group.p, tuple(elements)), None)
         if bucket is None:
             return 0
+        for image in bucket.values():
+            group.drop_window(image)
         self.invalidations += 1
         return len(bucket)
 

@@ -24,9 +24,8 @@ identical to the paper wire:
 * **receipt aggregation** — per-session bodies that every node sends to
   every node each round (threshold-signer acks/reveals/partials,
   PARTIAL-AGREEMENT step-3 re-dispersals) are packed into one signed
-  plural body per node per round; the existing batched-Schnorr machinery
-  (``ver_cert_many``) verifies the single certificate covering all of
-  them.  Secret-bearing bodies (``ts-deal`` nonce shares, ``rf-blind``
+  plural body per node per round; VER-CERT (``ver_cert_many``) then
+  checks one certificate and one signature for all of them.  Secret-bearing bodies (``ts-deal`` nonce shares, ``rf-blind``
   sub-shares) are never packed — they are per-receiver private values.
 
 * **sampled need/help** — share-recovery responders are chosen by the

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.group import named_group
 from repro.crypto.hashing import (
-    batch_coefficients,
     encode_for_hash,
     hash_chain,
     hash_to_int,
@@ -100,32 +98,6 @@ def test_record_subclass_falls_back_to_repr():
 def test_random_streams_are_unchanged():
     # the labels are encoded as a tuple; this value predates list tags
     assert RandomnessSource(0).stream("node-round", 1, 2).getrandbits(64) == 5607330623338008636
-
-
-@pytest.mark.parametrize("group_name", ["toy64", "toy256"])
-def test_batch_coefficients_full_length_and_in_range(group_name):
-    q = named_group(group_name).q
-    transcript = tagged_hash("t", b"batch")
-    coefficients = batch_coefficients("t", transcript, 64, q)
-    assert len(coefficients) == 64
-    assert all(1 <= c < q for c in coefficients)
-    assert len(set(coefficients)) == 64
-    # full length: among 64 uniform draws from [1, q), the largest has
-    # (almost surely) as many bits as q
-    assert max(coefficients).bit_length() == q.bit_length()
-    assert batch_coefficients("t", transcript, 64, q) == coefficients
-    assert batch_coefficients("t", transcript, 3, q) == coefficients[:3]
-    assert batch_coefficients("u", transcript, 3, q) != coefficients[:3]
-    assert batch_coefficients("t", tagged_hash("t", b"other"), 3, q) != coefficients[:3]
-    assert batch_coefficients("t", transcript, 0, q) == []
-
-
-def test_batch_coefficients_cover_a_small_range():
-    counts = [0, 0, 0]
-    for c in batch_coefficients("uniform", b"transcript", 900, 4):
-        counts[c - 1] += 1
-    for count in counts:
-        assert 200 < count < 400
 
 
 @given(st.integers(min_value=2, max_value=2**256))

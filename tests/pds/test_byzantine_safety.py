@@ -37,8 +37,9 @@ class ByzantineSigner(Adversary):
     """Breaks one node in the signing round and replays distorted copies
     of the signing traffic it observes: corrupted shares in dealings,
     random partials (one body each or a round's plural ``ts-partials``),
-    equivocated commitments to half the nodes.  ``sent`` counts the
-    distorted bodies sent."""
+    equivocated commitments to half the nodes, or, once it sees the
+    session's acks, partials under every other node's share index.
+    ``sent`` counts the distorted bodies sent."""
 
     def __init__(self, victim: int, mode: str) -> None:
         self.victim = victim
@@ -75,6 +76,13 @@ class ByzantineSigner(Adversary):
                     (sid, self.victim + 1, qual, rng.randrange(GROUP.q))
                     for sid, _index, qual, _value in payload[1]
                 )))
+            elif payload[0] in ("ts-ack", "ts-acks") and self.mode == "foreign-partials":
+                if not self.sent:
+                    sid = payload[1] if payload[0] == "ts-ack" else payload[1][0][0]
+                    self._send(api, ("ts-partials", tuple(
+                        (sid, index, tuple(range(api.n)), 12345)
+                        for index in range(1, api.n + 1) if index != self.victim + 1
+                    )))
             elif payload[0] == "ts-deal" and self.mode == "equivocate":
                 # send two different (valid-looking) commitment vectors to
                 # the two halves of the network
@@ -89,7 +97,8 @@ class ByzantineSigner(Adversary):
                            distorted=False)
 
 
-@pytest.mark.parametrize("mode", ["bad-shares", "bad-partials", "equivocate"])
+@pytest.mark.parametrize("mode", ["bad-shares", "bad-partials", "equivocate",
+                                  "foreign-partials"])
 def test_byzantine_participant_cannot_break_safety(mode, wire):
     public, states = deal_initial_states(GROUP, N, T, random.Random(1))
     programs = [PdsNodeProgram(state, wire=wire) for state in states]
@@ -111,12 +120,13 @@ def test_byzantine_participant_cannot_break_safety(mode, wire):
         assert set(program.signatures) <= {("target", 0)}
 
 
-@pytest.mark.parametrize("mode", ["bad-shares", "bad-partials"])
+@pytest.mark.parametrize("mode", ["bad-shares", "bad-partials", "foreign-partials"])
 def test_liveness_survives_noise_from_one_byzantine_node(mode, wire):
     """With n - 1 = 4 >= t + 1 honest contributors, the corrupted traffic
     from one byzantine node must not prevent the signature (robustness:
     bad shares and partials are identified by Feldman verification and
-    dropped)."""
+    dropped, and a partial under another node's share index is not that
+    node's), nor get an honest node blamed."""
     public, states = deal_initial_states(GROUP, N, T, random.Random(3))
     programs = [PdsNodeProgram(state, wire=wire) for state in states]
     adversary = ByzantineSigner(victim=4, mode=mode)
@@ -130,6 +140,9 @@ def test_liveness_survives_noise_from_one_byzantine_node(mode, wire):
     signature = next(p.signatures[("robust", 0)] for p in programs[:4]
                      if ("robust", 0) in p.signatures)
     assert verify_pds_signature(public, "robust", 0, signature)
+    honest_indices = {program.state.share_index for program in programs[:4]}
+    for program in programs[:4]:
+        assert not {index for _, index in program.signer.rejected_partials} & honest_indices
 
 
 # ------------------------------------------------------ malformed bodies

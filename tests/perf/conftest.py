@@ -1,10 +1,10 @@
 """Perf-layer test isolation and per-item references.
 
 The caches are process-global, so every test here runs against freshly
-cleared caches (the ``perf`` fixture).  ``per_item`` swaps every batched
-verifier for its per-item fallback and the group's exponentiation engine
-for plain ``pow``: the reference each batch path must agree with verdict
-for verdict and blame for blame."""
+cleared caches (the ``perf`` fixture).  ``per_item`` hands every
+round-wide check one item at a time and swaps the group's
+exponentiation engine for plain ``pow``: the reference each round-wide
+check must agree with verdict for verdict and blame for blame."""
 
 import pytest
 
@@ -39,11 +39,12 @@ PLAIN_POW_ENGINE = {
 
 @pytest.fixture
 def per_item(monkeypatch):
-    """A function that routes every batched check through its per-item
-    fallback, with cold caches: Schnorr batches report failure (so
-    VER-CERT verifies each signature alone), Feldman sub-shares are
-    checked one by one, and partial signatures one emitter at a time.
-    Every exponentiation and membership check is plain ``pow``."""
+    """A function that routes every round-wide check through one item
+    at a time, with cold caches: ``batch_verify`` reports failure (so
+    VER-CERT verifies each signature alone through ``cached_verify``),
+    Feldman sub-shares are checked one by one, and partial signatures
+    one emitter at a time.  Every exponentiation and membership check is
+    plain ``pow``."""
     verify_partials = ThresholdSigner._verify_partials
 
     def one_at_a_time(self, sid, session, items):

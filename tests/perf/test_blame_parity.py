@@ -1,14 +1,15 @@
-"""Blame-attribution parity: batched verifiers vs. their per-item fallbacks.
+"""Blame-attribution parity: the round-wide checks vs. one item at a time.
 
-The batched verifiers (`verify_shares_batch`, the partial-signature RLC
-check, batched VER-CERT) fall back to per-item verification whenever a
-batch fails, so the *blame records* — ``RefreshService.rejected_dealers``
+The checks that take a round's items together (`verify_shares_batch`,
+`ThresholdSigner._verify_partials`, `ver_cert_many`) check each item on
+its own, so the *blame records* — ``RefreshService.rejected_dealers``
 and ``ThresholdSigner.rejected_partials`` — must be identical to those of
-a run that checks every item alone (the ``per_item`` reference), under
-faults as well as in the all-honest case.  Three angles:
+a run that hands them one item at a time with plain ``pow`` and cold
+caches (the ``per_item`` reference), under faults as well as in the
+all-honest case.  Three angles:
 
 * seeded E13-style chaos runs of the full ULS (property test),
-* a deterministic `_on_zero_deals` drive with a forged share and a
+* a deterministic `_on_zero_deal` drive with a forged share and a
   non-zero-constant dealing (guaranteed-nonempty blame), and
 * an AL PDS run where one signer's share is corrupted mid-unit
   (guaranteed-nonempty ``rejected_partials`` on the honest nodes).
@@ -86,7 +87,8 @@ def _drive_zero_deals() -> tuple[set, dict]:
     nonzero = dealer.deal(5, rng)  # constant term != 0: not a zero sharing
     run.append((4, ("rf-zdeal", 1, nonzero.commitment.elements,
                     nonzero.shares[my_x - 1].value)))
-    service._on_zero_deals(run, phase)
+    for sender, body in run:
+        service._on_zero_deal(sender, body, phase)
     return service.rejected_dealers, phase.zeros.dealings
 
 

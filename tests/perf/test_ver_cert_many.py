@@ -1,12 +1,13 @@
 """ver_cert_many must accept/reject exactly like sequential ver_cert.
 
-The batched entry point is the transport hot path; these tests drive it
-with mixed batches — valid messages, forgeries, replays, garbage — and
+The round-wide entry point is the transport hot path; these tests drive
+it with mixed rounds — valid messages, forgeries, replays, garbage — and
 compare index-by-index against sequential ``ver_cert`` from cold caches.
-The comparison runs with either of its two optimisations, the
-verification cache and the batch equation, replaced by its fallback
-(every check verified in full; every batch reported failed, so each
-signature is verified alone), and with both and neither kept.
+The comparison runs with either of its two shortcuts, the verification
+cache and the one ``batch_verify`` call per step, replaced by its
+fallback (every check verified in full; every batch reported failed, so
+each signature is verified alone through ``cached_verify``), and with
+both and neither kept.
 """
 
 import importlib
