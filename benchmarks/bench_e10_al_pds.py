@@ -14,9 +14,9 @@ import random
 
 import pytest
 
-from repro.adversary.strategies import BreakinPlan, MobileBreakInAdversary
 from repro.analysis.emulation import check_emulation_invariants
 from repro.crypto.shamir import Share
+from repro.faults import FaultInjectionAdversary, breakins
 from repro.pds.harness import PdsNodeProgram, required_refresh_rounds
 from repro.pds.keys import deal_initial_states
 from repro.pds.threshold_schnorr import verify_pds_signature
@@ -40,9 +40,9 @@ def run_case(broken: int, requesters: int, corrupt: bool, seed: int):
             state = program.state
             state.share = Share(x=state.share_index, value=rng.randrange(GROUP.q))
 
-        plan = BreakinPlan(victims={0: victims, 1: victims}, corrupt_memory=corrupt,
-                           during_refresh=False)
-        adversary = MobileBreakInAdversary(plan, corruptor=corruptor if corrupt else None)
+        plan = breakins(SCHED, {0: victims, 1: victims},
+                        mutator=corruptor if corrupt else None)
+        adversary = FaultInjectionAdversary(plan)
     else:
         adversary = PassiveAdversary()
     runner = ALRunner(programs, adversary, SCHED, seed=seed)

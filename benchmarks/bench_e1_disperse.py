@@ -9,12 +9,10 @@ delivery curve must be a step function: 100% up to the combinatorial
 crossover, 0% past it.
 """
 
-import os
-
 import pytest
 
-from repro.adversary.strategies import LinkAttackAdversary, LinkFault
 from repro.core.disperse import DisperseService
+from repro.faults import DropFault, FaultInjectionAdversary, FaultPlan
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.clock import Schedule
 from repro.sim.messages import Envelope
@@ -40,34 +38,30 @@ class OneShotSender(NodeProgram):
             self.disperse.send(ctx, RECEIVER, ("probe",), tag="")
 
 
-def split_attack_faults(n: int, k: int) -> list[LinkFault]:
+def split_attack_plan(n: int, k: int) -> FaultPlan:
     """Kill the direct link, sender->top-k relays, receiver->bottom-k."""
     others = [i for i in range(n) if i not in (SENDER, RECEIVER)]
-    faults = [LinkFault(link=frozenset({SENDER, RECEIVER}), first_round=0, last_round=99)]
+    drops = [DropFault(link=frozenset({SENDER, RECEIVER}), first_round=0, last_round=99)]
     for node in others[len(others) - k:]:
-        faults.append(LinkFault(link=frozenset({SENDER, node}), first_round=0, last_round=99))
+        drops.append(DropFault(link=frozenset({SENDER, node}), first_round=0, last_round=99))
     for node in others[:k]:
-        faults.append(LinkFault(link=frozenset({RECEIVER, node}), first_round=0, last_round=99))
-    return faults
+        drops.append(DropFault(link=frozenset({RECEIVER, node}), first_round=0, last_round=99))
+    return FaultPlan(drops=tuple(drops))
 
 
 def delivered(n: int, k: int, seed: int = 0) -> bool:
     programs = [OneShotSender() for _ in range(n)]
-    adversary = LinkAttackAdversary(split_attack_faults(n, k)) if k >= 0 else PassiveAdversary()
+    adversary = (FaultInjectionAdversary(split_attack_plan(n, k)) if k >= 0
+                 else PassiveAdversary())
     runner = ULRunner(programs, adversary, SCHED, s=max(1, (n - 1) // 2), seed=seed)
     runner.run(units=1)
     return any(body == ("probe",) for _, body in programs[RECEIVER].delivered)
 
 
-# BENCH_SMOKE=1 restricts the sweep to the smallest n (used by CI to keep
-# the benchmark job a fast sanity check rather than a full regeneration)
-SWEEP_N = (5,) if os.environ.get("BENCH_SMOKE") else (5, 7, 9, 13)
-
-
 @pytest.fixture(scope="module")
 def table():
     rows = []
-    for n in SWEEP_N:
+    for n in (5, 7, 9, 13):
         relays = n - 2
         for k in range(0, relays + 1):
             ok = delivered(n, k)

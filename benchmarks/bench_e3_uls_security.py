@@ -13,17 +13,13 @@ measures the property, not merely the absence of attack code.
 import pytest
 
 from repro.adversary.impersonation import UlsImpersonator
-from repro.adversary.strategies import (
-    BreakinPlan,
-    CutOffAdversary,
-    MobileBreakInAdversary,
-    ReplayAdversary,
-)
+from repro.adversary.strategies import CutOffAdversary, ReplayAdversary
 from repro.analysis.emulation import check_emulation_invariants
 from repro.analysis.goodness import classify_execution
 from repro.core.disperse import DISPERSE_CHANNEL
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.toy import BrokenScheme, forge
+from repro.faults import FaultInjectionAdversary, breakins
 from repro.sim.adversary_api import Adversary, PassiveAdversary, faithful_delivery
 from repro.sim.clock import Phase
 from repro.sim.runner import ULRunner
@@ -38,12 +34,7 @@ SEEDS = 5
 def make_adversary(kind: str, seed: int):
     if kind == "passive":
         return PassiveAdversary()
-    if kind == "mobile":
-        import random
-
-        plan = BreakinPlan.rotating(N, T, UNITS, random.Random(seed))
-        return MobileBreakInAdversary(plan)
-    if kind == "mobile-corrupt":
+    if kind in ("mobile", "mobile-corrupt"):
         import random
 
         def corruptor(program, rng):
@@ -52,8 +43,10 @@ def make_adversary(kind: str, seed: int):
             state = program.state
             state.share = Share(x=state.share_index, value=rng.randrange(GROUP.q))
 
-        plan = BreakinPlan.rotating(N, T, UNITS, random.Random(seed), corrupt_memory=True)
-        return MobileBreakInAdversary(plan, corruptor=corruptor)
+        rng = random.Random(seed)
+        victims = {u: rng.sample(range(N), T) for u in range(1, UNITS)}
+        mutator = corruptor if kind == "mobile-corrupt" else None
+        return FaultInjectionAdversary(breakins(uls_schedule(), victims, mutator))
     if kind == "replay":
         return ReplayAdversary(delay=3, channels={DISPERSE_CHANNEL})
     if kind == "cutoff-impersonate":

@@ -10,8 +10,9 @@ requires operator involvement when connectivity is intact.
 
 import pytest
 
-from repro.adversary.strategies import BreakinPlan, MobileBreakInAdversary
+from repro.core.uls import uls_schedule
 from repro.crypto.shamir import Share
+from repro.faults import FaultInjectionAdversary, breakins
 
 from common import GROUP, SCHEME, build_uls_network, emit, format_table
 
@@ -31,8 +32,8 @@ def corruptor(program, rng):
 
 def run_recovery(k: int, seed: int):
     victims = frozenset(range(k))
-    plan = BreakinPlan(victims={1: victims}, corrupt_memory=True)
-    adversary = MobileBreakInAdversary(plan, corruptor=corruptor)
+    adversary = FaultInjectionAdversary(
+        breakins(uls_schedule(), {1: victims}, mutator=corruptor))
     public, programs, runner, schedule = build_uls_network(N, T, seed, adversary)
     r2 = schedule.first_normal_round(2)
     for i in range(N):

@@ -21,12 +21,10 @@ The run below notarizes one document per unit while:
 Run:  python examples/distributed_notary.py
 """
 
-import random
-
-from repro.adversary.strategies import BreakinPlan, MobileBreakInAdversary
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule, verify_user_signature
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
+from repro.faults import FaultInjectionAdversary, breakins
 from repro.sim.runner import ULRunner
 
 N, T, UNITS, SEED = 5, 2, 3, 11
@@ -39,10 +37,12 @@ def main() -> None:
     programs = [UlsProgram(states[i], scheme, keys[i]) for i in range(N)]
     schedule = uls_schedule()
 
-    plan = BreakinPlan(victims={1: frozenset({0, 1})})
-    adversary = MobileBreakInAdversary(
-        plan, state_snapshot=lambda program: program.state.share
-    )
+    # a mutator that copies the share out instead of damaging it
+    stolen = []
+    adversary = FaultInjectionAdversary(breakins(
+        schedule, {1: {0, 1}},
+        mutator=lambda program, rng: stolen.append(program.state.share),
+    ))
     runner = ULRunner(programs, adversary, schedule, s=T, seed=SEED)
 
     documents = {
@@ -73,7 +73,6 @@ def main() -> None:
         assert ok
 
     # the stolen shares are worthless after the unit-2 refresh
-    stolen = [share for (_, _node), share in adversary.stolen.items()]
     commitment = programs[2].state.key_commitment
     fresh = [commitment.verify_share(group, share) for share in stolen]
     print(f"\nstolen unit-1 shares still on the current polynomial: {fresh}")

@@ -16,10 +16,10 @@ Run:  python examples/quickstart.py
 
 import random
 
-from repro.adversary.strategies import BreakinPlan, MobileBreakInAdversary
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule, verify_user_signature
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
+from repro.faults import FaultInjectionAdversary, breakins
 from repro.sim.runner import ULRunner
 
 N, T, UNITS, SEED = 5, 2, 3, 2026
@@ -37,10 +37,11 @@ def main() -> None:
     programs = [UlsProgram(states[i], scheme, keys[i]) for i in range(N)]
     schedule = uls_schedule()
 
-    plan = BreakinPlan.rotating(N, T, UNITS, random.Random(SEED))
+    rng = random.Random(SEED)
+    victims = {u: rng.sample(range(N), T) for u in range(1, UNITS)}
     print(f"== adversary: mobile break-ins, {T} fresh victims per unit: "
-          f"{ {u: sorted(v) for u, v in plan.victims.items()} }")
-    adversary = MobileBreakInAdversary(plan)
+          f"{ {u: sorted(v) for u, v in victims.items()} }")
+    adversary = FaultInjectionAdversary(breakins(schedule, victims))
 
     runner = ULRunner(programs, adversary, schedule, s=T, seed=SEED)
     for unit in range(UNITS):

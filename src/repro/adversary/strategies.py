@@ -1,12 +1,9 @@
-"""Concrete adversary strategies used by the tests and experiments.
+"""The paper's named attacks: what a static schedule cannot say.
 
-Each class implements one archetypal attack from the paper:
+Scheduled break-ins and link faults are :mod:`repro.faults` plans (the
+mobile adversary of Def. 3 is :func:`repro.faults.plan.breakins`).  The
+attacks here read the round's traffic or forge from stolen state:
 
-- :class:`MobileBreakInAdversary` — the proactive threat model itself
-  (§1, Def. 3): break into up to ``t`` nodes per time unit, a different
-  set every unit, optionally corrupting their state on the way out.
-- :class:`LinkAttackAdversary` — per-link dropping/modification schedules
-  (Def. 4's unreliable links).
 - :class:`CutOffAdversary` — the §1.1 impersonation attack: isolate a
   recently-broken node and impersonate it to the rest of the network with
   its stolen keys.
@@ -16,7 +13,10 @@ Each class implements one archetypal attack from the paper:
 - :class:`ReplayAdversary` — re-delivers previously recorded messages
   (excluded by Def. 4's "another message" clause; VER-CERT's ``(u, w)``
   binding must reject them).
-- :class:`ComposedAdversary` — runs several strategies at once.
+
+Each runs alone or as a plan's base, ``FaultInjectionAdversary(plan,
+base=attack)``, which delivers first.  The cut-off does its own cut:
+plan drops on the victim's links would also drop its forgeries.
 
 All strategies are deterministic given the run seed (they draw randomness
 only from the rng the runner hands them).
@@ -25,148 +25,17 @@ only from the rng the runner hands them).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.sim.adversary_api import Adversary, AdversaryApi, faithful_delivery
-from repro.sim.clock import Phase, RoundInfo, Schedule
+from repro.sim.clock import Phase, RoundInfo
 from repro.sim.messages import Envelope
 
 __all__ = [
-    "BreakinPlan",
-    "MobileBreakInAdversary",
-    "LinkAttackAdversary",
     "CutOffAdversary",
     "InjectionFloodAdversary",
     "ReplayAdversary",
-    "ComposedAdversary",
 ]
-
-
-@dataclass(frozen=True)
-class BreakinPlan:
-    """Which nodes are broken during which time units.
-
-    ``victims[u]`` is the set of nodes held broken during (part of) unit
-    ``u``.  With ``during_refresh=False`` (default) break-ins start after
-    the unit's refreshment phase and end before the next one begins, so
-    the victims can take part in refreshes — the standard proactive
-    recovery scenario.  With ``during_refresh=True`` the break-in covers
-    the unit's own refreshment phase as well.
-    """
-
-    victims: dict[int, frozenset[int]]
-    during_refresh: bool = False
-    corrupt_memory: bool = False
-
-    @classmethod
-    def rotating(
-        cls,
-        n: int,
-        t: int,
-        units: int,
-        rng: random.Random,
-        start_unit: int = 1,
-        **kwargs: Any,
-    ) -> "BreakinPlan":
-        """Random mobile plan: ``t`` fresh victims per unit from ``start_unit``."""
-        victims = {
-            unit: frozenset(rng.sample(range(n), t))
-            for unit in range(start_unit, units)
-        }
-        return cls(victims=victims, **kwargs)
-
-    def max_victims_per_unit(self) -> int:
-        return max((len(v) for v in self.victims.values()), default=0)
-
-
-class MobileBreakInAdversary(Adversary):
-    """Executes a :class:`BreakinPlan`; works in both the AL and UL models.
-
-    While inside a node it records the node's state (``stolen`` maps
-    ``(unit, node) -> snapshot callback result``); if the plan says so, it
-    corrupts the node's mutable state on entry using ``corruptor``.
-    """
-
-    def __init__(
-        self,
-        plan: BreakinPlan,
-        corruptor: Callable[[Any, random.Random], None] | None = None,
-        state_snapshot: Callable[[Any], Any] | None = None,
-    ) -> None:
-        self.plan = plan
-        self.corruptor = corruptor
-        self.state_snapshot = state_snapshot
-        self.stolen: dict[tuple[int, int], Any] = {}
-        self._holding: set[int] = set()
-
-    def _want_broken(self, info: RoundInfo) -> frozenset[int]:
-        wanted = self.plan.victims.get(info.time_unit, frozenset())
-        if not self.plan.during_refresh:
-            if info.phase is Phase.REFRESH:
-                return frozenset()
-            if info.phase is Phase.NORMAL and info.is_phase_end:
-                # release one round before the next refreshment phase, so
-                # the victim's program steps through the entire phase and
-                # can run the recovery protocol (Def. 5.3 likewise demands
-                # the node be unbroken throughout the phase)
-                return frozenset()
-        return wanted
-
-    def on_round(self, api: AdversaryApi, info: RoundInfo, traffic) -> None:
-        wanted = self._want_broken(info)
-        for node_id in sorted(self._holding - set(wanted)):
-            api.leave(node_id)
-            self._holding.discard(node_id)
-        for node_id in sorted(set(wanted) - self._holding):
-            program = api.break_into(node_id)
-            self._holding.add(node_id)
-            if self.state_snapshot is not None:
-                self.stolen[(info.time_unit, node_id)] = self.state_snapshot(program)
-            if self.plan.corrupt_memory and self.corruptor is not None:
-                self.corruptor(program, api.rng)
-
-
-@dataclass(frozen=True)
-class LinkFault:
-    """One scheduled link fault: drop or transform traffic on a link
-    during an inclusive round interval."""
-
-    link: frozenset[int]
-    first_round: int
-    last_round: int
-    transform: Callable[[Envelope], Envelope | None] | None = None  # None = drop
-
-    def active(self, round_number: int) -> bool:
-        return self.first_round <= round_number <= self.last_round
-
-
-class LinkAttackAdversary(Adversary):
-    """UL adversary executing a static schedule of link faults."""
-
-    def __init__(self, faults: list[LinkFault]) -> None:
-        self.faults = faults
-
-    def deliver(self, api, info, traffic):
-        plan: dict[int, list[Envelope]] = {i: [] for i in range(api.n)}
-        for envelope in traffic:
-            fault = self._fault_for(envelope, info.round)
-            if fault is None:
-                plan[envelope.receiver].append(envelope)
-                continue
-            if fault.transform is None:
-                continue  # dropped
-            mutated = fault.transform(envelope)
-            if mutated is not None:
-                plan[mutated.receiver].append(mutated)
-        return plan
-
-    def _fault_for(self, envelope: Envelope, round_number: int) -> LinkFault | None:
-        link = frozenset((envelope.sender, envelope.receiver))
-        for fault in self.faults:
-            if fault.link == link and fault.active(round_number):
-                return fault
-        return None
 
 
 class CutOffAdversary(Adversary):
@@ -303,42 +172,3 @@ class ReplayAdversary(Adversary):
             plan[envelope.receiver].append(envelope)
             self.replayed_count += 1
         return plan
-
-
-class ComposedAdversary(Adversary):
-    """Runs several strategies: all observe, the *last* one's delivery plan
-    is refined by the earlier ones in reverse order.
-
-    Composition semantics are intentionally simple: ``on_round`` hooks all
-    run (so break-in plans compose), while delivery plans chain — each
-    strategy's ``deliver`` is fed the traffic that survived the previous
-    one, expressed as envelopes.
-    """
-
-    def __init__(self, strategies: list[Adversary]) -> None:
-        if not strategies:
-            raise ValueError("need at least one strategy")
-        self.strategies = strategies
-
-    def begin(self, n: int, schedule: Schedule, rng: random.Random) -> None:
-        super().begin(n, schedule, rng)
-        for strategy in self.strategies:
-            strategy.begin(n, schedule, rng)
-
-    def on_round(self, api, info, traffic) -> None:
-        for strategy in self.strategies:
-            strategy.on_round(api, info, traffic)
-
-    def deliver(self, api, info, traffic):
-        current = tuple(traffic)
-        plan: dict[int, list[Envelope]] = {i: [] for i in range(api.n)}
-        for strategy in self.strategies:
-            plan = strategy.deliver(api, info, current)
-            current = tuple(env for envelopes in plan.values() for env in envelopes)
-        return plan
-
-    def finish(self) -> list[Any]:
-        entries: list[Any] = []
-        for strategy in self.strategies:
-            entries.extend(strategy.finish())
-        return entries

@@ -22,12 +22,7 @@ import sys
 
 from repro.adversary.impersonation import UlsImpersonator
 from repro.adversary.limits import audit_st_limited
-from repro.adversary.strategies import (
-    BreakinPlan,
-    CutOffAdversary,
-    InjectionFloodAdversary,
-    MobileBreakInAdversary,
-)
+from repro.adversary.strategies import CutOffAdversary, InjectionFloodAdversary
 from repro.analysis.awareness import global_awareness
 from repro.core.uls import (
     NEWKEY_CHANNEL,
@@ -38,6 +33,7 @@ from repro.core.uls import (
 )
 from repro.crypto.group import NAMED_GROUP_NAMES, named_group
 from repro.crypto.schnorr import SchnorrScheme
+from repro.faults import FaultInjectionAdversary, breakins
 from repro.scale.partition import PartitionPlan, flat_tolerance
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.runner import ULRunner
@@ -102,8 +98,10 @@ def cmd_benign(args) -> int:
 
 
 def cmd_breakins(args) -> int:
-    plan = BreakinPlan.rotating(args.n, args.t, args.units, random.Random(args.seed))
-    public, programs, runner, _ = _build(args, MobileBreakInAdversary(plan))
+    rng = random.Random(args.seed)
+    victims = {u: rng.sample(range(args.n), args.t) for u in range(1, args.units)}
+    adversary = FaultInjectionAdversary(breakins(uls_schedule(), victims))
+    public, programs, runner, _ = _build(args, adversary)
     execution = runner.run(units=args.units)
     failures = _report(public, programs, execution, args)
     if not all(p.state.share_is_valid() for p in programs):

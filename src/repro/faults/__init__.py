@@ -44,6 +44,7 @@ from repro.faults.plan import (
     FaultPlan,
     MemoryCorruptionFault,
     ReorderFault,
+    breakins,
     burst,
     default_corruptor,
     mix_seed,
@@ -76,6 +77,7 @@ __all__ = [
     "StrategyContext",
     "TrafficTargeterStrategy",
     "WallClockBudget",
+    "breakins",
     "burst",
     "default_corruptor",
     "escalate",

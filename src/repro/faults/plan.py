@@ -1,12 +1,12 @@
 """Seed-deterministic, composable fault schedules.
 
-The experiments' adversaries (``repro.adversary.strategies``) each encode
-one archetypal *attack*; this module encodes the orthogonal plane of
-*faults* — the churn, duplication, delay and partial-state-loss shapes
-that Byzantine-tolerant systems meet in practice and that the paper's
-model folds into the same ``(s,t)``-limited adversary (a crash is a
-break-in during which the intruder stays silent; a flaky link is an
-unreliable link per Definition 4).
+The paper's one adversary, mobile and ``(s,t)``-limited, breaks into
+nodes and owns the links (§2.2, Defs. 3 and 7).  A plan schedules what it
+does: the mobile break-ins (:func:`breakins`) plus the churn, loss,
+duplication, delay and state-loss faults met in practice (a crash is a
+silent break-in; a flaky link is unreliable per Definition 4).  The
+named attacks of ``repro.adversary.strategies`` read the traffic
+instead, and ride under a plan as its ``base``.
 
 A :class:`FaultPlan` is a static, declarative schedule of fault
 primitives.  It is executed by
@@ -36,6 +36,8 @@ Primitives:
 - :class:`ReorderFault` — shuffles a receiver's inbox.  Deliberately
   *invisible* to Definition 4 (same multiset per link): it costs the
   adversary nothing and protocols must be order-independent under it.
+- :func:`breakins` — the mobile adversary of Def. 3: victims held
+  through each unit's normal phase, their state mutated on entry.
 - :func:`burst` — a composition helper: every kind of fault at once
   inside one round window, aimed at one victim set.
 
@@ -49,7 +51,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.sim.clock import Schedule
 
@@ -61,6 +63,7 @@ __all__ = [
     "DelayFault",
     "ReorderFault",
     "FaultPlan",
+    "breakins",
     "burst",
     "mix_seed",
 ]
@@ -317,8 +320,7 @@ class FaultPlan:
         link-level fault at them, confined to the unit's *normal* rounds
         with enough margin that each victim steps through the following
         refreshment phase from its first round — the standard proactive
-        recovery contract (Def. 5.3, mirroring
-        :class:`~repro.adversary.strategies.BreakinPlan`).  Non-victim
+        recovery contract (Def. 5.3, as in :func:`breakins`).  Non-victim
         collateral is bounded: a non-victim never sees more than ``s - 1``
         faulted links in one unit, so it can neither lose ``n - s``
         reliable peers nor accumulate ``s`` unreliable ones — only the
@@ -407,6 +409,31 @@ class FaultPlan:
             delays=tuple(delays),
             reorders=tuple(reorders),
         )
+
+
+def breakins(
+    schedule: Schedule,
+    victims: Mapping[int, Iterable[int]],
+    mutator: Callable[[Any, random.Random], None] | None = None,
+) -> FaultPlan:
+    """The mobile adversary's break-ins (§1, Def. 3) as a plan.
+
+    Each node in ``victims[u]`` is held from unit ``u``'s first normal
+    round until one round before the next refreshment phase, which it
+    then steps through in full (Def. 5.3).  A ``mutator`` also runs on
+    each victim as it is broken into (crashes run before corruptions),
+    drawing from the plan's stream; one that copies state out is a
+    snapshot.
+    """
+    crashes: list[CrashFault] = []
+    corruptions: list[MemoryCorruptionFault] = []
+    for unit, nodes in victims.items():
+        first = schedule.first_normal_round(unit)
+        for node in sorted(nodes):
+            crashes.append(CrashFault(node, first, first + schedule.normal_rounds - 2))
+            if mutator is not None:
+                corruptions.append(MemoryCorruptionFault(node, first, mutator))
+    return FaultPlan(crashes=tuple(crashes), corruptions=tuple(corruptions))
 
 
 def burst(

@@ -1,18 +1,12 @@
-"""Tests for limit audits (Defs. 3, 7) and the attack strategies."""
+"""Tests for limit audits (Defs. 3, 7), mobile break-in and link-fault
+plans, and the attack strategies."""
 
-import random
+from dataclasses import replace
 
 from repro.adversary.limits import audit_st_limited, audit_t_limited
-from repro.adversary.strategies import (
-    BreakinPlan,
-    ComposedAdversary,
-    InjectionFloodAdversary,
-    LinkAttackAdversary,
-    LinkFault,
-    MobileBreakInAdversary,
-    ReplayAdversary,
-)
-from repro.sim.adversary_api import PassiveAdversary
+from repro.adversary.strategies import InjectionFloodAdversary, ReplayAdversary
+from repro.faults import DropFault, FaultInjectionAdversary, FaultPlan, breakins
+from repro.sim.adversary_api import Adversary, PassiveAdversary, faithful_delivery
 from repro.sim.clock import Schedule
 from repro.sim.runner import ALRunner, ULRunner
 
@@ -40,9 +34,8 @@ def test_passive_is_zero_limited():
 
 
 def test_mobile_breakin_plan_respected_and_audited():
-    plan = BreakinPlan(victims={1: frozenset({0, 1}), 2: frozenset({2, 3})})
-    adversary = MobileBreakInAdversary(plan)
-    execution, _ = run_al(adversary)
+    plan = breakins(SCHED, {1: {0, 1}, 2: {2, 3}})
+    execution, _ = run_al(FaultInjectionAdversary(plan))
     assert execution.broken_in_unit(1) == frozenset({0, 1})
     assert execution.broken_in_unit(2) == frozenset({2, 3})
     assert audit_t_limited(execution, 2).within_limits
@@ -52,9 +45,7 @@ def test_mobile_breakin_plan_respected_and_audited():
 
 
 def test_mobile_breakin_avoids_refresh_by_default():
-    plan = BreakinPlan(victims={1: frozenset({0})})
-    adversary = MobileBreakInAdversary(plan)
-    execution, _ = run_al(adversary)
+    execution, _ = run_al(FaultInjectionAdversary(breakins(SCHED, {1: {0}})))
     refresh_rounds = [
         rec for rec in execution.rounds_in_unit(1) if rec.info.phase.value == "refresh"
     ]
@@ -69,46 +60,26 @@ def test_mobile_breakin_avoids_refresh_by_default():
     assert 0 not in normal_rounds[-1].broken
 
 
-def test_mobile_breakin_during_refresh_option():
-    plan = BreakinPlan(victims={1: frozenset({0})}, during_refresh=True)
-    adversary = MobileBreakInAdversary(plan)
-    execution, _ = run_al(adversary)
-    for rec in execution.rounds_in_unit(1):
-        assert 0 in rec.broken
-
-
 def test_mobile_breakin_steals_state():
-    plan = BreakinPlan(victims={1: frozenset({2})})
-    adversary = MobileBreakInAdversary(
-        plan, state_snapshot=lambda program: program.secret
-    )
-    run_al(adversary)
-    assert adversary.stolen[(1, 2)] == "initial-secret"
+    stolen = []
+    plan = breakins(SCHED, {1: {2}},
+                    mutator=lambda program, rng: stolen.append(program.secret))
+    run_al(FaultInjectionAdversary(plan))
+    assert stolen == ["initial-secret"]
 
 
 def test_mobile_breakin_corrupts_state():
-    plan = BreakinPlan(victims={1: frozenset({2})}, corrupt_memory=True)
-
     def corruptor(program, rng):
         program.secret = "overwritten"
 
-    adversary = MobileBreakInAdversary(plan, corruptor=corruptor)
-    _, runner = run_al(adversary)
+    plan = breakins(SCHED, {1: {2}}, mutator=corruptor)
+    _, runner = run_al(FaultInjectionAdversary(plan))
     assert runner.nodes[2].program.secret == "overwritten"
 
 
-def test_rotating_plan_generation():
-    rng = random.Random(3)
-    plan = BreakinPlan.rotating(n=7, t=3, units=5, rng=rng)
-    assert set(plan.victims) == {1, 2, 3, 4}
-    assert plan.max_victims_per_unit() == 3
-    for victims in plan.victims.values():
-        assert len(victims) == 3
-
-
 def test_link_attack_drop_schedule():
-    fault = LinkFault(link=frozenset({0, 1}), first_round=1, last_round=3)
-    execution, runner = run_ul(LinkAttackAdversary([fault]))
+    fault = DropFault(link=frozenset({0, 1}), first_round=1, last_round=3)
+    execution, runner = run_ul(FaultInjectionAdversary(FaultPlan(drops=(fault,))))
     program = runner.nodes[0].program
     # nothing from node 1 delivered for sends of rounds 1..3
     gaps = [rnd for rnd, sender, _ in program.received if sender == 1]
@@ -116,12 +87,23 @@ def test_link_attack_drop_schedule():
     assert 1 in {r for r, s, _ in program.received if s == 1} or 5 in gaps or 6 in gaps
 
 
-def test_link_attack_transform():
-    def tamper(envelope):
-        return envelope.with_payload(("tampered",))
+class LinkTamperAdversary(Adversary):
+    """Rewrites every payload crossing one link."""
 
-    fault = LinkFault(link=frozenset({0, 1}), first_round=1, last_round=99, transform=tamper)
-    _, runner = run_ul(LinkAttackAdversary([fault]))
+    def __init__(self, link):
+        self.link = link
+
+    def deliver(self, api, info, traffic):
+        plan = faithful_delivery(traffic, api.n)
+        for inbox in plan.values():
+            for index, envelope in enumerate(inbox):
+                if frozenset((envelope.sender, envelope.receiver)) == self.link:
+                    inbox[index] = envelope.with_payload(("tampered",))
+        return plan
+
+
+def test_link_attack_transform():
+    _, runner = run_ul(LinkTamperAdversary(frozenset({0, 1})))
     # round-0 (set-up) traffic is delivered before the adversary activates;
     # everything sent from round 1 on is tampered
     received = [p for r, s, p in runner.nodes[0].program.received if s == 1 and r >= 2]
@@ -159,20 +141,11 @@ def test_replay_adversary_redelivers():
 
 
 def test_composed_adversary_runs_all():
-    plan = BreakinPlan(victims={1: frozenset({4})})
-    breaker = MobileBreakInAdversary(plan)
-    fault = LinkFault(link=frozenset({0, 1}), first_round=1, last_round=99)
-    dropper = LinkAttackAdversary([fault])
-    execution, runner = run_ul(ComposedAdversary([breaker, dropper]))
+    drop = DropFault(link=frozenset({0, 1}), first_round=1, last_round=99)
+    plan = replace(breakins(SCHED, {1: {4}}), drops=(drop,))
+    execution, runner = run_ul(FaultInjectionAdversary(plan))
     assert 4 in execution.broken_in_unit(1)
     received_from_1 = [
         p for r, s, p in runner.nodes[0].program.received if s == 1 and r >= 2
     ]
     assert not received_from_1
-
-
-def test_composed_adversary_needs_strategies():
-    import pytest
-
-    with pytest.raises(ValueError):
-        ComposedAdversary([])

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.adversary.impersonation import UlsImpersonator
-from repro.adversary.strategies import BreakinPlan, CutOffAdversary, MobileBreakInAdversary
+from repro.adversary.strategies import CutOffAdversary
 from repro.analysis.emulation import check_emulation_invariants
 from repro.analysis.goodness import classify_execution
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
+from repro.faults import FaultInjectionAdversary, breakins
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.clock import Phase
 from repro.sim.runner import ULRunner
@@ -38,9 +39,8 @@ def test_benign_execution_is_good():
 
 
 def test_mobile_breakins_still_good():
-    plan = BreakinPlan(victims={0: frozenset({0, 1})})
     execution, programs, histories, public = run(
-        adversary=MobileBreakInAdversary(plan), units=2
+        adversary=FaultInjectionAdversary(breakins(SCHED, {0: {0, 1}})), units=2
     )
     report = classify_execution(execution, public, SCHEME, histories, T)
     assert report.good
@@ -174,13 +174,13 @@ def test_goodness_detects_rogue_key_as_bad2():
     assert report.classification == "BAD2"
 
 
-class DisperseBodySender(MobileBreakInAdversary):
+class DisperseBodySender(FaultInjectionAdversary):
     """Breaks into node 4 during unit 1 and, while inside, sends ``body``
     to node 0 on the DISPERSE channel in every normal round (``None``
     withholds it)."""
 
     def __init__(self, body):
-        super().__init__(BreakinPlan(victims={1: frozenset({4})}))
+        super().__init__(breakins(SCHED, {1: {4}}))
         self.body = body
 
     def on_round(self, api, info, traffic):

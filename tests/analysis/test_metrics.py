@@ -1,6 +1,5 @@
 """Tests for the metrics helpers."""
 
-from repro.adversary.strategies import BreakinPlan, MobileBreakInAdversary
 from repro.analysis.metrics import (
     alert_counts,
     certification_availability,
@@ -11,6 +10,7 @@ from repro.analysis.metrics import (
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
+from repro.faults import FaultInjectionAdversary, breakins
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.runner import ULRunner
 
@@ -55,7 +55,7 @@ def test_delivery_rate():
 
 
 def test_recovery_units_tracks_refresh_promotions():
-    plan = BreakinPlan(victims={0: frozenset({3})})
-    execution, _ = run(adversary=MobileBreakInAdversary(plan), units=2)
+    adversary = FaultInjectionAdversary(breakins(SCHED, {0: {3}}))
+    execution, _ = run(adversary=adversary, units=2)
     assert recovery_units(execution, 3) == [1]
     assert recovery_units(execution, 0) == []

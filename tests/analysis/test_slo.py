@@ -11,14 +11,19 @@ the node (2), the SLO says *how long* that took (1 unit).
 import json
 
 from tests.helpers import EchoProgram
-from repro.adversary.strategies import BreakinPlan, MobileBreakInAdversary
 from repro.analysis.metrics import recovery_units
 from repro.analysis.monitor import RuntimeInvariantMonitor
 from repro.analysis.slo import RecoverySloObserver
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
-from repro.faults import CrashFault, FaultInjectionAdversary, FaultPlan
+from repro.faults import (
+    CrashFault,
+    FaultInjectionAdversary,
+    FaultPlan,
+    breakins,
+    default_corruptor,
+)
 from repro.sim.clock import Schedule
 from repro.sim.runner import ULRunner, replay
 
@@ -30,11 +35,11 @@ UNITS = 3
 
 def run_e7_scenario(victim=0, seed=3):
     """The bench_e7_recovery shape: break + corrupt one node in unit 1."""
-    plan = BreakinPlan(victims={1: frozenset({victim})}, corrupt_memory=True)
-    adversary = MobileBreakInAdversary(plan)
+    schedule = uls_schedule()
+    adversary = FaultInjectionAdversary(
+        breakins(schedule, {1: {victim}}, mutator=default_corruptor))
     public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=seed)
     programs = [UlsProgram(states[i], SCHEME, keys[i]) for i in range(N)]
-    schedule = uls_schedule()
     monitor = RuntimeInvariantMonitor(T, fail_fast=True)
     slo = RecoverySloObserver()
     runner = ULRunner(programs, adversary, schedule, s=T, seed=seed,
@@ -64,6 +69,11 @@ def test_slo_agrees_with_the_e7_recovery_contract():
     report = slo.report()
     assert report["ttr_units_max"] == 1
     assert report["signing_availability"]["2"] == 1.0  # machinery restored
+
+    # the break-in damaged the victim's share, and unit 2's refresh repaired it
+    assert dict(execution.adversary_output)["fault-stats"]["corruptions"] == 1
+    assert programs[victim].keystore.history == [(1, "ok"), (2, "ok")]
+    assert programs[victim].state.share_is_valid()
 
 
 def run_fault_plan(seed=103):

@@ -1,6 +1,6 @@
 """Tests for DISPERSE (Fig. 2) including Lemma 15."""
 
-from repro.adversary.strategies import LinkAttackAdversary, LinkFault
+from repro.faults import DropFault, FaultInjectionAdversary, FaultPlan
 from repro.core.disperse import DisperseService
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.clock import Phase, Schedule
@@ -66,9 +66,9 @@ def test_lemma15_delivery_despite_dead_direct_link():
     """Lemma 15: with both endpoints s-operational (s <= (n-1)/2), DISPERSE
     delivers even when the direct link is dead — a common reliable
     neighbour relays."""
-    fault = LinkFault(link=frozenset({0, 1}), first_round=0, last_round=999)
+    drop = DropFault(link=frozenset({0, 1}), first_round=0, last_round=999)
     runner = run(5, {0: {2: (1, "via-relay", "")}},
-                 adversary=LinkAttackAdversary([fault]), s=2)
+                 adversary=FaultInjectionAdversary(FaultPlan(drops=(drop,))), s=2)
     received = runner.nodes[1].program.received
     assert (4, "", 0, "via-relay") in received
 
@@ -78,9 +78,9 @@ def test_lemma15_boundary_many_dead_links():
     is the single common neighbour and suffices."""
     n = 5
     dead = [frozenset({0, 1}), frozenset({0, 4}), frozenset({1, 2})]
-    faults = [LinkFault(link=link, first_round=0, last_round=999) for link in dead]
+    drops = tuple(DropFault(link=link, first_round=0, last_round=999) for link in dead)
     runner = run(n, {0: {2: (1, "squeeze", "")}},
-                 adversary=LinkAttackAdversary(faults), s=2)
+                 adversary=FaultInjectionAdversary(FaultPlan(drops=drops)), s=2)
     received = runner.nodes[1].program.received
     assert any(body == "squeeze" for _, _, _, body in received)
 
@@ -89,10 +89,10 @@ def test_no_delivery_when_fully_cut():
     """All of the receiver's links dead: nothing arrives (delivery needs
     at least one reliable path; the receiver here is 4-disconnected)."""
     n = 5
-    faults = [LinkFault(link=frozenset({1, j}), first_round=0, last_round=999)
-              for j in range(n) if j != 1]
+    drops = tuple(DropFault(link=frozenset({1, j}), first_round=0, last_round=999)
+                  for j in range(n) if j != 1)
     runner = run(n, {0: {2: (1, "void", "")}},
-                 adversary=LinkAttackAdversary(faults), s=4)
+                 adversary=FaultInjectionAdversary(FaultPlan(drops=drops)), s=4)
     assert runner.nodes[1].program.received == []
 
 

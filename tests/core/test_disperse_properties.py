@@ -9,8 +9,8 @@ guarantee, quantified over random topologies instead of hand-picked ones.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversary.strategies import LinkAttackAdversary, LinkFault
 from repro.core.disperse import DisperseService
+from repro.faults import DropFault, FaultInjectionAdversary, FaultPlan
 from repro.sim.clock import Schedule
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext, NodeProgram
@@ -59,9 +59,9 @@ def two_path_exists(n: int, dead: frozenset) -> bool:
 @settings(max_examples=60, deadline=None)
 def test_delivery_iff_two_path(case):
     n, dead = case
-    faults = [LinkFault(link=link, first_round=0, last_round=99) for link in dead]
+    drops = tuple(DropFault(link=link, first_round=0, last_round=99) for link in dead)
     programs = [Host() for _ in range(n)]
-    runner = ULRunner(programs, LinkAttackAdversary(faults), SCHED,
+    runner = ULRunner(programs, FaultInjectionAdversary(FaultPlan(drops=drops)), SCHED,
                       s=max(1, (n - 1) // 2), seed=1)
     runner.run(units=1)
     assert programs[RECEIVER].got == two_path_exists(n, dead)

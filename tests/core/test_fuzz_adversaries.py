@@ -9,22 +9,17 @@ node that missed a certificate alerted.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.adversary.strategies import (
-    BreakinPlan,
-    ComposedAdversary,
-    LinkAttackAdversary,
-    LinkFault,
-    MobileBreakInAdversary,
-    ReplayAdversary,
-)
+from repro.adversary.strategies import ReplayAdversary
 from repro.analysis.emulation import check_emulation_invariants
 from repro.analysis.goodness import classify_execution
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
+from repro.faults import DropFault, FaultInjectionAdversary, breakins
 from repro.sim.runner import ULRunner
 
 GROUP = named_group("toy64")
@@ -34,14 +29,12 @@ SCHED = uls_schedule()
 
 
 def random_adversary(rng: random.Random):
-    strategies = []
     # rotating break-ins on a random subset of units
     victims = {}
     for unit in range(1, UNITS):
         if rng.random() < 0.7:
-            victims[unit] = frozenset(rng.sample(range(N), rng.randint(1, T)))
-    if victims:
-        strategies.append(MobileBreakInAdversary(BreakinPlan(victims=victims)))
+            victims[unit] = rng.sample(range(N), rng.randint(1, T))
+    drops = []
     # link faults against at most one victim's links during normal rounds
     # (keeping the per-unit impairment within t together with break-ins
     # is the fuzzer's job: it only faults links of already-broken victims
@@ -58,15 +51,13 @@ def random_adversary(rng: random.Random):
             peers = rng.sample([j for j in range(N) if j != target],
                                rng.randint(1, N - 1))
             for peer in peers:
-                strategies.append(LinkAttackAdversary([
-                    LinkFault(link=frozenset({target, peer}),
-                              first_round=first, last_round=last)
-                ]))
-    if rng.random() < 0.5:
-        strategies.append(ReplayAdversary(delay=rng.randint(2, 4)))
-    if not strategies:
-        strategies.append(ReplayAdversary(delay=2))
-    return ComposedAdversary(strategies)
+                drops.append(DropFault(link=frozenset({target, peer}),
+                                       first_round=first, last_round=last))
+    replay = ReplayAdversary(delay=rng.randint(2, 4)) if rng.random() < 0.5 else None
+    if not (victims or drops or replay):
+        replay = ReplayAdversary(delay=2)
+    plan = replace(breakins(SCHED, victims), drops=tuple(drops))
+    return FaultInjectionAdversary(plan, base=replay)
 
 
 @pytest.mark.slow

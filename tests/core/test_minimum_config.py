@@ -1,9 +1,9 @@
 """The minimum viable configuration: n = 3, t = 1 (n = 2t + 1)."""
 
-from repro.adversary.strategies import BreakinPlan, MobileBreakInAdversary
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule, verify_user_signature
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
+from repro.faults import FaultInjectionAdversary, breakins
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.runner import ULRunner
 
@@ -37,9 +37,8 @@ def test_minimum_network_refreshes_and_signs(wire):
 
 
 def test_minimum_network_survives_single_breakin(wire):
-    plan = BreakinPlan(victims={0: frozenset({2})})
     public, programs, execution = build_and_run(
-        adversary=MobileBreakInAdversary(plan), wire=wire
+        adversary=FaultInjectionAdversary(breakins(SCHED, {0: {2}})), wire=wire
     )
     assert programs[2].keystore.history == [(1, "ok")]
     assert programs[2].state.share_is_valid()

@@ -7,12 +7,11 @@ and a genuinely failed unit still ends in the paper's ``φ`` + alert with
 recovery at the next refreshment phase.
 """
 
-from repro.adversary.strategies import LinkAttackAdversary, LinkFault
 from repro.core.disperse import DisperseService
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
-from repro.faults import DelayFault, FaultInjectionAdversary, FaultPlan
+from repro.faults import DelayFault, DropFault, FaultInjectionAdversary, FaultPlan
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.clock import Schedule
 from repro.sim.messages import Envelope
@@ -45,9 +44,10 @@ class RetryingSender(NodeProgram):
             self.disperse.send(ctx, 1, ("probe",), tag="")
 
 
-def run_disperse(retransmit, faults, send_round=SEND_ROUND, units=1):
+def run_disperse(retransmit, drops, send_round=SEND_ROUND, units=1):
     programs = [RetryingSender(retransmit, send_round) for _ in range(N)]
-    adversary = LinkAttackAdversary(faults) if faults else PassiveAdversary()
+    adversary = (FaultInjectionAdversary(FaultPlan(drops=drops)) if drops
+                 else PassiveAdversary())
     runner = ULRunner(programs, adversary, DISP_SCHED, s=T, seed=7)
     runner.run(units=units)
     received = any(body == ("probe",) for _, body in programs[1].delivered)
@@ -56,8 +56,8 @@ def run_disperse(retransmit, faults, send_round=SEND_ROUND, units=1):
 
 def total_blackout(first_round, last_round):
     """Every link of the sender dead over the window."""
-    return [LinkFault(link=frozenset({0, j}), first_round=first_round,
-                      last_round=last_round) for j in range(1, N)]
+    return tuple(DropFault(link=frozenset({0, j}), first_round=first_round,
+                           last_round=last_round) for j in range(1, N))
 
 
 def test_one_round_blackout_defeats_classic_disperse():
@@ -94,7 +94,7 @@ def test_retransmission_expires_at_the_unit_boundary():
 
 
 def test_retransmit_zero_is_the_classic_protocol():
-    received, disperse = run_disperse(0, [])
+    received, disperse = run_disperse(0, ())
     assert received
     assert disperse.retransmissions_sent == 0
     assert disperse.retransmissions_expired == 0
@@ -131,9 +131,10 @@ def test_no_certificate_degrades_alerts_and_recovers(wire):
     degraded event + the paper's φ + alert, then recovery in unit 2."""
     _, programs = build_programs(wire=wire)
     unit1 = SCHED.rounds_of_unit(1)
-    faults = [LinkFault(link=frozenset({0, j}), first_round=unit1[0],
-                        last_round=unit1[-1]) for j in range(1, N)]
-    execution, _ = run_uls(programs, adversary=LinkAttackAdversary(faults))
+    drops = tuple(DropFault(link=frozenset({0, j}), first_round=unit1[0],
+                            last_round=unit1[-1]) for j in range(1, N))
+    adversary = FaultInjectionAdversary(FaultPlan(drops=drops))
+    execution, _ = run_uls(programs, adversary=adversary)
     victim = programs[0].core
     reasons = [event["reason"] for event in victim.degraded_log]
     assert "no-certificate" in reasons
@@ -164,15 +165,14 @@ def late_certificate_attack():
     the receipt to offset 16 — exactly one round late.
     """
     start = SCHED.refresh_start(1)
-    blackout = [LinkFault(link=frozenset({0, j}), first_round=start + 5,
-                          last_round=start + 12) for j in range(1, N)]
+    blackout = tuple(DropFault(link=frozenset({0, j}), first_round=start + 5,
+                               last_round=start + 12) for j in range(1, N))
     delays = tuple(
         DelayFault(link=frozenset({0, j}), first_round=start + 13,
                    last_round=start + 14, delay=1)
         for j in range(1, N)
     )
-    plan = FaultPlan(seed=1, delays=delays)
-    return FaultInjectionAdversary(plan, base=LinkAttackAdversary(blackout))
+    return FaultInjectionAdversary(FaultPlan(seed=1, drops=blackout, delays=delays))
 
 
 def test_late_certificate_installs_in_grace_window_without_alert(wire):

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.adversary.strategies import BreakinPlan, MobileBreakInAdversary
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule, verify_user_signature
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
+from repro.faults import FaultInjectionAdversary, breakins
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.runner import ULRunner
 
@@ -21,8 +21,8 @@ def test_seven_nodes_t3_full_cycle(wire):
     public, states, keys = build_uls_states(GROUP, SCHEME, n, t, seed=1)
     programs = [UlsProgram(states[i], SCHEME, keys[i], wire=wire) for i in range(n)]
     schedule = uls_schedule()
-    plan = BreakinPlan(victims={0: frozenset({0, 1, 2}), 1: frozenset({4, 5, 6})})
-    runner = ULRunner(programs, MobileBreakInAdversary(plan), schedule, s=t, seed=1)
+    adversary = FaultInjectionAdversary(breakins(schedule, {0: {0, 1, 2}, 1: {4, 5, 6}}))
+    runner = ULRunner(programs, adversary, schedule, s=t, seed=1)
     r1 = schedule.first_normal_round(1)
     for i in range(n):
         runner.add_external_input(i, r1, ("sign", "big"))
@@ -69,9 +69,10 @@ def test_long_run_six_units(wire):
     n, t = 5, 2
     public, states, keys = build_uls_states(GROUP, SCHEME, n, t, seed=3)
     programs = [UlsProgram(states[i], SCHEME, keys[i], wire=wire) for i in range(n)]
-    victims = {u: frozenset({u % n, (u + 2) % n}) for u in range(0, 6, 2)}
-    runner = ULRunner(programs, MobileBreakInAdversary(BreakinPlan(victims=victims)),
-                      uls_schedule(), s=t, seed=3)
+    victims = {u: {u % n, (u + 2) % n} for u in range(0, 6, 2)}
+    schedule = uls_schedule()
+    runner = ULRunner(programs, FaultInjectionAdversary(breakins(schedule, victims)),
+                      schedule, s=t, seed=3)
     execution = runner.run(units=6)
     for program in programs:
         assert program.keystore.history == [(u, "ok") for u in range(1, 6)]

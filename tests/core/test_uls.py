@@ -3,15 +3,7 @@
 import pytest
 
 from repro.adversary.limits import audit_st_limited
-from repro.adversary.strategies import (
-    BreakinPlan,
-    CutOffAdversary,
-    InjectionFloodAdversary,
-    LinkAttackAdversary,
-    LinkFault,
-    MobileBreakInAdversary,
-    ReplayAdversary,
-)
+from repro.adversary.strategies import CutOffAdversary, InjectionFloodAdversary, ReplayAdversary
 from repro.adversary.impersonation import UlsImpersonator
 from repro.core.uls import (
     UlsProgram,
@@ -21,6 +13,7 @@ from repro.core.uls import (
 )
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
+from repro.faults import DropFault, FaultInjectionAdversary, FaultPlan, breakins
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.node import ALERT
 from repro.sim.runner import ULRunner
@@ -105,8 +98,7 @@ def test_mobile_breakins_with_full_recovery(wire):
     refresh, nobody alerts, signing keeps working (Theorem 14's normal
     regime)."""
     public, programs = build(wire=wire)
-    plan = BreakinPlan(victims={0: frozenset({0, 1}), 1: frozenset({2, 3})})
-    adversary = MobileBreakInAdversary(plan)
+    adversary = FaultInjectionAdversary(breakins(SCHED, {0: {0, 1}, 1: {2, 3}}))
     r2 = SCHED.first_normal_round(2)
     sign_plan = [(i, r2, "late") for i in range(N)]
     execution, _ = run(programs, adversary=adversary, units=3, sign_plan=sign_plan)
@@ -125,15 +117,14 @@ def test_stolen_state_is_useless_after_refresh(wire):
     local keys) neither forges signatures nor authenticates messages in
     unit 1+."""
     public, programs = build(wire=wire)
-    plan = BreakinPlan(victims={0: frozenset({4})})
-    stolen = {}
+    stolen = []
 
-    def snapshot(program):
-        return (program.state.share, program.keystore.current)
+    def snapshot(program, rng):
+        stolen.append((program.state.share, program.keystore.current))
 
-    adversary = MobileBreakInAdversary(plan, state_snapshot=snapshot)
+    adversary = FaultInjectionAdversary(breakins(SCHED, {0: {4}}, mutator=snapshot))
     execution, _ = run(programs, adversary=adversary, units=2)
-    share, local_keys = adversary.stolen[(0, 4)]
+    [(share, local_keys)] = stolen
     # the stolen share does not lie on the refreshed polynomial
     assert not programs[0].state.key_commitment.verify_share(GROUP, share)
     # the stolen local keys' certificate is for unit 0; VER-CERT in unit 1
@@ -155,8 +146,7 @@ def test_memory_corruption_recovers_via_refresh(wire):
         state = program.state
         state.share = Share(x=state.share_index, value=rng.randrange(GROUP.q))
 
-    plan = BreakinPlan(victims={0: frozenset({1})}, corrupt_memory=True)
-    adversary = MobileBreakInAdversary(plan, corruptor=corrupt)
+    adversary = FaultInjectionAdversary(breakins(SCHED, {0: {1}}, mutator=corrupt))
     execution, _ = run(programs, adversary=adversary, units=2)
     assert programs[1].state.share_is_valid()
     assert programs[1].keystore.history == [(1, "ok")]
@@ -229,11 +219,12 @@ def test_link_faults_within_limits_are_tolerated(wire):
     the victim recovers at the following refresh once links return."""
     public, programs = build(wire=wire)
     unit1 = SCHED.rounds_of_unit(1)
-    faults = [
-        LinkFault(link=frozenset({0, j}), first_round=unit1[0], last_round=unit1[-1])
+    drops = tuple(
+        DropFault(link=frozenset({0, j}), first_round=unit1[0], last_round=unit1[-1])
         for j in range(1, N)
-    ]
-    execution, _ = run(programs, adversary=LinkAttackAdversary(faults), units=3)
+    )
+    adversary = FaultInjectionAdversary(FaultPlan(drops=drops))
+    execution, _ = run(programs, adversary=adversary, units=3)
     assert dict(programs[0].keystore.history)[1] == "failed"
     assert 1 in programs[0].core.alert_units
     # recovery in unit 2

@@ -8,7 +8,7 @@ references the group's exponentiation engine is tested against.
 
 from __future__ import annotations
 
-from repro.adversary.base import Adversary, AdversaryApi, faithful_delivery
+from repro.sim.adversary_api import Adversary, AdversaryApi, faithful_delivery
 from repro.sim.clock import Phase, RoundInfo
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext, NodeProgram

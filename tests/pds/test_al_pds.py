@@ -8,9 +8,9 @@ import random
 
 import pytest
 
-from repro.adversary.strategies import BreakinPlan, MobileBreakInAdversary
 from repro.crypto.group import named_group
 from repro.crypto.shamir import Share
+from repro.faults import CrashFault, FaultInjectionAdversary, FaultPlan, breakins
 from repro.pds.harness import PdsNodeProgram, required_refresh_rounds
 from repro.pds.keys import deal_initial_states
 from repro.pds.threshold_schnorr import verify_pds_signature
@@ -118,9 +118,11 @@ def test_multiple_messages_same_unit(wire):
 def test_signing_tolerates_t_broken_nodes(wire):
     """With t nodes broken (silent), the remaining n-t >= t+1 sign fine."""
     public, programs = build(wire=wire)
-    plan = BreakinPlan(victims={0: frozenset({3, 4})}, during_refresh=True)
-    adversary = MobileBreakInAdversary(plan)
+    # held through the whole of unit 0, its last normal round included
     r = SCHED.first_normal_round(0)
+    last = r + SCHED.normal_rounds - 1
+    adversary = FaultInjectionAdversary(FaultPlan(
+        crashes=(CrashFault(3, r, last), CrashFault(4, r, last))))
     sign_plan = [(i, r, "resilient") for i in range(N)]
     execution = run(programs, adversary=adversary, sign_plan=sign_plan, units=1)
     for i in range(3):
@@ -140,8 +142,7 @@ def test_share_recovery_after_memory_corruption(wire):
         # also corrupt its commitment copy: sync must fix this too
         state.key_commitment = programs[(program.node_id + 1) % N].state.key_commitment
 
-    plan = BreakinPlan(victims={0: frozenset({2})}, corrupt_memory=True)
-    adversary = MobileBreakInAdversary(plan, corruptor=corrupt)
+    adversary = FaultInjectionAdversary(breakins(SCHED, {0: {2}}, mutator=corrupt))
     r1 = SCHED.first_normal_round(1)
     sign_plan = [(i, r1, "after-recovery") for i in range(N)]
     execution = run(programs, adversary=adversary, sign_plan=sign_plan, units=2)
@@ -158,8 +159,7 @@ def test_share_recovery_after_share_deletion(wire):
     def corrupt(program, rng):
         program.state.share = None
 
-    plan = BreakinPlan(victims={0: frozenset({1})}, corrupt_memory=True)
-    adversary = MobileBreakInAdversary(plan, corruptor=corrupt)
+    adversary = FaultInjectionAdversary(breakins(SCHED, {0: {1}}, mutator=corrupt))
     execution = run(programs, adversary=adversary, units=2)
     assert programs[1].state.share_is_valid()
     assert programs[1].refresh_outcomes == [("ok", 1)]
@@ -170,11 +170,9 @@ def test_stolen_share_useless_after_refresh(wire):
     statistically independent of the unit-1 sharing — the stolen share
     does not lie on the new polynomial."""
     public, programs = build(wire=wire)
-    plan = BreakinPlan(victims={0: frozenset({0, 1})})
-    adversary = MobileBreakInAdversary(
-        plan, state_snapshot=lambda program: program.state.share
-    )
-    run(programs, adversary=adversary, units=2)
-    stolen = adversary.stolen[(0, 0)]
+    stolen = []
+    plan = breakins(SCHED, {0: {0, 1}},
+                    mutator=lambda program, rng: stolen.append(program.state.share))
+    run(programs, adversary=FaultInjectionAdversary(plan), units=2)
     new_commitment = programs[2].state.key_commitment
-    assert not new_commitment.verify_share(GROUP, stolen)
+    assert not new_commitment.verify_share(GROUP, stolen[0])

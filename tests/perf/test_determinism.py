@@ -12,10 +12,10 @@
 
 import random
 
-from repro.adversary.strategies import BreakinPlan, MobileBreakInAdversary
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
+from repro.faults import FaultInjectionAdversary, breakins
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.runner import ULRunner
 
@@ -105,9 +105,7 @@ def test_perf_layer_is_transcript_neutral_benign(perf, per_item):
 
 def test_perf_layer_is_transcript_neutral_under_attack(perf, per_item):
     def adversary():
-        return MobileBreakInAdversary(
-            BreakinPlan(victims={1: frozenset({2}), 2: frozenset({4})})
-        )
+        return FaultInjectionAdversary(breakins(SCHED, {1: {2}, 2: {4}}))
 
     _assert_same_execution(*_optimized_and_baseline(adversary, per_item))
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adversary.base import PassiveAdversary
+from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.clock import Phase, Schedule
 from repro.sim.node import NodeContext, NodeProgram
 from repro.sim.rom import RomViolation

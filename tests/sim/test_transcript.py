@@ -1,6 +1,6 @@
 """Tests for execution transcripts and global outputs (§2.1–2.2)."""
 
-from repro.adversary.strategies import BreakinPlan, MobileBreakInAdversary
+from repro.faults import FaultInjectionAdversary, breakins
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.clock import Schedule
 from repro.sim.runner import ALRunner, ULRunner
@@ -21,8 +21,7 @@ def run_al(adversary=None, units=3, seed=2):
 def test_status_lines_alternate():
     """Per node, compromised/recovered lines strictly alternate, starting
     with compromised."""
-    plan = BreakinPlan(victims={0: frozenset({1}), 1: frozenset({1, 2})})
-    execution = run_al(MobileBreakInAdversary(plan))
+    execution = run_al(FaultInjectionAdversary(breakins(SCHED, {0: {1}, 1: {1, 2}})))
     for node in range(N):
         events = [e for _, i, e in execution.system_log if i == node]
         for index, event in enumerate(events):
@@ -41,8 +40,7 @@ def test_global_output_is_deterministic_and_ordered():
 
 
 def test_global_output_contains_system_lines():
-    plan = BreakinPlan(victims={1: frozenset({3})})
-    execution = run_al(MobileBreakInAdversary(plan))
+    execution = run_al(FaultInjectionAdversary(breakins(SCHED, {1: {3}})))
     lines = execution.global_output()
     assert any(line[0] == "system" and line[2] == 3 and line[3] == COMPROMISED
                for line in lines)
