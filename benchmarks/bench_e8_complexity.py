@@ -30,10 +30,11 @@ Three sweeps:
   messages per refreshment phase must drop ≥ 2× and wall-clock must
   improve.
 
-All three sweeps land in ``benchmarks/results/BENCH_E8.json``.  With
-``BENCH_SMOKE=1`` the sweeps shrink to CI size (timing and volume only
-at n = 25) and the report goes to ``BENCH_E8_smoke.json``, leaving the
-committed full-sweep report alone.
+All three sweeps land in ``benchmarks/results/BENCH_E8.json`` and the
+three text tables ``e8_*.txt``.  With ``BENCH_SMOKE=1`` the sweeps
+shrink to CI size (timing and volume only at n = 25): the tables are
+printed and the report goes to ``BENCH_E8_smoke.json``, leaving the
+committed full-sweep results alone.
 """
 
 import os
@@ -176,7 +177,7 @@ def test_e8_message_complexity(table, benchmark):
         f"2t+1-relay DISPERSE (O(nt)), t={T}",
         MESSAGE_HEADERS,
         table,
-    ))
+    ), persist=not SMOKE)
     benchmark(lambda: run_variant(6, 2 * T + 1, seed=1))
 
 
@@ -186,7 +187,7 @@ def test_e8_msg_volume(volume_table, benchmark):
         f"units={UNITS}; outcome digests and rejected_dealers bit-identical)",
         VOLUME_HEADERS,
         volume_table,
-    ))
+    ), persist=not SMOKE)
     benchmark(lambda: run_volume(6, 2 * T + 1, "aggregated", seed=1)[0])
 
 
@@ -195,7 +196,7 @@ def test_e8_refresh_timing(table, timing_table, volume_table, benchmark):
         f"E8  Refresh wall-clock (t={T}, units={UNITS})",
         TIMING_HEADERS,
         timing_table,
-    ))
+    ), persist=not SMOKE)
     stem = "BENCH_E8_smoke" if SMOKE else "BENCH_E8"
     emit_json(stem, {
         "experiment": "e8_complexity",

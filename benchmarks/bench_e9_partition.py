@@ -12,8 +12,9 @@ With the message-volume layer in place, the flat network *is* feasible
 at the first two table points — n = 16 and n = 25 are now real runs
 (t = (n-1)/2 full-flood ULS instances), and only n ≥ 36 still comes
 from the power-law fit; a source column says which is which.  Results
-land in ``benchmarks/results/BENCH_E9.json``; ``BENCH_SMOKE=1`` keeps
-only the n = 16 flat run real.
+land in ``benchmarks/results/BENCH_E9.json`` and ``e9_partition.txt``;
+``BENCH_SMOKE=1`` keeps only the n = 16 flat run real, prints the table
+and writes only ``BENCH_E9_smoke.json``.
 """
 
 import os
@@ -111,7 +112,7 @@ def test_e9_partition_tradeoff(table, benchmark):
         "traffic = sum of small neighborhoods (measured)",
         E9_HEADERS,
         table,
-    ))
+    ), persist=not SMOKE)
     emit_json("BENCH_E9_smoke" if SMOKE else "BENCH_E9", {
         "experiment": "e9_partition",
         "config": {"group": "toy64", "units": 2, "smoke": SMOKE,

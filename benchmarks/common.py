@@ -44,15 +44,20 @@ def format_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[Any
     return "\n".join(lines)
 
 
-def emit(experiment_id: str, table: str, data: Any | None = None) -> None:
+def emit(experiment_id: str, table: str, data: Any | None = None, *,
+         persist: bool = True) -> None:
     """Print the table and persist it under benchmarks/results/.
 
     When ``data`` is given, a machine-readable twin of the table is also
     written as ``BENCH_<EXPERIMENT>.json`` (e.g. ``e8_complexity`` →
     ``BENCH_E8.json``) so downstream tooling — CI artifacts, regression
     diffing, the ROADMAP numbers — never has to parse the text table.
+    With ``persist=False`` (a ``BENCH_SMOKE=1`` sweep) the table is only
+    printed, so the committed full-sweep results stay as they are.
     """
     print("\n" + table + "\n")
+    if not persist:
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{experiment_id}.txt").write_text(table + "\n")
     if data is not None:

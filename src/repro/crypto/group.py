@@ -13,7 +13,9 @@ generated with :meth:`SchnorrGroup.generate`.
 
 Every exponentiation of the package goes through this one engine
 (``docs/PROTOCOLS.md`` §12): :meth:`SchnorrGroup.base_power` and
-:meth:`SchnorrGroup.fixed_power` walk fixed-base windows, and
+:meth:`SchnorrGroup.fixed_power` walk a :class:`FixedBaseWindow` by the
+exponent's bytes (``g``'s table, one row per byte, is built with the
+group; a key's, one row per nibble, with its first use), and
 :meth:`SchnorrGroup.is_member` decides membership by the Legendre
 symbol.  :meth:`SchnorrGroup.multi_power`, an interleaved-window
 (Straus) multi-exponentiation, has no caller in the protocols; the
@@ -32,9 +34,9 @@ from typing import Iterable
 from repro.crypto.field import PrimeField
 from repro.crypto.numbers import is_probable_prime, mod_inverse, random_safe_prime
 from repro.perf.registry import register_cache_clearer
-from repro.perf.fixed_base import FixedBaseWindow
 
 __all__ = [
+    "FixedBaseWindow",
     "GroupParams",
     "SchnorrGroup",
     "named_group",
@@ -48,6 +50,19 @@ _MAX_BASE_WINDOWS = 128
 
 #: bound on per-group memoized membership checks
 _MAX_MEMBER_CACHE = 8192
+
+#: digit width of ``g``'s table: one row of 256 powers per exponent byte
+_G_WIDTH = 8
+
+#: digit width of a key's window: two rows of 16 per exponent byte.  An
+#: 8-bit table per key would take 8,192 products to build on toy256 (8×
+#: a 4-bit one's) and hold ~0.48 MB more, for each of up to 2n + 1 keys
+#: in force.
+_KEY_WIDTH = 4
+
+#: an exponent byte's low and high nibble, for the 4-bit walk
+_LOW_NIBBLES = bytes(b & 15 for b in range(256))
+_HIGH_NIBBLES = bytes(b >> 4 for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -93,7 +108,7 @@ _NAMED_PARAMS: dict[str, GroupParams] = {
 NAMED_GROUP_NAMES = tuple(sorted(_NAMED_PARAMS))
 
 # live groups (keyed by id: equality-deduping would hide duplicate
-# instances), so clear_all_caches() can drop their precomputed windows
+# instances), so clear_all_caches() can drop their keys' windows
 _GROUP_REGISTRY: "weakref.WeakValueDictionary[int, SchnorrGroup]" = (
     weakref.WeakValueDictionary()
 )
@@ -101,10 +116,83 @@ _GROUP_REGISTRY: "weakref.WeakValueDictionary[int, SchnorrGroup]" = (
 
 @register_cache_clearer
 def _clear_group_caches() -> None:
+    # g's table is a parameter of its group, not a memo: it stays
     for group in list(_GROUP_REGISTRY.values()):
-        group._g_window = None
         group._base_windows.clear()
         group._member_cache.clear()
+
+
+class FixedBaseWindow:
+    """Precomputed powers of one fixed base modulo ``modulus``, walked by
+    the bytes of the exponent (fixed-base windowing, Brickell et al.;
+    HAC 14.109).
+
+    Row ``i`` holds ``base^(d · 2^(w·i))`` for every ``w``-bit digit
+    ``d``, over as many rows as ``order`` has bytes times ``8/w``.  A walk
+    multiplies in one entry per nonzero digit of ``exponent % order``,
+    read from its little-endian bytes: each byte is a digit for ``w = 8``
+    (one row of 256 per byte, the shape of ``g``'s table); for ``w = 4``
+    the digits are every byte's low nibble, then every byte's high nibble
+    (two rows of 16 per byte, stored in that order: a key's window).  So
+    a ``b``-bit order costs at most ``⌈b/8⌉`` or ``2⌈b/8⌉`` products and
+    no big-int shift or mask, against ``~1.5·b`` inside ``pow``; building
+    costs one product per entry, so a table pays only for a base raised
+    many times (costs and sizes: ``docs/PROTOCOLS.md`` §12).  A row past
+    the order's top bit only ever reads digit 0.
+
+    The value is exactly ``pow(base, exponent % order, modulus)``.
+
+    Args:
+        base: the fixed base (reduced mod ``modulus``).
+        modulus: the group modulus ``p``.
+        order: the exponent order ``q`` (exponents are reduced mod ``q``).
+        width: the digit width ``w``: 8 (``g``'s table) or 4 (a key's
+            window); any other raises ``ValueError``.
+    """
+
+    __slots__ = ("base", "modulus", "order", "width", "_nbytes", "_rows")
+
+    def __init__(self, base: int, modulus: int, order: int, width: int) -> None:
+        if width not in (_KEY_WIDTH, _G_WIDTH):
+            raise ValueError(f"width must be {_KEY_WIDTH} or {_G_WIDTH}, not {width!r}")
+        if modulus < 2 or order < 1:
+            raise ValueError("modulus and order must be positive")
+        base %= modulus
+        self.base = base
+        self.modulus = modulus
+        self.order = order
+        self.width = width
+        self._nbytes = (order.bit_length() + 7) // 8
+        radix = 1 << width
+        rows: list[list[int]] = []
+        step = base  # base^(radix^i), advanced per row
+        for _ in range(self._nbytes * 8 // width):
+            row = [1] * radix
+            acc = 1
+            for d in range(1, radix):
+                acc = acc * step % modulus
+                row[d] = acc
+            rows.append(row)
+            step = row[-1] * step % modulus
+        self._rows = rows if width == _G_WIDTH else rows[0::2] + rows[1::2]
+
+    def pow(self, exponent: int) -> int:
+        """``base ** exponent mod modulus`` (exponent reduced mod order)."""
+        digits = (exponent % self.order).to_bytes(self._nbytes, "little")
+        if self.width == _KEY_WIDTH:
+            digits = digits.translate(_LOW_NIBBLES) + digits.translate(_HIGH_NIBBLES)
+        acc = 1
+        modulus = self.modulus
+        for digit, row in zip(digits, self._rows):
+            if digit:
+                acc = acc * row[digit] % modulus
+        return acc
+
+    def __repr__(self) -> str:
+        return (
+            f"FixedBaseWindow(bits={self.modulus.bit_length()}, "
+            f"width={self.width}, rows={len(self._rows)})"
+        )
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -160,10 +248,10 @@ class SchnorrGroup:
         self.g = params.g
         self.scalar_field = PrimeField(params.q)
         self._straus_width = _straus_width(params.q.bit_length())
-        # fixed-base precomputation (repro.perf): a window for g, built
-        # lazily, plus one window per long-lived base in force (v_cert,
-        # the local keys, the key images), dropped with its key
-        self._g_window: FixedBaseWindow | None = None
+        # g's table is a parameter of the group: built here, once, and
+        # kept for its life; a key in force (v_cert, the local keys, the
+        # key images) gets a window at its first use, dropped with the key
+        self._g_table = FixedBaseWindow(params.g, params.p, params.q, _G_WIDTH)
         self._base_windows: dict[int, FixedBaseWindow] = {}
         self._member_cache: dict[int, bool] = {}
         _GROUP_REGISTRY[id(self)] = self
@@ -192,27 +280,29 @@ class SchnorrGroup:
         return pow(base, exponent % self.q, self.p)
 
     def base_power(self, exponent: int) -> int:
-        """``g ** exponent mod p``, through the fixed-base window of ``g``."""
-        window = self._g_window
-        if window is None:
-            window = self._g_window = FixedBaseWindow(self.g, self.p, self.q)
-        return window.pow(exponent)
+        """``g ** exponent mod p``, through ``g``'s table: one row of 256
+        powers per exponent byte, built with the group and kept through
+        :func:`~repro.perf.registry.clear_all_caches`."""
+        return self._g_table.pow(exponent)
 
     def fixed_power(self, base: int, exponent: int) -> int:
         """``base ** exponent mod p`` for a *long-lived* base.
 
-        Builds (and keeps) a fixed-base window for ``base`` — meant for
-        keys in force, each raised many times over its lifetime: the PDS
-        key ``v_cert``, the local keys of VER-CERT and the key images of
-        partial signatures.  The rotation hooks drop a superseded key's
-        window (:meth:`drop_window`); the pool's FIFO bound is only a leak
-        guard above every live set.
+        Builds (and keeps) a window of 4-bit digits for ``base``, two rows
+        of 16 powers per exponent byte — meant for keys in force, each
+        raised many times over its lifetime: the PDS key ``v_cert``, the
+        local keys of VER-CERT and the key images of partial signatures.
+        The rotation hooks drop a superseded key's window
+        (:meth:`drop_window`), and so does ``clear_all_caches``; the
+        pool's FIFO bound is only a leak guard above every live set.
         """
         window = self._base_windows.get(base)
         if window is None:
             while len(self._base_windows) >= _MAX_BASE_WINDOWS:
                 self._base_windows.pop(next(iter(self._base_windows)))
-            window = self._base_windows[base] = FixedBaseWindow(base, self.p, self.q)
+            window = self._base_windows[base] = FixedBaseWindow(
+                base, self.p, self.q, _KEY_WIDTH
+            )
         return window.pow(exponent)
 
     def drop_window(self, base: int) -> None:

@@ -12,11 +12,6 @@ Components:
   (:func:`clear_all_caches`) and the garbage-collection policy;
 * :mod:`repro.perf.cache` — the signature-verification cache and the
   identity-keyed canonical-encoding cache;
-* :mod:`repro.perf.fixed_base` — fixed-base exponentiation windows used
-  by :class:`repro.crypto.group.SchnorrGroup` for ``g`` and each key in
-  force (``v_cert``, the local keys, the key images), dropped with the
-  key by the rotation hooks of :mod:`repro.perf.cache` and
-  :mod:`repro.perf.share_image`;
 * :mod:`repro.perf.share_image` — memoized Feldman share images;
 * :mod:`repro.perf.volume` — the aggregated refresh wire format's
   broadcast sentinel and responder sampling.
@@ -34,7 +29,6 @@ from repro.perf.cache import (
     invalidate_verify_key,
     verification_cache,
 )
-from repro.perf.fixed_base import FixedBaseWindow
 from repro.perf.registry import clear_all_caches, register_cache_clearer
 from repro.perf.volume import BROADCAST, responder_sample, sample_size
 
@@ -50,5 +44,4 @@ __all__ = [
     "invalidate_verify_key",
     "CanonicalKeyCache",
     "canonical_body_key",
-    "FixedBaseWindow",
 ]

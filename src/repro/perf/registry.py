@@ -35,7 +35,7 @@ def register_cache_clearer(fn: Callable[[], None]) -> Callable[[], None]:
 
 def clear_all_caches() -> None:
     """Empty every registered cache (verification, canonical keys,
-    challenges, fixed-base windows, share images).  Never changes results,
-    only makes the next operations cold."""
+    challenges, the keys' fixed-base windows, share images).  Never
+    changes results, only makes the next operations cold."""
     for fn in _CLEARERS:
         fn()

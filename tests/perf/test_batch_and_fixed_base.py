@@ -2,17 +2,18 @@
 
 ``batch_verify`` accepts exactly the batches whose every member verifies
 on its own (it checks each through ``verify``), and a fixed-base window
-computes exactly ``pow``.  Which bases get a window, and for how long, is
-``test_key_windows.py``.
+of either shape — 8-bit digits, ``g``'s table, or 4-bit digits, a key's
+— computes exactly ``pow``.  Which bases get a window, and for how long,
+is ``test_key_windows.py``.
 """
 
 import random
 
 import pytest
 
-from repro.crypto.group import NAMED_GROUP_NAMES, named_group
+from repro.crypto.group import NAMED_GROUP_NAMES, FixedBaseWindow, named_group
 from repro.crypto.schnorr import SchnorrScheme, SchnorrSignature, scheme_for_group
-from repro.perf import FixedBaseWindow
+from repro.perf import clear_all_caches
 
 GROUP = named_group("toy64")
 SCHEME = SchnorrScheme(GROUP)
@@ -93,42 +94,101 @@ def test_scheme_for_group_is_shared():
 
 # --------------------------------------------------------- fixed-base window
 
+#: the two table shapes: g's (one row of 256 per exponent byte) and a
+#: key's (two rows of 16 per byte)
+WIDTHS = [4, 8]
+
+
+def _edge_exponents(q, rng):
+    """The reductions, the byte boundaries and random draws: 0, 1,
+    q − 1, q, q + 1, −1 and 2q + 5; an exponent below q whose top byte
+    (of q's length) is 0; the largest exponent below q whose bytes are
+    all 0xFF; random exponents in [0, 3q)."""
+    nbytes = (q.bit_length() + 7) // 8
+    all_ff = max(256 ** k - 1 for k in range(1, nbytes + 1) if 256 ** k - 1 < q)
+    top_byte_zero = rng.randrange(256 ** (nbytes - 2), 256 ** (nbytes - 1))
+    fixed = [0, 1, q - 1, q, q + 1, -1, 2 * q + 5, top_byte_zero, all_ff]
+    return fixed + [rng.randrange(0, 3 * q) for _ in range(30)]
+
+
 def test_window_matches_pow_exhaustive_small():
-    window = FixedBaseWindow(base=3, modulus=1000003, order=500001, window=4)
-    for e in list(range(64)) + [500000, 500001, 999999, 10**9]:
-        assert window.pow(e) == pow(3, e % 500001, 1000003)
+    """A 19-bit order: three exponent bytes, so five nibbles and a sixth
+    row that only ever reads digit 0."""
+    for width in WIDTHS:
+        window = FixedBaseWindow(base=3, modulus=1000003, order=500001, width=width)
+        for e in list(range(600)) + [500000, 500001, 999999, 10**9, -1, -500002]:
+            assert window.pow(e) == pow(3, e % 500001, 1000003)
+        for e in _edge_exponents(500001, random.Random(width)):
+            assert window.pow(e) == pow(3, e % 500001, 1000003)
 
 
 def test_window_matches_pow_random_group_sized():
     rng = random.Random(77)
-    window = FixedBaseWindow(GROUP.g, GROUP.p, GROUP.q)
+    window = FixedBaseWindow(GROUP.g, GROUP.p, GROUP.q, 4)
     for _ in range(200):
         e = rng.randrange(0, 2 * GROUP.q)
         assert window.pow(e) == pow(GROUP.g, e % GROUP.q, GROUP.p)
 
 
-@pytest.mark.parametrize("width", [1, 2, 5, 8])
+@pytest.mark.parametrize("width", WIDTHS)
 def test_window_widths_agree(width):
-    window = FixedBaseWindow(GROUP.g, GROUP.p, GROUP.q, window=width)
+    window = FixedBaseWindow(GROUP.g, GROUP.p, GROUP.q, width)
     rng = random.Random(width)
     for _ in range(20):
         e = rng.randrange(0, GROUP.q)
         assert window.pow(e) == pow(GROUP.g, e, GROUP.p)
 
 
+@pytest.mark.parametrize("width", [-4, 0, 1, 2, 3, 5, 6, 7, 16])
+def test_window_rejects_other_widths(width):
+    with pytest.raises(ValueError):
+        FixedBaseWindow(GROUP.g, GROUP.p, GROUP.q, width)
+
+
 @pytest.mark.parametrize("name", NAMED_GROUP_NAMES)
 def test_named_group_windows_match_pow(perf, name):
     """Every named group, toy64 included, goes through fixed-base windows
-    in ``base_power`` and ``fixed_power``; both compute exactly ``pow``."""
+    in ``base_power`` (``g``'s 8-bit table) and ``fixed_power`` (a key's
+    4-bit window); both compute exactly ``pow`` at every exponent of
+    ``_edge_exponents``."""
     group = named_group(name)
     rng = random.Random(88)
     y = pow(group.g, rng.randrange(1, group.q), group.p)
-    for _ in range(20):
-        e = rng.randrange(0, 2 * group.q)
+    for e in _edge_exponents(group.q, rng):
         assert group.base_power(e) == pow(group.g, e % group.q, group.p)
         assert group.fixed_power(y, e) == pow(y, e % group.q, group.p)
-    assert group._g_window is not None  # the windows actually engaged
-    assert y in group._base_windows
+    # the windows actually engaged, each in its shape
+    assert group._g_table.width == 8
+    assert group._base_windows[y].width == 4
+
+
+def test_clear_all_caches_keeps_g_table(perf, monkeypatch):
+    """``g``'s table is a parameter of the group: ``clear_all_caches``
+    keeps it (no later ``base_power`` builds one) and drops every key's
+    window."""
+    group = named_group("toy256")
+    table = group._g_table
+    rng = random.Random(9)
+    keys = [pow(group.g, rng.randrange(1, group.q), group.p) for _ in range(3)]
+    for key in keys:
+        group.fixed_power(key, 12345)
+    assert set(keys) <= set(group._base_windows)
+    built = []
+    init = FixedBaseWindow.__init__
+
+    def counting_init(self, base, *args):
+        built.append(base)
+        init(self, base, *args)
+
+    monkeypatch.setattr(FixedBaseWindow, "__init__", counting_init)
+    clear_all_caches()
+
+    assert group._g_table is table
+    assert group._base_windows == {}
+    assert group.base_power(-7) == pow(group.g, -7 % group.q, group.p)
+    assert built == []
+    group.fixed_power(keys[0], 3)
+    assert built == [keys[0]]  # a key's window comes back at its next use
 
 
 @pytest.mark.parametrize("name", ["toy64", "toy256"])

@@ -17,9 +17,8 @@ import pytest
 from repro.core.certify import certify, ver_cert_many
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.feldman import FeldmanDealer
-from repro.crypto.group import named_group
+from repro.crypto.group import FixedBaseWindow, named_group
 from repro.crypto.schnorr import SchnorrScheme, SchnorrSignature
-from repro.perf import FixedBaseWindow
 from repro.perf.share_image import share_image_value
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.runner import ULRunner
@@ -33,15 +32,15 @@ N, T = 5, 2
 @pytest.fixture
 def built(monkeypatch):
     """The bases of the windows built from now on, and after each build
-    the number of pooled windows (``g``'s own is kept apart)."""
+    the number of pooled windows.  ``g``'s table was built with the group
+    and is never built again, so every base here is a key."""
     bases: list[int] = []
     live: list[int] = []
     init = FixedBaseWindow.__init__
 
     def counting_init(self, base, *args, **kwargs):
         bases.append(base)
-        if base != GROUP.g:
-            live.append(len(GROUP._base_windows) + 1)  # this one joins the pool
+        live.append(len(GROUP._base_windows) + 1)  # this one joins the pool
         init(self, base, *args, **kwargs)
 
     monkeypatch.setattr(FixedBaseWindow, "__init__", counting_init)
@@ -70,7 +69,7 @@ def test_ver_cert_builds_windows_only_for_certified_keys(perf, built):
                             expected_round=7, items=items)
 
     assert [msg is not None for msg in results] == [True, True, True, False, False]
-    assert sorted(base for base in bases if base != GROUP.g) == sorted(
+    assert sorted(bases) == sorted(
         [public.public_key] + [keys[i].keypair.verify_key.y for i in (0, 2, 3)]
     )
     for injected in (fresh, other):
