@@ -28,14 +28,7 @@ from repro.analysis.monitor import (
     RuntimeInvariantMonitor,
     Violation,
 )
-from repro.analysis.metrics import (
-    MessageStats,
-    alert_counts,
-    certification_availability,
-    delivery_rate,
-    message_stats,
-    recovery_units,
-)
+from repro.analysis.metrics import MessageStats, message_stats
 
 __all__ = [
     "GlobalAwarenessReport",
@@ -49,11 +42,7 @@ __all__ = [
     "GoodnessReport",
     "classify_execution",
     "MessageStats",
-    "alert_counts",
-    "certification_availability",
-    "delivery_rate",
     "message_stats",
-    "recovery_units",
     "RecoverySloObserver",
     "stable_form",
     "transcript_digest",

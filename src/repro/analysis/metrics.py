@@ -1,27 +1,14 @@
-"""Measurement helpers shared by the experiments and benchmarks.
-
-Everything here is a pure function over a finished
-:class:`~repro.sim.transcript.Execution` (plus, occasionally, the node
-programs for protocol-internal counters).
-"""
+"""Message counts shared by the experiments and benchmarks: a pure
+function over a finished :class:`~repro.sim.transcript.Execution`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
 
 from repro.sim.clock import Phase
-from repro.sim.node import ALERT
 from repro.sim.transcript import Execution
 
-__all__ = [
-    "MessageStats",
-    "message_stats",
-    "alert_counts",
-    "certification_availability",
-    "delivery_rate",
-    "recovery_units",
-]
+__all__ = ["MessageStats", "message_stats"]
 
 
 @dataclass(frozen=True)
@@ -59,44 +46,3 @@ def message_stats(execution: Execution) -> MessageStats:
         per_refresh_phase=by_phase.get("refresh", 0) / refresh_phases,
         per_normal_round=by_phase.get("normal", 0) / max(1, normal_rounds),
     )
-
-
-def alert_counts(execution: Execution) -> dict[int, dict[int, int]]:
-    """``{unit: {node: #alerts}}`` with zero entries omitted."""
-    result: dict[int, dict[int, int]] = {}
-    for unit in range(execution.units()):
-        for node in range(execution.n):
-            count = execution.alerts_in_unit(node, unit)
-            if count:
-                result.setdefault(unit, {})[node] = count
-    return result
-
-
-def certification_availability(key_histories: dict[int, dict[int, str]], units: int) -> float:
-    """Fraction of (node, unit >= 1) pairs whose refresh obtained keys."""
-    total = 0
-    ok = 0
-    for history in key_histories.values():
-        for unit in range(1, units):
-            total += 1
-            if history.get(unit) == "ok":
-                ok += 1
-    return ok / total if total else 1.0
-
-
-def delivery_rate(sent: int, received: int) -> float:
-    """Receipt fraction for point-to-point experiments."""
-    return received / sent if sent else 1.0
-
-
-def recovery_units(execution: Execution, node: int) -> list[int]:
-    """Units at whose refresh-phase end ``node`` re-entered the
-    operational set (useful for recovery-latency experiments)."""
-    units = []
-    previous = True
-    for record in execution.records:
-        now = node in record.operational
-        if now and not previous and record.info.phase is Phase.REFRESH:
-            units.append(record.info.time_unit)
-        previous = now
-    return units

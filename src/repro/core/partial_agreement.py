@@ -14,7 +14,7 @@ The five steps, over AUTH-SEND (delay 2) and raw DISPERSE:
 3. each node re-DISPERSEs the raw *certified* messages it accepted from
    ``MAJ`` members — signatures make equivocation provable, which is what
    lets this protocol achieve at ``n = 2t+1`` what echo broadcast needs
-   ``n = 3t+1`` for (see :mod:`repro.agreement.echo`);
+   ``n = 3t+1`` for (see ``tests/agreement/test_echo.py``);
 4. the forwarded messages are verified (authenticity of author, content
    and time — the destination is whoever the author originally addressed)
    and cheater marks are updated;

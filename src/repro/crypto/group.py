@@ -400,9 +400,10 @@ class SchnorrGroup:
 def named_group(name: str = "toy64") -> SchnorrGroup:
     """Return one of the precomputed groups by name.
 
-    Available names: ``toy64``, ``toy160``, ``toy256``, ``toy512`` (see
-    ``NAMED_GROUP_NAMES``).  Parameters are validated on first use and the
-    constructed group is cached.
+    Available names: ``toy64``, ``toy160``, ``toy256``, ``toy512`` and
+    ``modp1024`` (see ``NAMED_GROUP_NAMES``).  Any other safe-prime group
+    is ``SchnorrGroup(GroupParams(p, q, g))``.  Parameters are validated on
+    first use and the constructed group is cached.
     """
     try:
         params = _NAMED_PARAMS[name]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 from functools import lru_cache
-from typing import Iterable
 
 __all__ = [
     "sha256",
@@ -146,25 +145,3 @@ def prf(key: bytes, *values: object) -> bytes:
     """HMAC-SHA256 pseudorandom function over encoded values."""
     body = b"".join(encode_for_hash(v) for v in values)
     return hmac.new(key, body, hashlib.sha256).digest()
-
-
-def hash_chain(seed: bytes, length: int) -> list[bytes]:
-    """Iterated hash chain ``[seed, H(seed), H(H(seed)), ...]`` of ``length`` links."""
-    if length < 1:
-        raise ValueError("chain length must be positive")
-    chain = [seed]
-    for _ in range(length - 1):
-        chain.append(sha256(chain[-1]))
-    return chain
-
-
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """Byte-wise XOR of two equal-length strings."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} != {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
-def merge_digests(tag: str, digests: Iterable[bytes]) -> bytes:
-    """Hash a sequence of digests into one (order-sensitive)."""
-    return tagged_hash(tag, *digests)

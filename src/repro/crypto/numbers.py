@@ -23,7 +23,6 @@ __all__ = [
     "random_safe_prime",
     "mod_inverse",
     "egcd",
-    "crt_pair",
     "product",
 ]
 
@@ -150,19 +149,6 @@ def mod_inverse(a: int, modulus: int) -> int:
     if g != 1:
         raise ZeroDivisionError(f"{a} has no inverse modulo {modulus} (gcd={g})")
     return x % modulus
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Chinese remainder theorem for two coprime moduli.
-
-    Returns the unique ``x mod m1*m2`` with ``x = r1 (mod m1)`` and
-    ``x = r2 (mod m2)``.
-    """
-    g, p, _ = egcd(m1, m2)
-    if g != 1:
-        raise ValueError(f"moduli {m1}, {m2} are not coprime")
-    diff = (r2 - r1) % m2
-    return (r1 + m1 * ((diff * p) % m2)) % (m1 * m2)
 
 
 def product(values: Iterable[int]) -> int:

@@ -1,10 +1,11 @@
 """Chaos fault-injection plane: declarative fault schedules + executor.
 
-See :mod:`repro.faults.plan` for the primitives and the safety argument,
-:mod:`repro.faults.inject` for execution semantics,
-:mod:`repro.faults.budget` + :mod:`repro.faults.adaptive` for
-traffic-reactive adversaries under online budget enforcement, and
-:mod:`repro.faults.campaign` for escalation / frontier-search campaigns.
+See :mod:`repro.faults.plan` for the primitives, the one rule book of
+the legal fault space (:class:`StBudgetGuard`) and the plan sampler
+that draws through it, :mod:`repro.faults.inject` for execution
+semantics, :mod:`repro.faults.adaptive` for traffic-reactive
+adversaries, and :mod:`repro.faults.campaign` for escalation /
+frontier-search campaigns.
 """
 
 from repro.faults.adaptive import (
@@ -18,20 +19,11 @@ from repro.faults.adaptive import (
     TrafficTargeterStrategy,
     make_strategy,
 )
-from repro.faults.budget import (
-    FaultRequest,
-    ProjectionReport,
-    StBudgetGuard,
-    requests_to_faults,
-)
 from repro.faults.campaign import (
     DEFAULT_LADDER,
     CampaignResult,
-    CampaignState,
-    CampaignTimeout,
     Probe,
     ProbeOutcome,
-    WallClockBudget,
     escalate,
     run_probe,
 )
@@ -42,20 +34,22 @@ from repro.faults.plan import (
     DropFault,
     DuplicateFault,
     FaultPlan,
+    FaultRequest,
     MemoryCorruptionFault,
+    ProjectionReport,
     ReorderFault,
+    StBudgetGuard,
     breakins,
     burst,
     default_corruptor,
     mix_seed,
+    requests_to_faults,
 )
 
 __all__ = [
     "AdaptiveAdversary",
     "AdaptiveStrategy",
     "CampaignResult",
-    "CampaignState",
-    "CampaignTimeout",
     "CertificateStarverStrategy",
     "CrashFault",
     "DEFAULT_LADDER",
@@ -76,7 +70,6 @@ __all__ = [
     "StBudgetGuard",
     "StrategyContext",
     "TrafficTargeterStrategy",
-    "WallClockBudget",
     "breakins",
     "burst",
     "default_corruptor",

@@ -17,7 +17,7 @@ Three pieces:
   ``RunObserver.on_round(execution, record)`` collide; attach
   ``adversary.lens`` to the runner's observers.
 - :class:`AdaptiveStrategy` implementations — seeded policies mapping the
-  lens' view of unit ``u - 1`` to :class:`~repro.faults.budget.FaultRequest`
+  lens' view of unit ``u - 1`` to :class:`~repro.faults.plan.FaultRequest`
   lists for unit ``u``: :class:`RecoveryChaserStrategy` re-breaks nodes
   the unit after they recover, :class:`TrafficTargeterStrategy` drops the
   busiest relay links, :class:`CertificateStarverStrategy` cuts the
@@ -27,7 +27,7 @@ Three pieces:
   that starts from an *empty* plan and grows it one unit at a time: at
   each unit's first round (the refreshment phase start, when the lens has
   all of the previous unit) it asks the strategy for requests, projects
-  them through an online :class:`~repro.faults.budget.StBudgetGuard`
+  them through an online :class:`~repro.faults.plan.StBudgetGuard`
   (or, unguarded, converts them verbatim for frontier searches), merges
   the approved faults into its plan, and lets the inherited executor run
   them.
@@ -42,20 +42,20 @@ layer's frontier bisection (:mod:`repro.faults.campaign`) meaningful.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from dataclasses import dataclass
 
-from repro.faults.budget import (
+from repro.faults.inject import FaultInjectionAdversary
+from repro.faults.plan import (
+    FaultPlan,
     FaultRequest,
     ProjectionReport,
     StBudgetGuard,
+    mix_seed,
     requests_to_faults,
 )
-from repro.faults.inject import FaultInjectionAdversary
-from repro.faults.plan import FaultPlan, mix_seed
-from repro.sim.adversary_api import Adversary, AdversaryApi
+from repro.sim.adversary_api import AdversaryApi
 from repro.sim.clock import RoundInfo, Schedule
 from repro.sim.messages import Envelope
 from repro.sim.runner import RunObserver
@@ -257,7 +257,7 @@ class CertificateStarverStrategy(AdaptiveStrategy):
     stay impaired a whole extra unit.  Nodes the previous unit already
     impaired are preferred — re-starving a recovering node is also the
     only admission the refresh budget allows once previous victims exist
-    (see :class:`~repro.faults.budget.StBudgetGuard`) — and recovering
+    (see :class:`~repro.faults.plan.StBudgetGuard`) — and recovering
     nodes are never used as link *peers*, mirroring the guard's
     ``peer-recovering`` rule.
     """
@@ -312,17 +312,18 @@ def make_strategy(name: str, **kwargs) -> AdaptiveStrategy:
 class AdaptiveAdversary(FaultInjectionAdversary):
     """Fault-injection adversary whose plan grows online, one unit ahead.
 
-    Attach :attr:`lens` to the runner's observers — without it the
-    strategies see an empty past and degrade to their seeded fallback
-    order (still legal, just blind).  Per-unit
-    :class:`~repro.faults.budget.ProjectionReport` summaries are published
+    From unit 1 on, each unit is planned at its first round.  Attach
+    :attr:`lens` to the runner's observers — without it the strategies
+    see an empty past and degrade to their seeded fallback order (still
+    legal, just blind).  Per-unit
+    :class:`~repro.faults.plan.ProjectionReport` summaries are published
     into the adversary output as ``("adaptive-plan", {...})`` entries, so
     the budget's decisions are part of the transcript (and of its
     digest).
 
     Args:
         guarded: project requests through an online
-            :class:`~repro.faults.budget.StBudgetGuard` (the default);
+            :class:`~repro.faults.plan.StBudgetGuard` (the default);
             ``False`` converts them verbatim — deliberately illegal
             at high aggressiveness, for frontier searches and negative
             controls.
@@ -338,24 +339,18 @@ class AdaptiveAdversary(FaultInjectionAdversary):
         s: int | None = None,
         seed: int = 0,
         guarded: bool = True,
-        max_victims_per_unit: int | None = None,
-        base: Adversary | None = None,
-        start_unit: int = 1,
         aggressiveness: float = 1.0,
     ) -> None:
-        super().__init__(self._empty_plan(seed, strategy), base=base)
+        super().__init__(self._empty_plan(seed, strategy))
         self.strategy = strategy
         self.t = t
         self.s = t if s is None else s
         self.seed = seed
         self.guarded = guarded
-        self.max_victims_per_unit = max_victims_per_unit
-        self.start_unit = start_unit
         self.aggressiveness = aggressiveness
         self.lens = ExecutionLens()
         self.guard: StBudgetGuard | None = None
         self.reports: list[ProjectionReport] = []
-        self._planned: set[int] = set()
 
     @staticmethod
     def _empty_plan(seed: int, strategy: AdaptiveStrategy) -> FaultPlan:
@@ -369,12 +364,7 @@ class AdaptiveAdversary(FaultInjectionAdversary):
         self.plan = self._empty_plan(self.seed, self.strategy)
         self.lens.reset()  # in place: the runner's observer list holds it
         self.reports = []
-        self._planned = set()
-        self.guard = (
-            StBudgetGuard(n, self.t, schedule, s=self.s,
-                          max_victims_per_unit=self.max_victims_per_unit)
-            if self.guarded else None
-        )
+        self.guard = StBudgetGuard(n, self.t, schedule, s=self.s) if self.guarded else None
         super().begin(n, schedule, rng)
 
     def finish(self) -> list:
@@ -393,15 +383,13 @@ class AdaptiveAdversary(FaultInjectionAdversary):
 
     def on_round(self, api: AdversaryApi, info: RoundInfo, traffic: tuple[Envelope, ...]) -> None:
         unit = info.time_unit
-        if (unit >= self.start_unit and unit not in self._planned
-                and info.round == self.schedule.rounds_of_unit(unit)[0]):
+        if unit >= 1 and info.round == self.schedule.rounds_of_unit(unit)[0]:
             # the unit's first round: the lens holds all of unit - 1, and
             # faults merged now (refresh window included) fire this round
             self._plan_unit(api, unit)
         super().on_round(api, info, traffic)
 
     def _plan_unit(self, api: AdversaryApi, unit: int) -> None:
-        self._planned.add(unit)
         ctx = StrategyContext(
             unit=unit, n=self.n, t=self.t, s=self.s, schedule=self.schedule,
             lens=self.lens,
@@ -417,20 +405,6 @@ class AdaptiveAdversary(FaultInjectionAdversary):
         else:
             report = requests_to_faults(unit, requests, self.schedule)
         self.reports.append(report)
-        self._merge(report)
+        self.plan = self.plan.extended(report).validate(n=self.n)
+        self._index()  # so the merged corruptions fire too
         api.output(("adaptive-plan", report.as_dict()))
-
-    def _merge(self, report: ProjectionReport) -> None:
-        self.plan = dataclasses.replace(
-            self.plan,
-            crashes=self.plan.crashes + report.crashes,
-            corruptions=self.plan.corruptions + report.corruptions,
-            drops=self.plan.drops + report.drops,
-            duplications=self.plan.duplications + report.duplications,
-            delays=self.plan.delays + report.delays,
-        ).validate(n=self.n)
-        # the inherited executor indexes corruptions at begin(); re-index
-        # after every merge so late corruptions still fire
-        self._corruptions_by_round = {}
-        for fault in self.plan.corruptions:
-            self._corruptions_by_round.setdefault(fault.round, []).append(fault)

@@ -1,9 +1,9 @@
-"""Adaptive chaos campaigns: escalation, frontier search, resumable state.
+"""Adaptive chaos campaigns: escalation and frontier search.
 
 A *campaign* answers one question about one scenario: **how aggressive
 can this adaptive strategy get before an invariant breaks?**  For a
 guarded scenario (requests projected through the
-:class:`~repro.faults.budget.StBudgetGuard`) the expected answer is
+:class:`~repro.faults.plan.StBudgetGuard`) the expected answer is
 "arbitrarily — the guard holds", and the campaign certifies the safety
 margin by running the full escalation ladder violation-free.  For an
 unguarded scenario the campaign walks the ladder until the first
@@ -12,42 +12,25 @@ between the last clean and first violating knob — the *failure frontier*
 — which localises exactly how much over-budget pressure the protocol
 absorbs before Definition 7's guarantees stop applying.
 
-Operational hardening, because campaigns run many simulations unattended:
-
-- every probe runs under a wall-clock budget (:class:`WallClockBudget`,
-  an observer raising :class:`CampaignTimeout` mid-run) with
-  retry-on-timeout;
-- every probe outcome is recorded in a JSON :class:`CampaignState` file
-  keyed by ``campaign_id`` and knob, so a killed sweep resumes where it
-  stopped instead of re-burning finished runs;
-- clean probes carry the transcript digest
-  (:func:`repro.analysis.digest.transcript_digest`), which is what the
-  E15 determinism replay compares.
-
-The clock is injectable everywhere (tests drive a fake), and nothing
-here reads wall-clock time except through it.
+Clean probes carry the transcript digest
+(:func:`repro.analysis.digest.transcript_digest`), which is what the
+E15 determinism replay compares.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 from repro.analysis.digest import transcript_digest
 from repro.analysis.monitor import InvariantViolationError, RuntimeInvariantMonitor, Violation
-from repro.sim.runner import Runner, RunObserver
-from repro.sim.transcript import Execution, RoundRecord
+from repro.sim.runner import Runner
+from repro.sim.transcript import Execution
 
 __all__ = [
-    "CampaignTimeout",
-    "WallClockBudget",
     "Probe",
     "ProbeOutcome",
     "run_probe",
-    "CampaignState",
     "CampaignResult",
     "escalate",
     "DEFAULT_LADDER",
@@ -56,41 +39,9 @@ __all__ = [
 DEFAULT_LADDER = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
-class CampaignTimeout(RuntimeError):
-    """A probe exceeded its wall-clock budget (raised mid-run)."""
-
-
-class WallClockBudget(RunObserver):
-    """Observer that aborts a run when it outlives its wall-clock budget.
-
-    ``clock`` is any zero-argument monotonic-seconds callable
-    (:func:`time.monotonic` by default; tests inject a fake to exercise
-    the timeout path deterministically).
-    """
-
-    def __init__(self, limit_seconds: float, clock: Callable[[], float] = time.monotonic) -> None:
-        self.limit = limit_seconds
-        self.clock = clock
-        self.elapsed = 0.0
-        self._started: float | None = None
-
-    def start(self) -> None:
-        self._started = self.clock()
-
-    def on_round(self, execution: Execution, record: RoundRecord) -> None:
-        if self._started is None:
-            self._started = self.clock()
-        self.elapsed = self.clock() - self._started
-        if self.elapsed > self.limit:
-            raise CampaignTimeout(
-                f"probe exceeded its {self.limit}s budget at round "
-                f"{record.info.round} ({self.elapsed:.3f}s elapsed)"
-            )
-
-
 @dataclass
 class Probe:
-    """One ready-to-run simulation, built fresh per attempt.
+    """One ready-to-run simulation, built fresh for each probe.
 
     ``build(aggressiveness) -> Probe`` factories hand these to
     :func:`run_probe`; ``monitor`` must be attached to the runner's
@@ -110,30 +61,14 @@ class ProbeOutcome:
     """Verdict of one probe (JSON-ready via :meth:`as_dict`)."""
 
     aggressiveness: float
-    ok: bool | None            # None = undecided (all attempts timed out)
+    ok: bool
     violation: dict | None = None
     digest: str | None = None
-    timed_out: bool = False
-    attempts: int = 1
     rounds: int = 0
     extras: dict = field(default_factory=dict)
-    cached: bool = False       # satisfied from CampaignState, not re-run
 
     def as_dict(self) -> dict:
-        return {
-            "aggressiveness": self.aggressiveness,
-            "ok": self.ok,
-            "violation": self.violation,
-            "digest": self.digest,
-            "timed_out": self.timed_out,
-            "attempts": self.attempts,
-            "rounds": self.rounds,
-            "extras": self.extras,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProbeOutcome":
-        return cls(cached=True, **data)
+        return asdict(self)
 
 
 def _violation_dict(violation: Violation) -> dict:
@@ -146,96 +81,33 @@ def _violation_dict(violation: Violation) -> dict:
     }
 
 
-def run_probe(
-    build: Callable[[float], Probe],
-    aggressiveness: float,
-    *,
-    timeout: float | None = None,
-    retries: int = 1,
-    clock: Callable[[], float] = time.monotonic,
-) -> ProbeOutcome:
-    """Run one probe at one knob setting, with timeout + retry.
+def run_probe(build: Callable[[float], Probe], aggressiveness: float) -> ProbeOutcome:
+    """Run one freshly built probe at one knob setting.
 
-    A fresh probe is built per attempt (simulations are single-shot), a
-    timed-out attempt is retried up to ``retries`` times, and an
-    :class:`InvariantViolationError` from a fail-fast monitor is the
+    An :class:`InvariantViolationError` from a fail-fast monitor is the
     *answer*, not an error: the outcome records the violation with full
     round attribution.  Clean runs carry their transcript digest.
     """
-    attempts = 0
-    while True:
-        attempts += 1
-        probe = build(aggressiveness)
-        budget: WallClockBudget | None = None
-        if timeout is not None:
-            budget = WallClockBudget(timeout, clock)
-            probe.runner.add_observer(budget)
-            budget.start()
-        try:
-            execution = probe.runner.run(probe.units)
-        except InvariantViolationError as error:
-            return ProbeOutcome(
-                aggressiveness=aggressiveness, ok=False,
-                violation=_violation_dict(error.violation),
-                attempts=attempts,
-                rounds=len(probe.runner.execution.records),
-            )
-        except CampaignTimeout:
-            if attempts <= retries:
-                continue
-            return ProbeOutcome(
-                aggressiveness=aggressiveness, ok=None, timed_out=True,
-                attempts=attempts,
-                rounds=len(probe.runner.execution.records),
-            )
-        violations = probe.monitor.violations
-        outcome = ProbeOutcome(
-            aggressiveness=aggressiveness,
-            ok=not violations,
-            violation=_violation_dict(violations[0]) if violations else None,
-            digest=transcript_digest(execution),
-            attempts=attempts,
-            rounds=len(execution.records),
+    probe = build(aggressiveness)
+    try:
+        execution = probe.runner.run(probe.units)
+    except InvariantViolationError as error:
+        return ProbeOutcome(
+            aggressiveness=aggressiveness, ok=False,
+            violation=_violation_dict(error.violation),
+            rounds=len(probe.runner.execution.records),
         )
-        if probe.extras is not None:
-            outcome.extras = probe.extras(execution)
-        return outcome
-
-
-class CampaignState:
-    """Resumable machine-readable campaign state (one JSON file).
-
-    Outcomes are keyed ``"<campaign_id>@<knob>"``; a re-invoked campaign
-    replays finished probes from the file (marked ``cached``) and only
-    simulates the rest.  ``runs_executed`` counts actual simulations this
-    process performed — the resumability test asserts it stays zero on a
-    second pass.
-    """
-
-    def __init__(self, path: str | pathlib.Path) -> None:
-        self.path = pathlib.Path(path)
-        self.runs_executed = 0
-        if self.path.exists():
-            self._data: dict[str, dict] = json.loads(self.path.read_text())
-        else:
-            self._data = {}
-
-    @staticmethod
-    def _key(campaign_id: str, aggressiveness: float) -> str:
-        return f"{campaign_id}@{aggressiveness:.6f}"
-
-    def get(self, campaign_id: str, aggressiveness: float) -> ProbeOutcome | None:
-        data = self._data.get(self._key(campaign_id, aggressiveness))
-        return None if data is None else ProbeOutcome.from_dict(data)
-
-    def put(self, campaign_id: str, outcome: ProbeOutcome) -> None:
-        self._data[self._key(campaign_id, outcome.aggressiveness)] = outcome.as_dict()
-        self.runs_executed += 1
-        self.save()
-
-    def save(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(self._data, indent=2, sort_keys=True) + "\n")
+    violations = probe.monitor.violations
+    outcome = ProbeOutcome(
+        aggressiveness=aggressiveness,
+        ok=not violations,
+        violation=_violation_dict(violations[0]) if violations else None,
+        digest=transcript_digest(execution),
+        rounds=len(execution.records),
+    )
+    if probe.extras is not None:
+        outcome.extras = probe.extras(execution)
+    return outcome
 
 
 @dataclass
@@ -266,10 +138,6 @@ def escalate(
     *,
     ladder: tuple[float, ...] = DEFAULT_LADDER,
     bisect_steps: int = 3,
-    timeout: float | None = None,
-    retries: int = 1,
-    state: CampaignState | None = None,
-    clock: Callable[[], float] = time.monotonic,
 ) -> CampaignResult:
     """Escalate the aggressiveness knob to the failure frontier.
 
@@ -277,35 +145,21 @@ def escalate(
     then runs a *bounded* bisection (``bisect_steps`` extra probes)
     between the last clean and first violating knob to tighten the
     frontier.  If the whole ladder is clean the safety margin is
-    established and no bisection runs.  Undecided (timed-out) probes are
-    recorded but pin nothing.  With ``state``, finished knobs are
-    replayed from the file instead of re-simulated.
+    established and no bisection runs.
     """
-
-    def probe_at(knob: float) -> ProbeOutcome:
-        if state is not None:
-            cached = state.get(campaign_id, knob)
-            if cached is not None:
-                return cached
-        outcome = run_probe(build, knob, timeout=timeout, retries=retries, clock=clock)
-        if state is not None:
-            state.put(campaign_id, outcome)
-        return outcome
-
     probes: list[ProbeOutcome] = []
     last_clean: float | None = None
     frontier: float | None = None
     first_violation: dict | None = None
 
     for knob in sorted(ladder):
-        outcome = probe_at(knob)
+        outcome = run_probe(build, knob)
         probes.append(outcome)
-        if outcome.ok:
-            last_clean = knob
-        elif outcome.ok is False:
+        if not outcome.ok:
             frontier = knob
             first_violation = outcome.violation
             break
+        last_clean = knob
 
     if frontier is not None:
         lo = last_clean if last_clean is not None else 0.0
@@ -314,15 +168,13 @@ def escalate(
             mid = round((lo + hi) / 2, 6)
             if mid <= lo or mid >= hi:
                 break
-            outcome = probe_at(mid)
+            outcome = run_probe(build, mid)
             probes.append(outcome)
             if outcome.ok:
                 lo, last_clean = mid, mid
-            elif outcome.ok is False:
+            else:
                 hi, frontier = mid, mid
                 first_violation = outcome.violation
-            else:
-                break  # undecided: stop tightening rather than loop
     margin = frontier is None and last_clean is not None and last_clean == max(ladder)
     return CampaignResult(
         campaign_id=campaign_id,

@@ -69,6 +69,10 @@ class FaultInjectionAdversary(Adversary):
         self._pending_leave = set()
         self._held = {}
         self._rng = random.Random(mix_seed("fault-exec", self.plan.seed))
+        self._index()
+
+    def _index(self) -> None:
+        """Index the plan's corruptions by round (again whenever it grows)."""
         self._corruptions_by_round: dict[int, list] = {}
         for fault in self.plan.corruptions:
             self._corruptions_by_round.setdefault(fault.round, []).append(fault)

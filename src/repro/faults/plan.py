@@ -1,4 +1,5 @@
-"""Seed-deterministic, composable fault schedules.
+"""Seed-deterministic, composable fault schedules, and the one rule book
+that decides which faults an ``(s,t)``-limited adversary may run.
 
 The paper's one adversary, mobile and ``(s,t)``-limited, breaks into
 nodes and owns the links (§2.2, Defs. 3 and 7).  A plan schedules what it
@@ -13,10 +14,7 @@ primitives.  It is executed by
 :class:`repro.faults.inject.FaultInjectionAdversary`, which composes with
 any existing :class:`~repro.sim.adversary_api.Adversary`, and it is
 audited by the existing Definition 3/7 accounting in
-:mod:`repro.adversary.limits` — a plan built by :meth:`FaultPlan.generate`
-stays ``(s,t)``-limited by construction, so every security statement of
-the paper must keep holding under it (the chaos experiments assert
-exactly that).
+:mod:`repro.adversary.limits`.
 
 Primitives:
 
@@ -41,6 +39,14 @@ Primitives:
 - :func:`burst` — a composition helper: every kind of fault at once
   inside one round window, aimed at one victim set.
 
+The rule book is :class:`StBudgetGuard`: it projects
+:class:`FaultRequest`\\ s onto Definition 7's legal space, and every
+fault source asks it.  :meth:`FaultPlan.generate` is a seeded sampler
+whose draws the guard must admit unchanged; the adaptive strategies of
+:mod:`repro.faults.adaptive` route their online requests through it; and
+:func:`requests_to_faults` builds the same faults with no budget at all,
+for negative controls.
+
 All randomness used while *executing* a plan is derived from
 ``plan.seed``, never from wall-clock or global state: identical seed and
 plan imply an identical transcript.
@@ -63,10 +69,23 @@ __all__ = [
     "DelayFault",
     "ReorderFault",
     "FaultPlan",
+    "FaultRequest",
+    "ProjectionReport",
+    "StBudgetGuard",
+    "requests_to_faults",
     "breakins",
     "burst",
+    "default_corruptor",
     "mix_seed",
 ]
+
+FAULT_KINDS = ("crash", "corrupt", "drop", "duplicate", "delay", "reorder")
+NODE_KINDS = ("crash", "corrupt")
+LINK_KINDS = ("drop", "duplicate", "delay")
+MAX_DELAY = 3
+MAX_COPIES = 3
+#: a plan's (and a projection report's) fault tuples, one per kind
+FIELDS = ("crashes", "corruptions", "drops", "duplications", "delays", "reorders")
 
 
 def mix_seed(*parts: object) -> int:
@@ -107,10 +126,6 @@ class MemoryCorruptionFault:
 
 
 # -- link-level primitives ---------------------------------------------------
-
-
-def _norm_link(link: tuple[int, int] | frozenset | None) -> frozenset | None:
-    return None if link is None else frozenset(link)
 
 
 @dataclass(frozen=True)
@@ -172,6 +187,12 @@ class ReorderFault:
         return self.first_round <= round_number <= self.last_round
 
 
+_FIELD_OF = dict(zip(
+    (CrashFault, MemoryCorruptionFault, DropFault, DuplicateFault, DelayFault, ReorderFault),
+    FIELDS,
+))
+
+
 # -- the plan -----------------------------------------------------------------
 
 
@@ -189,17 +210,15 @@ class FaultPlan:
 
     # -- composition ----------------------------------------------------------
 
+    def extended(self, faults: "FaultPlan | ProjectionReport") -> "FaultPlan":
+        """This plan with ``faults``' faults appended, kind by kind; the
+        seed is kept."""
+        return FaultPlan(self.seed, *(getattr(self, name) + getattr(faults, name)
+                                      for name in FIELDS))
+
     def compose(self, other: "FaultPlan") -> "FaultPlan":
         """Union of two schedules; the combined seed is a stable mix."""
-        return FaultPlan(
-            seed=mix_seed("compose", self.seed, other.seed),
-            crashes=self.crashes + other.crashes,
-            corruptions=self.corruptions + other.corruptions,
-            drops=self.drops + other.drops,
-            duplications=self.duplications + other.duplications,
-            delays=self.delays + other.delays,
-            reorders=self.reorders + other.reorders,
-        )
+        return self.extended(other).with_seed(mix_seed("compose", self.seed, other.seed))
 
     def with_seed(self, seed: int) -> "FaultPlan":
         return replace(self, seed=seed)
@@ -207,12 +226,10 @@ class FaultPlan:
     # -- introspection --------------------------------------------------------
 
     def is_empty(self) -> bool:
-        return not (self.crashes or self.corruptions or self.drops
-                    or self.duplications or self.delays or self.reorders)
+        return not any(getattr(self, name) for name in FIELDS)
 
     def fault_count(self) -> int:
-        return (len(self.crashes) + len(self.corruptions) + len(self.drops)
-                + len(self.duplications) + len(self.delays) + len(self.reorders))
+        return sum(len(getattr(self, name)) for name in FIELDS)
 
     def victims(self) -> frozenset[int]:
         """Nodes directly targeted by node-level faults."""
@@ -222,13 +239,9 @@ class FaultPlan:
 
     def describe(self) -> str:
         parts = []
-        for label, faults in (
-            ("crash", self.crashes), ("corrupt", self.corruptions),
-            ("drop", self.drops), ("dup", self.duplications),
-            ("delay", self.delays), ("reorder", self.reorders),
-        ):
-            if faults:
-                parts.append(f"{label}x{len(faults)}")
+        for label, name in zip(("crash", "corrupt", "drop", "dup", "delay", "reorder"), FIELDS):
+            if getattr(self, name):
+                parts.append(f"{label}x{len(getattr(self, name))}")
         body = "+".join(parts) if parts else "empty"
         return f"FaultPlan(seed={self.seed}, {body})"
 
@@ -309,106 +322,396 @@ class FaultPlan:
         units: int,
         *,
         s: int | None = None,
-        start_unit: int = 1,
-        kinds: Iterable[str] = ("crash", "corrupt", "drop", "duplicate", "delay", "reorder"),
-        max_victims_per_unit: int | None = None,
     ) -> "FaultPlan":
-        """A random fault schedule that is ``(s,t)``-limited by construction.
+        """A random ``(s,t)``-limited fault schedule, drawn through the guard.
 
-        Per time unit the generator picks at most ``min(t,
-        max_victims_per_unit)`` victims and aims every node- and
-        link-level fault at them, confined to the unit's *normal* rounds
-        with enough margin that each victim steps through the following
-        refreshment phase from its first round — the standard proactive
-        recovery contract (Def. 5.3, as in :func:`breakins`).  Non-victim
-        collateral is bounded: a non-victim never sees more than ``s - 1``
-        faulted links in one unit, so it can neither lose ``n - s``
-        reliable peers nor accumulate ``s`` unreliable ones — only the
-        ≤ t victims can be impaired, which is exactly Definition 7's
-        budget under the instantaneous reading audited by
-        :func:`repro.adversary.limits.audit_st_limited`.
+        For each unit from 1 on, the sampler picks between 1 and ``t``
+        victims and aims one fault kind at each: a crash or a corruption,
+        or (when ``s >= 2``) drops, duplications or delays on links to
+        peers that are not victims and carry fewer than ``s - 1`` faulted
+        links so far.  Every round it draws lies in the window
+        :meth:`StBudgetGuard.window` allows, and every delay within
+        :meth:`StBudgetGuard.max_delay`.  Half the units also reorder
+        every inbox over the whole normal phase.
+
+        Each unit's draws go through one fresh :class:`StBudgetGuard` as
+        :class:`FaultRequest`\\ s, and :class:`RuntimeError` is raised if
+        the guard denied or clamped any of them: the plan is
+        ``(s,t)``-limited because the rule book admits it, which
+        :func:`repro.adversary.limits.audit_st_limited` then confirms.
         """
         s = t if s is None else s
         if t < 1:
             # a (s,0)-limited adversary may fault nothing: the empty plan
-            return cls(seed=mix_seed("fault-plan", seed, n, t, s, units, start_unit))
-        kinds = tuple(kinds)
-        rng = random.Random(mix_seed("fault-plan", seed, n, t, s, units, start_unit, kinds))
-        crashes: list[CrashFault] = []
-        corruptions: list[MemoryCorruptionFault] = []
-        drops: list[DropFault] = []
-        duplications: list[DuplicateFault] = []
-        delays: list[DelayFault] = []
-        reorders: list[ReorderFault] = []
-
-        link_kinds = [k for k in kinds if k in ("drop", "duplicate", "delay") and s >= 2]
-        node_kinds = [k for k in kinds if k in ("crash", "corrupt")]
-
-        for unit in range(start_unit, units):
-            first_normal = schedule.first_normal_round(unit)
-            last_normal = first_normal + schedule.normal_rounds - 1
-            if last_normal - first_normal < 3:
+            return cls(seed=mix_seed("fault-plan", seed, n, t, s, units, 1))
+        # 1 (the first unit faulted) and the kinds are part of every
+        # plan's seed: dropping them would change every plan
+        rng = random.Random(mix_seed("fault-plan", seed, n, t, s, units, 1, FAULT_KINDS))
+        guard = StBudgetGuard(n, t, schedule, s=s)
+        kinds = NODE_KINDS + LINK_KINDS if s >= 2 else NODE_KINDS
+        plan = cls(seed=seed)
+        for unit in range(1, units):
+            window = guard.window(unit, "crash")
+            if window is None:
                 continue  # not enough room for safe margins
-            budget = min(t, max_victims_per_unit or t)
-            victims = sorted(rng.sample(range(n), rng.randint(1, budget)))
-            # collateral budget: faulted links incident to each non-victim
-            peer_load = {j: 0 for j in range(n)}
+            lo, start_hi, hi = window
+            victims = sorted(rng.sample(range(n), rng.randint(1, t)))
+            load = dict.fromkeys(range(n), 0)  # faulted links per non-victim
+            requests: list[FaultRequest] = []
             for victim in victims:
-                choices = node_kinds + link_kinds
-                kind = rng.choice(choices) if choices else None
-                if kind == "crash":
-                    # last+2 <= refresh start, so the program resumes by the
-                    # first refreshment round (see CrashFault docstring)
-                    first = rng.randint(first_normal, last_normal - 2)
-                    last = rng.randint(first, last_normal - 1)
-                    crashes.append(CrashFault(node=victim, first_round=first, last_round=last))
-                elif kind == "corrupt":
-                    # break round r, silent r+1, resume r+2 <= refresh start
-                    round_number = rng.randint(first_normal, last_normal - 1)
-                    corruptions.append(
-                        MemoryCorruptionFault(node=victim, round=round_number)
-                    )
-                elif kind in ("drop", "duplicate", "delay"):
-                    peers = [
-                        j for j in range(n)
-                        if j != victim and j not in victims and peer_load[j] < s - 1
-                    ]
-                    rng.shuffle(peers)
+                kind = rng.choice(kinds)
+                if kind == "corrupt":
+                    requests.append(FaultRequest(kind, victim, first_round=rng.randint(lo, hi)))
+                    continue
+                peers: list[int | None] = [None]
+                if kind != "crash":
                     # fewer than s faulted links keeps even the victim
                     # operational some of the time; more disconnects it —
                     # both stay within the <= t-victims budget
-                    for peer in peers[: rng.randint(1, max(1, s - 1))]:
-                        peer_load[peer] += 1
-                        first = rng.randint(first_normal, last_normal - 2)
-                        last = rng.randint(first, last_normal - 1)
-                        link = frozenset((victim, peer))
-                        if kind == "drop":
-                            drops.append(DropFault(link=link, first_round=first, last_round=last))
-                        elif kind == "duplicate":
-                            duplications.append(DuplicateFault(
-                                link=link, first_round=first, last_round=last,
-                                copies=rng.randint(1, 2),
-                            ))
-                        else:
-                            max_delay = max(1, min(3, last_normal - last))
-                            delays.append(DelayFault(
-                                link=link, first_round=first, last_round=last,
-                                delay=rng.randint(1, max_delay),
-                            ))
-            if "reorder" in kinds and rng.random() < 0.5:
-                reorders.append(ReorderFault(
-                    receiver=None, first_round=first_normal, last_round=last_normal,
-                ))
+                    peers = [j for j in range(n) if j not in victims and load[j] < s - 1]
+                    rng.shuffle(peers)
+                    peers = peers[: rng.randint(1, max(1, s - 1))]
+                for peer in peers:
+                    if peer is not None:
+                        load[peer] += 1
+                    first = rng.randint(lo, start_hi)
+                    last = rng.randint(first, hi)
+                    copies = rng.randint(1, 2) if kind == "duplicate" else 1
+                    delay = rng.randint(1, guard.max_delay(unit, last)) if kind == "delay" else 1
+                    requests.append(FaultRequest(kind, victim, peer, first, last,
+                                                 copies=copies, delay=delay))
+            if rng.random() < 0.5:
+                requests.append(FaultRequest("reorder", None))
+            report = guard.project(unit, requests)
+            if report.denied or report.clamped:
+                raise RuntimeError(f"the budget guard refused drawn faults: {report.as_dict()}")
+            plan = plan.extended(report)
+        return plan
 
-        return cls(
-            seed=seed,
-            crashes=tuple(crashes),
-            corruptions=tuple(corruptions),
-            drops=tuple(drops),
-            duplications=tuple(duplications),
-            delays=tuple(delays),
-            reorders=tuple(reorders),
-        )
+
+# -- the rule book ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FaultRequest:
+    """One fault a fault source would like to inject.
+
+    ``first_round``/``last_round`` may be ``None`` — the guard then picks
+    the widest legal window for the requested ``phase``.  ``peer`` is
+    required for link kinds and ignored otherwise.  A reorder's
+    ``victim`` is the receiver whose inbox it shuffles, ``None`` for
+    every receiver.
+    """
+
+    kind: str                               # one of FAULT_KINDS
+    victim: int | None
+    peer: int | None = None
+    first_round: int | None = None
+    last_round: int | None = None
+    phase: str = "normal"                   # "normal" | "refresh"
+    probability: float = 1.0
+    channels: frozenset[str] | None = None
+    copies: int = 1
+    delay: int = 1
+
+
+@dataclass
+class ProjectionReport:
+    """What survived projecting one unit's requests onto the legal space."""
+
+    unit: int
+    requested: int = 0
+    clamped: int = 0
+    denied: dict[str, int] = field(default_factory=dict)
+    victims: frozenset[int] = frozenset()
+    crashes: tuple[CrashFault, ...] = ()
+    corruptions: tuple[MemoryCorruptionFault, ...] = ()
+    drops: tuple[DropFault, ...] = ()
+    duplications: tuple[DuplicateFault, ...] = ()
+    delays: tuple[DelayFault, ...] = ()
+    reorders: tuple[ReorderFault, ...] = ()
+
+    def add(self, fault: object) -> None:
+        name = _FIELD_OF[type(fault)]
+        setattr(self, name, getattr(self, name) + (fault,))
+
+    def deny(self, reason: str) -> None:
+        self.denied[reason] = self.denied.get(reason, 0) + 1
+
+    @property
+    def approved(self) -> int:
+        return sum(len(getattr(self, name)) for name in FIELDS)
+
+    @property
+    def denied_total(self) -> int:
+        return sum(self.denied.values())
+
+    def as_dict(self) -> dict:
+        """JSON-ready summary (goes into the adversary output)."""
+        return {
+            "unit": self.unit,
+            "requested": self.requested,
+            "approved": self.approved,
+            "denied": dict(sorted(self.denied.items())),
+            "clamped": self.clamped,
+            "victims": sorted(self.victims),
+        }
+
+
+def phase_span(schedule: Schedule, unit: int, phase: str = "normal") -> tuple[int, int] | None:
+    """First and last round of ``unit``'s ``phase`` (``"refresh"``, or
+    anything else for the normal phase); ``None`` for unit 0's
+    refreshment phase, which does not exist."""
+    if phase != "refresh":
+        first = schedule.first_normal_round(unit)
+        return first, first + schedule.normal_rounds - 1
+    if unit < 1:
+        return None
+    first = schedule.refresh_start(unit)
+    return first, first + schedule.refresh_rounds - 1
+
+
+def _build(request: FaultRequest, first: int, last: int,
+           probability: float, copies: int, delay: int) -> object:
+    """The fault ``request`` names over ``[first, last]`` (a corruption
+    strikes at ``first``): the one builder behind the guard and its twin."""
+    kind, victim = request.kind, request.victim
+    if kind == "crash":
+        return CrashFault(victim, first, last)
+    if kind == "corrupt":
+        return MemoryCorruptionFault(victim, first)
+    if kind == "reorder":
+        return ReorderFault(victim, first, last)
+    link = frozenset((victim, request.peer))
+    if kind == "drop":
+        return DropFault(link, first, last, probability, request.channels)
+    if kind == "duplicate":
+        return DuplicateFault(link, first, last, copies, probability, request.channels)
+    return DelayFault(link, first, last, delay, probability, request.channels)
+
+
+class StBudgetGuard:
+    """Online Definition 7 budget accounting: the legal fault space.
+
+    :meth:`project` clamps each request's windows and parameters into
+    the legal space, admits victims only while the unit's budget has
+    room, and denies everything else, so no fault source, however
+    aggressive, can exceed Definition 7.  The post-hoc
+    :func:`repro.adversary.limits.audit_st_limited` stays the source of
+    truth; the guard's job is to make it pass by construction.  The
+    rules:
+
+    - **victim budget** — at most ``t`` distinct victims are charged per
+      time unit; every node- or link-fault target counts, whether or not
+      its faults end up impairing it (charging is conservative).
+    - **recovery margin** — a normal-phase fault starts by ``last_normal
+      - 2`` and ends by ``last_normal - 1`` (:meth:`window`), so every
+      victim steps through the following refreshment phase from its
+      first round and recovers (Def. 5.3).
+    - **collateral bound** — a non-victim never accumulates ``s`` faulted
+      links in one unit (at most ``s - 1``), so only charged victims can
+      become s-disconnected; link faults are refused entirely when
+      ``s < 2``.
+    - **delay cap** — a delay lasts at most ``min(3, last_normal -
+      last_round)`` rounds (:meth:`max_delay`), so every delayed envelope
+      is released by its unit's last normal round; the injector's
+      per-unit expiry never has to drop admitted traffic.
+    - **refreshment-phase carry-over** — link faults *may* target a
+      unit's refreshment phase (that is how the certificate-starver
+      attacks CERTIFY/NEWKEY traffic), but a refresh victim misses that
+      phase's recovery and stays impaired through the *next* unit's
+      refreshment phase.  Refresh victims are therefore charged against
+      both units: ``|victims(u-1) ∪ refresh_victims(u)| <= min(t, s)`` —
+      the ``s`` bound keeps ``n - s`` clean helpers available so every
+      recovering node actually re-enters at the phase's end.  Node
+      faults during a refreshment phase are always denied.
+    - **reorder** — charges nobody (Definition 4 sees the same multiset
+      per link) and defaults to the whole phase.
+
+    Projection is **order-sensitive and first-come-first-served**:
+    requests are processed in the order given, so fault sources put
+    their highest-priority faults first.  Everything the guard does is
+    recorded in a :class:`ProjectionReport` (per-reason denial counts,
+    clamp count, charged victims).  One guard instance accompanies one
+    run; units must be projected in non-decreasing order.
+    """
+
+    def __init__(self, n: int, t: int, schedule: Schedule, *, s: int | None = None) -> None:
+        if t < 0:
+            raise ValueError("t must be >= 0")
+        self.n = n
+        self.t = t
+        self.s = t if s is None else s
+        self.schedule = schedule
+        self._victims: dict[int, set[int]] = {}
+        self._refresh_victims: dict[int, set[int]] = {}
+        self._peer_load: dict[int, dict[int, int]] = {}
+        self._last_unit: int | None = None
+
+    # -- the legal windows -----------------------------------------------------
+
+    def window(self, unit: int, kind: str, phase: str = "normal") -> tuple[int, int, int] | None:
+        """Where a ``kind`` fault in ``unit``'s ``phase`` may lie, as
+        ``(lo, start_hi, hi)``: it starts in ``[lo, start_hi]`` and ends by
+        ``hi`` (a corruption strikes in ``[lo, hi]``).  ``None`` when the
+        phase has no room for one."""
+        span = phase_span(self.schedule, unit, phase)
+        if span is None:
+            return None
+        first, last = span
+        if kind == "reorder" or phase == "refresh":
+            return first, last, last
+        if last - first < 3:
+            return None
+        # the victim is silent one round past its fault and must be back
+        # for the next refreshment phase's first round (Def. 5.3)
+        return first, last - 2, last - 1
+
+    def max_delay(self, unit: int, last_round: int) -> int:
+        """The longest delay for traffic sent by ``last_round``: released
+        by ``unit``'s last normal round, and never more than 3 rounds."""
+        return min(MAX_DELAY, phase_span(self.schedule, unit)[1] - last_round)
+
+    # -- projection ------------------------------------------------------------
+
+    def project(self, unit: int, requests: Iterable[FaultRequest]) -> ProjectionReport:
+        """Project one unit's requests onto the legal fault space."""
+        if self._last_unit is not None and unit < self._last_unit:
+            raise ValueError(f"units must be projected in order "
+                             f"(got {unit} after {self._last_unit})")
+        self._last_unit = unit
+        report = ProjectionReport(unit=unit)
+        victims = self._victims.setdefault(unit, set())
+        refresh_victims = self._refresh_victims.setdefault(unit, set())
+        prev = frozenset(self._victims.get(unit - 1, ()))
+        load = self._peer_load.setdefault(unit, {})
+        nodes = range(self.n)
+
+        def admit(victim: int, *, refresh: bool) -> bool:
+            """Charge ``victim`` against the unit's budget (both budgets
+            for refresh-phase victims); False when no room is left."""
+            if len(victims | {victim}) > self.t:
+                return False
+            if refresh and len(prev | refresh_victims | {victim}) > min(self.t, self.s):
+                return False
+            victims.add(victim)
+            if refresh:
+                refresh_victims.add(victim)
+            return True
+
+        def clamp(value, lo, hi, default):
+            if value is None:
+                return default
+            clamped = max(lo, min(hi, value))
+            if clamped != value:
+                report.clamped += 1
+            return clamped
+
+        for request in requests:
+            report.requested += 1
+            kind, victim = request.kind, request.victim
+            refresh = request.phase == "refresh"
+            if kind not in FAULT_KINDS:
+                report.deny("unknown-kind")
+                continue
+            if victim not in nodes and not (kind == "reorder" and victim is None):
+                report.deny("victim-out-of-range")
+                continue
+            window = self.window(unit, kind, request.phase)
+            if kind == "reorder":
+                if window is None:
+                    report.deny("no-refresh-phase")
+                    continue
+            elif self.t < 1:
+                report.deny("victim-budget")
+                continue
+            elif kind in NODE_KINDS:
+                if refresh:
+                    report.deny("refresh-node-fault")
+                    continue
+                if window is None:
+                    report.deny("unit-too-short")  # no room for safe margins
+                    continue
+                if not admit(victim, refresh=False):
+                    report.deny("victim-budget")
+                    continue
+            else:
+                peer = request.peer
+                if self.s < 2:
+                    report.deny("s-too-small")  # one bad link would already disconnect
+                    continue
+                if peer not in nodes or peer == victim:
+                    report.deny("bad-peer")
+                    continue
+                if window is None:
+                    report.deny("no-refresh-phase" if refresh else "unit-too-short")
+                    continue
+                if refresh and peer in prev:
+                    # a recovering node's phase links must stay clean or it
+                    # would miss its own re-admission (Def. 5.3)
+                    report.deny("peer-recovering")
+                    continue
+                peer_is_victim = peer in victims
+                if not peer_is_victim and load.get(peer, 0) >= self.s - 1:
+                    report.deny("collateral-budget")
+                    continue
+                if not admit(victim, refresh=refresh):
+                    report.deny("victim-budget")
+                    continue
+                if not peer_is_victim:
+                    load[peer] = load.get(peer, 0) + 1
+
+            lo, start_hi, hi = window
+            if kind == "corrupt":
+                first = last = clamp(request.first_round, lo, hi, lo)
+            else:
+                first = clamp(request.first_round, lo, start_hi, lo)
+                last = clamp(request.last_round, first, hi, hi)
+            probability, copies, delay = request.probability, request.copies, request.delay
+            if kind in LINK_KINDS:
+                probability = clamp(probability, 0.0, 1.0, 1.0)
+            if kind == "duplicate":
+                copies = clamp(copies, 1, MAX_COPIES, 1)
+            if kind == "delay":
+                delay = clamp(delay, 1, self.max_delay(unit, last), 1)
+            report.add(_build(request, first, last, probability, copies, delay))
+
+        report.victims = frozenset(victims)
+        return report
+
+
+def requests_to_faults(
+    unit: int, requests: Iterable[FaultRequest], schedule: Schedule
+) -> ProjectionReport:
+    """Convert requests to faults **without any budget enforcement**.
+
+    The unguarded twin of :meth:`StBudgetGuard.project`: windows default
+    to the requested phase's full span (:func:`phase_span`; the normal
+    phase in unit 0) but explicit rounds and parameters pass through
+    unclamped, and every well-formed request is approved.  This is how
+    the campaign layer's negative controls (and the failure-frontier
+    search below the guard) express "run the raw strategy and let the
+    monitor judge it".
+    """
+    report = ProjectionReport(unit=unit)
+    victims: set[int] = set()
+    for request in requests:
+        report.requested += 1
+        if request.kind not in FAULT_KINDS:
+            report.deny("unknown-kind")
+            continue
+        if request.kind in LINK_KINDS and request.peer is None:
+            report.deny("bad-peer")
+            continue
+        lo, hi = phase_span(schedule, unit, request.phase) or phase_span(schedule, unit)
+        first = lo if request.first_round is None else request.first_round
+        last = hi if request.last_round is None else request.last_round
+        report.add(_build(request, first, last,
+                          request.probability, request.copies, request.delay))
+        if request.kind != "reorder":
+            victims.add(request.victim)
+    report.victims = frozenset(victims)
+    return report
 
 
 def breakins(
@@ -492,6 +795,3 @@ def default_corruptor(program: Any, rng: random.Random) -> None:
         return
     if hasattr(program, "secret"):
         program.secret = f"corrupted-{rng.randint(0, 1 << 30)}"
-
-
-__all__.append("default_corruptor")

@@ -107,8 +107,8 @@ class Transport(ABC):
 
         This is *not* a consistent broadcast: a corrupted sender can send
         different bodies to different receivers.  Protocols that need
-        consistency must layer an agreement step on top (see
-        :mod:`repro.agreement`).
+        consistency must layer an agreement step on top (the PDS relies
+        on acked Feldman commitments, the ULS on PARTIAL-AGREEMENT).
         """
         for receiver in range(ctx.n):
             if receiver != ctx.node_id:

@@ -155,10 +155,6 @@ class Runner:
 
     # -- driver-facing API -----------------------------------------------------
 
-    def add_observer(self, observer: RunObserver) -> None:
-        """Attach an observer before (or even during) :meth:`run`."""
-        self.observers.append(observer)
-
     def add_external_input(self, node_id: int, round_number: int, value: Any) -> None:
         """Schedule the paper's ``x_{i,w}``: an input handed to node
         ``node_id`` at the start of round ``round_number``."""

@@ -1,14 +1,157 @@
-"""Tests for echo broadcast over the direct transport."""
+"""Echo broadcast over the direct transport: the contrast to
+PARTIAL-AGREEMENT.
 
-from repro.agreement.echo import BOTTOM, EchoBroadcast
-from repro.pds.transport import DirectTransport
+The AL model gives authenticated reliable *point-to-point* links but no
+broadcast channel (§1.4).  :class:`EchoBroadcast` is the standard
+two-step echo ("crusader") broadcast:
+
+1. the broadcaster sends its value to everyone;
+2. every receiver echoes the value it received to everyone;
+3. a receiver delivers value ``v`` if at least ``n - t`` distinct nodes
+   (its own echo included) echoed ``v``; otherwise it delivers ``⊥``.
+
+With at most ``t`` corrupted nodes it is *valid* at ``n >= 2t + 1`` (an
+honest, well-connected broadcaster's value reaches every honest node)
+and *consistent* at ``n >= 3t + 1``: two values with ``n - t`` echoes
+each share ``n - 2t > t`` echoers, hence an honest one, who echoes only
+once.  At ``n = 2t + 1`` the quorums may meet only in corrupted nodes,
+and an equivocating broadcaster splits the honest nodes — which is why
+the paper's PARTIAL-AGREEMENT (Fig. 5) adds a signed cross-check round
+(Lemma 16).  Nothing in the PDS or the ULS runs over echo broadcast; it
+lives here as that contrast.
+"""
+
+from dataclasses import dataclass, field
+from typing import Any, Hashable
+
+import pytest
+
+from repro.pds.transport import DirectTransport, Transport
 from repro.sim.adversary_api import Adversary, PassiveAdversary
-from repro.sim.clock import Phase, Schedule
+from repro.sim.clock import Schedule
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext, NodeProgram
 from repro.sim.runner import ALRunner, ULRunner
 
 SCHED = Schedule(setup_rounds=1, refresh_rounds=1, normal_rounds=10)
+
+#: the distinguished "no consistent value" output
+BOTTOM = ("<bottom>",)
+
+
+@dataclass
+class _Session:
+    start_round: int
+    direct_value: Any = None
+    have_direct: bool = False
+    echoes: dict[int, Any] = field(default_factory=dict)  # echoer -> value
+    delivered: bool = False
+
+
+class EchoBroadcast:
+    """Multiplexes echo-broadcast sessions over a :class:`Transport`.
+
+    Owner contract per round, after ``transport.begin_round``:
+    call :meth:`on_round` exactly once, then optionally
+    :meth:`broadcast`; read :meth:`deliveries`.
+    """
+
+    def __init__(self, transport: Transport, n: int, t: int) -> None:
+        self.transport = transport
+        self.n = n
+        self.t = t
+        self._sessions: dict[tuple[int, Hashable], _Session] = {}
+        self._deliveries: list[tuple[int, Hashable, Any]] = []  # (broadcaster, tag, value)
+
+    # -- sending ---------------------------------------------------------
+
+    def broadcast(self, ctx: NodeContext, tag: Hashable, value: Any) -> None:
+        """Start a session as the broadcaster."""
+        key = (ctx.node_id, tag)
+        if key in self._sessions:
+            raise ValueError(f"duplicate broadcast for tag {tag!r}")
+        session = _Session(start_round=ctx.info.round)
+        session.direct_value = value
+        session.have_direct = True
+        session.echoes[ctx.node_id] = value
+        self._sessions[key] = session
+        self.transport.send_to_all(ctx, ("ebc-val", ctx.node_id, tag, value))
+        # the broadcaster also echoes its own value so receivers can count it
+        self.transport.send_to_all(ctx, ("ebc-echo", ctx.node_id, tag, value))
+
+    # -- per-round processing -------------------------------------------
+
+    def on_round(self, ctx: NodeContext) -> None:
+        """Process this round's accepted transport messages and complete
+        any sessions whose echo-collection window has closed."""
+        self._deliveries = []
+        for accepted in self.transport.accepted_view():
+            body = accepted.body
+            if not isinstance(body, tuple) or len(body) != 4:
+                continue
+            kind, broadcaster, tag, value = body
+            if kind == "ebc-val":
+                if broadcaster != accepted.sender:
+                    continue  # value messages must come from the broadcaster
+                self._on_value(ctx, broadcaster, tag, value)
+            elif kind == "ebc-echo":
+                self._on_echo(ctx, accepted.sender, broadcaster, tag, value)
+
+        delay = self.transport.delay
+        for (broadcaster, tag), session in self._sessions.items():
+            if session.delivered:
+                continue
+            # echoes triggered at start+delay arrive by start+2*delay
+            if ctx.info.round >= session.start_round + 2 * delay:
+                session.delivered = True
+                self._deliveries.append((broadcaster, tag, self._decide(session)))
+
+    def deliveries(self) -> list[tuple[int, Hashable, Any]]:
+        """Sessions completed this round: ``(broadcaster, tag, value-or-BOTTOM)``."""
+        return list(self._deliveries)
+
+    # -- internals ---------------------------------------------------------
+
+    def _session(self, key: tuple[int, Hashable], ctx: NodeContext) -> _Session:
+        if key not in self._sessions:
+            # a receiver first learns of the session when traffic arrives,
+            # one transport delay after it started
+            self._sessions[key] = _Session(start_round=ctx.info.round - self.transport.delay)
+        return self._sessions[key]
+
+    def _on_value(self, ctx: NodeContext, broadcaster: int, tag: Hashable, value: Any) -> None:
+        session = self._session((broadcaster, tag), ctx)
+        if session.have_direct:
+            return  # first value wins; equivocation surfaces via echoes
+        session.have_direct = True
+        session.direct_value = value
+        session.echoes[ctx.node_id] = value
+        self.transport.send_to_all(ctx, ("ebc-echo", broadcaster, tag, value))
+
+    def _on_echo(
+        self, ctx: NodeContext, echoer: int, broadcaster: int, tag: Hashable, value: Any
+    ) -> None:
+        session = self._session((broadcaster, tag), ctx)
+        # one echo per node per session; first one counts
+        session.echoes.setdefault(echoer, value)
+
+    def _decide(self, session: _Session) -> Any:
+        counts: dict[Any, int] = {}
+        for value in session.echoes.values():
+            counts[_key(value)] = counts.get(_key(value), 0) + 1
+        for value in session.echoes.values():
+            if counts[_key(value)] >= self.n - self.t:
+                return value
+        return BOTTOM
+
+
+def _key(value: Any) -> Any:
+    """Hashable stand-in for possibly-unhashable echoed values."""
+    try:
+        hash(value)
+        return value
+    except TypeError:
+        return repr(value)
 
 
 class EchoHost(NodeProgram):
@@ -143,8 +286,6 @@ def test_equivocation_splits_at_n_2t_plus_1():
 
 
 def test_duplicate_broadcast_tag_rejected():
-    import pytest
-
     _, runner = run(4, 1, {0: {(2, "x"): "v"}})
     # direct re-use of the same tag must raise
     host = runner.nodes[0].program

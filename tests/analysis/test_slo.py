@@ -2,16 +2,15 @@
 
 The headline test reproduces the ``bench_e7_recovery`` scenario — a node
 broken and state-corrupted during unit 1 recovers everything at unit 2's
-refreshment phase — and asserts that the SLO layer and
-:func:`repro.analysis.metrics.recovery_units` tell the same story from
-their two vantage points: ``recovery_units`` says *which* unit re-admitted
-the node (2), the SLO says *how long* that took (1 unit).
+refreshment phase — and asserts that the SLO layer and the transcript's
+operational sets (:func:`recovery_units`) tell the same story from their
+two vantage points: ``recovery_units`` says *which* unit re-admitted the
+node (2), the SLO says *how long* that took (1 unit).
 """
 
 import json
 
 from tests.helpers import EchoProgram
-from repro.analysis.metrics import recovery_units
 from repro.analysis.monitor import RuntimeInvariantMonitor
 from repro.analysis.slo import RecoverySloObserver
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
@@ -24,13 +23,26 @@ from repro.faults import (
     breakins,
     default_corruptor,
 )
-from repro.sim.clock import Schedule
+from repro.sim.clock import Phase, Schedule
 from repro.sim.runner import ULRunner, replay
 
 GROUP = named_group("toy64")
 SCHEME = SchnorrScheme(GROUP)
 N, T = 5, 2
 UNITS = 3
+
+
+def recovery_units(execution, node):
+    """Units at whose refresh-phase end ``node`` re-entered the
+    operational set."""
+    units = []
+    previous = True
+    for record in execution.records:
+        now = node in record.operational
+        if now and not previous and record.info.phase is Phase.REFRESH:
+            units.append(record.info.time_unit)
+        previous = now
+    return units
 
 
 def run_e7_scenario(victim=0, seed=3):

@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 
 from repro.crypto.hashing import (
     encode_for_hash,
-    hash_chain,
     hash_to_int,
     prf,
-    sha256,
     tagged_hash,
-    xor_bytes,
 )
 from repro.crypto.schnorr import SchnorrSignature, SchnorrVerifyKey
 from repro.perf.cache import canonical_body_key
@@ -123,21 +120,3 @@ def test_hash_to_int_rejects_degenerate_modulus():
 def test_prf_keyed():
     assert prf(b"k1", "m") != prf(b"k2", "m")
     assert prf(b"k1", "m") == prf(b"k1", "m")
-
-
-def test_hash_chain_links():
-    chain = hash_chain(b"seed", 5)
-    assert len(chain) == 5
-    for previous, current in zip(chain, chain[1:]):
-        assert current == sha256(previous)
-
-
-def test_hash_chain_rejects_empty():
-    with pytest.raises(ValueError):
-        hash_chain(b"seed", 0)
-
-
-def test_xor_bytes():
-    assert xor_bytes(b"\x0f\xf0", b"\xff\xff") == b"\xf0\x0f"
-    with pytest.raises(ValueError):
-        xor_bytes(b"a", b"ab")

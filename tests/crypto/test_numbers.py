@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.numbers import (
-    crt_pair,
     egcd,
     is_probable_prime,
     mod_inverse,
@@ -86,21 +85,6 @@ def test_mod_inverse_round_trip():
 def test_mod_inverse_raises_when_not_coprime():
     with pytest.raises(ZeroDivisionError):
         mod_inverse(6, 9)
-
-
-@given(st.integers(min_value=0, max_value=100), st.integers(min_value=0, max_value=100))
-@settings(max_examples=100)
-def test_crt_pair_solves_both_congruences(r1, r2):
-    m1, m2 = 101, 103
-    x = crt_pair(r1 % m1, m1, r2 % m2, m2)
-    assert x % m1 == r1 % m1
-    assert x % m2 == r2 % m2
-    assert 0 <= x < m1 * m2
-
-
-def test_crt_pair_rejects_non_coprime_moduli():
-    with pytest.raises(ValueError):
-        crt_pair(1, 6, 2, 9)
 
 
 def test_product():

@@ -124,7 +124,7 @@ def test_plan_reports_are_published_into_the_transcript():
     adversary, _, execution = run(RecoveryChaserStrategy())
     plans = [entry for entry in execution.adversary_output
              if isinstance(entry, tuple) and entry[0] == "adaptive-plan"]
-    assert len(plans) == UNITS - 1  # one per planned unit (start_unit=1)
+    assert len(plans) == UNITS - 1  # one per planned unit, unit 1 on
     assert [p[1]["unit"] for p in plans] == list(range(1, UNITS))
     stats = [entry for entry in execution.adversary_output
              if isinstance(entry, tuple) and entry[0] == "adaptive-stats"]

@@ -12,8 +12,10 @@ import pytest
 from tests.helpers import EchoProgram
 from repro.adversary.limits import audit_st_limited, audit_t_limited
 from repro.analysis.monitor import RuntimeInvariantMonitor
+from repro.faults import plan as plan_module
 from repro.faults import (
     AdaptiveAdversary,
+    FaultPlan,
     FaultRequest,
     StBudgetGuard,
     make_strategy,
@@ -28,9 +30,8 @@ FIRST_NORMAL_1 = SCHED.first_normal_round(1)
 LAST_NORMAL_1 = FIRST_NORMAL_1 + SCHED.normal_rounds - 1
 
 
-def guard(**kwargs):
-    kwargs.setdefault("s", T)
-    return StBudgetGuard(N, T, SCHED, **kwargs)
+def guard():
+    return StBudgetGuard(N, T, SCHED, s=T)
 
 
 # ------------------------------------------------------------- victim budget
@@ -42,13 +43,6 @@ def test_victim_budget_caps_at_t():
     assert report.victims == frozenset({0, 1})
 
 
-def test_max_victims_per_unit_tightens_the_cap():
-    report = guard(max_victims_per_unit=1).project(
-        1, [FaultRequest(kind="crash", victim=v) for v in range(3)])
-    assert len(report.crashes) == 1
-    assert report.denied["victim-budget"] == 2
-
-
 def test_repeat_faults_on_one_victim_cost_one_budget_slot():
     report = guard().project(1, [
         FaultRequest(kind="crash", victim=0),
@@ -57,14 +51,6 @@ def test_repeat_faults_on_one_victim_cost_one_budget_slot():
     ])
     assert report.denied_total == 0
     assert report.victims == frozenset({0, 1})
-
-
-def test_reserved_victims_consume_the_budget():
-    g = guard()
-    g.reserve_victims(1, {0, 1})  # e.g. a composed base adversary's break-ins
-    report = g.project(1, [FaultRequest(kind="crash", victim=2)])
-    assert report.denied == {"victim-budget": 1}
-    assert not report.crashes
 
 
 # ------------------------------------------------------------ window clamping
@@ -143,13 +129,50 @@ def test_bad_peers_are_denied():
 def test_duplicate_and_delay_parameters_are_bounded():
     report = guard().project(1, [
         FaultRequest(kind="duplicate", victim=0, peer=2, copies=99),
-        FaultRequest(kind="delay", victim=1, peer=3, delay=99, probability=1.5),
+        # ends 3 rounds before the normal phase does: room for MAX_DELAY
+        FaultRequest(kind="delay", victim=1, peer=3, delay=99, probability=1.5,
+                     first_round=FIRST_NORMAL_1, last_round=LAST_NORMAL_1 - 3),
     ])
     (dup,) = report.duplications
     assert dup.copies == 3
     (delay,) = report.delays
     assert delay.delay == 3
     assert delay.probability == 1.0
+
+
+def test_delays_are_released_by_the_units_last_normal_round():
+    """A delay lasts at most min(3, last_normal - last_round) rounds: a
+    default normal-phase window ends one round before the phase does, so
+    its delay is clamped to 1; a refresh-phase delay keeps all 3."""
+    report = guard().project(1, [
+        FaultRequest(kind="delay", victim=0, peer=2, delay=3),
+        FaultRequest(kind="delay", victim=1, peer=3, delay=3, phase="refresh"),
+    ])
+    normal, refresh = report.delays
+    assert normal.last_round == LAST_NORMAL_1 - 1 and normal.delay == 1
+    assert refresh.last_round < FIRST_NORMAL_1 and refresh.delay == 3
+    assert report.clamped == 1 and report.denied_total == 0
+
+
+# ------------------------------------------------------------------- reorder
+
+def test_reorders_charge_nobody_and_default_to_the_whole_phase():
+    report = StBudgetGuard(N, 0, SCHED, s=1).project(1, [
+        FaultRequest(kind="reorder", victim=None),
+        FaultRequest(kind="reorder", victim=3, phase="refresh"),
+        FaultRequest(kind="reorder", victim=None, first_round=0, last_round=10**6),
+        FaultRequest(kind="reorder", victim=N),
+    ])
+    every, one, clamped = report.reorders
+    normal = (FIRST_NORMAL_1, LAST_NORMAL_1)
+    assert (every.receiver, every.first_round, every.last_round) == (None, *normal)
+    start = SCHED.refresh_start(1)
+    assert (one.receiver, one.first_round, one.last_round) == (
+        3, start, start + SCHED.refresh_rounds - 1)
+    assert (clamped.first_round, clamped.last_round) == normal
+    assert report.clamped == 2
+    assert report.denied == {"victim-out-of-range": 1}
+    assert report.victims == frozenset()
 
 
 # ---------------------------------------------------- refreshment-phase rules
@@ -245,6 +268,22 @@ def test_requests_to_faults_is_the_unguarded_twin():
     assert report.denied_total == 0
     st = StBudgetGuard(N, T, SCHED, s=T).project(1, requests)
     assert len(st.crashes) == T                # …unlike the guarded path
+
+
+def test_generate_draws_only_what_the_guard_admits(monkeypatch):
+    """FaultPlan.generate is a sampler: the guard decides.  A guard that
+    charges at most one victim per unit must make it raise."""
+    class OneVictim(StBudgetGuard):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.t = 1
+
+    for seed in range(5):
+        FaultPlan.generate(seed=seed, n=N, t=T, schedule=SCHED, units=3)
+    monkeypatch.setattr(plan_module, "StBudgetGuard", OneVictim)
+    with pytest.raises(RuntimeError, match="victim-budget"):
+        for seed in range(20):
+            FaultPlan.generate(seed=seed, n=N, t=T, schedule=SCHED, units=3)
 
 
 # ---------------------------------------------------------- the property fuzz

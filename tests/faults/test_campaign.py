@@ -1,18 +1,13 @@
-"""Campaign runner: timeouts, retries, frontier bisection, resumability."""
+"""Campaign runner: probe outcomes and frontier bisection."""
 
 import json
-
-import pytest
 
 from tests.helpers import EchoProgram
 from repro.analysis.monitor import RuntimeInvariantMonitor
 from repro.faults import (
     AdaptiveAdversary,
-    CampaignState,
-    CampaignTimeout,
     Probe,
     RecoveryChaserStrategy,
-    WallClockBudget,
     escalate,
     run_probe,
 )
@@ -24,18 +19,6 @@ N, T = 5, 2
 UNITS = 3
 
 
-class FakeClock:
-    """Deterministic injectable clock: advances a fixed step per reading."""
-
-    def __init__(self, step: float = 0.0) -> None:
-        self.now = 0.0
-        self.step = step
-
-    def __call__(self) -> float:
-        self.now += self.step
-        return self.now
-
-
 def build_probe(aggressiveness, *, guarded=True, seed=7, fail_fast=True):
     adversary = AdaptiveAdversary(RecoveryChaserStrategy(), T, seed=seed,
                                   guarded=guarded, aggressiveness=aggressiveness)
@@ -43,43 +26,6 @@ def build_probe(aggressiveness, *, guarded=True, seed=7, fail_fast=True):
     runner = ULRunner([EchoProgram() for _ in range(N)], adversary, SCHED,
                       s=T, seed=seed, observers=[adversary.lens, monitor])
     return Probe(runner=runner, units=UNITS, monitor=monitor)
-
-
-# -------------------------------------------------------------------- timeout
-
-def test_wall_clock_budget_aborts_a_run_mid_flight():
-    probe = build_probe(0.2)
-    budget = WallClockBudget(5.0, clock=FakeClock(step=1.0))
-    probe.runner.add_observer(budget)
-    budget.start()
-    with pytest.raises(CampaignTimeout, match="exceeded"):
-        probe.runner.run(UNITS)
-    assert budget.elapsed > 5.0
-
-
-def test_run_probe_reports_timeout_after_exhausting_retries():
-    outcome = run_probe(lambda knob: build_probe(knob), 0.2,
-                        timeout=5.0, retries=1, clock=FakeClock(step=1.0))
-    assert outcome.timed_out
-    assert outcome.ok is None
-    assert outcome.attempts == 2  # the original try + one retry
-
-
-def test_run_probe_retries_then_succeeds():
-    clocks = iter([FakeClock(step=1.0), FakeClock(step=0.0)])
-    shared = {"clock": None}
-
-    def ticking():  # first attempt races ahead, the retry never ages
-        return shared["clock"]()
-
-    def build(knob):
-        shared["clock"] = next(clocks)
-        return build_probe(knob)
-
-    outcome = run_probe(build, 0.2, timeout=5.0, retries=2, clock=ticking)
-    assert outcome.ok is True
-    assert outcome.attempts == 2
-    assert outcome.digest
 
 
 # ------------------------------------------------------------ probe outcomes
@@ -136,40 +82,3 @@ def test_escalate_establishes_the_margin_on_guarded_runs():
     assert result.last_clean == 1.0
     assert all(probe.ok and probe.digest for probe in result.probes)
     assert json.loads(json.dumps(result.as_dict())) == result.as_dict()
-
-
-# -------------------------------------------------------------- resumability
-
-def test_campaign_state_makes_reruns_free(tmp_path):
-    path = tmp_path / "campaign.json"
-
-    first = CampaignState(path)
-    result_a = escalate("resume-me", lambda knob: build_probe(knob, guarded=False),
-                        ladder=(0.2, 0.6, 1.0), bisect_steps=2, state=first)
-    assert first.runs_executed == len(result_a.probes)
-
-    # a second invocation replays every probe from the file: zero new runs
-    second = CampaignState(path)
-    result_b = escalate("resume-me", lambda knob: build_probe(knob, guarded=False),
-                        ladder=(0.2, 0.6, 1.0), bisect_steps=2, state=second)
-    assert second.runs_executed == 0
-    assert all(probe.cached for probe in result_b.probes)
-    assert result_b.as_dict() == result_a.as_dict()
-
-    # a different campaign id shares the file but not the cache
-    third = CampaignState(path)
-    escalate("other-campaign", lambda knob: build_probe(knob), ladder=(0.2,),
-             state=third)
-    assert third.runs_executed == 1
-
-
-def test_campaign_state_survives_partial_sweeps(tmp_path):
-    path = tmp_path / "partial.json"
-    state = CampaignState(path)
-    outcome = run_probe(lambda knob: build_probe(knob), 0.3)
-    state.put("partial", outcome)
-    reloaded = CampaignState(path)
-    cached = reloaded.get("partial", 0.3)
-    assert cached is not None and cached.cached
-    assert cached.digest == outcome.digest
-    assert reloaded.get("partial", 0.4) is None
