@@ -16,13 +16,15 @@ from repro.adversary.impersonation import UlsImpersonator
 from repro.adversary.strategies import CutOffAdversary, ReplayAdversary
 from repro.analysis.emulation import check_emulation_invariants
 from repro.analysis.goodness import classify_execution
-from repro.core.disperse import DISPERSE_CHANNEL
+from repro.core.auth_send import AUTH_TAG
+from repro.core.disperse import DISPERSE_CHANNEL, forwarding, unframe
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.toy import BrokenScheme, forge
 from repro.faults import FaultInjectionAdversary, breakins
 from repro.sim.adversary_api import Adversary, PassiveAdversary, faithful_delivery
 from repro.sim.clock import Phase
 from repro.sim.runner import ULRunner
+from repro.wire import CERTIFIED, fits
 
 from common import GROUP, SCHEME, build_uls_network, certified_key_reprs, emit, format_table, key_histories
 
@@ -84,9 +86,9 @@ class BrokenCsForger(Adversary):
         for envelope in traffic:
             if envelope.channel != DISPERSE_CHANNEL or envelope.sender != self.victim:
                 continue
-            payload = envelope.payload
-            if payload[0] == "fwd" and isinstance(payload[4], tuple) and len(payload[4]) == 8:
-                msg = payload[4]
+            frame = unframe(envelope.payload, relayed=False)
+            if frame is not None and fits(frame[3], CERTIFIED):
+                msg = frame[3]
                 if msg[1] == self.victim:
                     self._template = msg
                     return
@@ -108,7 +110,7 @@ class BrokenCsForger(Adversary):
                signature, verify_key, cert)
         plan[receiver].append(api.forge_envelope(
             self.victim, receiver, DISPERSE_CHANNEL,
-            ("fwding", "auth", self.victim, receiver, raw)))
+            forwarding(AUTH_TAG, self.victim, receiver, raw)))
         return plan
 
 

@@ -28,12 +28,15 @@ from __future__ import annotations
 import random
 from typing import Any
 
+from repro.core.auth_send import AUTH_TAG
 from repro.core.certify import certify
-from repro.core.disperse import DISPERSE_CHANNEL
+from repro.core.disperse import DISPERSE_CHANNEL, forwarding, unframe
 from repro.core.keystore import LocalKeys
+from repro.core.uls import CERT_TAG, NEWKEY_CHANNEL
 from repro.sim.adversary_api import Adversary, AdversaryApi
 from repro.sim.clock import Phase, RoundInfo
 from repro.sim.messages import Envelope
+from repro.wire import CERT, well_formed
 
 __all__ = ["UlsImpersonator", "FreshKeyImpersonationAdversary"]
 
@@ -77,7 +80,7 @@ class UlsImpersonator:
             )
             if msg is None:
                 continue
-            payload = ("fwding", "auth", self.victim, receiver, tuple(msg))
+            payload = forwarding(AUTH_TAG, self.victim, receiver, tuple(msg))
             forged.append(
                 api.forge_envelope(self.victim, receiver, DISPERSE_CHANNEL, payload)
             )
@@ -136,13 +139,11 @@ class FreshKeyImpersonationAdversary(Adversary):
         for envelope in traffic:
             if envelope.channel != DISPERSE_CHANNEL:
                 continue
-            payload = envelope.payload
-            if not (isinstance(payload, tuple) and len(payload) == 5
-                    and payload[1] == "cert" and payload[3] == self.victim):
+            frame = unframe(envelope.payload)
+            if frame is None or frame[0] != CERT_TAG or frame[2] != self.victim:
                 continue
-            body = payload[4]
-            if (isinstance(body, tuple) and len(body) == 3
-                    and body[0] == "cert-deliver" and body[1] == expected):
+            body = frame[3]
+            if well_formed(body, CERT) and body[1] == expected:
                 self._unit_keys[info.time_unit] = LocalKeys(
                     unit=info.time_unit, keypair=self._keypair, certificate=body[2]
                 )
@@ -168,7 +169,7 @@ class FreshKeyImpersonationAdversary(Adversary):
             for receiver in range(api.n):
                 if receiver != self.victim:
                     plan[receiver].insert(0, api.forge_envelope(
-                        self.victim, receiver, "newkey", fake))
+                        self.victim, receiver, NEWKEY_CHANNEL, fake))
 
         keys = self._unit_keys.get(info.time_unit)
         if keys is not None and info.phase is Phase.NORMAL:
@@ -182,6 +183,6 @@ class FreshKeyImpersonationAdversary(Adversary):
                     continue
                 plan[receiver].append(api.forge_envelope(
                     self.victim, receiver, DISPERSE_CHANNEL,
-                    ("fwding", "auth", self.victim, receiver, tuple(msg))))
+                    forwarding(AUTH_TAG, self.victim, receiver, tuple(msg))))
                 self.forgeries_injected += 1
         return plan

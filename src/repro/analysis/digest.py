@@ -188,7 +188,7 @@ def outcome_digest(execution) -> str:
     contains — but not the wire traffic.
 
     This is the parity primitive for the refresh wire format
-    (``wire="paper" | "aggregated"``, :mod:`repro.perf.volume`): the two
+    (``wire="paper" | "aggregated"``, :mod:`repro.wire`): the two
     formats send different envelopes, so :func:`transcript_digest` equality is
     impossible by construction; what must (and does) coincide is what the
     protocols *did* — keys certified, signatures produced, alerts raised,

@@ -27,10 +27,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.certify import CertifiedMessage, verify_certified_body
+from repro.core.disperse import DISPERSE_CHANNEL, unframe
 from repro.crypto.hashing import encode_for_hash
 from repro.crypto.signature import SignatureScheme
 from repro.pds.keys import PdsPublic
 from repro.sim.transcript import Execution
+from repro.wire import CERTIFIED, fits
 
 __all__ = ["ForgedMessage", "GoodnessReport", "classify_execution"]
 
@@ -68,13 +70,12 @@ class GoodnessReport:
         return "GOOD"
 
 
-def _raw_certified_payloads(payload: Any, heads: tuple[str, ...] = ("fwd", "fwding")):
-    """Extract candidate certified tuples from a DISPERSE envelope payload
-    whose head is one of ``heads``."""
-    if isinstance(payload, tuple) and len(payload) == 5 and payload[0] in heads:
-        raw = payload[4]
-        if isinstance(raw, tuple) and len(raw) == 8:
-            yield raw
+def _raw_certified_payloads(payload: Any, relayed: bool = True):
+    """Extract the candidate certified message of a point-to-point
+    DISPERSE payload (see :func:`~repro.core.disperse.unframe`)."""
+    frame = unframe(payload, relayed=relayed)
+    if frame is not None and fits(frame[3], CERTIFIED):
+        yield frame[3]
 
 
 def _stamp(msg: CertifiedMessage) -> Any:
@@ -122,10 +123,10 @@ def classify_execution(
     sent_key_reprs: dict[tuple[int, int], set[tuple]] = {}  # (node, unit) -> reprs used
     for record in execution.records:
         for envelope in record.sent:
-            if envelope.channel != "disperse":
+            if envelope.channel != DISPERSE_CHANNEL:
                 continue
             # only the origination counts as "sent"
-            for raw in _raw_certified_payloads(envelope.payload, ("fwd",)):
+            for raw in _raw_certified_payloads(envelope.payload, relayed=False):
                 msg = CertifiedMessage(raw)
                 if envelope.sender != msg.source:
                     continue  # someone forwarding another's message
@@ -155,7 +156,7 @@ def classify_execution(
     for record in execution.records:
         for receiver, envelopes in record.delivered.items():
             for envelope in envelopes:
-                if envelope.channel != "disperse":
+                if envelope.channel != DISPERSE_CHANNEL:
                     continue
                 for raw in _raw_certified_payloads(envelope.payload):
                     cache_key = _key(raw)

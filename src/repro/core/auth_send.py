@@ -23,11 +23,14 @@ from repro.core.disperse import DisperseService
 from repro.core.keystore import KeyStore
 from repro.pds.keys import PdsPublic
 from repro.pds.transport import Accepted, Transport
-from repro.perf.volume import BROADCAST, aggregated_wire
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext
+from repro.wire import BROADCAST, aggregated_wire
 
-__all__ = ["AuthSendTransport", "AcceptedCertified"]
+__all__ = ["AuthSendTransport", "AcceptedCertified", "AUTH_TAG"]
+
+#: the DISPERSE tag of AUTH-SEND traffic
+AUTH_TAG = "auth"
 
 
 class AcceptedCertified(Accepted):
@@ -51,7 +54,7 @@ class AuthSendTransport(Transport):
             ROM-anchored global verification key ``v_cert``.
         disperse: the node's shared DISPERSE engine.
         tag: DISPERSE tag separating this transport's traffic.
-        wire: the refresh wire format (:mod:`repro.perf.volume`); with
+        wire: the refresh wire format (:mod:`repro.wire`); with
             ``"aggregated"``, :meth:`send_to_all` sends one
             broadcast-certified flood instead of ``n-1`` dispersals.
     """
@@ -63,7 +66,7 @@ class AuthSendTransport(Transport):
         keystore: KeyStore,
         public: PdsPublic,
         disperse: DisperseService,
-        tag: str = "auth",
+        tag: str = AUTH_TAG,
         *,
         wire: str = "paper",
     ) -> None:
@@ -142,7 +145,7 @@ class AuthSendTransport(Transport):
     def send_broadcast(self, ctx: NodeContext, body: Any) -> None:
         """One certificate, one flood, every node accepts.
 
-        The message is certified with the :data:`~repro.perf.volume.BROADCAST`
+        The message is certified with the :data:`~repro.wire.BROADCAST`
         destination sentinel — VER-CERT accepts it for any receiver — and
         carried by a single DISPERSE broadcast flood instead of ``n-1``
         per-destination dispersals.  Same no-op-on-φ contract as

@@ -31,6 +31,7 @@ from repro.pds.keys import PdsNodeState
 from repro.sim.clock import Phase
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext, NodeProgram
+from repro.wire import LAMBDA, fits
 
 __all__ = ["AuthenticatedProgram", "compile_protocol"]
 
@@ -125,7 +126,7 @@ class AuthenticatedProgram(NodeProgram):
 
         top_inbox: list[Envelope] = []
         for source, body in self.core.app_accepted():
-            if not (isinstance(body, tuple) and len(body) == 2):
+            if not fits(body, LAMBDA):
                 continue
             channel, payload = body
             ctx.output(("app-recv", source, channel, payload))

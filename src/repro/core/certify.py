@@ -33,7 +33,7 @@ from repro.perf.cache import (
     store_verify,
 )
 from repro.perf.registry import register_cache_clearer
-from repro.perf.volume import BROADCAST
+from repro.wire import BROADCAST, CERTIFIED, fits
 
 __all__ = [
     "CertifiedMessage",
@@ -363,8 +363,4 @@ def _parse(raw: Any) -> CertifiedMessage | None:
     arrive as plain tuples."""
     if isinstance(raw, CertifiedMessage):
         return raw
-    if isinstance(raw, tuple) and len(raw) == 8:
-        if isinstance(raw[1], int) and isinstance(raw[2], int) \
-                and isinstance(raw[3], int) and isinstance(raw[4], int):
-            return CertifiedMessage(raw)
-    return None
+    return CertifiedMessage(raw) if fits(raw, CERTIFIED) else None

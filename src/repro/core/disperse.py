@@ -19,6 +19,10 @@ Receipts are normalized to land exactly two rounds after the send: a
 directly-received "forward" (the ``i → j`` link itself) is buffered one
 round so the receiver sees one receipt event per send, whichever paths
 survived.  Consumers multiplex via ``tag``.
+
+The framing that carries a body through the relays (``fwd``/``fwding``,
+``bcst``/``bcsting``) is built and parsed in this module only; others go
+through :func:`forwarding` and :func:`unframe`.
 """
 
 from __future__ import annotations
@@ -29,9 +33,25 @@ from repro.perf.cache import canonical_probe
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext
 
-__all__ = ["DisperseService", "DISPERSE_CHANNEL"]
+__all__ = ["DisperseService", "DISPERSE_CHANNEL", "forwarding", "unframe"]
 
 DISPERSE_CHANNEL = "disperse"
+
+
+def forwarding(tag: str, src: int, dst: int, body: Any) -> tuple:
+    """A relay's step-2 payload "forwarding ``body`` from ``src``" to
+    ``dst``, which marks it received on arrival; what a forger injects."""
+    return ("fwding", tag, src, dst, body)
+
+
+def unframe(payload: Any, *, relayed: bool = True) -> tuple | None:
+    """``(tag, src, dst, body)``, unchecked, of a step-1 "forward" or, if
+    ``relayed``, a step-2 "forwarding"; None for anything else."""
+    if isinstance(payload, tuple) and len(payload) == 5 and (
+        payload[0] == "fwd" or (relayed and payload[0] == "fwding")
+    ):
+        return payload[1:]
+    return None
 
 
 class DisperseService:
@@ -88,14 +108,15 @@ class DisperseService:
         # function of (node_id, receiver, fanout, n), all fixed for a run
         self._fanout_targets: dict[int, list[int]] = {}
 
+    def _everyone(self, ctx: NodeContext) -> list[int]:
+        targets = self._all_targets
+        if targets is None or len(targets) != ctx.n - 1:
+            targets = self._all_targets = [node for node in range(ctx.n) if node != ctx.node_id]
+        return targets
+
     def _targets(self, ctx: NodeContext, receiver: int) -> list[int]:
         if self.relay_fanout is None or self.relay_fanout >= ctx.n - 1:
-            targets = self._all_targets
-            if targets is None or len(targets) != ctx.n - 1:
-                targets = self._all_targets = [
-                    node for node in range(ctx.n) if node != ctx.node_id
-                ]
-            return targets
+            return self._everyone(ctx)
         targets = self._fanout_targets.get(receiver)
         if targets is not None:
             return targets
@@ -116,17 +137,10 @@ class DisperseService:
         the same fixed, commonly-known choice as :meth:`_targets`, minus
         the per-destination special-casing a broadcast doesn't have."""
         if self.relay_fanout is None or self.relay_fanout >= ctx.n - 1:
-            targets = self._all_targets
-            if targets is None or len(targets) != ctx.n - 1:
-                targets = self._all_targets = [
-                    node for node in range(ctx.n) if node != ctx.node_id
-                ]
-            return targets
+            return self._everyone(ctx)
         targets = self._fanout_targets.get(-1)
         if targets is None:
-            targets = [node for node in range(ctx.n) if node != ctx.node_id]
-            targets = targets[: self.relay_fanout]
-            self._fanout_targets[-1] = targets
+            targets = self._fanout_targets[-1] = self._everyone(ctx)[: self.relay_fanout]
         return targets
 
     def broadcast(self, ctx: NodeContext, body: Any, tag: str = "") -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from typing import Any
 
+from repro import wire
 from repro.crypto.hashing import encode_for_hash
 from repro.crypto.signature import SignatureScheme
 from repro.sim.adversary_api import AdversaryApi
@@ -63,19 +64,17 @@ class NaiveProgram(NodeProgram):
         self._rekeyed: dict[int, set[int]] = {}  # unit -> peers already re-keyed
 
     def step(self, ctx: NodeContext, inbox: list[Envelope]) -> None:
+        # set-up key announcements (and, in the first normal round, those
+        # still in flight from the final set-up round)
+        for envelope in inbox:
+            payload = envelope.payload
+            if envelope.channel == _KEY_CHANNEL and wire.well_formed(payload, wire.NAIVE_KEY):
+                self.peer_keys.setdefault(envelope.sender, payload[1])
         if ctx.info.phase is Phase.SETUP:
             if self.keypair is None:
                 self.keypair = self.scheme.generate(ctx.rng)
                 ctx.broadcast(_KEY_CHANNEL, ("key", self.keypair.verify_key))
-            for envelope in inbox:
-                if envelope.channel == _KEY_CHANNEL:
-                    self.peer_keys.setdefault(envelope.sender, envelope.payload[1])
             return
-
-        # learn keys still in flight from the final set-up round
-        for envelope in inbox:
-            if envelope.channel == _KEY_CHANNEL:
-                self.peer_keys.setdefault(envelope.sender, envelope.payload[1])
 
         if ctx.info.phase is Phase.REFRESH and ctx.info.is_phase_start:
             self._rekey(ctx)
@@ -105,7 +104,7 @@ class NaiveProgram(NodeProgram):
             if envelope.channel != NAIVE_REKEY:
                 continue
             payload = envelope.payload
-            if not (isinstance(payload, tuple) and len(payload) == 4 and payload[0] == "rekey"):
+            if not wire.well_formed(payload, wire.NAIVE_REKEY):
                 continue
             _, unit, new_key, signature = payload
             sender = envelope.sender
@@ -138,7 +137,7 @@ class NaiveProgram(NodeProgram):
             if envelope.channel != NAIVE_APP:
                 continue
             payload = envelope.payload
-            if not (isinstance(payload, tuple) and len(payload) == 5 and payload[0] == "msg"):
+            if not wire.well_formed(payload, wire.NAIVE_APP):
                 continue
             _, unit, round_w, message, signature = payload
             if round_w != ctx.info.round - 1:

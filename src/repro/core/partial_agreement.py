@@ -33,8 +33,8 @@ from repro.core.auth_send import AuthSendTransport
 from repro.core.certify import verify_certified_body
 from repro.core.disperse import DisperseService
 from repro.perf.cache import canonical_body_key
-from repro.perf.volume import aggregated_wire
 from repro.sim.node import NodeContext
+from repro.wire import CERTIFIED, PA1, PA3, aggregated_wire, fits, well_formed
 
 __all__ = ["PartialAgreementService", "NO_VALUE"]
 
@@ -73,7 +73,7 @@ class PartialAgreementService:
     ``transport.begin_round`` first, then :meth:`on_round`, then any
     :meth:`start` calls; read :meth:`outputs`.
 
-    ``wire`` is the refresh wire format (:mod:`repro.perf.volume`): with
+    ``wire`` is the refresh wire format (:mod:`repro.wire`): with
     ``"aggregated"`` the step-3 re-dispersals of every session deciding in
     a round leave as one broadcast flood.
     """
@@ -175,7 +175,7 @@ class PartialAgreementService:
     def _ingest_step1(self, ctx: NodeContext) -> None:
         for accepted in self.transport.accepted_view():
             body = accepted.body
-            if not (isinstance(body, tuple) and len(body) == 3 and body[0] == "pa1"):
+            if not well_formed(body, PA1):
                 continue
             _, pa_id, value = body
             try:
@@ -193,24 +193,14 @@ class PartialAgreementService:
 
     def _ingest_step3(self, ctx: NodeContext) -> None:
         for _claimed_src, body in self.disperse.receipts(_PA3_TAG):
-            if not isinstance(body, tuple):
-                continue
-            if len(body) == 2 and body[0] == "pa3b" and isinstance(body[1], tuple):
-                # a batched re-dispersal: the pack wrapper is unauthenticated
-                # (like any DISPERSE body), each member raw carries its own
-                # certification and goes through exactly the solo path
-                raws = body[1]
-            else:
-                raws = (body,)
+            # a batched re-dispersal: the pack wrapper is unauthenticated
+            # (like any DISPERSE body), each member raw carries its own
+            # certification and goes through exactly the solo path
+            raws = body[1] if well_formed(body, PA3) else (body,)
             for raw in raws:
-                if not isinstance(raw, tuple) or len(raw) != 8:
+                if not (fits(raw, CERTIFIED) and well_formed(raw[0], PA1)):
                     continue
-                inner = raw[0]
-                if not (
-                    isinstance(inner, tuple) and len(inner) == 3 and inner[0] == "pa1"
-                ):
-                    continue
-                _, pa_id, value = inner
+                _, pa_id, value = raw[0]
                 try:
                     session = self.sessions.get(pa_id)
                 except TypeError:  # unhashable: no session has this id

@@ -37,6 +37,7 @@ from repro.crypto.schnorr import SchnorrScheme, SchnorrVerifyKey
 from repro.sim.clock import Phase
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext
+from repro.wire import SESSION, well_formed
 
 __all__ = ["SessionLayer", "SESSION_CHANNEL"]
 
@@ -117,7 +118,7 @@ class SessionLayer:
 
     def _receive(self, ctx: NodeContext, envelope: Envelope) -> None:
         payload = envelope.payload
-        if not (isinstance(payload, tuple) and len(payload) == 5 and payload[0] == "mac"):
+        if not well_formed(payload, SESSION):
             return
         _, unit, round_w, body, tag = payload
         if unit != self.core.keystore.unit or round_w != ctx.info.round - 1:

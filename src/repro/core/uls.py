@@ -52,6 +52,7 @@ from repro.pds.threshold_schnorr import (
 from repro.sim.clock import Phase, Schedule
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext, NodeProgram
+from repro.wire import APP, CERT, NEWKEY, well_formed
 
 __all__ = [
     "UlsCore",
@@ -61,10 +62,12 @@ __all__ = [
     "build_uls_states",
     "verify_user_signature",
     "NEWKEY_CHANNEL",
+    "CERT_TAG",
 ]
 
 NEWKEY_CHANNEL = "newkey"
-_CERT_TAG = "cert"
+#: the DISPERSE tag of Part (I) step 5's certificate deliveries
+CERT_TAG = "cert"
 
 # Part (I) offsets within a refreshment phase (AUTH-SEND delay = 2)
 _O_ANNOUNCE = 0
@@ -141,7 +144,7 @@ class UlsCore:
     authenticator builds on) and :meth:`request_signature` for USign.
 
     ``wire`` is the refresh wire format, ``"paper"`` (the paper-literal
-    messages, the default) or ``"aggregated"`` (:mod:`repro.perf.volume`);
+    messages, the default) or ``"aggregated"`` (:mod:`repro.wire`);
     it is passed to the transport, the signer, the refresh service and
     PARTIAL-AGREEMENT.
     """
@@ -252,9 +255,7 @@ class UlsCore:
         self._app_accepted = [
             (accepted.sender, accepted.body[1])
             for accepted in self.transport.accepted_view()
-            if isinstance(accepted.body, tuple)
-            and len(accepted.body) == 2
-            and accepted.body[0] == "app"
+            if well_formed(accepted.body, APP)
         ]
         self.pa.on_round(ctx)
         self.signer.on_round(ctx)
@@ -262,12 +263,8 @@ class UlsCore:
         self._completed_signatures = self.signer.completed()
 
         # ingest certificates dispersed to us (must precede the key switch)
-        for _src, body in self.disperse.receipts(_CERT_TAG):
-            if (
-                isinstance(body, tuple)
-                and len(body) == 3
-                and body[0] == "cert-deliver"
-            ):
+        for _src, body in self.disperse.receipts(CERT_TAG):
+            if well_formed(body, CERT):
                 self._consider_certificate(body[1], body[2])
 
         # forward freshly completed certificates to their owners (step 5)
@@ -281,7 +278,7 @@ class UlsCore:
             else:
                 self.disperse.send(
                     ctx, target, ("cert-deliver", message_bytes, signature),
-                    tag=_CERT_TAG, retransmit=self.cert_retransmit,
+                    tag=CERT_TAG, retransmit=self.cert_retransmit,
                 )
 
         if ctx.info.phase is Phase.REFRESH:
@@ -344,11 +341,9 @@ class UlsCore:
         (first value received per alleged sender counts)."""
         for envelope in ctx.channel_view(inbox, NEWKEY_CHANNEL):
             payload = envelope.payload
-            if not (isinstance(payload, tuple) and len(payload) == 3 and payload[0] == "newkey"):
-                continue
             # a key_repr is a tuple, and PA step 1 certifies it, so
             # CERTIFY must be able to encode it; anything else is forged
-            if payload[1] != unit or not isinstance(payload[2], tuple):
+            if not well_formed(payload, NEWKEY) or payload[1] != unit:
                 continue
             try:
                 encode_for_hash(payload[2])

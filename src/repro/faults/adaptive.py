@@ -90,7 +90,6 @@ class ExecutionLens(RunObserver):
         """Forget everything (in place, so attached references survive)."""
         self.rounds_seen = 0
         self._impaired: dict[int, set[int]] = {}
-        self._broken: dict[int, set[int]] = {}
         # unit -> (min,max) link -> channel -> envelopes sent
         self._traffic: dict[int, dict[tuple[int, int], dict[str, int]]] = {}
 
@@ -99,7 +98,6 @@ class ExecutionLens(RunObserver):
     def on_round(self, execution: Execution, record: RoundRecord) -> None:
         unit = record.info.time_unit
         self.rounds_seen += 1
-        self._broken.setdefault(unit, set()).update(record.broken)
         impaired = self._impaired.setdefault(unit, set())
         impaired.update(record.broken)
         impaired.update(set(range(execution.n)) - set(record.operational))
@@ -118,9 +116,6 @@ class ExecutionLens(RunObserver):
         the end of unit ``unit + 1``'s refreshment phase)."""
         return frozenset(self._impaired.get(unit, ()))
 
-    def broken_in_unit(self, unit: int) -> frozenset[int]:
-        return frozenset(self._broken.get(unit, ()))
-
     def link_traffic(self, unit: int, channel: str | None = None) -> dict[tuple[int, int], int]:
         """Envelope count per (sorted) link, optionally one channel only."""
         out: dict[tuple[int, int], int] = {}
@@ -130,11 +125,6 @@ class ExecutionLens(RunObserver):
             if count:
                 out[link] = count
         return out
-
-    def busiest_links(self, unit: int, channel: str | None = None) -> list[tuple[int, int]]:
-        """Links of ``unit`` ordered busiest-first (ties by link id)."""
-        traffic = self.link_traffic(unit, channel)
-        return sorted(traffic, key=lambda link: (-traffic[link], link))
 
     def node_traffic(self, unit: int, channel: str | None = None) -> dict[int, int]:
         """Envelopes sent or received per node — the relay-load ranking."""

@@ -82,6 +82,7 @@ __all__ = [
 FAULT_KINDS = ("crash", "corrupt", "drop", "duplicate", "delay", "reorder")
 NODE_KINDS = ("crash", "corrupt")
 LINK_KINDS = ("drop", "duplicate", "delay")
+PHASES = ("normal", "refresh")
 MAX_DELAY = 3
 MAX_COPIES = 3
 #: a plan's (and a projection report's) fault tuples, one per kind
@@ -230,12 +231,6 @@ class FaultPlan:
 
     def fault_count(self) -> int:
         return sum(len(getattr(self, name)) for name in FIELDS)
-
-    def victims(self) -> frozenset[int]:
-        """Nodes directly targeted by node-level faults."""
-        nodes = {c.node for c in self.crashes}
-        nodes |= {c.node for c in self.corruptions}
-        return frozenset(nodes)
 
     def describe(self) -> str:
         parts = []
@@ -408,7 +403,7 @@ class FaultRequest:
     peer: int | None = None
     first_round: int | None = None
     last_round: int | None = None
-    phase: str = "normal"                   # "normal" | "refresh"
+    phase: str = "normal"                   # one of PHASES
     probability: float = 1.0
     channels: frozenset[str] | None = None
     copies: int = 1
@@ -614,6 +609,9 @@ class StBudgetGuard:
             if kind not in FAULT_KINDS:
                 report.deny("unknown-kind")
                 continue
+            if request.phase not in PHASES:
+                report.deny("unknown-phase")
+                continue
             if victim not in nodes and not (kind == "reorder" and victim is None):
                 report.deny("victim-out-of-range")
                 continue
@@ -699,6 +697,9 @@ def requests_to_faults(
         report.requested += 1
         if request.kind not in FAULT_KINDS:
             report.deny("unknown-kind")
+            continue
+        if request.phase not in PHASES:
+            report.deny("unknown-phase")
             continue
         if request.kind in LINK_KINDS and request.peer is None:
             report.deny("bad-peer")

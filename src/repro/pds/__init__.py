@@ -16,8 +16,10 @@
 - :mod:`repro.pds.harness` — an AL-model node program wiring the above to
   the §3.2 operation conventions.
 - :mod:`repro.pds.transport` — the send abstraction that lets the same
-  protocols run over AL links or over AUTH-SEND (the §4 transformation),
-  and the one body shape check (``well_formed``) every handler relies on.
+  protocols run over AL links or over AUTH-SEND (the §4 transformation).
+
+Every body these protocols send has its field types in one table of
+:mod:`repro.wire`, checked once where the body is read.
 """
 
 from repro.pds.dkg import DkgUGenProgram, run_distributed_ugen

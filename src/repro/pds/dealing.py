@@ -28,7 +28,7 @@ from repro.crypto.feldman import (
 from repro.crypto.group import SchnorrGroup
 from repro.crypto.hashing import encode_for_hash, tagged_hash
 from repro.crypto.shamir import Share
-from repro.pds.transport import fits
+from repro.wire import fits
 
 __all__ = ["DealingRound", "commitment_of"]
 

@@ -28,18 +28,17 @@ from repro.crypto.signature import SignatureScheme
 from repro.pds.dealing import DealingRound
 from repro.pds.keys import PdsNodeState, PdsPublic
 from repro.pds.threshold_schnorr import ThresholdSigner, pds_message_bytes
-from repro.pds.transport import DirectTransport, well_formed
+from repro.pds.transport import DirectTransport
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.clock import Phase, Schedule
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext, NodeProgram
 from repro.sim.runner import ALRunner
+from repro.wire import DKG, well_formed
 
 __all__ = ["DkgUGenProgram", "run_distributed_ugen"]
 
 _DKG_CHANNEL = "dkg"
-#: field types per payload kind (see :func:`~repro.pds.transport.well_formed`)
-_SHAPES = {"deal": (tuple, object), "key": (tuple,)}
 
 
 class DkgUGenProgram(NodeProgram):
@@ -87,7 +86,7 @@ class DkgUGenProgram(NodeProgram):
         self._round.receive(
             (envelope.sender,) + envelope.payload[1:]
             for envelope in ctx.channel_view(inbox, _DKG_CHANNEL)
-            if well_formed(envelope.payload, _SHAPES) and envelope.payload[0] == "deal"
+            if well_formed(envelope.payload, DKG) and envelope.payload[0] == "deal"
         )
         everyone = range(self.n)
         if not self._round.holds(everyone):
@@ -134,7 +133,7 @@ class DkgUGenProgram(NodeProgram):
 
         for envelope in ctx.channel_view(inbox, _DKG_CHANNEL):
             payload = envelope.payload
-            if well_formed(payload, _SHAPES) and payload[0] == "key":
+            if well_formed(payload, DKG) and payload[0] == "key":
                 self._peer_reprs.setdefault(envelope.sender, payload[1])
 
         if (

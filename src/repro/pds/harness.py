@@ -46,7 +46,7 @@ class PdsNodeProgram(NodeProgram):
         transport: defaults to the direct AL transport.
         wire: the refresh wire format of the signer and the refresh
             service, ``"paper"`` or ``"aggregated"``
-            (:mod:`repro.perf.volume`).
+            (:mod:`repro.wire`).
     """
 
     def __init__(

@@ -40,27 +40,41 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crypto.feldman import FeldmanCommitment, FeldmanDealer
+from repro.crypto.hashing import tagged_hash
 from repro.crypto.shamir import Share
 from repro.pds.dealing import DealingRound, commitment_of
 from repro.pds.keys import PdsNodeState
-from repro.pds.transport import Transport, well_formed
-from repro.perf.volume import aggregated_wire, responder_sample
+from repro.pds.transport import Transport
 from repro.sim.node import NodeContext
+from repro.wire import REFRESH, aggregated_wire, well_formed
 
-__all__ = ["RefreshService"]
+__all__ = ["RefreshService", "responder_sample", "sample_size"]
 
 _COMMIT_TAG = "repro/rfr/commit"
+_SAMPLE_TAG = "repro/volume/responder-sample"
 
-#: field types per body kind (see :func:`~repro.pds.transport.well_formed`)
-_SHAPES = {
-    "rf-sync": (int, tuple),  # unit, key commitment
-    "rf-zdeal": (int, tuple, object),  # unit, elements, sub-share
-    "rf-zack": (int, tuple),  # unit, ack list
-    "rf-need": (int, ...),  # unit[, "esc"]
-    "rf-blind": (int, int, tuple, int),  # unit, requester, elements, sub-share
-    "rf-zreveal": (int, tuple, tuple),  # unit, points, elements
-    "rf-help": (int, int, int, tuple, tuple),  # unit, x, value, blind set, elements
-}
+
+def sample_size(n: int, t: int) -> int:
+    """Number of sampled helpers: ``2t+1`` holders guarantee ``t+1``
+    honest consistent sub-shares even if ``t`` sampled nodes are corrupted,
+    capped at the ``n-1`` nodes that exist besides the requester."""
+    return min(n - 1, 2 * t + 1)
+
+
+def responder_sample(unit: int, requester: int, n: int, t: int) -> tuple[int, ...]:
+    """Seed-deterministic helper sample for a share-recovery request on
+    the aggregated wire: the :func:`sample_size` nodes other than the
+    requester with the lowest ``H(tag, unit, requester, node)``.  Every
+    node computes it from public inputs alone, so helpers self-select and
+    the requester knows whom to expect help from; the hash spreads the
+    load across units and requesters instead of electing the lowest ids.
+    """
+    prefix = unit.to_bytes(8, "big", signed=True) + requester.to_bytes(8, "big", signed=True)
+    candidates = sorted(
+        (node for node in range(n) if node != requester),
+        key=lambda node: tagged_hash(_SAMPLE_TAG, prefix, node.to_bytes(8, "big", signed=True)),
+    )
+    return tuple(sorted(candidates[: sample_size(n, t)]))
 
 
 @dataclass
@@ -92,9 +106,10 @@ class RefreshService:
     ``transport.begin_round``); call :meth:`begin` at the first round of
     each refreshment phase.  Read :meth:`events` for completions.
 
-    ``wire`` is the refresh wire format (:mod:`repro.perf.volume`): with
+    ``wire`` is the refresh wire format (:mod:`repro.wire`): with
     ``"aggregated"`` recovery help comes from a sampled ``2t+1`` responders
-    first, escalating to full fan-out after a failed recovery.
+    (:func:`responder_sample`) first, escalating to full fan-out after a
+    failed recovery.
     """
 
     def __init__(
@@ -187,11 +202,9 @@ class RefreshService:
             return
         for accepted in self.transport.accepted_view():
             body = accepted.body
-            if not isinstance(body, tuple) or len(body) < 2:
+            if not well_formed(body, REFRESH):
                 continue
             kind = body[0]
-            if not well_formed(body, _SHAPES):
-                continue
             if kind == "rf-zdeal":
                 self._on_zero_deal(accepted.sender, body, phase)
             elif kind == "rf-sync":

@@ -53,26 +53,15 @@ from repro.crypto.hashing import encode_for_hash, tagged_hash
 from repro.crypto.schnorr import SchnorrSignature, SchnorrVerifyKey, scheme_for_group
 from repro.pds.dealing import DealingRound
 from repro.pds.keys import PdsNodeState
-from repro.pds.transport import Transport, well_formed
+from repro.pds.transport import Transport
 from repro.perf.cache import cached_verify
-from repro.perf.volume import aggregated_wire
 from repro.sim.node import NodeContext
+from repro.wire import SIGNER, SOLO, aggregated_wire, well_formed
 
 __all__ = ["ThresholdSigner", "pds_message_bytes", "verify_pds_signature"]
 
 _SID_TAG = "repro/tsig/session"
 _COMMIT_TAG = "repro/tsig/commit"
-
-#: field types per body kind (see :func:`~repro.pds.transport.well_formed`)
-_SHAPES = {
-    "ts-deal": (str, bytes, tuple, object),  # sid, m, elements, sub-share
-    "ts-ack": (str, tuple),  # sid, ack list
-    "ts-reveal": (str, tuple, tuple),  # sid, points, elements
-    "ts-partial": (str, int, tuple, int),  # sid, share index, qual, value
-}
-#: the aggregated wire's plural forms: a tuple of solo bodies minus their kind
-_SOLO = {kind + "s": kind for kind in ("ts-ack", "ts-reveal", "ts-partial")}
-_SHAPES.update({plural: (tuple,) for plural in _SOLO})
 
 
 def pds_message_bytes(message: Any, unit: int) -> bytes:
@@ -130,7 +119,7 @@ class ThresholdSigner:
     :meth:`on_round` once, then :meth:`request` for any fresh sign
     requests; read :meth:`completed` / :meth:`failed`.
 
-    ``wire`` is the refresh wire format (:mod:`repro.perf.volume`): with
+    ``wire`` is the refresh wire format (:mod:`repro.wire`): with
     ``"aggregated"`` each round's acks, reveals and partials leave as one
     plural body per node instead of one body per session.  Either way
     every node accepts both forms.
@@ -259,14 +248,14 @@ class ThresholdSigner:
     def _ingest(self, ctx: NodeContext) -> None:
         for accepted in self.transport.accepted_view():
             body = accepted.body
-            if not well_formed(body, _SHAPES):
+            if not well_formed(body, SIGNER):
                 continue
             solos = [body]
-            if body[0] in _SOLO:
+            if body[0] in SOLO:
                 # plural forms: each item goes through exactly its solo
                 # handler, so acceptance/blame behaviour is identical
-                solos = [(_SOLO[body[0]],) + item for item in body[1] if isinstance(item, tuple)]
-                solos = [solo for solo in solos if well_formed(solo, _SHAPES)]
+                solos = [(SOLO[body[0]],) + item for item in body[1] if isinstance(item, tuple)]
+                solos = [solo for solo in solos if well_formed(solo, SIGNER)]
             for solo in solos:
                 kind = solo[0]
                 if kind == "ts-deal":

@@ -21,43 +21,21 @@ the round's inbox once per round *before* any sub-protocol logic runs;
 sub-protocols then read ``accepted_view`` and call ``send``.
 
 Shape-check contract: a broken node can send (and in the UL model
-certify) any body at all.  Each sub-protocol keeps one table of field
-types per body kind and checks every body once with :func:`well_formed`
-where it takes it from ``accepted_view``, dropping what does not fit;
-handlers then unpack without ``try``.  Inner structure (commitments, ack
-items, revealed points) is checked where it is read, for the dealing
-steps in :mod:`repro.pds.dealing`.
+certify) any body at all.  Each sub-protocol checks every body once
+against its table in :mod:`repro.wire` where it takes it from
+``accepted_view``, dropping what does not fit; handlers then unpack
+without ``try``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Mapping
+from typing import Any
 
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext
 
-__all__ = ["Transport", "DirectTransport", "Accepted", "fits", "well_formed"]
-
-
-def fits(values: Any, types: tuple) -> bool:
-    """Whether ``values`` is a tuple of instances of ``types``, one each;
-    a trailing ``...`` in ``types`` admits any further items."""
-    if not isinstance(values, tuple):
-        return False
-    if types and types[-1] is ...:
-        types = types[:-1]
-        values = values[: len(types)]
-    return len(values) == len(types) and all(map(isinstance, values, types))
-
-
-def well_formed(body: Any, shapes: Mapping[str, tuple]) -> bool:
-    """Whether ``body`` is ``(kind, *fields)`` with ``kind`` in ``shapes``
-    and the fields fitting (:func:`fits`) its types there."""
-    return (
-        isinstance(body, tuple) and len(body) > 0 and isinstance(body[0], str)
-        and body[0] in shapes and fits(body[1:], shapes[body[0]])
-    )
+__all__ = ["Transport", "DirectTransport", "Accepted"]
 
 
 class Accepted:

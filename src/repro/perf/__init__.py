@@ -12,9 +12,7 @@ Components:
   (:func:`clear_all_caches`) and the garbage-collection policy;
 * :mod:`repro.perf.cache` — the signature-verification cache and the
   identity-keyed canonical-encoding cache;
-* :mod:`repro.perf.share_image` — memoized Feldman share images;
-* :mod:`repro.perf.volume` — the aggregated refresh wire format's
-  broadcast sentinel and responder sampling.
+* :mod:`repro.perf.share_image` — memoized Feldman share images.
 
 The round-wide VER-CERT entry point is
 :func:`repro.core.certify.ver_cert_many`; it checks each signature on
@@ -30,12 +28,8 @@ from repro.perf.cache import (
     verification_cache,
 )
 from repro.perf.registry import clear_all_caches, register_cache_clearer
-from repro.perf.volume import BROADCAST, responder_sample, sample_size
 
 __all__ = [
-    "BROADCAST",
-    "responder_sample",
-    "sample_size",
     "register_cache_clearer",
     "clear_all_caches",
     "VerificationCache",

@@ -25,6 +25,7 @@ from repro.analysis.digest import outcome_digest
 from repro.core.authenticator import compile_protocol
 from repro.core.certify import CertifiedMessage, certify, ver_cert
 from repro.core.disperse import DISPERSE_CHANNEL
+from repro.core.sessions import SESSION_CHANNEL
 from repro.core.uls import NEWKEY_CHANNEL, UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
@@ -52,6 +53,13 @@ FORGED = {
         lambda u: ("fwding", "pa3", 0, 1, (("pa1", [1], 5), 0, 1, u, 3, None, None, None)),
     ),
     "newkey-unencodable": (NEWKEY_CHANNEL, lambda u: ("newkey", u, ("schnorr", 1.5))),
+    "cert-deliver-wrong-arity": (
+        DISPERSE_CHANNEL, lambda u: ("fwding", "cert", 0, 1, ("cert-deliver", b"m"))),
+    "pa3b-pack-not-a-tuple": (
+        DISPERSE_CHANNEL,
+        lambda u: ("fwding", "pa3", 0, 1,
+                   ("pa3b", [(("pa1", ("pa", u, 0), 5), 0, 1, u, 3, None, None, None)])),
+    ),
 }
 
 
@@ -175,6 +183,24 @@ def test_one_forged_envelope_changes_nothing(passive_digest, name):
     assert outcome_digest(execution) == passive_digest
 
 
+def test_forged_mac_of_the_wrong_arity_changes_nothing():
+    """The session layer's MAC'd messages ride raw links.  A ``mac`` of
+    the wrong arity is dropped, uncounted: every node receives and
+    rejects what it does in the passive run."""
+    from tests.core.test_sessions import build, run as run_sessions
+
+    def outcome(adversary):
+        clear_all_caches()
+        _, programs = build()
+        execution = run_sessions(programs, adversary)
+        return (outcome_digest(execution), [program.received for program in programs],
+                [program.sessions.rejected_count for program in programs])
+
+    forger = _ForgeOnce(SESSION_CHANNEL, lambda u: ("mac", u, 0))
+    assert outcome(forger) == outcome(PassiveAdversary())
+    assert forger.injected == 1
+
+
 def test_key_that_is_no_key_repr_counts_as_dropped():
     """An encodable key that is not a tuple, announced to every node in
     node 0's name, would agree at a majority and reach the certificate
@@ -272,6 +298,7 @@ CERTIFIED = {
     "rf-sync-int-commitment": ("rf-sync", 1, 5),
     "ts-ack-unhashable-session": ("ts-ack", [1], ()),
     "pa1-unhashable-session": ("pa1", [1], ("schnorr", 3)),
+    "app-wrong-arity": ("app", ("chat", 1), 2),
 }
 
 

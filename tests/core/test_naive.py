@@ -104,3 +104,25 @@ def test_rekey_with_wrong_old_key_rejected():
     execution2, runner2 = run(adversary=BadRekey(), units=2,
                               sends=[(4, r + 1, 0, "still-me")])
     assert ("app-recv", 4, "naive-app", "still-me") in execution2.outputs_of(0)
+
+
+def test_forged_key_announcement_is_dropped():
+    """A key announcement that is not ``("key", k)``, injected in the
+    first normal round, is dropped: the run ends as the passive run does
+    (it used to raise on the first such envelope)."""
+    from repro.analysis.digest import outcome_digest
+    from repro.sim.adversary_api import Adversary, faithful_delivery
+
+    class ForgeKey(Adversary):
+        def deliver(self, api, info, traffic):
+            plan = faithful_delivery(traffic, api.n)
+            if info.round == SCHED.first_normal_round(0):
+                plan[1].append(api.forge_envelope(0, 1, "naive-key", 5))
+            return plan
+
+    r = SCHED.first_normal_round(1)
+    sends = [(0, r, 1, "hello")]
+    forged, _ = run(adversary=ForgeKey(), units=2, sends=sends)
+    passive, _ = run(units=2, sends=sends)
+    assert ("app-recv", 0, "naive-app", "hello") in forged.outputs_of(1)
+    assert outcome_digest(forged) == outcome_digest(passive)

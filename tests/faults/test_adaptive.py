@@ -42,7 +42,6 @@ def test_lens_tracks_impairment_and_traffic_per_unit():
     # echo chatter broadcasts every round on every link
     traffic = lens.link_traffic(1, channel="echo")
     assert len(traffic) == N * (N - 1) // 2
-    assert lens.busiest_links(1)[0] in traffic
     assert set(lens.node_traffic(1)) == set(range(N))
 
 

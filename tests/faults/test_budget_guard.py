@@ -244,6 +244,19 @@ def test_unknown_kinds_and_bad_victims_are_denied():
     assert report.denied == {"unknown-kind": 1, "victim-out-of-range": 2}
 
 
+@pytest.mark.parametrize("project", [
+    lambda requests: guard().project(1, requests),
+    lambda requests: requests_to_faults(1, requests, SCHED),
+], ids=["guard", "unguarded-twin"])
+def test_unknown_phases_are_denied(project):
+    """A misspelled phase is not read as the normal phase: both the guard
+    and its unguarded twin deny it."""
+    report = project([FaultRequest("drop", 0, 2, phase="refesh"),
+                      FaultRequest("crash", 1, phase="")])
+    assert report.denied == {"unknown-phase": 2}
+    assert report.approved == 0 and report.victims == frozenset()
+
+
 def test_zero_t_denies_everything():
     report = StBudgetGuard(N, 0, SCHED, s=2).project(
         1, [FaultRequest(kind="crash", victim=0),

@@ -150,7 +150,6 @@ def test_compose_unions_all_categories():
                   reorders=(ReorderFault(None, 3, 6),))
     c = a.compose(b)
     assert c.fault_count() == a.fault_count() + b.fault_count()
-    assert c.victims() == frozenset({0, 2})
     assert c.seed == mix_seed("compose", 1, 2)
 
 
@@ -191,7 +190,6 @@ def test_describe_and_empty():
     assert "empty" in FaultPlan(seed=0).describe()
     plan = burst(7, victims=[0, 1], peers=range(N), first_round=4, last_round=6)
     assert not plan.is_empty()
-    assert plan.victims() <= {0, 1}
 
 
 def test_plan_is_immutable():

@@ -36,11 +36,11 @@ from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
 from repro.crypto.shamir import Share
 from repro.faults import FaultInjectionAdversary, FaultPlan
-from repro.pds.refresh import RefreshService
-from repro.perf import BROADCAST, responder_sample, sample_size
+from repro.pds.refresh import RefreshService, responder_sample, sample_size
 from repro.sim.adversary_api import Adversary, PassiveAdversary, faithful_delivery
 from repro.sim.clock import Phase
 from repro.sim.runner import ULRunner
+from repro.wire import BROADCAST
 
 GROUP = named_group("toy64")
 SCHEME = SchnorrScheme(GROUP)
