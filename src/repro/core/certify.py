@@ -360,7 +360,8 @@ def _resolve_checks(
 def _parse(raw: Any) -> CertifiedMessage | None:
     """The certified message ``raw`` is: honest traffic already carries
     the object :func:`certify` returned; only adversarial injections
-    arrive as plain tuples."""
+    arrive as plain tuples, or as a :class:`CertifiedMessage` of another
+    arity."""
     if isinstance(raw, CertifiedMessage):
-        return raw
+        return raw if len(raw) == 8 else None
     return CertifiedMessage(raw) if fits(raw, CERTIFIED) else None

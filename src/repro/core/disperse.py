@@ -84,12 +84,6 @@ class DisperseService:
         # receipts that become visible next round: round -> list
         self._buffered: dict[int, list[tuple[str, int, Any]]] = {}
         self._current: list[tuple[str, int, Any]] = []  # (tag, claimed_src, body)
-        # relay-dedup keys embed the round number, so entries from past
-        # rounds can never match again — the set is cleared whenever the
-        # round advances and stays O(this round's distinct floods) instead
-        # of growing without bound across units
-        self._relayed: set[Hashable] = set()
-        self._relayed_round = -1
         # lazily tag-binned view of _current (consumers poll several tags
         # per round; binning once beats a full scan per receipts() call)
         self._receipts_by_tag: dict[str, list[tuple[int, Any]]] | None = None
@@ -192,24 +186,37 @@ class DisperseService:
                 self._retx_queue.setdefault(round_number + self.RETX_INTERVAL, []).append(
                     (receiver, body, tag, retries - 1, unit)
                 )
-        self._current = self._buffered.pop(round_number, [])
         self._receipts_by_tag = None
-        if round_number != self._relayed_round:
-            # relay keys embed their round; anything left over is stale
-            self._relayed.clear()
-            self._relayed_round = round_number
-        emitted: set[Hashable] = set()
         # the flood loop touches every disperse envelope; bind the
-        # per-round invariants (dedup key memo, own id, dedup set, outbox)
-        # to locals and inline the memo probe and the relay send so the
-        # per-envelope cost is free of attribute lookups and function-call
-        # overhead
+        # per-round invariants (dedup key memo, own id, dedup sets,
+        # outbox) to locals and inline the memo probe and the relay send
+        # so the per-envelope cost is free of attribute lookups and
+        # function-call overhead
         key_entries, key_miss = canonical_probe()
         node_id = ctx.node_id
         n = ctx.n
         outbox_append = ctx.outbox.append
-        relayed = self._relayed
-        current = self._current
+        # a relay or a receipt repeats another only within its round, so
+        # both dedup sets are this call's locals, keyed without the round:
+        # relays by (tag, src, key) for a broadcast and (tag, src, dst,
+        # key) otherwise, receipts by (tag, src, key)
+        relayed: set[Hashable] = set()
+        received: set[Hashable] = set()
+        # the direct copies buffered last round come first, then the
+        # relayed ones in arrival order, each string once
+        current: list[tuple[str, int, Any]] = []
+        for tag, src, body in self._buffered.pop(round_number, ()):
+            entry = key_entries.get(id(body))
+            receipt_key = (
+                tag,
+                src,
+                entry[1] if entry is not None and entry[0] is body else key_miss(body),
+            )
+            if receipt_key in received:
+                continue
+            received.add(receipt_key)
+            current.append((tag, src, body))
+        self._current = current
         relayed_count = 0
 
         for envelope in ctx.channel_view(inbox, DISPERSE_CHANNEL):
@@ -234,7 +241,7 @@ class DisperseService:
                         # direct receipt (uniform +2 timing) and echo one
                         # copy to everyone else
                         self._buffer(round_number + 1, tag, src, body)
-                        relay_key = ("b", round_number, tag, src, key)
+                        relay_key = (tag, src, key)
                         if relay_key in relayed:
                             continue
                         relayed.add(relay_key)
@@ -250,10 +257,10 @@ class DisperseService:
                                 )
                             )
                     else:
-                        receipt_key = (round_number, tag, src, key)
-                        if receipt_key in emitted:
+                        receipt_key = (tag, src, key)
+                        if receipt_key in received:
                             continue
-                        emitted.add(receipt_key)
+                        received.add(receipt_key)
                         current.append((tag, src, body))
                 continue
             kind, tag, src, dst, body = payload
@@ -271,7 +278,7 @@ class DisperseService:
                         if entry is not None and entry[0] is body
                         else key_miss(body)
                     )
-                    relay_key = ("r", round_number, tag, src, dst, key)
+                    relay_key = (tag, src, dst, key)
                     if relay_key in relayed:
                         continue
                     relayed.add(relay_key)
@@ -295,28 +302,12 @@ class DisperseService:
                     if entry is not None and entry[0] is body
                     else key_miss(body)
                 )
-                receipt_key = (round_number, tag, src, key)
-                if receipt_key in emitted:
+                receipt_key = (tag, src, key)
+                if receipt_key in received:
                     continue
-                emitted.add(receipt_key)
+                received.add(receipt_key)
                 current.append((tag, src, body))
         self.messages_relayed += relayed_count
-
-        # dedup against the buffered direct copies that were released now
-        deduped: list[tuple[str, int, Any]] = []
-        seen: set[Hashable] = set()
-        for tag, src, body in current:
-            entry = key_entries.get(id(body))
-            key = (
-                tag,
-                src,
-                entry[1] if entry is not None and entry[0] is body else key_miss(body),
-            )
-            if key in seen:
-                continue
-            seen.add(key)
-            deduped.append((tag, src, body))
-        self._current = deduped
 
     def _buffer(self, round_number: int, tag: str, src: int, body: Any) -> None:
         self._buffered.setdefault(round_number, []).append((tag, src, body))

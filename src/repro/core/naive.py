@@ -108,8 +108,11 @@ class NaiveProgram(NodeProgram):
                 continue
             _, unit, new_key, signature = payload
             sender = envelope.sender
-            if sender in self._rekeyed.setdefault(unit, set()):
-                continue  # first valid rekey per unit wins
+            try:
+                if sender in self._rekeyed.get(unit, ()):
+                    continue  # first valid rekey per unit wins
+            except TypeError:  # unhashable: not a unit any node rekeys in
+                continue
             old_key = self.peer_keys.get(sender)
             if old_key is None:
                 continue
@@ -119,7 +122,7 @@ class NaiveProgram(NodeProgram):
                 continue
             if self.scheme.verify(old_key, body, signature):
                 self.peer_keys[sender] = new_key
-                self._rekeyed[unit].add(sender)
+                self._rekeyed.setdefault(unit, set()).add(sender)
 
     # -- application traffic -----------------------------------------------------
 

@@ -17,7 +17,11 @@ The five steps, over AUTH-SEND (delay 2) and raw DISPERSE:
    ``n = 3t+1`` for (see ``tests/agreement/test_echo.py``);
 4. the forwarded messages are verified (authenticity of author, content
    and time — the destination is whoever the author originally addressed)
-   and cheater marks are updated;
+   and cheater marks are updated.  Only an (author, value) pair the node
+   does not yet hold in certified form is verified: a held pair is
+   already on record, so a forwarded copy of it can neither mark a
+   cheater nor change anything else.  That leaves about one check per
+   session and node, for its own input, which it holds uncertified;
 5. output ``y`` if the surviving ``MAJ'`` is still a majority, else ``φ``.
 
 Many sessions (one per announced key) run in parallel on shared
@@ -148,8 +152,9 @@ class PartialAgreementService:
         """Drop decided sessions older than the previous time unit.
 
         Sessions used to accumulate for the whole run (one per announced
-        key per refresh, each holding the verified-raw dedup set — the
-        largest per-unit state in the node).  Undecided sessions are never
+        key per refresh, each holding its records and its verified-raw
+        dedup set, which keeps about one entry: step 4 verifies only pairs
+        not yet held in certified form).  Undecided sessions are never
         dropped, whatever their age."""
         if unit == self._pruned_through:
             return
@@ -207,6 +212,14 @@ class PartialAgreementService:
                     continue
                 if session is None:
                     continue
+                # step 4 can only mark an author caught with a *new*
+                # certified value; a pair held in certified form already
+                # would leave the session as it is, verified or not
+                held = session.records.get(raw[1])
+                if held is not None:
+                    entry = held.get(_value_key(value))
+                    if entry is not None and entry[1] is not None:
+                        continue
                 raw_key = _value_key(raw)
                 if raw_key in session.verified_raws:
                     continue

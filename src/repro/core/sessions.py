@@ -128,7 +128,11 @@ class SessionLayer:
         if key is None:
             self.rejected_count += 1
             return
-        expected = prf(key, (envelope.sender, ctx.node_id, unit, round_w, body))
+        try:
+            expected = prf(key, (envelope.sender, ctx.node_id, unit, round_w, body))
+        except TypeError:  # a body prf cannot encode: no MAC can match it
+            self.rejected_count += 1
+            return
         if tag != expected:
             self.rejected_count += 1
             return

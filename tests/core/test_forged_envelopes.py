@@ -60,6 +60,14 @@ FORGED = {
         lambda u: ("fwding", "pa3", 0, 1,
                    ("pa3b", [(("pa1", ("pa", u, 0), 5), 0, 1, u, 3, None, None, None)])),
     ),
+    # five fields, with the source, destination, unit and round node 1's
+    # AUTH-SEND expects when it reads them: the keys still in force, sent
+    # two rounds before
+    "certified-message-wrong-arity": (
+        DISPERSE_CHANNEL,
+        lambda u: ("fwding", "auth", 0, 1, CertifiedMessage(
+            (("app", 1), 0, 1, u - 1, uls_schedule().refresh_start(u) - 1))),
+    ),
 }
 
 
@@ -199,6 +207,30 @@ def test_forged_mac_of_the_wrong_arity_changes_nothing():
     forger = _ForgeOnce(SESSION_CHANNEL, lambda u: ("mac", u, 0))
     assert outcome(forger) == outcome(PassiveAdversary())
     assert forger.injected == 1
+
+
+def test_forged_mac_of_an_unencodable_body_is_rejected():
+    """A ``mac`` with the unit and round the receiver expects, whose body
+    the MAC cannot encode, is rejected and counted: every node receives
+    what it does in the passive run, and node 1 rejects one message
+    more."""
+    from tests.core.test_sessions import build, run as run_sessions
+
+    def outcome(adversary):
+        clear_all_caches()
+        _, programs = build()
+        execution = run_sessions(programs, adversary)
+        return (outcome_digest(execution), [program.received for program in programs],
+                [program.sessions.rejected_count for program in programs])
+
+    # read one round after the announcements, under the keys still in force
+    forger = _ForgeOnce(
+        SESSION_CHANNEL, lambda u: ("mac", u - 1, uls_schedule().refresh_start(u), 1.5, b""))
+    digest, received, rejected = outcome(forger)
+    passive_digest, passive_received, passive_rejected = outcome(PassiveAdversary())
+    assert forger.injected == 1
+    assert (digest, received) == (passive_digest, passive_received)
+    assert rejected == [count + (node == VICTIM) for node, count in enumerate(passive_rejected)]
 
 
 def test_key_that_is_no_key_repr_counts_as_dropped():

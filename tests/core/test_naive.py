@@ -126,3 +126,35 @@ def test_forged_key_announcement_is_dropped():
     passive, _ = run(units=2, sends=sends)
     assert ("app-recv", 0, "naive-app", "hello") in forged.outputs_of(1)
     assert outcome_digest(forged) == outcome_digest(passive)
+
+
+
+def test_forged_rekeys_are_dropped_and_leave_no_state():
+    """Forged rekeys, each round one whose unit cannot key the
+    first-rekey-per-unit table and one naming a fresh unit, are dropped:
+    the run ends as the passive run does, and the table records a unit
+    only once a rekey in it verifies (the first kind used to raise, the
+    second to leave an entry each)."""
+    from repro.analysis.digest import outcome_digest
+    from repro.sim.adversary_api import Adversary, faithful_delivery
+
+    class ForgeRekeys(Adversary):
+        rounds = 0
+
+        def deliver(self, api, info, traffic):
+            plan = faithful_delivery(traffic, api.n)
+            self.rounds += 1
+            for unit in ([1], 1000 + self.rounds):
+                plan[1].append(api.forge_envelope(
+                    0, 1, "naive-rekey", ("rekey", unit, None, None)))
+            return plan
+
+    r = SCHED.first_normal_round(1)
+    sends = [(0, r, 1, "hello")]
+    forger = ForgeRekeys()
+    forged, forged_runner = run(adversary=forger, units=2, sends=sends)
+    passive, passive_runner = run(units=2, sends=sends)
+    assert forger.rounds > 0
+    assert ("app-recv", 0, "naive-app", "hello") in forged.outputs_of(1)
+    assert outcome_digest(forged) == outcome_digest(passive)
+    assert forged_runner.nodes[1].program._rekeyed == passive_runner.nodes[1].program._rekeyed
