@@ -17,8 +17,10 @@ This module re-derives that classification from a finished execution's
 transcript: it scans every delivered DISPERSE payload for properly
 certified messages (Def. 17(a)), checks whether the alleged sender
 actually sent a matching ``(m, i, j, u, w)`` (Def. 17(b)), and whether the
-sender was unbroken with usable keys (Def. 17(c)).  The headline numbers
-of experiment E3 — observed(GOOD) across seeds — come from here.
+sender was unbroken with usable keys (Def. 17(c)).  Every DISPERSE frame
+is read, to a node or to ``BROADCAST``, and so is each certified message
+in a PARTIAL-AGREEMENT step-3 pack.  The headline numbers of experiment
+E3 — observed(GOOD) across seeds — come from here.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.crypto.hashing import encode_for_hash
 from repro.crypto.signature import SignatureScheme
 from repro.pds.keys import PdsPublic
 from repro.sim.transcript import Execution
-from repro.wire import CERTIFIED, fits
+from repro.wire import CERTIFIED, PA3, fits, well_formed
 
 __all__ = ["ForgedMessage", "GoodnessReport", "classify_execution"]
 
@@ -71,11 +73,16 @@ class GoodnessReport:
 
 
 def _raw_certified_payloads(payload: Any, relayed: bool = True):
-    """Extract the candidate certified message of a point-to-point
-    DISPERSE payload (see :func:`~repro.core.disperse.unframe`)."""
+    """The candidate certified messages of a DISPERSE payload (see
+    :func:`~repro.core.disperse.unframe`): its body, or each member of a
+    ``pa3b`` pack, whose members the paper wire sends one per frame."""
     frame = unframe(payload, relayed=relayed)
-    if frame is not None and fits(frame[3], CERTIFIED):
-        yield frame[3]
+    if frame is None:
+        return
+    body = frame[3]
+    for raw in body[1] if well_formed(body, PA3) else (body,):
+        if fits(raw, CERTIFIED):
+            yield raw
 
 
 def _stamp(msg: CertifiedMessage) -> Any:

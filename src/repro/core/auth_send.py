@@ -5,7 +5,9 @@ AUTH-SEND = CERTIFY + DISPERSE: the sender wraps its message with
 :class:`~repro.core.disperse.DisperseService`; the receiver runs
 ``VER-CERT`` on every DISPERSE receipt and *accepts* exactly the properly
 certified ones (with ``w`` pinned to two rounds before the current one —
-when the message must have been sent).
+when the message must have been sent).  A message to
+:data:`~repro.wire.BROADCAST` is certified and dispersed once, and every
+other node accepts it.
 
 Because this class implements :class:`~repro.pds.transport.Transport`
 (with ``delay = 2``), every AL-model sub-protocol in this package —
@@ -55,8 +57,8 @@ class AuthSendTransport(Transport):
         disperse: the node's shared DISPERSE engine.
         tag: DISPERSE tag separating this transport's traffic.
         wire: the refresh wire format (:mod:`repro.wire`); with
-            ``"aggregated"``, :meth:`send_to_all` sends one
-            broadcast-certified flood instead of ``n-1`` dispersals.
+            ``"aggregated"``, :meth:`send_to_all` sends one message to
+            ``BROADCAST`` instead of ``n-1`` point-to-point ones.
     """
 
     delay = 2
@@ -126,9 +128,11 @@ class AuthSendTransport(Transport):
             self.accepted_log.append((ctx.info.round, msg.source, msg.message))
 
     def send(self, ctx: NodeContext, receiver: int, body: Any) -> None:
-        """CERTIFY + DISPERSE.  Silently a no-op when the local keys are
-        ``φ`` — a node without keys cannot authenticate (it has already
-        alerted; its peers simply won't hear from it)."""
+        """CERTIFY + DISPERSE to ``receiver``, a node id or ``BROADCAST``,
+        which VER-CERT accepts at any receiver.  Silently a no-op when
+        the local keys are ``φ`` — a node without keys cannot
+        authenticate (it has already alerted; its peers simply won't hear
+        from it)."""
         msg = certify(
             self.keystore.scheme,
             self.keystore.current,
@@ -142,33 +146,12 @@ class AuthSendTransport(Transport):
         self.sent_count += 1
         self.disperse.send(ctx, receiver, msg, tag=self.tag)
 
-    def send_broadcast(self, ctx: NodeContext, body: Any) -> None:
-        """One certificate, one flood, every node accepts.
-
-        The message is certified with the :data:`~repro.wire.BROADCAST`
-        destination sentinel — VER-CERT accepts it for any receiver — and
-        carried by a single DISPERSE broadcast flood instead of ``n-1``
-        per-destination dispersals.  Same no-op-on-φ contract as
-        :meth:`send`.
-        """
-        msg = certify(
-            self.keystore.scheme,
-            self.keystore.current,
-            message=body,
-            source=ctx.node_id,
-            destination=BROADCAST,
-            round_w=ctx.info.round,
-        )
-        if msg is None:
-            return
-        self.sent_count += 1
-        self.disperse.broadcast(ctx, msg, tag=self.tag)
-
     def send_to_all(self, ctx: NodeContext, body: Any) -> None:
-        """Round-wide send; on the aggregated wire a single broadcast
-        certificate replaces the ``n-1`` per-destination ones."""
+        """Round-wide send; on the aggregated wire one certificate and one
+        DISPERSE to ``BROADCAST`` replace the ``n-1`` point-to-point
+        ones."""
         if self.aggregated:
-            self.send_broadcast(ctx, body)
+            self.send(ctx, BROADCAST, body)
         else:
             super().send_to_all(ctx, body)
 

@@ -15,14 +15,21 @@ reliable links to both and relays the message.  It guarantees **no
 authenticity** — anyone can inject "forwarding m from N_i" — which is why
 AUTH-SEND layers CERTIFY on top.
 
+A broadcast is DISPERSE with every node as the destination:
+``N_j = BROADCAST`` (:data:`repro.wire.BROADCAST`).  A relay that gets
+"forward m to everyone" is itself a receiver, and it echoes one
+"forwarding m from N_i" to every node but itself and ``N_i``; a
+forwarding to ``BROADCAST`` is a receipt at any node.  So Lemma 15 holds
+per receiver, and the sender never receives its own broadcast.
+
 Receipts are normalized to land exactly two rounds after the send: a
 directly-received "forward" (the ``i → j`` link itself) is buffered one
 round so the receiver sees one receipt event per send, whichever paths
 survived.  Consumers multiplex via ``tag``.
 
-The framing that carries a body through the relays (``fwd``/``fwding``,
-``bcst``/``bcsting``) is built and parsed in this module only; others go
-through :func:`forwarding` and :func:`unframe`.
+Every frame is ``(kind, tag, src, dst, body)`` with ``kind`` ``fwd`` or
+``fwding``.  The framing is built and parsed in this module only; others
+go through :func:`forwarding` and :func:`unframe`.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from typing import Any, Hashable
 from repro.perf.cache import canonical_probe
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext
+from repro.wire import BROADCAST
 
 __all__ = ["DisperseService", "DISPERSE_CHANNEL", "forwarding", "unframe"]
 
@@ -46,7 +54,8 @@ def forwarding(tag: str, src: int, dst: int, body: Any) -> tuple:
 
 def unframe(payload: Any, *, relayed: bool = True) -> tuple | None:
     """``(tag, src, dst, body)``, unchecked, of a step-1 "forward" or, if
-    ``relayed``, a step-2 "forwarding"; None for anything else."""
+    ``relayed``, a step-2 "forwarding"; ``dst`` is a node id or
+    ``BROADCAST``.  None for anything else."""
     if isinstance(payload, tuple) and len(payload) == 5 and (
         payload[0] == "fwd" or (relayed and payload[0] == "fwding")
     ):
@@ -63,8 +72,9 @@ class DisperseService:
             t": step 1 floods to only this many parties (typically
             ``2t + 1``) instead of all ``n - 1``, cutting the complexity
             from O(n²) to O(nt) messages.  The relay set is the lowest
-            node ids (a fixed, commonly-known choice), always including
-            the destination.
+            node ids other than the sender (a fixed, commonly-known
+            choice), always including the destination of a
+            point-to-point send.
         retransmit: default number of bounded retransmissions per send
             (0 = classic fire-and-forget DISPERSE).  Each retransmission
             re-floods the same string one round-trip (2 rounds) after the
@@ -98,8 +108,9 @@ class DisperseService:
         self._retx_queue: dict[int, list[tuple[int, Any, str, int, int]]] = {}
         # full-flood target list; identical for every send by this node
         self._all_targets: list[int] | None = None
-        # fanout-restricted relay list per receiver; the choice is a pure
-        # function of (node_id, receiver, fanout, n), all fixed for a run
+        # fanout-restricted relay list per receiver, BROADCAST's too; the
+        # choice is a pure function of (node_id, receiver, fanout, n), all
+        # fixed for a run
         self._fanout_targets: dict[int, list[int]] = {}
 
     def _everyone(self, ctx: NodeContext) -> list[int]:
@@ -114,42 +125,19 @@ class DisperseService:
         targets = self._fanout_targets.get(receiver)
         if targets is not None:
             return targets
-        targets = []
-        for node in range(ctx.n):
-            if node in (ctx.node_id, receiver):
-                continue
-            targets.append(node)
-            if len(targets) >= self.relay_fanout - 1:
-                break
-        targets.append(receiver)
+        if receiver == BROADCAST:
+            targets = self._everyone(ctx)[: self.relay_fanout]
+        else:
+            targets = []
+            for node in range(ctx.n):
+                if node in (ctx.node_id, receiver):
+                    continue
+                targets.append(node)
+                if len(targets) >= self.relay_fanout - 1:
+                    break
+            targets.append(receiver)
         self._fanout_targets[receiver] = targets
         return targets
-
-    def _bcast_targets(self, ctx: NodeContext) -> list[int]:
-        """Relay set of a broadcast flood: the lowest ``relay_fanout`` node
-        ids other than the sender (all of them without a fanout limit) —
-        the same fixed, commonly-known choice as :meth:`_targets`, minus
-        the per-destination special-casing a broadcast doesn't have."""
-        if self.relay_fanout is None or self.relay_fanout >= ctx.n - 1:
-            return self._everyone(ctx)
-        targets = self._fanout_targets.get(-1)
-        if targets is None:
-            targets = self._fanout_targets[-1] = self._everyone(ctx)[: self.relay_fanout]
-        return targets
-
-    def broadcast(self, ctx: NodeContext, body: Any, tag: str = "") -> None:
-        """One flood addressed to *every* node: "forward body to all".
-
-        Each relay echoes a single ``bcsting`` copy to all other nodes and
-        buffers its own receipt, so every node marks the string received
-        exactly two rounds after the send — the same receipt timing as
-        :meth:`send` — at a total cost of ~``f·(n-1)`` envelopes instead
-        of the ``(n-1)·(2f-1)`` of per-destination dispersal.  Delivery
-        inherits Lemma 15 per receiver: any non-broken relay with reliable
-        links to sender and that receiver carries the string.
-        """
-        payload = ("bcst", tag, ctx.node_id, body)
-        ctx.fanout(self._bcast_targets(ctx), DISPERSE_CHANNEL, payload)
 
     def send(
         self, ctx: NodeContext, receiver: int, body: Any, tag: str = "",
@@ -158,7 +146,13 @@ class DisperseService:
         """Step 1: flood "forward body to receiver" to the relay set
         (all other nodes unless ``relay_fanout`` restricts it).
 
-        ``retransmit`` overrides the service default for this send.
+        ``receiver`` is a node id or ``BROADCAST``, which every node but
+        the sender receives.  A broadcast's single flood of ~``f(n-1)``
+        envelopes replaces the ``(n-1)(2f-1)`` of one send per node.
+
+        ``retransmit`` overrides the service default for this send.  A
+        broadcast retransmits like any send (ULS's service, the one that
+        broadcasts, retransmits nothing).
         """
         self._flood(ctx, receiver, body, tag)
         retries = self.retransmit if retransmit is None else retransmit
@@ -198,8 +192,7 @@ class DisperseService:
         outbox_append = ctx.outbox.append
         # a relay or a receipt repeats another only within its round, so
         # both dedup sets are this call's locals, keyed without the round:
-        # relays by (tag, src, key) for a broadcast and (tag, src, dst,
-        # key) otherwise, receipts by (tag, src, key)
+        # relays by (tag, src, dst, key), receipts by (tag, src, key)
         relayed: set[Hashable] = set()
         received: set[Hashable] = set()
         # the direct copies buffered last round come first, then the
@@ -222,79 +215,45 @@ class DisperseService:
         for envelope in ctx.channel_view(inbox, DISPERSE_CHANNEL):
             payload = envelope.payload
             if not isinstance(payload, tuple) or len(payload) != 5:
-                if (
-                    isinstance(payload, tuple)
-                    and len(payload) == 4
-                    and payload[0] in ("bcst", "bcsting")
-                ):
-                    kind, tag, src, body = payload
-                    if type(tag) is not str or type(src) is not int:
-                        continue  # not an honest shape: injected, dropped
-                    entry = key_entries.get(id(body))
-                    key = (
-                        entry[1]
-                        if entry is not None and entry[0] is body
-                        else key_miss(body)
-                    )
-                    if kind == "bcst":
-                        # a broadcast relay is also a receiver: buffer the
-                        # direct receipt (uniform +2 timing) and echo one
-                        # copy to everyone else
-                        self._buffer(round_number + 1, tag, src, body)
-                        relay_key = (tag, src, key)
-                        if relay_key in relayed:
-                            continue
-                        relayed.add(relay_key)
-                        echo = ("bcsting", tag, src, body)
-                        for dst in range(n):
-                            if dst == node_id or dst == src:
-                                continue
-                            relayed_count += 1
-                            outbox_append(
-                                Envelope(
-                                    node_id, dst, DISPERSE_CHANNEL, echo,
-                                    round_number,
-                                )
-                            )
-                    else:
-                        receipt_key = (tag, src, key)
-                        if receipt_key in received:
-                            continue
-                        received.add(receipt_key)
-                        current.append((tag, src, body))
-                continue
+                continue  # not an honest shape: injected, dropped
             kind, tag, src, dst, body = payload
             if (type(tag) is not str or type(src) is not int
-                    or type(dst) is not int or not 0 <= dst < n):
+                    or type(dst) is not int or not BROADCAST <= dst < n):
                 continue  # not an honest shape: injected, dropped
             if kind == "fwd":
-                if dst == node_id:
-                    # the direct path; buffer so receipt timing is uniform
+                if dst == node_id or dst == BROADCAST:
+                    # the direct path (every relay of a broadcast is a
+                    # receiver); buffer so receipt timing is uniform
                     self._buffer(round_number + 1, tag, src, body)
-                else:
-                    entry = key_entries.get(id(body))
-                    key = (
-                        entry[1]
-                        if entry is not None and entry[0] is body
-                        else key_miss(body)
-                    )
-                    relay_key = (tag, src, dst, key)
-                    if relay_key in relayed:
+                    if dst == node_id:
                         continue
-                    relayed.add(relay_key)
+                entry = key_entries.get(id(body))
+                key = (
+                    entry[1]
+                    if entry is not None and entry[0] is body
+                    else key_miss(body)
+                )
+                relay_key = (tag, src, dst, key)
+                if relay_key in relayed:
+                    continue
+                relayed.add(relay_key)
+                echo = ("fwding", tag, src, dst, body)
+                if dst != BROADCAST:
                     relayed_count += 1
                     # the envelope ctx.send(dst, ...) would build
                     outbox_append(
-                        Envelope(
-                            node_id,
-                            dst,
-                            DISPERSE_CHANNEL,
-                            ("fwding", tag, src, dst, body),
-                            round_number,
-                        )
+                        Envelope(node_id, dst, DISPERSE_CHANNEL, echo, round_number)
+                    )
+                    continue
+                for other in range(n):
+                    if other == node_id or other == src:
+                        continue
+                    relayed_count += 1
+                    outbox_append(
+                        Envelope(node_id, other, DISPERSE_CHANNEL, echo, round_number)
                     )
             elif kind == "fwding":
-                if dst != node_id:
+                if dst != node_id and dst != BROADCAST:
                     continue
                 entry = key_entries.get(id(body))
                 key = (

@@ -38,7 +38,7 @@ from repro.core.certify import verify_certified_body
 from repro.core.disperse import DisperseService
 from repro.perf.cache import canonical_body_key
 from repro.sim.node import NodeContext
-from repro.wire import CERTIFIED, PA1, PA3, aggregated_wire, fits, well_formed
+from repro.wire import BROADCAST, CERTIFIED, PA1, PA3, aggregated_wire, fits, well_formed
 
 __all__ = ["PartialAgreementService", "NO_VALUE"]
 
@@ -79,7 +79,7 @@ class PartialAgreementService:
 
     ``wire`` is the refresh wire format (:mod:`repro.wire`): with
     ``"aggregated"`` the step-3 re-dispersals of every session deciding in
-    a round leave as one broadcast flood.
+    a round leave as one pack, dispersed to ``BROADCAST``.
     """
 
     def __init__(
@@ -138,15 +138,15 @@ class PartialAgreementService:
                 session.decided = True
                 self._outputs.append((pa_id, self._step5(session)))
         if self._pa3_pending:
-            # aggregated wire: ONE broadcast flood carries every certified
-            # message this node re-disperses this round, instead of a
-            # per-message × per-receiver dispersal.  Every node still
+            # aggregated wire: ONE dispersal to BROADCAST carries every
+            # certified message this node re-disperses this round, instead
+            # of a per-message × per-receiver dispersal.  Every node still
             # receives every re-dispersed certified message — the
             # information flow of Fig. 5 step 3 (and with it Lemma 16's
             # equivocation-evidence propagation) is unchanged.
             pack = ("pa3b", tuple(self._pa3_pending))
             self._pa3_pending = []
-            self.disperse.broadcast(ctx, pack, tag=_PA3_TAG)
+            self.disperse.send(ctx, BROADCAST, pack, tag=_PA3_TAG)
 
     def _prune(self, unit: int) -> None:
         """Drop decided sessions older than the previous time unit.
@@ -260,7 +260,7 @@ class PartialAgreementService:
                     continue  # own input has no certified form
                 if self.aggregated:
                     # collected across every session deciding this round;
-                    # on_round flushes them as one broadcast flood
+                    # on_round flushes them as one pack to BROADCAST
                     self._pa3_pending.append(raw)
                     continue
                 for receiver in range(self.n):

@@ -196,7 +196,6 @@ class UlsCore:
         self.cert_retransmit = cert_retransmit
         #: extra rounds to wait for a late certificate before going to φ
         self.cert_grace_rounds = cert_grace_rounds
-        self._alerted_now = False
         self._refresh_unit: int | None = None
         self._announced: dict[int, tuple] = {}  # node -> first announced key repr
         self._cert_wanted: dict[bytes, int] = {}  # assertion bytes -> target node
@@ -243,13 +242,9 @@ class UlsCore:
         """User/certificate signatures completed this round."""
         return list(self._completed_signatures)
 
-    def alerted_this_round(self) -> bool:
-        return self._alerted_now
-
     # -- the per-round engine ------------------------------------------------------
 
     def on_round(self, ctx: NodeContext, inbox: list[Envelope]) -> None:
-        self._alerted_now = False
         self.disperse.on_round(ctx, inbox)
         self.transport.begin_round(ctx, inbox)
         self._app_accepted = [
@@ -440,7 +435,6 @@ class UlsCore:
 
     def _alert(self, ctx: NodeContext, unit: int) -> None:
         self.alert_units.append(unit)
-        self._alerted_now = True
         ctx.alert()
 
 

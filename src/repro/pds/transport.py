@@ -18,7 +18,9 @@ transport.
 
 Per-round usage contract: the owner program calls ``begin_round`` with
 the round's inbox once per round *before* any sub-protocol logic runs;
-sub-protocols then read ``accepted_view`` and call ``send``.
+sub-protocols then read ``accepted_view`` and call ``send`` or
+``send_to_all``, which sends to every other node (AUTH-SEND on the
+aggregated wire sends it once, to :data:`repro.wire.BROADCAST`).
 
 Shape-check contract: a broken node can send (and in the UL model
 certify) any body at all.  Each sub-protocol checks every body once
@@ -91,16 +93,6 @@ class Transport(ABC):
         for receiver in range(ctx.n):
             if receiver != ctx.node_id:
                 self.send(ctx, receiver, body)
-
-    def send_broadcast(self, ctx: NodeContext, body: Any) -> None:
-        """Round-wide send: ``body`` to every other node.
-
-        Semantically identical to :meth:`send_to_all` (and that is the
-        default implementation); transports with a cheaper round-wide
-        primitive override it.  The same consistency caveat applies — this
-        is a *cost* optimization, not a consistent broadcast.
-        """
-        self.send_to_all(ctx, body)
 
 
 class DirectTransport(Transport):

@@ -140,9 +140,6 @@ class AdversaryApi:
     def is_broken(self, node_id: int) -> bool:
         return self._nodes[node_id].broken
 
-    def broken_nodes(self) -> frozenset[int]:
-        return frozenset(i for i, node in enumerate(self._nodes) if node.broken)
-
     def rom_of(self, node_id: int) -> "Rom":
         """ROM is public and readable by the adversary (writes will raise)."""
         return self._nodes[node_id].rom

@@ -57,8 +57,9 @@ def well_formed(body: Any, shapes: Mapping[str, tuple]) -> bool:
 #: the refresh wire formats a protocol instance can speak
 WIRES = ("paper", "aggregated")
 
-#: Destination sentinel for broadcast-certified messages.  Real node ids
-#: are non-negative, so the sentinel can never collide with a receiver.
+#: The destination "every node": CERTIFY's sentinel for a message any
+#: receiver accepts, and DISPERSE's for a send every node but the sender
+#: receives.  Real node ids are non-negative, so it never names a node.
 BROADCAST = -1
 
 

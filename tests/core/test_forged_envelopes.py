@@ -34,6 +34,7 @@ from repro.sim.adversary_api import Adversary, PassiveAdversary, faithful_delive
 from repro.sim.clock import Phase
 from repro.sim.node import NodeProgram
 from repro.sim.runner import ULRunner
+from repro.wire import BROADCAST
 
 GROUP = named_group("toy64")
 SCHEME = SchnorrScheme(GROUP)
@@ -48,6 +49,10 @@ FORGED = {
     "fwd-unhashable-tag": (DISPERSE_CHANNEL, lambda u: ("fwd", ["auth"], 0, 2, BODY)),
     "fwding-unhashable-tag": (DISPERSE_CHANNEL, lambda u: ("fwding", ["auth"], 0, 1, BODY)),
     "bcst-unhashable-tag": (DISPERSE_CHANNEL, lambda u: ("bcst", ["auth"], 0, BODY)),
+    "fwd-broadcast-unhashable-tag": (
+        DISPERSE_CHANNEL, lambda u: ("fwd", ["auth"], 0, BROADCAST, BODY)),
+    "fwding-broadcast-unhashable-tag": (
+        DISPERSE_CHANNEL, lambda u: ("fwding", ["auth"], 0, BROADCAST, BODY)),
     "pa3-unhashable-session": (
         DISPERSE_CHANNEL,
         lambda u: ("fwding", "pa3", 0, 1, (("pa1", [1], 5), 0, 1, u, 3, None, None, None)),
@@ -148,8 +153,8 @@ class _RandomInjector(Adversary):
             kind = rng.choice(["fwd", "fwding"])
             return DISPERSE_CHANNEL, (kind, _garbage(rng), _garbage(rng), _garbage(rng), BODY)
         if shape == 1:
-            kind = rng.choice(["bcst", "bcsting"])
-            return DISPERSE_CHANNEL, (kind, _garbage(rng), _garbage(rng), BODY)
+            kind = rng.choice(["fwd", "fwding"])
+            return DISPERSE_CHANNEL, (kind, _garbage(rng), _garbage(rng), BROADCAST, BODY)
         if shape == 2:
             inner = ("pa1", _garbage(rng), _garbage(rng))
             raw = (inner, 0, 1, unit, rng.randrange(40), None, None, None)

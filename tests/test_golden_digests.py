@@ -11,7 +11,8 @@ up as a digest change here.  The tables below are literal copies.
 
 The E8 n = 13 full flood also pins the two refresh wire formats: its
 messages per refreshment phase on the paper-literal and on the
-aggregated wire, with equal outcome digests.
+aggregated wire, with equal outcome digests, and the aggregated run's
+transcript digest.
 """
 
 import pathlib
@@ -69,6 +70,8 @@ E16_COMPACT_ROUNDS_DIGEST = "4c13c3d829e98d45ce17e4e680ca3083e155d14bdf6d0f580fb
 
 #: E8 n = 13 full flood (t = 2, two units, seed 0): messages per refresh
 E8_N13_MSGS_PER_REFRESH = {"paper": 760_812, "aggregated": 87_672}
+#: ... and the transcript digest of its aggregated-wire run
+E8_N13_AGGREGATED_DIGEST = "bdf6bc2bb0d750e4fb9ed9f528f96c04f957565fa531da10ae2f73a09d82e575"
 
 E8_T = 2
 E8_UNITS = 2
@@ -115,3 +118,4 @@ def test_e8_n13_wire_formats(e8_n13_paper):
     assert (message_stats(aggregated).per_refresh_phase
             == E8_N13_MSGS_PER_REFRESH["aggregated"])
     assert outcome_digest(aggregated) == outcome_digest(e8_n13_paper)
+    assert transcript_digest(aggregated) == E8_N13_AGGREGATED_DIGEST

@@ -116,19 +116,14 @@ def traffic():
     """``(channel or DISPERSE tag, body)`` of every body the runs send;
     DISPERSE bodies are taken where a protocol hands them to DISPERSE."""
     sent = []
-    send, broadcast = DisperseService.send, DisperseService.broadcast
+    send = DisperseService.send
 
     def record_send(self, ctx, receiver, body, tag="", retransmit=None):
         sent.append((tag, body))
         send(self, ctx, receiver, body, tag, retransmit)
 
-    def record_broadcast(self, ctx, body, tag=""):
-        sent.append((tag, body))
-        broadcast(self, ctx, body, tag)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DisperseService, "send", record_send)
-        patch.setattr(DisperseService, "broadcast", record_broadcast)
         executions = [_uls_run(w) for w in wire.WIRES]
         executions += [_lambda_run(), _session_run(), _dkg_run(), _harness_run(),
                        _naive_run()]
