@@ -25,11 +25,11 @@ and must not change across repeats; ``tests/test_golden_digests.py``
 pins them to the committed per-point values of ``BENCH_E16.json``.  The
 floor's speed is gated end to end by ``bench/`` (``rounds_per_s``).
 
-Compact-record mode is covered separately: it intentionally drops the
-per-round envelopes (``Runner(compact_records=True)``), so its parity
-claim goes through the streaming
-:class:`~repro.analysis.digest.RoundsDigest` — the compact run's digest
-must equal the full run's.
+Compact-record mode is covered separately: ``Runner(compact_records=True)``
+keeps no per-round envelopes, but its observers still see every full
+record, so a :class:`~repro.analysis.digest.RoundsDigest` observer
+attached to each run carries the parity claim — the compact run's
+digest must equal the full run's.
 
 Sweep points fan out across worker processes (``--jobs N``); stripping
 the ``timing`` section must yield byte-identical reports for any
@@ -58,6 +58,7 @@ if __name__ == "__main__":  # script mode: make src/ importable without PYTHONPA
     if str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 
+from repro.analysis.digest import RoundsDigest
 from repro.core.disperse import DisperseService
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.clock import Schedule
@@ -122,11 +123,11 @@ class FloodChatter(NodeProgram):
             self.disperse.send(ctx, target, ("probe", self.node_id, ctx.info.round))
 
 
-def run_flood(n: int, *, stream_digest: bool = False, compact_records: bool = False):
+def run_flood(n: int, *, observers=None, compact_records: bool = False):
     relay_fanout = 2 * FLOOD_T + 1 if n >= SPARSE_N else None
     programs = [FloodChatter(relay_fanout) for _ in range(n)]
     runner = ULRunner(programs, PassiveAdversary(), FLOOD_SCHED, s=FLOOD_T, seed=n,
-                      stream_digest=stream_digest, compact_records=compact_records)
+                      observers=observers, compact_records=compact_records)
     return runner.run(units=FLOOD_UNITS)
 
 
@@ -179,16 +180,17 @@ def measure_point(point):
 
 
 def measure_compact(n: int = COMPACT_N):
-    """Compact-record mode vs full records, both with the streaming
-    digest on: the digests must match (docs/PROTOCOLS.md §12) and the
-    compact run records its own timing."""
+    """Compact-record mode vs full records, each with a live
+    :class:`RoundsDigest`: the digests must match (docs/PROTOCOLS.md §12)
+    and the compact run records its own timing."""
     out = {"n": n}
     for mode, compact in (("full", False), ("compact", True)):
+        digest = RoundsDigest()
         start = time.perf_counter()
-        execution = run_flood(n, stream_digest=True, compact_records=compact)
+        run_flood(n, observers=[digest], compact_records=compact)
         out[mode] = {
             "seconds": time.perf_counter() - start,
-            "rounds_digest": execution.rounds_digest,
+            "rounds_digest": digest.hexdigest(),
         }
     out["digest_match"] = out["full"]["rounds_digest"] == out["compact"]["rounds_digest"]
     return out

@@ -70,7 +70,7 @@ def run_case(kind: str, seed: int, wire: str = "paper"):
     public, programs, runner, schedule = build_uls_network(N, T, seed, adversary, wire=wire)
     execution = runner.run(units=UNITS)
     goodness = classify_execution(
-        execution, public, SCHEME, key_histories(programs), T,
+        execution, public, SCHEME, key_histories(programs),
         certified_keys=certified_key_reprs(programs),
     )
     invariants = check_emulation_invariants(execution, T)
@@ -137,7 +137,7 @@ def run_broken_cs_control(forger: BrokenCsForger, wire: str = "paper", seed: int
     runner = ULRunner(programs, forger, uls_schedule(), s=T, seed=seed)
     execution = runner.run(units=2)
     report = classify_execution(
-        execution, public, scheme, key_histories(programs), T,
+        execution, public, scheme, key_histories(programs),
         certified_keys=certified_key_reprs(programs),
     )
     accepted = sum(

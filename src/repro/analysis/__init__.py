@@ -1,7 +1,8 @@
 """Analysis of executions, live or post hoc.
 
 - :mod:`repro.analysis.goodness` — the Definition 17/18 classification
-  (GOOD vs BAD1/BAD2/BAD3) that drives the Theorem 14 experiments.
+  (GOOD vs BAD1/BAD2/BAD3) that drives the Theorem 14 experiments: an
+  observer, live or replayed (:func:`repro.sim.runner.replay`).
 - :mod:`repro.analysis.monitor` — the one implementation of the
   emulation invariants I1–I3 and the per-round Definition 7 limit,
   evaluated *during* the run (attach to a runner as an observer;
@@ -13,7 +14,8 @@
   read from the same replay.
 - :mod:`repro.analysis.metrics` — message/alert/availability statistics.
 - :mod:`repro.analysis.digest` — canonical transcript digests (the
-  determinism-replay primitive).
+  determinism-replay primitive) and the per-round ``RoundsDigest``
+  observer.
 - :mod:`repro.analysis.slo` — recovery-SLO telemetry (time-to-recovery,
   alert latency, degraded dwell, signing availability).
 """
@@ -22,7 +24,12 @@ from repro.analysis.awareness import GlobalAwarenessReport, global_awareness
 from repro.analysis.digest import stable_form, transcript_digest
 from repro.analysis.slo import RecoverySloObserver
 from repro.analysis.emulation import EmulationReport, check_emulation_invariants
-from repro.analysis.goodness import ForgedMessage, GoodnessReport, classify_execution
+from repro.analysis.goodness import (
+    ForgedMessage,
+    GoodnessObserver,
+    GoodnessReport,
+    classify_execution,
+)
 from repro.analysis.monitor import (
     InvariantViolationError,
     RuntimeInvariantMonitor,
@@ -39,6 +46,7 @@ __all__ = [
     "RuntimeInvariantMonitor",
     "Violation",
     "ForgedMessage",
+    "GoodnessObserver",
     "GoodnessReport",
     "classify_execution",
     "MessageStats",

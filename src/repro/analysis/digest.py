@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.sim.messages import Envelope
+from repro.sim.runner import RunObserver, replay
 
 __all__ = [
     "stable_form",
@@ -89,10 +90,11 @@ class _CanonicalHash:
         self._flush()
         return self._hash.hexdigest()
 
-    def round(self, info, sent, delivered, broken, operational, unreliable_links) -> None:
-        """Write one round's canonical tuple ``(info, stable forms...)``."""
-        self.write(f"({info!r}")
-        for part in (sent, delivered, broken, operational, unreliable_links):
+    def round(self, record) -> None:
+        """Write one full record's canonical tuple ``(info, stable forms...)``."""
+        self.write(f"({record.info!r}")
+        for part in (record.sent, record.delivered, record.broken,
+                     record.operational, record.unreliable_links):
             self.write(", ")
             self.stream(part)
         self.write(")")
@@ -169,10 +171,7 @@ def transcript_digest(execution) -> str:
     for index, record in enumerate(execution.records):
         if index:
             canonical.write(", ")
-        canonical.round(
-            record.info, record.sent, record.delivered, record.broken,
-            record.operational, record.unreliable_links,
-        )
+        canonical.round(record)
     canonical.write("]")
     for part in (execution.system_log, execution.node_outputs,
                  execution.adversary_output):
@@ -202,44 +201,28 @@ def outcome_digest(execution) -> str:
     return canonical.hexdigest()
 
 
-class RoundsDigest:
+class RoundsDigest(RunObserver):
     """Incremental canonical digest over per-round traffic.
 
-    One :meth:`update` per round hashes the same canonical tuple that
-    :func:`transcript_digest` builds for a full record, so a run that
-    streams this digest while keeping only compact records stays
-    digest-comparable to a full-mode run (see :func:`rounds_digest`).
-    The per-round canonical forms are hashed as they arrive and then
-    dropped — memory use is O(1) in the number of rounds.
+    Each round hashes the same canonical tuple that
+    :func:`transcript_digest` builds for a record, and is then dropped —
+    memory use is O(1) in the number of rounds.  Observers see full
+    records, so one attached live to a ``compact_records=True`` run
+    digests the traffic the run does not keep, and equals
+    :func:`rounds_digest` of the same protocol run with full records iff
+    the two delivered bit-identical round traffic.
     """
 
     def __init__(self) -> None:
         self._canonical = _CanonicalHash()
 
-    def update(self, info, sent, delivered, broken, operational, unreliable_links) -> None:
-        self._canonical.round(
-            info, sent, delivered, broken, operational, unreliable_links
-        )
+    def on_round(self, execution, record) -> None:
+        self._canonical.round(record)
 
     def hexdigest(self) -> str:
         return self._canonical.hexdigest()
 
 
 def rounds_digest(execution) -> str:
-    """The :class:`RoundsDigest` of a full-mode execution's records.
-
-    Equals ``execution.rounds_digest`` of a compact-records run of the
-    same protocol iff the two runs delivered bit-identical round traffic —
-    the parity check the E16 benchmark performs for compact mode.
-    """
-    digest = RoundsDigest()
-    for record in execution.records:
-        digest.update(
-            record.info,
-            record.sent,
-            record.delivered,
-            record.broken,
-            record.operational,
-            record.unreliable_links,
-        )
-    return digest.hexdigest()
+    """The :class:`RoundsDigest` of a full-records execution: its replay."""
+    return replay(execution, RoundsDigest()).hexdigest()

@@ -48,8 +48,8 @@ class FaithfulPlan(dict):
 
     The runner's accounting treats a ``FaithfulPlan`` whose ``source`` is
     the round's sent traffic as proven faithful (Definition 4 holds per
-    construction) and skips the full regroup-and-compare
-    (:meth:`repro.sim.runner.Runner._plan_is_faithful`) and the plan
+    construction) and skips the per-direction multiset comparison
+    (:meth:`repro.sim.runner.Runner._unreliable_links`) and the plan
     sanitation — one of the simulation-floor optimizations.
 
     Contract: holders must treat the plan and its lists as **read-only**.

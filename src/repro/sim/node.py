@@ -188,21 +188,13 @@ class NodeProgram(ABC):
 
 
 class Node:
-    """Runtime wrapper: program + ROM + output log + break-in status."""
+    """Runtime wrapper: program + ROM + break-in status (the runner
+    stamps the node's outputs into ``execution.node_outputs``)."""
 
     def __init__(self, node_id: int, program: NodeProgram, n: int) -> None:
         self.node_id = node_id
         self.program = program
         self.rom = Rom()
         self.broken = False
-        self.outputs: list[tuple[int, Any]] = []  # (round, entry)
         self.pending_inbox: list[Envelope] = []
         program.bind(node_id, n)
-
-    def record_outputs(self, round_number: int, entries: list[Any]) -> list[tuple[int, Any]]:
-        """Stamp ``entries`` with the round and append them; returns the
-        stamped batch so the runner can mirror it into the execution's
-        per-node output log without re-stamping."""
-        stamped = [(round_number, entry) for entry in entries]
-        self.outputs.extend(stamped)
-        return stamped

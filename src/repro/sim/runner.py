@@ -48,24 +48,28 @@ InputProvider = Callable[[int, RoundInfo], list[Any]]
 
 
 class RunObserver:
-    """Hook interface for watching an execution round by round.
+    """Hook interface for watching an execution round by round: the one
+    way analysis reads a run.
 
-    Observers see each :class:`RoundRecord` the moment it is appended —
-    *during* the run, not after it — which is what lets a monitor
-    fail-fast on the exact round an invariant breaks instead of burning
-    the remaining units (see
+    Live, observers see each round's full :class:`RoundRecord`, envelopes
+    included, the moment the round is recorded — *during* the run, not
+    after it — which is what lets a monitor fail-fast on the exact round
+    an invariant breaks instead of burning the remaining units (see
     :class:`repro.analysis.monitor.RuntimeInvariantMonitor`).  The same
     observer replays a finished execution through :func:`replay`, so a
-    post-hoc check is the live one fed from the transcript.  Observers
-    must treat the execution as read-only; they are analysis, not
-    protocol.
+    post-hoc check is the live one fed from the transcript.  A replay
+    sees what ``execution.records`` kept: a compact run
+    (``compact_records=True``) kept no traffic, so an observer that reads
+    ``record.sent`` or ``record.delivered`` must be attached live to it.
+    Observers must treat the execution as read-only; they are analysis,
+    not protocol.
     """
 
     #: per node, how many of its outputs :meth:`new_outputs` has yielded
     _outputs_seen: list[int] | None = None
 
     def on_round(self, execution: Execution, record: RoundRecord) -> None:
-        """Called after every round's record is appended."""
+        """Called once per round, after ``execution.records`` has it."""
 
     def on_run_end(self, execution: Execution) -> None:
         """Called once after the last round (adversary output included)."""
@@ -119,7 +123,6 @@ class Runner:
         input_provider: InputProvider | None = None,
         *,
         observers: list[RunObserver] | None = None,
-        stream_digest: bool = False,
         compact_records: bool = False,
     ) -> None:
         self.n = len(programs)
@@ -138,20 +141,9 @@ class Runner:
             node_outputs=[[] for _ in range(self.n)],
         )
         self._prev_status: list[bool] = [True] * self.n  # True = "good" last round
-        #: benchmark-sweep recording mode: round records keep counts, not
-        #: envelopes (:class:`CompactRoundRecord`); analyses that read
-        #: ``record.sent`` need the default full records
+        #: ``execution.records`` keeps counts, not envelopes
+        #: (:class:`CompactRoundRecord`); observers still see full records
         self.compact_records = compact_records
-        # incremental canonical digest over the per-round records; with
-        # compact records on it is the only way the round traffic remains
-        # comparable to a full-mode run (see analysis.digest.rounds_digest).
-        # imported lazily: repro.analysis's package init imports this module
-        if stream_digest:
-            from repro.analysis.digest import RoundsDigest
-
-            self._rounds_digest = RoundsDigest()
-        else:
-            self._rounds_digest = None
 
     # -- driver-facing API -----------------------------------------------------
 
@@ -167,8 +159,6 @@ class Runner:
         for round_number in range(total):
             self._run_round(self.schedule.info(round_number))
         self.execution.adversary_output.extend(self.adversary.finish())
-        if self._rounds_digest is not None:
-            self.execution.rounds_digest = self._rounds_digest.hexdigest()
         for observer in self.observers:
             observer.on_run_end(self.execution)
         return self.execution
@@ -182,7 +172,6 @@ class Runner:
         return inputs
 
     def _run_round(self, info: RoundInfo) -> None:
-        compact = self.compact_records
         randomness = self.randomness
         round_number = info.round
 
@@ -207,8 +196,9 @@ class Runner:
             node.program.step(ctx, inbox)
             traffic.extend(ctx.outbox)
             if ctx.outputs:
-                stamped = node.record_outputs(round_number, ctx.outputs)
-                self.execution.node_outputs[node_id].extend(stamped)
+                self.execution.node_outputs[node_id].extend(
+                    [(round_number, entry) for entry in ctx.outputs]
+                )
 
         # 2-3. adversary interaction + delivery
         if info.phase is Phase.SETUP:
@@ -233,7 +223,7 @@ class Runner:
         # faithful by construction: receiver keys are complete, every
         # envelope sits in its receiver's inbox, nothing was added or
         # dropped — so both the sanitation walk and the Definition 4
-        # regroup-and-compare are already decided
+        # multiset comparison are already decided
         provenly_faithful = type(plan) is FaithfulPlan and plan.source is sent
         if not provenly_faithful:
             self._sanitize_plan(plan)
@@ -247,45 +237,34 @@ class Runner:
         operational = self._operational_set(info, broken, unreliable)
         self._log_status_changes(info, broken, operational)
 
-        digesting = self._rounds_digest is not None
-        delivered: Any = None
-        if digesting or not compact:
-            # share the plan's own lists (and, for a complete faithful plan,
-            # the dict itself) instead of re-materializing tuples; holders
-            # must treat records as read-only — which was always the
-            # contract for transcripts
-            if type(plan) is FaithfulPlan:
-                delivered = plan
-            else:
-                delivered = {i: plan.get(i, ()) for i in range(self.n)}
-        if digesting:
-            self._rounds_digest.update(
-                info, sent, delivered, broken, operational, unreliable
-            )
-        if compact:
-            sent_by_channel: dict[str, int] = {}
-            for envelope in sent:
-                channel = envelope.channel
-                sent_by_channel[channel] = sent_by_channel.get(channel, 0) + 1
-            record: Any = CompactRoundRecord(
-                info=info,
-                sent_count=len(sent),
-                delivered_count=sum(map(len, plan.values())),
-                broken=broken,
-                operational=operational,
-                unreliable_links=unreliable,
-                sent_by_channel=sent_by_channel,
-            )
+        # share the plan's own lists (and, for a complete faithful plan,
+        # the dict itself) instead of re-materializing tuples; holders
+        # must treat records as read-only — which was always the contract
+        # for transcripts
+        if type(plan) is FaithfulPlan:
+            delivered: Any = plan
         else:
-            record = RoundRecord(
+            delivered = {i: plan.get(i, ()) for i in range(self.n)}
+        record = RoundRecord(
+            info=info,
+            sent=sent,
+            delivered=delivered,
+            broken=broken,
+            operational=operational,
+            unreliable_links=unreliable,
+        )
+        if self.compact_records:
+            self.execution.records.append(CompactRoundRecord(
                 info=info,
-                sent=sent,
-                delivered=delivered,
+                sent_count=record.sent_count,
+                delivered_count=record.delivered_count,
                 broken=broken,
                 operational=operational,
                 unreliable_links=unreliable,
-            )
-        self.execution.records.append(record)
+                sent_by_channel=record.sent_by_channel,
+            ))
+        else:
+            self.execution.records.append(record)
         for observer in self.observers:
             observer.on_round(self.execution, record)
 
@@ -320,22 +299,15 @@ class Runner:
         by content (an injected equal *copy* is still a faithful
         delivery) — Counter-based, with the legacy remove-one-by-one
         comparison for unhashable payloads, so adversaries are free to
-        inject arbitrary garbage.
+        inject arbitrary garbage.  A ``provenly_faithful`` plan skips the
+        comparison: only the broken-endpoint links are unreliable.
         """
         links_broken: set[frozenset[int]] = set()
         for i in broken:
             for j in range(self.n):
                 if j != i:
                     links_broken.add(frozenset((i, j)))
-
-        # Fast path: when the plan is, receiver by receiver, exactly the
-        # faithful regrouping of the sent traffic (list equality hits the
-        # identity shortcut element-wise, since faithful plans pass the
-        # very same envelope objects through), every direction's sent and
-        # delivered multisets match and the only unreliable links are the
-        # broken-endpoint ones.  Any mismatch falls through to the full
-        # per-direction accounting below.
-        if provenly_faithful or self._plan_is_faithful(traffic, plan):
+        if provenly_faithful:
             return frozenset(links_broken)
 
         # per direction: envelope-object id counts (the traffic tuple and
@@ -402,36 +374,6 @@ class Runner:
                 if not _same_multiset(sent_side, delivered_side):
                     unreliable.add(link)
         return frozenset(unreliable)
-
-    @staticmethod
-    def _plan_is_faithful(
-        traffic: tuple[Envelope, ...], plan: dict[int, list[Envelope]]
-    ) -> bool:
-        """Whether ``plan`` delivers exactly the sent traffic, in order.
-
-        Content equality (not identity) per receiver list: an adversary
-        that replaces an envelope with an equal copy still delivers
-        faithfully under Definition 4.  Receivers in the plan that never
-        appear in the traffic must have empty inboxes, and every receiver
-        with traffic must appear — otherwise this is not a faithful round.
-        """
-        regrouped: dict[int, list[Envelope]] = {}
-        for envelope in traffic:
-            inbox = regrouped.get(envelope.receiver)
-            if inbox is None:
-                inbox = regrouped[envelope.receiver] = []
-            inbox.append(envelope)
-        matched = 0
-        for receiver, envelopes in plan.items():
-            expected = regrouped.get(receiver)
-            if expected is None:
-                if envelopes:
-                    return False
-                continue
-            if envelopes != expected:
-                return False
-            matched += 1
-        return matched == len(regrouped)
 
     # -- model-specific hooks ------------------------------------------------------
 
@@ -524,12 +466,10 @@ class ULRunner(Runner):
         input_provider: InputProvider | None = None,
         *,
         observers: list[RunObserver] | None = None,
-        stream_digest: bool = False,
         compact_records: bool = False,
     ) -> None:
         super().__init__(programs, adversary, schedule, seed, input_provider,
-                         observers=observers, stream_digest=stream_digest,
-                         compact_records=compact_records)
+                         observers=observers, compact_records=compact_records)
         self.s = s
         self.tracker = ConnectivityTracker(self.n, s)
 

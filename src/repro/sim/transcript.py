@@ -65,13 +65,13 @@ class RoundRecord:
 class CompactRoundRecord:
     """A round record that keeps counts instead of envelopes.
 
-    Produced by ``Runner(compact_records=True)`` (benchmark-sweep mode):
-    the status fields analyses need (broken / operational /
-    unreliable links, and the traffic *volumes*) survive, while the
-    envelopes themselves are dropped the moment the round ends.  Runs in
-    this mode remain comparable to full-mode runs through the streaming
-    :class:`~repro.analysis.digest.RoundsDigest`
-    (``Runner(stream_digest=True)``).
+    What ``Runner(compact_records=True)`` keeps of each round's
+    :class:`RoundRecord` (benchmark-sweep mode): the status fields
+    (broken / operational / unreliable links) and the traffic *volumes*
+    survive, while the envelopes are dropped once the round's observers
+    have seen them.  A reader of traffic — such as
+    :class:`~repro.analysis.digest.RoundsDigest`, which keeps a compact
+    run digest-comparable to a full one — is attached live.
     """
 
     info: RoundInfo
@@ -82,7 +82,7 @@ class CompactRoundRecord:
     unreliable_links: frozenset[frozenset[int]]
     #: envelope counts per channel — the message-volume benchmarks read
     #: traffic composition without keeping the envelopes themselves
-    sent_by_channel: dict[str, int] = field(default_factory=dict)
+    sent_by_channel: dict[str, int]
 
 
 @dataclass
@@ -98,9 +98,6 @@ class Execution:
     node_outputs: list[list[tuple[int, Any]]] = field(default_factory=list)
     adversary_output: list[Any] = field(default_factory=list)
     system_log: list[tuple[int, int, str]] = field(default_factory=list)  # (round, node, event)
-    # set by Runner(stream_digest=True): the streaming per-round canonical
-    # digest (see repro.analysis.digest.RoundsDigest)
-    rounds_digest: str | None = None
 
     # -- views ---------------------------------------------------------------
 

@@ -201,7 +201,7 @@ def test_delivery_timing_is_two_delays():
     assert host.delivered  # delivered during the run
     # deliveries happen at start + 2*delay = round 4
     execution_outputs = [
-        (r, e) for r, e in runner.nodes[1].outputs if e[0] == "ebc"
+        (r, e) for r, e in runner.execution.node_outputs[1] if e[0] == "ebc"
     ]
     assert execution_outputs[0][0] == 2 + 2 * host.transport.delay
 

@@ -56,4 +56,4 @@ def test_every_disperse_envelope_is_read():
     assert len(sent) == 1780
     assert None not in frames
     assert any(frame[2] == BROADCAST for frame in frames)
-    assert classify_execution(execution, public, SCHEME, key_histories(programs), T).good
+    assert classify_execution(execution, public, SCHEME, key_histories(programs)).good

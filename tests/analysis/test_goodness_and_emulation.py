@@ -33,7 +33,7 @@ def run(adversary=None, units=2, sign_plan=None, seed=4):
 
 def test_benign_execution_is_good():
     execution, programs, histories, public = run()
-    report = classify_execution(execution, public, SCHEME, histories, T)
+    report = classify_execution(execution, public, SCHEME, histories)
     assert report.good
     assert report.classification == "GOOD"
 
@@ -42,7 +42,7 @@ def test_mobile_breakins_still_good():
     execution, programs, histories, public = run(
         adversary=FaultInjectionAdversary(breakins(SCHED, {0: {0, 1}})), units=2
     )
-    report = classify_execution(execution, public, SCHEME, histories, T)
+    report = classify_execution(execution, public, SCHEME, histories)
     assert report.good
 
 
@@ -54,7 +54,7 @@ def test_cutoff_with_impersonation_is_not_misclassified():
     impersonator = UlsImpersonator(victim=4)
     adversary = CutOffAdversary(victim=4, break_unit=1, impersonator=impersonator)
     execution, programs, histories, public = run(adversary=adversary, units=3)
-    report = classify_execution(execution, public, SCHEME, histories, T)
+    report = classify_execution(execution, public, SCHEME, histories)
     assert impersonator.attempts  # the attack really ran
     assert report.forged == []
     # BAD1 requires an *operational* node with phi keys; the cut-off victim
@@ -121,7 +121,7 @@ def test_goodness_detects_planted_forgery():
     )
     execution.records[6] = patched
     certified = {i: dict(p.keystore.key_reprs) for i, p in enumerate(programs)}
-    report = classify_execution(execution, public, SCHEME, histories, T,
+    report = classify_execution(execution, public, SCHEME, histories,
                                 certified_keys=certified)
     assert not report.good
     assert report.classification == "BAD3"
@@ -170,7 +170,7 @@ def test_goodness_detects_rogue_key_as_bad2():
         target_record,
         delivered={**target_record.delivered, 0: tuple(target_record.delivered[0]) + (env,)},
     )
-    report = classify_execution(execution, public, SCHEME, histories, T)
+    report = classify_execution(execution, public, SCHEME, histories)
     assert report.classification == "BAD2"
 
 
@@ -191,7 +191,7 @@ class DisperseBodySender(FaultInjectionAdversary):
 
 def classification_under(body):
     execution, programs, histories, public = run(adversary=DisperseBodySender(body))
-    return classify_execution(execution, public, SCHEME, histories, T).classification
+    return classify_execution(execution, public, SCHEME, histories).classification
 
 
 @pytest.mark.parametrize("body", [

@@ -72,7 +72,7 @@ def test_fuzzed_composite_adversaries_stay_good(seed, wire):
 
     histories = {i: dict(p.keystore.history) for i, p in enumerate(programs)}
     certified = {i: dict(p.keystore.key_reprs) for i, p in enumerate(programs)}
-    goodness = classify_execution(execution, public, SCHEME, histories, T,
+    goodness = classify_execution(execution, public, SCHEME, histories,
                                   certified_keys=certified)
     assert goodness.classification == "GOOD", goodness.forged or goodness.bad1_failures
 

@@ -3,15 +3,17 @@ fallback, compact records, bounded DISPERSE bookkeeping, and the
 faithful-plan proofs.
 
 A chaos run whose delivery plans carry no faithfulness provenance goes
-through the plan sanitation and :meth:`Runner._plan_is_faithful`, and
-must digest identically to the same run on the fast path.  Compact
-records intentionally drop the envelopes, so their parity claim goes
-through the streaming :class:`~repro.analysis.digest.RoundsDigest`.
+through the plan sanitation and the multiset comparison of
+:meth:`Runner._unreliable_links`, and must digest identically to the
+same run on the fast path.  Compact records intentionally drop the
+envelopes, so their parity claim goes through a
+:class:`~repro.analysis.digest.RoundsDigest` observer, which sees the
+full records.
 The committed per-seed digests of ``tests/test_golden_digests.py`` pin
 the rest of the floor.
 """
 
-from repro.analysis.digest import rounds_digest, transcript_digest
+from repro.analysis.digest import RoundsDigest, rounds_digest, transcript_digest
 from repro.core.disperse import DisperseService
 from repro.faults import FaultInjectionAdversary, FaultPlan
 from repro.sim.adversary_api import FaithfulPlan, faithful_delivery
@@ -42,11 +44,11 @@ class Chatter(NodeProgram):
             self.disperse.send(ctx, target, ("probe", self.node_id, ctx.info.round))
 
 
-def _run(seed=3, *, units=UNITS, stream_digest=False, compact_records=False):
+def _run(seed=3, *, units=UNITS, observers=None, compact_records=False):
     plan = FaultPlan.generate(seed=seed, n=N, t=T, schedule=SCHED, units=units)
     programs = [Chatter() for _ in range(N)]
     runner = ULRunner(programs, FaultInjectionAdversary(plan), SCHED,
-                      s=T, seed=seed, stream_digest=stream_digest,
+                      s=T, seed=seed, observers=observers,
                       compact_records=compact_records)
     execution = runner.run(units=units)
     return execution, programs
@@ -66,14 +68,16 @@ def test_floor_layer_neutral_across_seeds(perf, monkeypatch):
 # ------------------------------------------------------ compact records
 
 def test_compact_records_keep_rounds_digest_parity(perf):
-    full, _ = _run(stream_digest=True)
+    live = RoundsDigest()
+    full, _ = _run(observers=[live])
     expected = rounds_digest(full)
-    # streaming digest over full records equals the post-hoc one
-    assert full.rounds_digest == expected
+    # the live digest over full records equals its replay
+    assert live.hexdigest() == expected
     assert all(isinstance(record, RoundRecord) for record in full.records)
 
-    compact, _ = _run(stream_digest=True, compact_records=True)
-    assert compact.rounds_digest == expected
+    live = RoundsDigest()
+    compact, _ = _run(observers=[live], compact_records=True)
+    assert live.hexdigest() == expected
     assert all(isinstance(record, CompactRoundRecord) for record in compact.records)
     # count-level views survive compaction
     assert compact.messages_sent() == full.messages_sent()
@@ -119,36 +123,44 @@ def test_faithful_plan_pickle_roundtrip_drops_marker():
     assert clone == {0: [], 1: list(traffic)}
 
 
-# ------------------------------------------- _plan_is_faithful edges
+# ------------------------------------- Definition 4 accounting edges
 
 def _env(sender, receiver, payload="x", round_sent=1):
     return Envelope(sender, receiver, "c", payload, round_sent)
 
 
-def test_plan_is_faithful_accepts_equal_copy_substitution():
+def _unreliable(traffic, plan, n=4):
+    """The unreliable links of a round with no broken node, the plan
+    carrying no faithfulness provenance."""
+    runner = object.__new__(ULRunner)
+    runner.n = n
+    return Runner._unreliable_links(runner, traffic, plan, frozenset())
+
+
+def test_unreliable_links_accept_equal_copy_substitution():
     original = _env(0, 1)
     copy = _env(0, 1)  # distinct object, equal content
     assert copy is not original
-    assert Runner._plan_is_faithful((original,), {0: [], 1: [copy], 2: []})
+    assert _unreliable((original,), {0: [], 1: [copy], 2: []}) == frozenset()
 
 
-def test_plan_is_faithful_rejects_receiver_missing_from_plan():
+def test_unreliable_links_flag_receiver_missing_from_plan():
     # traffic for node 1 but the plan has no inbox for it at all
-    assert not Runner._plan_is_faithful((_env(0, 1),), {0: [], 2: []})
+    assert _unreliable((_env(0, 1),), {0: [], 2: []}) == {frozenset({0, 1})}
 
 
-def test_plan_is_faithful_rejects_extra_traffic_in_plan():
+def test_unreliable_links_flag_extra_traffic_in_plan():
     sent = _env(0, 1)
     injected = _env(0, 2)
-    assert not Runner._plan_is_faithful((sent,), {1: [sent], 2: [injected]})
+    assert _unreliable((sent,), {1: [sent], 2: [injected]}) == {frozenset({0, 2})}
 
 
-def test_plan_is_faithful_allows_empty_inbox_receivers():
+def test_unreliable_links_allow_empty_inbox_receivers():
     sent = _env(0, 1)
-    assert Runner._plan_is_faithful((sent,), {0: [], 1: [sent], 2: [], 3: []})
+    assert _unreliable((sent,), {0: [], 1: [sent], 2: [], 3: []}) == frozenset()
     # a plan-only receiver with an empty inbox is fine; a non-empty one is not
-    assert not Runner._plan_is_faithful((), {0: [_env(1, 0)]})
-    assert Runner._plan_is_faithful((), {0: [], 1: []})
+    assert _unreliable((), {0: [_env(1, 0)]}) == {frozenset({0, 1})}
+    assert _unreliable((), {0: [], 1: []}) == frozenset()
 
 
 # --------------------------------------- Envelope hashing fallback
@@ -172,17 +184,10 @@ def test_unreliable_links_fall_back_on_unhashable_payloads(perf):
     """A direction carrying unhashable payloads goes through the legacy
     multiset comparison and still classifies drops correctly."""
 
-    class Dropper:
-        pass
-
-    runner = object.__new__(ULRunner)
-    runner.n = 3
-
     sent_ok = _env(0, 1, payload=["unhashable"])
     sent_dropped = _env(1, 2, payload=["also-unhashable"], round_sent=1)
     traffic = (sent_ok, sent_dropped)
     # equal-content copy delivered on 0->1 (id-counts differ, content equal);
     # 1->2 dropped entirely
     plan = {0: [], 1: [_env(0, 1, payload=["unhashable"])], 2: []}
-    unreliable = Runner._unreliable_links(runner, traffic, plan, frozenset())
-    assert unreliable == frozenset({frozenset({1, 2})})
+    assert _unreliable(traffic, plan, n=3) == frozenset({frozenset({1, 2})})
