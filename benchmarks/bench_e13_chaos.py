@@ -11,19 +11,19 @@ them over both protocol layers:
   probes with one retransmission), and
 * the full ULS with certificate retransmission and the grace window.
 
-Every run carries a ``RuntimeInvariantMonitor`` in fail-fast mode, so a
-violation aborts the run at the exact offending round; the post-hoc
-checker and the Definition 7 audit are replayed as a cross-check.  A
-deliberately limit-breaking ``burst`` plan must trip the monitor at its
-first round, and identical seed + plan must reproduce the transcript
-bit-for-bit.
+Every run carries its verdict (:mod:`repro.analysis.verdict`) live and
+fail-fast, so a violation of I1–I3 or Definition 7 aborts the run at the
+exact offending round, and every run that finishes must have a clean
+verdict, GOOD classification included on the ULS.  A deliberately
+limit-breaking ``burst`` plan must trip the verdict at its first round,
+and identical seed + plan must reproduce the transcript bit-for-bit.
+(E16 times the same runs without a verdict.)
 """
 
 import pytest
 
-from repro.adversary.limits import audit_st_limited
-from repro.analysis.emulation import check_emulation_invariants
-from repro.analysis.monitor import InvariantViolationError, RuntimeInvariantMonitor
+from repro.analysis.monitor import InvariantViolationError
+from repro.analysis.verdict import Verdict
 from repro.core.disperse import DisperseService
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.faults import FaultInjectionAdversary, FaultPlan, burst
@@ -32,7 +32,7 @@ from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext, NodeProgram
 from repro.sim.runner import ULRunner
 
-from common import GROUP, SCHEME, emit, format_table, table_data
+from common import GROUP, SCHEME, emit, format_table, judged_run, table_data
 
 N, T = 5, 2
 UNITS = 3
@@ -60,29 +60,20 @@ class ChaosChatter(NodeProgram):
             self.disperse.send(ctx, target, ("probe", self.node_id, ctx.info.round))
 
 
-def run_disperse_chaos(seed: int, monitor: RuntimeInvariantMonitor | None = None):
+def disperse_chaos(seed: int) -> ULRunner:
+    """The runner of a seeded fault plan over DISPERSE chatter."""
     plan = FaultPlan.generate(seed=seed, n=N, t=T, schedule=DISP_SCHED, units=UNITS)
     programs = [ChaosChatter() for _ in range(N)]
-    monitor = monitor or RuntimeInvariantMonitor(T, fail_fast=True)
-    runner = ULRunner(programs, FaultInjectionAdversary(plan), DISP_SCHED,
-                      s=T, seed=seed, observers=[monitor])
-    execution = runner.run(units=UNITS)
-    return plan, execution, programs, monitor
+    return ULRunner(programs, FaultInjectionAdversary(plan), DISP_SCHED, s=T, seed=seed)
 
 
-def run_uls_chaos(seed: int):
+def uls_chaos(seed: int) -> ULRunner:
+    """The runner of a seeded fault plan over the full ULS."""
     plan = FaultPlan.generate(seed=seed, n=N, t=T, schedule=ULS_SCHED, units=UNITS)
-    public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=seed)
-    programs = [
-        UlsProgram(states[i], SCHEME, keys[i],
-                   cert_retransmit=1, cert_grace_rounds=1)
-        for i in range(N)
-    ]
-    monitor = RuntimeInvariantMonitor(T, fail_fast=True)
-    runner = ULRunner(programs, FaultInjectionAdversary(plan), ULS_SCHED,
-                      s=T, seed=seed, observers=[monitor])
-    execution = runner.run(units=UNITS)
-    return plan, execution, programs, monitor
+    _, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=seed)
+    programs = [UlsProgram(states[i], SCHEME, keys[i], cert_retransmit=1, cert_grace_rounds=1)
+                for i in range(N)]
+    return ULRunner(programs, FaultInjectionAdversary(plan), ULS_SCHED, s=T, seed=seed)
 
 
 def transcript(execution, programs) -> tuple:
@@ -97,39 +88,35 @@ def transcript(execution, programs) -> tuple:
 def sweep():
     rows = []
     for seed in DISPERSE_SEEDS:
-        plan, execution, programs, monitor = run_disperse_chaos(seed)
-        post_hoc = check_emulation_invariants(execution, T)
-        audit = audit_st_limited(execution, T)
-        assert monitor.ok, (seed, monitor.violation_tuples())
-        assert post_hoc.ok, (seed, post_hoc.violations)
-        assert audit.within_limits, (seed, audit.violations)
-        delivered = sum(len(p.delivered) for p in programs)
-        rows.append(("disperse", seed, plan.fault_count(), delivered, "-",
-                     len(monitor.violation_tuples())))
+        runner = disperse_chaos(seed)
+        report = judged_run(runner, T, UNITS, fail_fast=True)[1]
+        assert report.clean, (seed, report.problems())
+        delivered = sum(len(node.program.delivered) for node in runner.nodes)
+        rows.append(("disperse", seed, runner.adversary.plan.fault_count(), delivered, "-",
+                     len(report.violations), "-", "yes"))
     for seed in ULS_SEEDS:
-        plan, execution, programs, monitor = run_uls_chaos(seed)
-        post_hoc = check_emulation_invariants(execution, T)
-        audit = audit_st_limited(execution, T)
-        assert monitor.ok, (seed, monitor.violation_tuples())
-        assert post_hoc.ok, (seed, post_hoc.violations)
-        assert audit.within_limits, (seed, audit.violations)
-        ok_units = sum(
-            1 for p in programs for _, status in p.keystore.history if status == "ok")
+        runner = uls_chaos(seed)
+        report = judged_run(runner, T, UNITS, fail_fast=True)[1]
+        assert report.clean, (seed, report.problems())
+        programs = [node.program for node in runner.nodes]
+        ok_units = sum(1 for p in programs for _, status in p.keystore.history if status == "ok")
         degraded = sum(len(p.core.degraded_log) for p in programs)
-        rows.append(("uls", seed, plan.fault_count(), ok_units, degraded, 0))
+        rows.append(("uls", seed, runner.adversary.plan.fault_count(), ok_units, degraded,
+                     len(report.violations), report.classification, "yes"))
     return rows
 
 
 def test_e13_chaos_sweep_holds_the_invariants(sweep, benchmark):
     assert len(sweep) >= 50  # the acceptance floor: >= 50 seeded plans
     assert all(row[5] == 0 for row in sweep)
-    headers = ["protocol", "seed", "faults", "delivered/ok-units", "degraded", "violations"]
+    headers = ["protocol", "seed", "faults", "delivered/ok-units", "degraded", "violations",
+               "classification", "clean verdict"]
     emit("e13_chaos", format_table(
         "E13  chaos sweep: seeded (s,t)-limited fault plans vs. invariants I1-I3",
         headers,
         sweep,
     ), data=table_data(headers, sweep))
-    benchmark(lambda: run_disperse_chaos(7))
+    benchmark(lambda: disperse_chaos(7).run(units=UNITS))
 
 
 def test_identical_seed_and_plan_reproduce_the_transcript():
@@ -152,9 +139,8 @@ def test_broken_plan_trips_the_monitor_at_the_exact_round():
     plan = burst(99, victims=[0, 1, 2], peers=range(N),
                  first_round=first, last_round=first + 3)
     programs = [ChaosChatter() for _ in range(N)]
-    monitor = RuntimeInvariantMonitor(T, fail_fast=True)
     runner = ULRunner(programs, FaultInjectionAdversary(plan), DISP_SCHED,
-                      s=T, seed=0, observers=[monitor])
+                      s=T, seed=0, observers=[Verdict(T, programs)])
     with pytest.raises(InvariantViolationError) as excinfo:
         runner.run(units=UNITS)
     violation = excinfo.value.violation

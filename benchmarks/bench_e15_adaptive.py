@@ -9,10 +9,11 @@ Two claims are measured:
 
 1. **The guard holds.**  With requests projected through the online
    ``StBudgetGuard``, every campaign's escalation ladder — up to full
-   aggressiveness — runs violation-free, the post-hoc Definition 7 audit
-   passes on every probe, and the safety margin is established.  This is
-   the adaptive sharpening of Theorem 14's robustness reading: the
-   invariants survive not just any (s,t)-limited schedule, but an
+   aggressiveness — runs with a clean verdict at every probe (I1–I3,
+   Definition 7, GOOD classification and every signature; see
+   :mod:`repro.analysis.verdict`), and the safety margin is established.
+   This is the adaptive sharpening of Theorem 14's robustness reading:
+   the invariants survive not just any (s,t)-limited schedule, but an
    (s,t)-limited *adaptive* one.
 2. **Unguarded, there is a frontier.**  The same strategies with the
    guard off violate L1 once they want more than ``t`` victims; the
@@ -20,8 +21,9 @@ Two claims are measured:
    over-budget pressure the protocol absorbs before Definition 7 stops
    applying.
 
-Every guarded probe also carries a ``RecoverySloObserver``: the emitted
-``BENCH_E15.json`` records per-strategy frontier knobs, the SLO
+Every probe carries its verdict live and fail-fast, and every guarded
+probe a ``RecoverySloObserver``: the emitted ``BENCH_E15.json`` records
+each probe's verdict summary, per-strategy frontier knobs, the SLO
 distributions (time-to-recovery, signing availability) and the
 determinism replay (same campaign seed ⇒ identical per-probe transcript
 digests).  ``BENCH_SMOKE=1`` runs a reduced sweep for CI.
@@ -31,9 +33,8 @@ import os
 
 import pytest
 
-from repro.adversary.limits import audit_st_limited
-from repro.analysis.monitor import RuntimeInvariantMonitor
 from repro.analysis.slo import RecoverySloObserver
+from repro.analysis.verdict import Verdict
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.faults import (
     AdaptiveAdversary,
@@ -75,20 +76,17 @@ class Chatter(NodeProgram):
 
 def build_uls_probe(strategy_name: str, n: int, t: int, seed: int,
                     aggressiveness: float, *, guarded: bool = True) -> Probe:
-    """A full-ULS probe with per-unit sign traffic, SLO telemetry and a
-    post-hoc Definition 7 audit in its extras."""
+    """A full-ULS probe with per-unit sign traffic, and SLO telemetry and
+    the verdict's Definition 7 reading in its extras."""
     adversary = AdaptiveAdversary(make_strategy(strategy_name), t, seed=seed,
                                   guarded=guarded, aggressiveness=aggressiveness)
-    monitor = RuntimeInvariantMonitor(t, fail_fast=True)
     slo = RecoverySloObserver()
-    public, states, keys = build_uls_states(GROUP, SCHEME, n, t, seed=seed)
-    programs = [
-        UlsProgram(states[i], SCHEME, keys[i],
-                   cert_retransmit=1, cert_grace_rounds=1)
-        for i in range(n)
-    ]
+    _, states, keys = build_uls_states(GROUP, SCHEME, n, t, seed=seed)
+    programs = [UlsProgram(states[i], SCHEME, keys[i], cert_retransmit=1, cert_grace_rounds=1)
+                for i in range(n)]
+    verdict = Verdict(t, programs)
     runner = ULRunner(programs, adversary, ULS_SCHED, s=t, seed=seed,
-                      observers=[adversary.lens, monitor, slo])
+                      observers=[adversary.lens, verdict, slo])
     # one sign request per node per unit: DISPERSE relay traffic for the
     # traffic-targeter to read, signing availability for the SLO to score
     for unit in range(1, UNITS):
@@ -96,13 +94,8 @@ def build_uls_probe(strategy_name: str, n: int, t: int, seed: int,
         for i in range(n):
             runner.add_external_input(i, sign_round, ("sign", f"msg-u{unit}"))
 
-    def extras(execution):
-        return {
-            "slo": slo.report(),
-            "st_audit_ok": audit_st_limited(execution, t).within_limits,
-        }
-
-    return Probe(runner=runner, units=UNITS, monitor=monitor, extras=extras)
+    return Probe(runner=runner, units=UNITS, verdict=verdict, extras=lambda execution: {
+        "slo": slo.report(), "st_audit_ok": verdict.report(execution).within_model})
 
 
 def build_echo_probe(strategy_name: str, n: int, t: int, seed: int,
@@ -115,10 +108,11 @@ def build_echo_probe(strategy_name: str, n: int, t: int, seed: int,
                 else make_strategy(strategy_name))
     adversary = AdaptiveAdversary(strategy, t, seed=seed, guarded=guarded,
                                   aggressiveness=aggressiveness)
-    monitor = RuntimeInvariantMonitor(t, fail_fast=True)
-    runner = ULRunner([Chatter() for _ in range(n)], adversary, ECHO_SCHED,
-                      s=t, seed=seed, observers=[adversary.lens, monitor])
-    return Probe(runner=runner, units=UNITS, monitor=monitor)
+    programs = [Chatter() for _ in range(n)]
+    verdict = Verdict(t, programs)
+    runner = ULRunner(programs, adversary, ECHO_SCHED,
+                      s=t, seed=seed, observers=[adversary.lens, verdict])
+    return Probe(runner=runner, units=UNITS, verdict=verdict)
 
 
 @pytest.fixture(scope="module")
@@ -178,14 +172,12 @@ def test_e15_guarded_campaigns_establish_the_margin(guarded_campaigns,
                          for name in STRATEGIES}
     for campaign in guarded_campaigns:
         result = campaign["result"]
-        # zero invariant violations at every knob, guard margin certified
+        # a clean verdict at every knob, guard margin certified
         assert result.margin_established, result.as_dict()
         assert result.first_violation is None
-        # every probe passes the post-hoc Definition 7 audit
         for probe in result.probes:
-            assert probe.ok and probe.digest, result.campaign_id
-            assert probe.extras["st_audit_ok"], (result.campaign_id,
-                                                 probe.aggressiveness)
+            assert probe.ok and probe.digest, (result.campaign_id, probe.aggressiveness,
+                                               probe.verdict)
         dist = slo_distributions[campaign["strategy"]]
         top = result.probes[-1]  # the full-aggressiveness probe
         dist["ttr_units_max"].append(top.extras["slo"]["ttr_units_max"])

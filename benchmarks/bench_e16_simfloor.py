@@ -14,8 +14,9 @@ measures that floor directly:
   crypto-bound for tens of minutes even sparse, which is why the floor
   benchmark isolates E8's n = 49 *message pattern* instead;
 * **the E13 chaos workloads** (DISPERSE chatter and full ULS under
-  seeded fault plans), each point aggregating several seeds so the
-  timing is not dominated by per-run noise;
+  seeded fault plans), run without E13's verdict and each point
+  aggregating several seeds so the timing is not dominated by per-run
+  noise;
 * **a real E8 sparse-relay refresh at n = 13**, showing the floor in a
   crypto-bearing experiment.
 
@@ -67,7 +68,7 @@ from repro.sim.node import NodeContext, NodeProgram
 from repro.sim.runner import ULRunner
 
 from common import build_uls_network, emit_json, format_table, transcript_digest
-from bench_e13_chaos import run_disperse_chaos, run_uls_chaos
+from bench_e13_chaos import UNITS as CHAOS_UNITS, disperse_chaos, uls_chaos
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 
@@ -144,8 +145,8 @@ def run_point(point):
     if kind == "flood":
         return [run_flood(param)]
     if kind == "chaos":
-        runs = {"disperse": run_disperse_chaos, "uls": run_uls_chaos}[param]
-        return [runs(seed)[1] for seed in CHAOS_SEEDS[param]]
+        chaos = {"disperse": disperse_chaos, "uls": uls_chaos}[param]
+        return [chaos(seed).run(units=CHAOS_UNITS) for seed in CHAOS_SEEDS[param]]
     if kind == "e8":
         return [_run_e8(param)]
     raise ValueError(f"unknown sweep point kind {kind!r}")

@@ -10,6 +10,10 @@ Two attack flavors against Λ(π), bracketing what the paper promises:
   impersonation *succeeds* — and the victim still alerts in every such
   unit.  Awareness recall must be 1.0 in both; benign runs provide the
   false-alert control (must be 0).
+
+Every run's verdict (:mod:`repro.analysis.verdict`) must be clean: the
+forged messages counted are its Definition 10 impersonations, each of a
+node not operational through the unit that alerted in it.
 """
 
 import pytest
@@ -18,14 +22,13 @@ from repro.adversary.impersonation import FreshKeyImpersonationAdversary, UlsImp
 from repro.adversary.strategies import CutOffAdversary
 from repro.core.authenticator import compile_protocol
 from repro.core.uls import build_uls_states, uls_schedule
-from repro.core.views import impersonations
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.clock import Phase
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext, NodeProgram
 from repro.sim.runner import ULRunner
 
-from common import GROUP, SCHEME, emit, format_table
+from common import GROUP, SCHEME, emit, format_table, judged_run
 
 N, T = 5, 2
 UNITS = 4
@@ -39,40 +42,33 @@ class ChatterProtocol(NodeProgram):
             ctx.broadcast("chat", ("hello", self.node_id, ctx.info.round))
 
 
-def run_attack(victim: int, seed: int):
-    public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=seed)
+def run_judged(adversary, seed: int, victim: int = 0, cut_units=()):
+    """A Λ(chatter) run against ``adversary``: the units of ``cut_units``
+    in which ``victim`` alerted, the messages its verdict counts as forged
+    in the victim's name in them, and the verdict report."""
+    _, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=seed)
     programs = compile_protocol([ChatterProtocol() for _ in range(N)], states, SCHEME, keys)
+    runner = ULRunner(programs, adversary, uls_schedule(), s=T, seed=seed)
+    execution, report = judged_run(runner, T, UNITS)
+    alerted = sum(1 for u in cut_units if execution.alerts_in_unit(victim, u) >= 1)
+    forged = sum(item.forged for item in report.impersonations
+                 if item.node == victim and item.unit in cut_units)
+    return alerted, forged, report
+
+
+def run_attack(victim: int, seed: int):
     impersonator = UlsImpersonator(victim=victim)
     adversary = CutOffAdversary(victim=victim, break_unit=1, impersonator=impersonator)
-    runner = ULRunner(programs, adversary, uls_schedule(), s=T, seed=seed)
-    execution = runner.run(units=UNITS)
-    cut_units = list(range(2, UNITS))  # fully cut-off units
-    alerted = sum(1 for u in cut_units if execution.alerts_in_unit(victim, u) >= 1)
-    forged = sum(len(impersonations(execution, victim, u)) for u in cut_units)
-    return len(cut_units), alerted, forged, len(impersonator.attempts)
+    cut_units = range(2, UNITS)  # fully cut-off units
+    alerted, forged, report = run_judged(adversary, seed, victim, cut_units)
+    return len(cut_units), alerted, forged, len(impersonator.attempts), report
 
 
 def run_fresh_key_attack(victim: int, seed: int):
-    public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=seed)
-    programs = compile_protocol([ChatterProtocol() for _ in range(N)], states, SCHEME, keys)
     adversary = FreshKeyImpersonationAdversary(victim=victim, scheme=SCHEME, from_unit=1)
-    runner = ULRunner(programs, adversary, uls_schedule(), s=T, seed=seed)
-    execution = runner.run(units=UNITS)
-    cut_units = list(range(1, UNITS))
-    alerted = sum(1 for u in cut_units if execution.alerts_in_unit(victim, u) >= 1)
-    forged = sum(len(impersonations(execution, victim, u)) for u in cut_units)
-    return len(cut_units), alerted, forged, adversary.forgeries_injected
-
-
-def run_benign(seed: int):
-    public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=seed)
-    programs = compile_protocol([ChatterProtocol() for _ in range(N)], states, SCHEME, keys)
-    runner = ULRunner(programs, PassiveAdversary(), uls_schedule(), s=T, seed=seed)
-    execution = runner.run(units=UNITS)
-    false_alerts = sum(
-        execution.alerts_in_unit(i, u) for i in range(N) for u in range(UNITS)
-    )
-    return false_alerts
+    cut_units = range(1, UNITS)
+    alerted, forged, report = run_judged(adversary, seed, victim, cut_units)
+    return len(cut_units), alerted, forged, adversary.forgeries_injected, report
 
 
 @pytest.fixture(scope="module")
@@ -81,28 +77,35 @@ def table():
     total_cut = total_alerted = total_forged = 0
     for victim in range(N):
         for seed in (0, 1):
-            cut, alerted, forged, attempts = run_attack(victim, seed)
+            cut, alerted, forged, attempts, report = run_attack(victim, seed)
             total_cut += cut
             total_alerted += alerted
             total_forged += forged
-            rows.append(("stolen-key", victim, seed, cut, alerted, forged, attempts))
+            rows.append(("stolen-key", victim, seed, cut, alerted, forged, attempts,
+                         int(report.clean)))
             assert attempts > 0
+            assert report.clean, (victim, seed, report.problems())
     assert total_alerted == total_cut, "awareness recall must be 1.0"
     assert total_forged == 0, "stolen keys must expire at the refresh"
 
     fresh_cut = fresh_alerted = 0
     for victim in (0, 2, 4):
-        cut, alerted, forged, attempts = run_fresh_key_attack(victim, seed=1)
+        cut, alerted, forged, attempts, report = run_fresh_key_attack(victim, seed=1)
         fresh_cut += cut
         fresh_alerted += alerted
-        rows.append(("fresh-key", victim, 1, cut, alerted, forged, attempts))
+        rows.append(("fresh-key", victim, 1, cut, alerted, forged, attempts,
+                     int(report.clean)))
         assert forged > 0, "the inevitable impersonation must succeed"
+        assert report.clean, (victim, report.problems())
     assert fresh_alerted == fresh_cut, "awareness recall must be 1.0 even when " \
                                        "impersonation succeeds"
 
-    false_alerts = sum(run_benign(seed) for seed in (0, 1))
-    rows.append(("benign", "-", "0-1", 0, false_alerts, 0, 0))
+    benign = [run_judged(PassiveAdversary(), seed)[2] for seed in (0, 1)]
+    false_alerts = sum(len(nodes) for report in benign for nodes in report.alerting_nodes.values())
+    clean = sum(report.clean for report in benign)
+    rows.append(("benign", "-", "0-1", 0, false_alerts, 0, 0, clean))
     assert false_alerts == 0
+    assert clean == len(benign), [report.problems() for report in benign]
     return rows
 
 
@@ -112,7 +115,7 @@ def test_e4_awareness(table, benchmark):
         "prevented against stolen keys and merely detected (inevitably) "
         "against certified fresh keys",
         ["attack", "victim", "seed", "cut-off units", "units alerted",
-         "forged accepted", "forge attempts"],
+         "forged accepted", "forge attempts", "clean verdicts"],
         table,
     ))
     benchmark(lambda: run_attack(0, 42))

@@ -16,8 +16,10 @@ import pathlib
 from typing import Any, Sequence
 
 from repro.analysis.digest import transcript_digest
+from repro.analysis.verdict import Verdict
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import named_group
+from repro.crypto.shamir import Share
 from repro.crypto.schnorr import SchnorrScheme
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.runner import ULRunner
@@ -111,5 +113,16 @@ def key_histories(programs) -> dict[int, dict[int, str]]:
     return {i: dict(p.keystore.history) for i, p in enumerate(programs)}
 
 
-def certified_key_reprs(programs) -> dict[int, dict[int, tuple]]:
-    return {i: dict(p.keystore.key_reprs) for i, p in enumerate(programs)}
+def corrupt_share(program, rng) -> None:
+    """Memory corruption at a break-in: a random value for the PDS share."""
+    state = program.state
+    state.share = Share(x=state.share_index, value=rng.randrange(GROUP.q))
+
+
+def judged_run(runner, t: int, units: int, *, fail_fast: bool = False):
+    """Run ``runner`` with the run's verdict (:mod:`repro.analysis.verdict`)
+    attached live; returns the execution and the verdict's report."""
+    verdict = Verdict(t, [node.program for node in runner.nodes], fail_fast=fail_fast)
+    runner.observers.append(verdict)
+    execution = runner.run(units=units)
+    return execution, verdict.report(execution)

@@ -12,9 +12,9 @@ the adversary stayed within its declared limits:
 - :func:`audit_st_limited` — UL model (Def. 7): at most ``t`` nodes broken
   *or s-disconnected* per time unit.
 
-Security statements in the paper are conditioned on these limits, so the
-experiment harnesses assert them for the attacking strategies (and use
-violations as the expected outcome for deliberately over-powered ones).
+Security statements in the paper are conditioned on these limits: a
+run's verdict (:mod:`repro.analysis.verdict`) reports Definition 7 from
+its monitor's ledger through :meth:`LimitReport.of`, as the audits do.
 The ledger reads only the status fields that compact records keep too.
 """
 
@@ -34,6 +34,11 @@ class LimitReport:
     limit: int
     per_unit_impaired: dict[int, frozenset[int]]
     violations: dict[int, frozenset[int]]  # unit -> impaired set, where |set| > limit
+
+    @classmethod
+    def of(cls, limit: int, per_unit: dict[int, frozenset[int]]) -> "LimitReport":
+        violations = {unit: nodes for unit, nodes in per_unit.items() if len(nodes) > limit}
+        return cls(limit=limit, per_unit_impaired=per_unit, violations=violations)
 
     @property
     def within_limits(self) -> bool:
@@ -80,15 +85,10 @@ def _folded(execution: Execution) -> UnitLedger:
     return ledger
 
 
-def _report(limit: int, per_unit: dict[int, frozenset[int]]) -> LimitReport:
-    violations = {unit: nodes for unit, nodes in per_unit.items() if len(nodes) > limit}
-    return LimitReport(limit=limit, per_unit_impaired=per_unit, violations=violations)
-
-
 def audit_t_limited(execution: Execution, t: int) -> LimitReport:
     """Definition 3: the adversary broke into at most ``t`` nodes per unit
     (union over the unit's rounds — break-ins are explicit events)."""
-    return _report(t, _folded(execution).broken)
+    return LimitReport.of(t, _folded(execution).broken)
 
 
 def audit_st_limited(execution: Execution, t: int) -> LimitReport:
@@ -104,4 +104,4 @@ def audit_st_limited(execution: Execution, t: int) -> LimitReport:
     legal, which corresponds to the *instantaneous* reading audited here:
     at most ``t`` nodes impaired at any single round of the unit.
     """
-    return _report(t, _folded(execution).impaired)
+    return LimitReport.of(t, _folded(execution).impaired)

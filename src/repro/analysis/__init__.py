@@ -1,17 +1,12 @@
 """Analysis of executions, live or post hoc.
 
+- :mod:`repro.analysis.verdict` — one verdict per run: every oracle
+  the paper gives in one report, live or replayed.
 - :mod:`repro.analysis.goodness` — the Definition 17/18 classification
-  (GOOD vs BAD1/BAD2/BAD3) that drives the Theorem 14 experiments: an
-  observer, live or replayed (:func:`repro.sim.runner.replay`).
+  (GOOD vs BAD1/BAD2/BAD3) the verdict runs on ULS programs.
 - :mod:`repro.analysis.monitor` — the one implementation of the
   emulation invariants I1–I3 and the per-round Definition 7 limit,
-  evaluated *during* the run (attach to a runner as an observer;
-  fail-fast).
-- :mod:`repro.analysis.emulation` — the invariants' definitions (§3.1,
-  Lemmas 26–28) and their post-hoc check, which replays a finished
-  execution through the monitor (:func:`repro.sim.runner.replay`).
-- :mod:`repro.analysis.awareness` — the §5.1 global-awareness signal,
-  read from the same replay.
+  evaluated *during* the run (fail-fast); the verdict owns one.
 - :mod:`repro.analysis.metrics` — message/alert/availability statistics.
 - :mod:`repro.analysis.digest` — canonical transcript digests (the
   determinism-replay primitive) and the per-round ``RoundsDigest``
@@ -20,27 +15,22 @@
   alert latency, degraded dwell, signing availability).
 """
 
-from repro.analysis.awareness import GlobalAwarenessReport, global_awareness
 from repro.analysis.digest import stable_form, transcript_digest
 from repro.analysis.slo import RecoverySloObserver
-from repro.analysis.emulation import EmulationReport, check_emulation_invariants
-from repro.analysis.goodness import (
-    ForgedMessage,
-    GoodnessObserver,
-    GoodnessReport,
-    classify_execution,
-)
+from repro.analysis.goodness import ForgedMessage, GoodnessObserver, GoodnessReport
 from repro.analysis.monitor import (
     InvariantViolationError,
     RuntimeInvariantMonitor,
     Violation,
 )
 from repro.analysis.metrics import MessageStats, message_stats
+from repro.analysis.verdict import (Impersonation, Verdict, VerdictReport,
+                                    check_emulation_invariants)
 
 __all__ = [
-    "GlobalAwarenessReport",
-    "global_awareness",
-    "EmulationReport",
+    "Impersonation",
+    "Verdict",
+    "VerdictReport",
     "check_emulation_invariants",
     "InvariantViolationError",
     "RuntimeInvariantMonitor",
@@ -48,7 +38,6 @@ __all__ = [
     "ForgedMessage",
     "GoodnessObserver",
     "GoodnessReport",
-    "classify_execution",
     "MessageStats",
     "message_stats",
     "RecoverySloObserver",

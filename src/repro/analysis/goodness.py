@@ -23,9 +23,9 @@ then decides: a copy whose sender never sent a matching stamp (Def.
 17(b)) while unbroken with usable keys (Def. 17(c)) is a forgery.  Every
 DISPERSE frame is read, to a node or to ``BROADCAST``, and so is each
 certified message in a PARTIAL-AGREEMENT step-3 pack; each distinct body
-is encoded and verified once.  :func:`classify_execution` is the
-observer's replay.  The headline numbers of experiment E3 —
-observed(GOOD) across seeds — come from here.
+is encoded and verified once.  A run's :class:`~repro.analysis.verdict.Verdict`
+owns one, and the headline numbers of experiment E3 — observed(GOOD)
+across seeds — come from here.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ from repro.crypto.signature import SignatureScheme
 from repro.perf.cache import canonical_body_key
 from repro.pds.keys import PdsPublic
 from repro.sim.clock import Phase
-from repro.sim.runner import RunObserver, replay
+from repro.sim.runner import RunObserver
 from repro.sim.transcript import Execution, RoundRecord
 from repro.wire import CERTIFIED, PA3, fits, well_formed
 
-__all__ = ["ForgedMessage", "GoodnessReport", "GoodnessObserver", "classify_execution"]
+__all__ = ["ForgedMessage", "GoodnessReport", "GoodnessObserver"]
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ class GoodnessObserver(RunObserver):
     def report(
         self,
         key_history: dict[int, dict[int, str]],
-        certified_keys: dict[int, dict[int, tuple]] | None = None,
+        certified_keys: dict[int, dict[int, tuple]],
     ) -> GoodnessReport:
         """Classify what the observer has seen.
 
@@ -191,10 +191,9 @@ class GoodnessObserver(RunObserver):
                 is implicitly "ok" (the set-up certifies every node's key).
             certified_keys: per node, per unit: the canonical repr of the
                 key the node actually got certified
-                (``{i: program.keystore.key_reprs}``).  Used to
-                discriminate BAD2 (rogue key) from BAD3 (genuine key);
-                when omitted, the keys observed in the node's own sent
-                traffic are used as the genuine set.
+                (``{i: program.keystore.key_reprs}``).  It and the
+                keys seen in the node's own sent traffic are the genuine
+                set, which tells BAD3 (genuine key) from BAD2 (rogue key).
         """
         report = GoodnessReport()
 
@@ -212,10 +211,9 @@ class GoodnessObserver(RunObserver):
             if not keys_usable(msg.source, msg.unit):
                 continue
             genuine = set(self._key_reprs.get((msg.source, msg.unit), ()))
-            if certified_keys is not None:
-                certified = certified_keys.get(msg.source, {}).get(msg.unit)
-                if certified is not None:
-                    genuine.add(tuple(certified))
+            certified = certified_keys.get(msg.source, {}).get(msg.unit)
+            if certified is not None:
+                genuine.add(tuple(certified))
             used = _key_repr(self.scheme, msg.verify_key)
             bad_type = "BAD3" if used in genuine else "BAD2"
             report.forged.append(
@@ -231,15 +229,3 @@ class GoodnessObserver(RunObserver):
                     report.bad1_failures.append((unit, node))
         return report
 
-
-def classify_execution(
-    execution: Execution,
-    public: PdsPublic,
-    scheme: SignatureScheme,
-    key_history: dict[int, dict[int, str]],
-    certified_keys: dict[int, dict[int, tuple]] | None = None,
-) -> GoodnessReport:
-    """The :class:`GoodnessObserver` report of a full-records execution,
-    by replay (arguments as for :meth:`GoodnessObserver.report`)."""
-    observer = replay(execution, GoodnessObserver(public, scheme))
-    return observer.report(key_history, certified_keys)

@@ -1,17 +1,18 @@
 """Runtime invariant monitoring: the one implementation of I1–I3.
 
 :class:`RuntimeInvariantMonitor` decides the emulation invariants I1–I3
-(defined in :mod:`repro.analysis.emulation`) and the Definition 7
-per-round limit.  Attached to a runner as a
-:class:`~repro.sim.runner.RunObserver`, it consumes each
-:class:`~repro.sim.transcript.RoundRecord` and each node-output entry the
-moment it appears and raises :class:`InvariantViolationError` (or, with
-``fail_fast=False``, records the violation) with *exact round
+— the finite events the proofs of Lemmas 26–28 use to tell real from
+ideal executions, so each violation would be a working distinguisher —
+and the Definition 7 per-round limit.  Attached to a runner as a
+:class:`~repro.sim.runner.RunObserver` — in practice as part of a run's
+:class:`~repro.analysis.verdict.Verdict`, which owns one — it consumes
+each :class:`~repro.sim.transcript.RoundRecord` and each node-output
+entry the moment it appears and raises :class:`InvariantViolationError`
+(or, with ``fail_fast=False``, records the violation) with *exact round
 attribution*: the round of the offending event and the round at which the
-violation became decidable.  The post-hoc checks
-(:func:`~repro.analysis.emulation.check_emulation_invariants`,
-:func:`~repro.analysis.awareness.global_awareness`) replay a finished
-execution through this same monitor (:func:`repro.sim.runner.replay`).
+violation became decidable.  The post-hoc verdict
+(:func:`repro.analysis.verdict.verdict`) replays a finished execution
+through this same monitor (:func:`repro.sim.runner.replay`).
 
 A round-by-round checker must respect what is decidable *when* — the
 invariants quantify over whole time units, so checking them naively
@@ -27,17 +28,22 @@ happened).  The finalization points are:
   is the only invariant that is decidable the very round it breaks — it
   is what powers the "fail-fast with the exact round number" guarantee
   on over-budget plans.
-- **I1 (threshold)** — decided once per ``(message, unit)`` once the
-  unit's data is final: at the unit boundary for events inside the unit,
-  immediately for events arriving after it (threshold signing may
-  legitimately complete early in unit ``u + 1``).  The report names
-  every node that reported the message signed; a later signer is added
-  to it.
-- **I2 (liveness)** — decided when unit ``u + 2`` starts (one-unit grace
-  for late ``signed`` events) or at run end; a ``signed`` reported later
-  than that does not count.
-- **I3 (alert soundness)** — decided at the unit boundary ("operational
-  throughout the unit" is not knowable earlier), once per alerting node.
+- **I1 (threshold)** — a message reported ``signed`` has at least
+  ``t + 1`` sign requests behind it, counting every node broken in the
+  unit (its requests leave no output).  Decided once per ``(message,
+  unit)`` once the unit's data is final: at the unit boundary for events
+  inside the unit, immediately for events arriving after it (threshold
+  signing may legitimately complete early in unit ``u + 1``).  The
+  report names every node that reported the message signed; a later
+  signer is added to it.
+- **I2 (liveness)** — if at least ``n - t`` nodes operational through
+  unit ``u`` were asked to sign ``(m, u)``, all of them report it
+  ``signed`` (the Lemma 26 event, inverted).  Decided when unit
+  ``u + 2`` starts (one-unit grace for late ``signed`` events) or at
+  run end; a ``signed`` reported later than that does not count.
+- **I3 (alert soundness)** — a node operational through a whole unit
+  never alerts in it (§2.3).  Decided at the unit boundary ("operational
+  throughout" is not knowable earlier), once per alerting node.
 """
 
 from __future__ import annotations
@@ -64,7 +70,8 @@ class Violation:
     details: Any
 
     def as_tuple(self) -> tuple[str, Any]:
-        """The post-hoc checker's ``(label, payload)`` shape."""
+        """The ``(label, payload)`` shape of
+        :func:`~repro.analysis.verdict.check_emulation_invariants`."""
         return (self.invariant, self.details)
 
 
@@ -158,20 +165,6 @@ class RuntimeInvariantMonitor(RunObserver):
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def violation_tuples(self) -> list[tuple[str, Any]]:
-        """Violations in the post-hoc checker's ``(label, payload)`` shape."""
-        return [violation.as_tuple() for violation in self.violations]
-
-    def signed_messages(self) -> set[tuple[Any, int]]:
-        """Every ``(message, unit)`` some node reported signed."""
-        return {(message, unit) for unit, state in self._units.items()
-                for message in state.signed}
-
-    def request_counts(self) -> dict[tuple[Any, int], int]:
-        """Per ``(message, unit)``, how many nodes were asked to sign it."""
-        return {(message, unit): len(nodes) for unit, state in self._units.items()
-                for message, nodes in state.asked.items()}
 
     def alerting_nodes(self) -> dict[int, frozenset[int]]:
         """Per unit with an alert, the alerting nodes (the sets I3 judges)."""

@@ -9,9 +9,11 @@
     python -m repro.cli partition --n 64
 
 Each scenario builds a ULS network, runs it under the corresponding
-adversary and prints a short report (alerts, refresh outcomes, signature
-checks, limit audits).  Exit status is non-zero if a security property
-that should hold did not — usable as a smoke test in CI.
+adversary with the run's :class:`~repro.analysis.verdict.Verdict`
+attached and prints a short report from it (alerts, signature checks,
+the Definition 7 audit).  Exit status is 1 if the verdict of a scenario
+within the model is not clean or a scenario's own check failed — usable
+as a smoke test in CI.  ``flood`` is beyond the model: it exits 0.
 """
 
 from __future__ import annotations
@@ -21,16 +23,9 @@ import random
 import sys
 
 from repro.adversary.impersonation import UlsImpersonator
-from repro.adversary.limits import audit_st_limited
 from repro.adversary.strategies import CutOffAdversary, InjectionFloodAdversary
-from repro.analysis.awareness import global_awareness
-from repro.core.uls import (
-    NEWKEY_CHANNEL,
-    UlsProgram,
-    build_uls_states,
-    uls_schedule,
-    verify_user_signature,
-)
+from repro.analysis.verdict import Verdict
+from repro.core.uls import NEWKEY_CHANNEL, UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import NAMED_GROUP_NAMES, named_group
 from repro.crypto.schnorr import SchnorrScheme
 from repro.faults import FaultInjectionAdversary, breakins
@@ -41,88 +36,77 @@ from repro.sim.runner import ULRunner
 __all__ = ["main"]
 
 
-def _build(args, adversary):
+def _run(args, adversary, *, in_model: bool = True):
+    """Run a scenario's network; returns its programs, its execution and
+    the exit status of its verdict (1 if an in-model run is not clean)."""
     group = named_group(args.group)
     scheme = SchnorrScheme(group)
-    public, states, keys = build_uls_states(group, scheme, args.n, args.t, seed=args.seed)
+    _, states, keys = build_uls_states(group, scheme, args.n, args.t, seed=args.seed)
     programs = [UlsProgram(states[i], scheme, keys[i]) for i in range(args.n)]
     schedule = uls_schedule()
-    runner = ULRunner(programs, adversary, schedule, s=args.t, seed=args.seed)
+    judge = Verdict(args.t, programs, fail_fast=False)
+    runner = ULRunner(programs, adversary, schedule, s=args.t, seed=args.seed,
+                      observers=[judge])
     for unit in range(args.units):
         round_number = schedule.first_normal_round(unit)
         for node in range(args.n):
             runner.add_external_input(node, round_number, ("sign", f"doc-{unit}"))
-    return public, programs, runner, schedule
+    execution = runner.run(units=args.units)
+    return programs, execution, _report(programs, execution, judge.report(execution),
+                                        args, in_model)
 
 
-def _report(public, programs, execution, args) -> int:
-    failures = 0
+def _report(programs, execution, report, args, in_model: bool) -> int:
     print(f"n={args.n} t={args.t} units={args.units} seed={args.seed} "
           f"group={args.group}")
     for unit in range(args.units):
         message = f"doc-{unit}"
-        signature = next(
-            (p.signatures.get((message, unit)) for p in programs
-             if p.signatures.get((message, unit)) is not None),
-            None,
-        )
-        verified = signature is not None and verify_user_signature(
-            public, message, unit, signature
-        )
+        signers = [node for node, p in enumerate(programs) if (message, unit) in p.signatures]
+        verified = bool(signers) and (signers[0], message, unit) not in report.bad_signatures
         broken = sorted(execution.broken_in_unit(unit))
-        alerts = sorted(
-            i for i in range(args.n) if execution.alerts_in_unit(i, unit)
-        )
+        alerts = sorted(report.alerting_nodes.get(unit, ()))
         print(f"  unit {unit}: broken={broken or '-'} alerts={alerts or '-'} "
               f"'{message}' signed+verified={verified}")
     shares = [p.state.share_is_valid() for p in programs]
     print(f"  shares valid at end: {sum(shares)}/{args.n}")
-    awareness = global_awareness(execution, args.t)
-    if awareness.adversary_exceeded_model:
+    if report.model_exceeded_units:
         print(f"  GLOBAL AWARENESS: > t nodes alerted in units "
-              f"{list(awareness.model_exceeded_units)} — adversary exceeded "
+              f"{list(report.model_exceeded_units)} — adversary exceeded "
               f"the (t,t) model")
-    limit = audit_st_limited(execution, args.t)
-    print(f"  (t,t)-limit audit: {'within limits' if limit.within_limits else 'EXCEEDED'}")
-    return failures
+    print(f"  (t,t)-limit audit: {'within limits' if report.within_model else 'EXCEEDED'}")
+    if not in_model:
+        return 0
+    for problem in report.problems():
+        print(f"FAIL: {problem}")
+    return 0 if report.clean else 1
 
 
 def cmd_benign(args) -> int:
-    public, programs, runner, _ = _build(args, PassiveAdversary())
-    execution = runner.run(units=args.units)
-    failures = _report(public, programs, execution, args)
-    if any(p.core.alert_units for p in programs):
-        print("FAIL: false alerts in a benign run")
-        return 1
-    return failures
+    return _run(args, PassiveAdversary())[2]
 
 
 def cmd_breakins(args) -> int:
     rng = random.Random(args.seed)
     victims = {u: rng.sample(range(args.n), args.t) for u in range(1, args.units)}
     adversary = FaultInjectionAdversary(breakins(uls_schedule(), victims))
-    public, programs, runner, _ = _build(args, adversary)
-    execution = runner.run(units=args.units)
-    failures = _report(public, programs, execution, args)
+    programs, _, status = _run(args, adversary)
     if not all(p.state.share_is_valid() for p in programs):
         print("FAIL: a node did not recover its share")
         return 1
-    return failures
+    return status
 
 
 def cmd_cutoff(args) -> int:
     victim = args.victim % args.n
     adversary = CutOffAdversary(victim=victim, break_unit=1,
                                 impersonator=UlsImpersonator(victim=victim))
-    public, programs, runner, _ = _build(args, adversary)
-    execution = runner.run(units=args.units)
-    failures = _report(public, programs, execution, args)
+    _, execution, status = _run(args, adversary)
     cut_units = range(2, args.units)
     if not all(execution.alerts_in_unit(victim, u) for u in cut_units):
         print("FAIL: the cut-off victim did not alert in every unit")
         return 1
     print(f"  victim {victim} alerted in every cut-off unit (awareness holds)")
-    return failures
+    return status
 
 
 def cmd_flood(args) -> int:
@@ -134,11 +118,9 @@ def cmd_flood(args) -> int:
         channel=NEWKEY_CHANNEL,
         flood_factor=args.flood,
     )
-    public, programs, runner, _ = _build(args, adversary)
-    execution = runner.run(units=args.units)
-    failures = _report(public, programs, execution, args)
+    _run(args, adversary, in_model=False)
     print(f"  injected messages: {adversary.injected_count}")
-    return failures
+    return 0
 
 
 def cmd_partition(args) -> int:

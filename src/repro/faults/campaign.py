@@ -12,9 +12,10 @@ between the last clean and first violating knob — the *failure frontier*
 — which localises exactly how much over-budget pressure the protocol
 absorbs before Definition 7's guarantees stop applying.
 
-Clean probes carry the transcript digest
-(:func:`repro.analysis.digest.transcript_digest`), which is what the
-E15 determinism replay compares.
+A probe is clean if its run's :class:`~repro.analysis.verdict.Verdict`
+is; one whose run finishes carries the transcript digest
+(:func:`repro.analysis.digest.transcript_digest`), which is what the E15
+determinism replay compares.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from repro.analysis.digest import transcript_digest
-from repro.analysis.monitor import InvariantViolationError, RuntimeInvariantMonitor, Violation
+from repro.analysis.monitor import InvariantViolationError, Violation
+from repro.analysis.verdict import Verdict
 from repro.sim.runner import Runner
 from repro.sim.transcript import Execution
 
@@ -44,15 +46,15 @@ class Probe:
     """One ready-to-run simulation, built fresh for each probe.
 
     ``build(aggressiveness) -> Probe`` factories hand these to
-    :func:`run_probe`; ``monitor`` must be attached to the runner's
-    observers already (the probe only declares where to read verdicts
-    from), and ``extras`` collects any JSON-ready per-run telemetry
-    (the E15 bench puts the SLO report here).
+    :func:`run_probe`; ``verdict`` must be attached to the runner's
+    observers already (the probe only declares where to read its
+    report from), and ``extras`` collects any JSON-ready per-run
+    telemetry (the E15 bench puts the SLO report here).
     """
 
     runner: Runner
     units: int
-    monitor: RuntimeInvariantMonitor
+    verdict: Verdict
     extras: Callable[[Execution], dict] | None = None
 
 
@@ -63,6 +65,7 @@ class ProbeOutcome:
     aggressiveness: float
     ok: bool
     violation: dict | None = None
+    verdict: dict | None = None  # VerdictReport.as_dict() of a run that finished
     digest: str | None = None
     rounds: int = 0
     extras: dict = field(default_factory=dict)
@@ -84,9 +87,11 @@ def _violation_dict(violation: Violation) -> dict:
 def run_probe(build: Callable[[float], Probe], aggressiveness: float) -> ProbeOutcome:
     """Run one freshly built probe at one knob setting.
 
-    An :class:`InvariantViolationError` from a fail-fast monitor is the
+    An :class:`InvariantViolationError` from a fail-fast verdict is the
     *answer*, not an error: the outcome records the violation with full
-    round attribution.  Clean runs carry their transcript digest.
+    round attribution.  A run that finishes is as clean as its verdict
+    report, whose first monitor violation, if any, is the outcome's, and
+    carries its transcript digest.
     """
     probe = build(aggressiveness)
     try:
@@ -97,11 +102,13 @@ def run_probe(build: Callable[[float], Probe], aggressiveness: float) -> ProbeOu
             violation=_violation_dict(error.violation),
             rounds=len(probe.runner.execution.records),
         )
-    violations = probe.monitor.violations
+    report = probe.verdict.report(execution)
+    violations = probe.verdict.monitor.violations
     outcome = ProbeOutcome(
         aggressiveness=aggressiveness,
-        ok=not violations,
+        ok=report.clean,
         violation=_violation_dict(violations[0]) if violations else None,
+        verdict=report.as_dict(),
         digest=transcript_digest(execution),
         rounds=len(execution.records),
     )

@@ -5,9 +5,9 @@ incorruptible trusted party keeps a database of signed messages.  A
 message ``(m, u)`` enters the database exactly when at least ``t + 1``
 signers ask to sign ``m`` during time unit ``u``; verification is a
 database lookup.  Security of a real PDS scheme (Definition 12) means its
-executions are indistinguishable from executions of this process — our
-executable version is used by the emulation-invariant checks
-(:mod:`repro.analysis.emulation`) and directly by tests.
+executions are indistinguishable from executions of this process — the
+emulation invariants (:mod:`repro.analysis.monitor`) check its events on
+real transcripts, and tests use this executable version directly.
 
 The verifier deliberately *outputs nothing on failed verification*
 (Remark 2): real verifiers cannot distinguish "never signed" from

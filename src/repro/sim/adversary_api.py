@@ -109,20 +109,15 @@ class AdversaryApi:
         self,
         nodes: list["Node"],
         info: RoundInfo,
-        rng: random.Random | Callable[[], random.Random],
+        rng: Callable[[], random.Random],
     ) -> None:
         self._nodes = nodes
         self.info = info
-        # ``rng`` may be a zero-arg factory (the runner always passes one):
-        # deriving a PRF-seeded Random per round is measurable at the
-        # simulation floor, and most adversaries never draw from it.  The
-        # stream is identical whenever it is actually used.
-        if callable(rng):
-            self._rng = None
-            self._rng_factory = rng
-        else:
-            self._rng = rng
-            self._rng_factory = None
+        # ``rng`` is a zero-arg factory, called on first use: deriving a
+        # PRF-seeded Random per round is measurable at the simulation
+        # floor, and most adversaries never draw from it
+        self._rng: random.Random | None = None
+        self._rng_factory = rng
         self.n = len(nodes)
         self.injected: list[Envelope] = []
         self.break_events: list[tuple[int, str]] = []  # (node, "break"/"leave")

@@ -26,7 +26,7 @@ frozen when it ends.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Iterator, TypeVar
 
 from repro.sim.adversary_api import Adversary, AdversaryApi, FaithfulPlan
 from repro.adversary.connectivity import ConnectivityTracker
@@ -43,8 +43,6 @@ from repro.sim.transcript import (
 )
 
 __all__ = ["Runner", "ALRunner", "ULRunner", "RunObserver", "replay"]
-
-InputProvider = Callable[[int, RoundInfo], list[Any]]
 
 
 class RunObserver:
@@ -120,7 +118,6 @@ class Runner:
         adversary: Adversary,
         schedule: Schedule,
         seed: int | str = 0,
-        input_provider: InputProvider | None = None,
         *,
         observers: list[RunObserver] | None = None,
         compact_records: bool = False,
@@ -134,7 +131,6 @@ class Runner:
         self.randomness = RandomnessSource(seed)
         self.adversary = adversary
         self.nodes = [Node(i, program, self.n) for i, program in enumerate(programs)]
-        self._input_provider = input_provider
         self._scheduled_inputs: dict[tuple[int, int], list[Any]] = {}
         self.execution = Execution(
             n=self.n, schedule=schedule, seed=seed, model=self.model,
@@ -165,12 +161,6 @@ class Runner:
 
     # -- internals ---------------------------------------------------------------
 
-    def _inputs_for(self, node_id: int, info: RoundInfo) -> list[Any]:
-        inputs = list(self._scheduled_inputs.get((node_id, info.round), []))
-        if self._input_provider is not None:
-            inputs.extend(self._input_provider(node_id, info))
-        return inputs
-
     def _run_round(self, info: RoundInfo) -> None:
         randomness = self.randomness
         round_number = info.round
@@ -190,7 +180,7 @@ class Runner:
                 # derived on first use only: most programs never draw
                 rng=lambda _i=node_id, _r=round_number: randomness.node_round(_i, _r),
                 rom=node.rom,
-                external_inputs=self._inputs_for(node_id, info),
+                external_inputs=list(self._scheduled_inputs.get((node_id, round_number), ())),
                 inbox=inbox,
             )
             node.program.step(ctx, inbox)
@@ -463,12 +453,11 @@ class ULRunner(Runner):
         schedule: Schedule,
         s: int,
         seed: int | str = 0,
-        input_provider: InputProvider | None = None,
         *,
         observers: list[RunObserver] | None = None,
         compact_records: bool = False,
     ) -> None:
-        super().__init__(programs, adversary, schedule, seed, input_provider,
+        super().__init__(programs, adversary, schedule, seed,
                          observers=observers, compact_records=compact_records)
         self.s = s
         self.tracker = ConnectivityTracker(self.n, s)

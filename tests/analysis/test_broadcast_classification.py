@@ -11,7 +11,7 @@ must therefore be BAD3 whichever frame carries its forgeries.
 import pathlib
 import sys
 
-from repro.analysis.goodness import classify_execution
+from repro.analysis.verdict import verdict
 from repro.core.disperse import DISPERSE_CHANNEL, forwarding, unframe
 from repro.wire import BROADCAST
 
@@ -19,7 +19,7 @@ from repro.wire import BROADCAST
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2] / "benchmarks"))
 
 from bench_e3_uls_security import N, T, BrokenCsForger, run_broken_cs_control  # noqa: E402
-from common import SCHEME, build_uls_network, key_histories  # noqa: E402
+from common import build_uls_network  # noqa: E402
 
 
 def test_broadcast_frame_control_is_bad3(wire):
@@ -29,7 +29,7 @@ def test_broadcast_frame_control_is_bad3(wire):
         BrokenCsForger(victim=0, destination=BROADCAST), wire)
     assert accepted == 11
     assert report.classification == "BAD3"
-    assert {item.message.destination for item in report.forged} == {BROADCAST}
+    assert {item.message.destination for item in report.goodness.forged} == {BROADCAST}
 
 
 class _PackForger(BrokenCsForger):
@@ -48,7 +48,7 @@ def test_every_disperse_envelope_is_read():
     """In a passive aggregated-wire run, every DISPERSE envelope sent is a
     frame :func:`unframe` reads, broadcasts included, and the run is
     GOOD."""
-    public, programs, runner, _ = build_uls_network(N, T, seed=0, wire="aggregated")
+    _, programs, runner, _ = build_uls_network(N, T, seed=0, wire="aggregated")
     execution = runner.run(units=2)
     sent = [envelope.payload for record in execution.records for envelope in record.sent
             if envelope.channel == DISPERSE_CHANNEL]
@@ -56,4 +56,4 @@ def test_every_disperse_envelope_is_read():
     assert len(sent) == 1780
     assert None not in frames
     assert any(frame[2] == BROADCAST for frame in frames)
-    assert classify_execution(execution, public, SCHEME, key_histories(programs)).good
+    assert verdict(execution, T, programs).classification == "GOOD"

@@ -1,11 +1,11 @@
-"""Tests for execution classification and emulation invariants."""
+"""Tests for execution classification and emulation invariants, read
+from the run's replayed verdict."""
 
 import pytest
 
 from repro.adversary.impersonation import UlsImpersonator
 from repro.adversary.strategies import CutOffAdversary
-from repro.analysis.emulation import check_emulation_invariants
-from repro.analysis.goodness import classify_execution
+from repro.analysis.verdict import verdict
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
@@ -21,28 +21,35 @@ SCHED = uls_schedule()
 
 
 def run(adversary=None, units=2, sign_plan=None, seed=4):
-    public, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=seed)
+    _, states, keys = build_uls_states(GROUP, SCHEME, N, T, seed=seed)
     programs = [UlsProgram(states[i], SCHEME, keys[i]) for i in range(N)]
     runner = ULRunner(programs, adversary or PassiveAdversary(), SCHED, s=T, seed=seed)
     for node_id, round_number, message in sign_plan or []:
         runner.add_external_input(node_id, round_number, ("sign", message))
     execution = runner.run(units=units)
-    histories = {i: dict(p.keystore.history) for i, p in enumerate(programs)}
-    return execution, programs, histories, public
+    return execution, programs
+
+
+def classify(execution, programs):
+    return verdict(execution, T, programs).goodness
+
+
+def violations(execution, programs):
+    return [v.as_tuple() for v in verdict(execution, T, programs).violations]
 
 
 def test_benign_execution_is_good():
-    execution, programs, histories, public = run()
-    report = classify_execution(execution, public, SCHEME, histories)
+    execution, programs = run()
+    report = classify(execution, programs)
     assert report.good
     assert report.classification == "GOOD"
 
 
 def test_mobile_breakins_still_good():
-    execution, programs, histories, public = run(
+    execution, programs = run(
         adversary=FaultInjectionAdversary(breakins(SCHED, {0: {0, 1}})), units=2
     )
-    report = classify_execution(execution, public, SCHEME, histories)
+    report = classify(execution, programs)
     assert report.good
 
 
@@ -53,8 +60,8 @@ def test_cutoff_with_impersonation_is_not_misclassified():
     execution stays GOOD, exactly as Theorem 14 predicts."""
     impersonator = UlsImpersonator(victim=4)
     adversary = CutOffAdversary(victim=4, break_unit=1, impersonator=impersonator)
-    execution, programs, histories, public = run(adversary=adversary, units=3)
-    report = classify_execution(execution, public, SCHEME, histories)
+    execution, programs = run(adversary=adversary, units=3)
+    report = classify(execution, programs)
     assert impersonator.attempts  # the attack really ran
     assert report.forged == []
     # BAD1 requires an *operational* node with phi keys; the cut-off victim
@@ -65,37 +72,33 @@ def test_cutoff_with_impersonation_is_not_misclassified():
 def test_emulation_invariants_benign_signing():
     r0 = SCHED.first_normal_round(0)
     sign_plan = [(i, r0, "alpha") for i in range(N)]
-    execution, programs, histories, public = run(units=1, sign_plan=sign_plan)
-    report = check_emulation_invariants(execution, T)
-    assert report.ok
-    assert (("alpha"), 0) in {(m, u) for (m, u) in report.signed_messages}
+    execution, programs = run(units=1, sign_plan=sign_plan)
+    assert verdict(execution, T, programs).clean
+    assert ("signed", "alpha", 0) in execution.outputs_of(0)
 
 
 def test_emulation_invariant_i1_catches_fabricated_signed_line():
     """Tampering with the global output (a signed line without requests)
     is flagged — the invariant really can distinguish."""
-    execution, programs, histories, public = run(units=1)
+    execution, programs = run(units=1)
     execution.node_outputs[0].append((5, ("signed", "phantom", 0)))
-    report = check_emulation_invariants(execution, T)
-    assert any(kind == "I1-threshold" for kind, _ in report.violations)
+    assert any(kind == "I1-threshold" for kind, _ in violations(execution, programs))
 
 
 def test_emulation_invariant_i2_catches_missing_signature():
-    execution, programs, histories, public = run(units=1)
+    execution, programs = run(units=1)
     # fabricate: everyone asked, nobody signed
     for i in range(N):
         execution.node_outputs[i].append((5, ("asked-to-sign", "ghost", 0)))
-    report = check_emulation_invariants(execution, T)
-    assert any(kind == "I2-liveness" for kind, _ in report.violations)
+    assert any(kind == "I2-liveness" for kind, _ in violations(execution, programs))
 
 
 def test_emulation_invariant_i3_catches_false_alert():
     from repro.sim.node import ALERT
 
-    execution, programs, histories, public = run(units=1)
+    execution, programs = run(units=1)
     execution.node_outputs[2].append((5, ALERT))
-    report = check_emulation_invariants(execution, T)
-    assert any(kind == "I3-false-alert" for kind, _ in report.violations)
+    assert any(kind == "I3-false-alert" for kind, _ in violations(execution, programs))
 
 
 def test_goodness_detects_planted_forgery():
@@ -106,7 +109,7 @@ def test_goodness_detects_planted_forgery():
 
     from repro.core.certify import certify
 
-    execution, programs, histories, public = run(units=1)
+    execution, programs = run(units=1)
     keys = programs[3].keystore.current
     target_record = execution.records[6]
     forged = certify(SCHEME, keys, ("never-sent",), 3, 0, target_record.info.round - 2)
@@ -120,9 +123,7 @@ def test_goodness_detects_planted_forgery():
         delivered={**target_record.delivered, 0: tuple(target_record.delivered[0]) + (env,)},
     )
     execution.records[6] = patched
-    certified = {i: dict(p.keystore.key_reprs) for i, p in enumerate(programs)}
-    report = classify_execution(execution, public, SCHEME, histories,
-                                certified_keys=certified)
+    report = classify(execution, programs)
     assert not report.good
     assert report.classification == "BAD3"
 
@@ -139,7 +140,8 @@ def test_goodness_detects_rogue_key_as_bad2():
     from repro.crypto.shamir import reconstruct_secret
     from repro.pds.threshold_schnorr import pds_message_bytes
 
-    execution, programs, histories, public = run(units=1)
+    execution, programs = run(units=1)
+    public = programs[0].state.public
     # forge a certificate using the reconstructed group secret — this is
     # exactly what "the PDS was broken" means, so the classifier must
     # report BAD2
@@ -170,8 +172,7 @@ def test_goodness_detects_rogue_key_as_bad2():
         target_record,
         delivered={**target_record.delivered, 0: tuple(target_record.delivered[0]) + (env,)},
     )
-    report = classify_execution(execution, public, SCHEME, histories)
-    assert report.classification == "BAD2"
+    assert classify(execution, programs).classification == "BAD2"
 
 
 class DisperseBodySender(FaultInjectionAdversary):
@@ -190,8 +191,8 @@ class DisperseBodySender(FaultInjectionAdversary):
 
 
 def classification_under(body):
-    execution, programs, histories, public = run(adversary=DisperseBodySender(body))
-    return classify_execution(execution, public, SCHEME, histories).classification
+    execution, programs = run(adversary=DisperseBodySender(body))
+    return classify(execution, programs).classification
 
 
 @pytest.mark.parametrize("body", [

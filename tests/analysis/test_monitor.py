@@ -9,6 +9,7 @@ from repro.analysis import (
     RuntimeInvariantMonitor,
     check_emulation_invariants,
 )
+from repro.analysis.verdict import verdict
 from repro.faults import CrashFault, FaultInjectionAdversary, FaultPlan, burst
 from repro.sim.adversary_api import PassiveAdversary
 from repro.sim.clock import Phase, Schedule
@@ -26,6 +27,11 @@ def run_monitored(programs, adversary, monitor, units=3, seed=42):
     return runner.run(units=units)
 
 
+def post_hoc(execution, programs):
+    """The I1-I3 violations of the run's replayed verdict, as tuples."""
+    return [v.as_tuple() for v in verdict(execution, T, programs).violations]
+
+
 # ------------------------------------------------------------------ clean runs
 
 def test_clean_run_has_no_violations_and_matches_post_hoc():
@@ -34,8 +40,7 @@ def test_clean_run_has_no_violations_and_matches_post_hoc():
     execution = run_monitored(programs, PassiveAdversary(), monitor)
     assert monitor.ok and monitor.finalized
     assert monitor.rounds_seen == len(execution.records)
-    post = check_emulation_invariants(execution, T)
-    assert monitor.violation_tuples() == post.violations == []
+    assert [v.as_tuple() for v in monitor.violations] == post_hoc(execution, programs) == []
 
 
 def test_clean_faulty_run_within_limits_is_still_clean():
@@ -45,7 +50,7 @@ def test_clean_faulty_run_within_limits_is_still_clean():
         programs = [EchoProgram() for _ in range(N)]
         execution = run_monitored(programs, FaultInjectionAdversary(plan), monitor)
         assert monitor.ok, (seed, monitor.violations)
-        assert check_emulation_invariants(execution, T).ok
+        assert verdict(execution, T, programs).clean
 
 
 # ---------------------------------------------------------- L1 fail-fast round
@@ -119,9 +124,8 @@ def test_i3_violation_carries_the_alert_round():
     # detection waits for the unit boundary ("operational throughout" is
     # not knowable earlier), which is still mid-run, not post-hoc
     assert i3[0].detected_round == SCHED.rounds_of_unit(0)[-1] + 1
-    # and the post-hoc checker agrees
-    post = check_emulation_invariants(execution, T)
-    assert ("I3-false-alert", (0, 0)) in post.violations
+    # and the post-hoc verdict agrees
+    assert ("I3-false-alert", (0, 0)) in post_hoc(execution, programs)
 
 
 def test_i3_alert_in_last_unit_is_caught_at_run_end():
@@ -170,9 +174,8 @@ def test_i1_violation_attributes_the_signed_event():
     assert len(i1) == 1
     assert i1[0].event_round == forge_round
     assert i1[0].unit == 0
-    # post-hoc checker flags the same (message, unit)
-    post = check_emulation_invariants(execution, T)
-    assert any(label == "I1-threshold" for label, _ in post.violations)
+    # the post-hoc verdict flags the same (message, unit)
+    assert any(label == "I1-threshold" for label, _ in post_hoc(execution, programs))
 
 
 class LateForger(FakeSignerProgram):
@@ -252,8 +255,7 @@ def test_i2_violation_detected_with_one_unit_grace():
     assert i2[0].details[1] == list(range(N))  # everyone is missing
     # decided when unit 2 started, not at run end
     assert i2[0].detected_round == SCHED.rounds_of_unit(2)[0]
-    post = check_emulation_invariants(execution, T)
-    assert any(label == "I2-liveness" for label, _ in post.violations)
+    assert any(label == "I2-liveness" for label, _ in post_hoc(execution, programs))
 
 
 # ------------------------------------------------------------ degraded events
@@ -302,15 +304,18 @@ VIOLATING_RUNS = {
 
 @pytest.mark.parametrize("scenario", sorted(VIOLATING_RUNS))
 def test_live_and_replayed_results_agree_on_violating_runs(scenario):
-    """The post-hoc checks replay the live monitor: the I1-I3 tuples are
-    the same list, and L1 fires in exactly the units the audit flags."""
+    """The post-hoc verdict and the bench gate's I1-I3 check replay the
+    live monitor: the I1-I3 tuples are the same list, and L1 fires in
+    exactly the units the verdict and the audit flag."""
     programs, adversary, units = VIOLATING_RUNS[scenario]()
     monitor = RuntimeInvariantMonitor(T, fail_fast=False)
     execution = run_monitored(programs, adversary, monitor, units=units)
     assert not monitor.ok
     live = [v.as_tuple() for v in monitor.violations if v.invariant != "L1-limit"]
+    assert live == post_hoc(execution, programs)
     assert live == check_emulation_invariants(execution, T).violations
     l1_units = {v.unit for v in monitor.violations if v.invariant == "L1-limit"}
+    assert l1_units == set(verdict(execution, T, programs).limit.violations)
     assert l1_units == set(audit_st_limited(execution, T).violations)
 
 
@@ -321,8 +326,8 @@ def test_two_signers_of_one_unrequested_message_are_one_i1_violation():
     monitor = RuntimeInvariantMonitor(T, fail_fast=False)
     execution = run_monitored(programs, PassiveAdversary(), monitor, units=2)
     expected = [("I1-threshold", (("forged-msg", 0), [0, 1], 0))]
-    assert monitor.violation_tuples() == expected
-    assert check_emulation_invariants(execution, T).violations == expected
+    assert [v.as_tuple() for v in monitor.violations] == expected
+    assert post_hoc(execution, programs) == expected
 
 
 def test_a_later_signer_joins_the_open_i1_violation():
@@ -333,8 +338,8 @@ def test_a_later_signer_joins_the_open_i1_violation():
     monitor = RuntimeInvariantMonitor(T, fail_fast=False)
     execution = run_monitored(programs, PassiveAdversary(), monitor, units=2)
     expected = [("I1-threshold", (("forged-msg", 0), [0, 1, 2], 0))]
-    assert monitor.violation_tuples() == expected
+    assert [v.as_tuple() for v in monitor.violations] == expected
     (violation,) = monitor.violations
     assert violation.event_round == 7
     assert violation.detected_round == SCHED.rounds_of_unit(1)[0]
-    assert check_emulation_invariants(execution, T).violations == expected
+    assert post_hoc(execution, programs) == expected

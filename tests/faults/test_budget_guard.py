@@ -324,6 +324,6 @@ def test_guarded_adaptive_runs_never_exceed_the_budget():
                 assert union.within_limits, (strategy_name, aggressiveness, seed,
                                              union.violations)
                 assert monitor.ok, (strategy_name, aggressiveness, seed,
-                                    monitor.violation_tuples())
+                                    monitor.violations)
                 runs += 1
     assert runs >= 200

@@ -3,7 +3,7 @@
 import json
 
 from tests.helpers import EchoProgram
-from repro.analysis.monitor import RuntimeInvariantMonitor
+from repro.analysis.verdict import Verdict
 from repro.faults import (
     AdaptiveAdversary,
     Probe,
@@ -22,10 +22,11 @@ UNITS = 3
 def build_probe(aggressiveness, *, guarded=True, seed=7, fail_fast=True):
     adversary = AdaptiveAdversary(RecoveryChaserStrategy(), T, seed=seed,
                                   guarded=guarded, aggressiveness=aggressiveness)
-    monitor = RuntimeInvariantMonitor(T, fail_fast=fail_fast)
-    runner = ULRunner([EchoProgram() for _ in range(N)], adversary, SCHED,
-                      s=T, seed=seed, observers=[adversary.lens, monitor])
-    return Probe(runner=runner, units=UNITS, monitor=monitor)
+    programs = [EchoProgram() for _ in range(N)]
+    verdict = Verdict(T, programs, fail_fast=fail_fast)
+    runner = ULRunner(programs, adversary, SCHED,
+                      s=T, seed=seed, observers=[adversary.lens, verdict])
+    return Probe(runner=runner, units=UNITS, verdict=verdict)
 
 
 # ------------------------------------------------------------ probe outcomes
@@ -38,6 +39,8 @@ def test_clean_probe_carries_digest_and_extras():
 
     outcome = run_probe(build, 0.2)
     assert outcome.ok is True and outcome.violation is None
+    assert outcome.verdict == {"clean": True, "classification": None,
+                               "within_definition_7": True, "problems": []}
     assert outcome.digest and outcome.rounds == SCHED.total_rounds(UNITS)
     assert outcome.extras == {"rounds": SCHED.total_rounds(UNITS)}
     assert json.loads(json.dumps(outcome.as_dict())) == outcome.as_dict()
@@ -55,6 +58,7 @@ def test_non_fail_fast_monitors_still_decide_the_probe():
         lambda knob: build_probe(knob, guarded=False, fail_fast=False), 1.0)
     assert outcome.ok is False
     assert outcome.violation["invariant"] == "L1-limit"
+    assert outcome.verdict["within_definition_7"] is False
 
 
 # ----------------------------------------------------------- frontier search

@@ -18,7 +18,7 @@ def make_api(n=3):
     nodes = [Node(i, EchoProgram(), n) for i in range(n)]
     import random
 
-    return nodes, AdversaryApi(nodes, SCHED.info(2), random.Random(0))
+    return nodes, AdversaryApi(nodes, SCHED.info(2), lambda: random.Random(0))
 
 
 def test_send_as_requires_broken_node():

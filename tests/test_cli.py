@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.core.uls import uls_schedule
+from repro.faults import FaultInjectionAdversary, breakins
 
 
 def test_benign_scenario_exits_zero(capsys):
@@ -44,3 +47,14 @@ def test_invalid_n_t_combination(capsys):
 def test_parser_requires_scenario():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_unclean_verdict_of_an_in_model_scenario_exits_one(capsys, monkeypatch):
+    """A ``benign`` run whose adversary breaks into t + 1 nodes in unit 1
+    exceeds Definition 7: its verdict is not clean, so ``main`` returns 1."""
+    monkeypatch.setattr(cli, "PassiveAdversary", lambda: FaultInjectionAdversary(
+        breakins(uls_schedule(), {1: {0, 1, 2}})))
+    assert main(["benign", "--units", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "(t,t)-limit audit: EXCEEDED" in out
+    assert "FAIL: unit 1 exceeds Definition 7: [0, 1, 2] impaired, limit 2" in out

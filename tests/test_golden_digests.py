@@ -27,7 +27,7 @@ from repro.analysis.metrics import message_stats
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks"))
 
 import bench_e16_simfloor as e16  # noqa: E402
-from bench_e13_chaos import run_disperse_chaos, run_uls_chaos  # noqa: E402
+from bench_e13_chaos import UNITS as CHAOS_UNITS, disperse_chaos, uls_chaos  # noqa: E402
 from common import build_uls_network, transcript_digest  # noqa: E402
 
 E14_DIGESTS = {
@@ -91,8 +91,8 @@ def e8_n13_paper():
 @pytest.mark.parametrize("point", [p for p in E14_DIGESTS if p != "e8-13"])
 def test_e14_point_digest(point):
     kind, param = point.split("-")
-    runs = {"disperse": lambda seed: run_disperse_chaos(seed)[1],
-            "uls": lambda seed: run_uls_chaos(seed)[1],
+    runs = {"disperse": lambda seed: disperse_chaos(seed).run(units=CHAOS_UNITS),
+            "uls": lambda seed: uls_chaos(seed).run(units=CHAOS_UNITS),
             "e8": _run_e8}
     assert transcript_digest(runs[kind](int(param))) == E14_DIGESTS[point]
 
