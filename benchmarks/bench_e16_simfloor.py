@@ -124,32 +124,37 @@ class FloodChatter(NodeProgram):
             self.disperse.send(ctx, target, ("probe", self.node_id, ctx.info.round))
 
 
-def run_flood(n: int, *, observers=None, compact_records: bool = False):
+def _flood_runner(n: int, *, observers=None, compact_records: bool = False):
     relay_fanout = 2 * FLOOD_T + 1 if n >= SPARSE_N else None
     programs = [FloodChatter(relay_fanout) for _ in range(n)]
-    runner = ULRunner(programs, PassiveAdversary(), FLOOD_SCHED, s=FLOOD_T, seed=n,
-                      observers=observers, compact_records=compact_records)
+    return ULRunner(programs, PassiveAdversary(), FLOOD_SCHED, s=FLOOD_T, seed=n,
+                    observers=observers, compact_records=compact_records)
+
+
+def run_flood(n: int, *, observers=None, compact_records: bool = False):
+    runner = _flood_runner(n, observers=observers, compact_records=compact_records)
     return runner.run(units=FLOOD_UNITS)
 
 
-def _run_e8(n: int):
-    public, programs, runner, schedule = build_uls_network(
-        n, E8_T, seed=0, relay_fanout=2 * E8_T + 1)
-    return runner.run(units=E8_UNITS)
+def point_runs(point):
+    """One sweep point → list of ``(runner, units)`` (chaos points
+    aggregate several seeds so per-run noise does not dominate the
+    timing)."""
+    kind, param = point
+    if kind == "flood":
+        return [(_flood_runner(param), FLOOD_UNITS)]
+    if kind == "chaos":
+        chaos = {"disperse": disperse_chaos, "uls": uls_chaos}[param]
+        return [(chaos(seed), CHAOS_UNITS) for seed in CHAOS_SEEDS[param]]
+    if kind == "e8":
+        runner = build_uls_network(param, E8_T, seed=0, relay_fanout=2 * E8_T + 1)[2]
+        return [(runner, E8_UNITS)]
+    raise ValueError(f"unknown sweep point kind {kind!r}")
 
 
 def run_point(point):
-    """One sweep point → list of executions (chaos points aggregate
-    several seeds so per-run noise does not dominate the timing)."""
-    kind, param = point
-    if kind == "flood":
-        return [run_flood(param)]
-    if kind == "chaos":
-        chaos = {"disperse": disperse_chaos, "uls": uls_chaos}[param]
-        return [chaos(seed).run(units=CHAOS_UNITS) for seed in CHAOS_SEEDS[param]]
-    if kind == "e8":
-        return [_run_e8(param)]
-    raise ValueError(f"unknown sweep point kind {kind!r}")
+    """One sweep point → list of executions."""
+    return [runner.run(units=units) for runner, units in point_runs(point)]
 
 
 def combined_digest(executions) -> str:

@@ -23,7 +23,8 @@ then decides: a copy whose sender never sent a matching stamp (Def.
 17(b)) while unbroken with usable keys (Def. 17(c)) is a forgery.  Every
 DISPERSE frame is read, to a node or to ``BROADCAST``, and so is each
 certified message in a PARTIAL-AGREEMENT step-3 pack; each distinct body
-is encoded and verified once.  A run's :class:`~repro.analysis.verdict.Verdict`
+is encoded and verified once, and each delivered body object is read
+once per round.  A run's :class:`~repro.analysis.verdict.Verdict`
 owns one, and the headline numbers of experiment E3 — observed(GOOD)
 across seeds — come from here.
 """
@@ -79,14 +80,11 @@ class GoodnessReport:
         return "GOOD"
 
 
-def _raw_certified_payloads(payload: Any, relayed: bool = True):
-    """The candidate certified messages of a DISPERSE payload (see
-    :func:`~repro.core.disperse.unframe`): its body, or each member of a
-    ``pa3b`` pack, whose members the paper wire sends one per frame."""
-    frame = unframe(payload, relayed=relayed)
-    if frame is None:
-        return
-    body = frame[3]
+def _certified_members(body: Any):
+    """The candidate certified messages of a DISPERSE body: the body, or
+    each member of a PARTIAL-AGREEMENT step-3 ``pa3b`` pack, which both
+    wires send (one per session and receiver on the paper wire, one per
+    node and round to ``BROADCAST`` on the aggregated wire)."""
     for raw in body[1] if well_formed(body, PA3) else (body,):
         if fits(raw, CERTIFIED):
             yield raw
@@ -152,7 +150,10 @@ class GoodnessObserver(RunObserver):
             if envelope.channel != DISPERSE_CHANNEL:
                 continue
             # only the origination counts as "sent"
-            for raw in _raw_certified_payloads(envelope.payload, relayed=False):
+            frame = unframe(envelope.payload, relayed=False)
+            if frame is None:
+                continue
+            for raw in _certified_members(frame[3]):
                 _, stamp, msg, key_repr = self._body(raw)
                 if envelope.sender != msg.source:
                     continue  # someone forwarding another's message
@@ -161,11 +162,19 @@ class GoodnessObserver(RunObserver):
                     self._key_reprs.setdefault((msg.source, msg.unit), set()).add(key_repr)
 
         delivered = self._delivered
+        # relayed copies of one string share its body object, and a second
+        # copy in a round can neither add a stamp nor change a verdict, so
+        # each body is read once per round (the record keeps it alive)
+        read: set[int] = set()
         for envelopes in record.delivered.values():
             for envelope in envelopes:
                 if envelope.channel != DISPERSE_CHANNEL:
                     continue
-                for raw in _raw_certified_payloads(envelope.payload):
+                frame = unframe(envelope.payload)
+                if frame is None or id(frame[3]) in read:
+                    continue
+                read.add(id(frame[3]))
+                for raw in _certified_members(frame[3]):
                     key, stamp, msg, _ = self._body(raw)
                     if stamp in sent or stamp in delivered:
                         continue

@@ -14,7 +14,12 @@ The five steps, over AUTH-SEND (delay 2) and raw DISPERSE:
 3. each node re-DISPERSEs the raw *certified* messages it accepted from
    ``MAJ`` members — signatures make equivocation provable, which is what
    lets this protocol achieve at ``n = 2t+1`` what echo broadcast needs
-   ``n = 3t+1`` for (see ``tests/agreement/test_echo.py``);
+   ``n = 3t+1`` for (see ``tests/agreement/test_echo.py``).  Each
+   certified message proves itself to any receiver, so a node sends a
+   session's forwards to each other node as one ``("pa3b", raws)`` pack
+   (:data:`repro.wire.PA3`): ``n − 1`` DISPERSEs per session, not
+   ``|MAJ|·(n − 1)``, and every receiver still gets every forwarded
+   message;
 4. the forwarded messages are verified (authenticity of author, content
    and time — the destination is whoever the author originally addressed)
    and cheater marks are updated.  Only an (author, value) pair the node
@@ -36,7 +41,8 @@ from typing import Any, Hashable
 from repro.core.auth_send import AuthSendTransport
 from repro.core.certify import verify_certified_body
 from repro.core.disperse import DisperseService
-from repro.perf.cache import canonical_body_key
+from repro.crypto.hashing import encode_for_hash
+from repro.perf.cache import canonical_body_key, canonical_encoding, seed_canonical_key
 from repro.sim.node import NodeContext
 from repro.wire import BROADCAST, CERTIFIED, PA1, PA3, aggregated_wire, fits, well_formed
 
@@ -46,6 +52,24 @@ __all__ = ["PartialAgreementService", "NO_VALUE"]
 NO_VALUE = None
 
 _PA3_TAG = "pa3"
+
+
+# encode_for_hash of a pack ("pa3b", raws) is a 2-item list header, the
+# kind, then the members' list: its tag, its length, each member's encoding
+_PACK_HEADER = b"L" + (2).to_bytes(8, "big") + encode_for_hash("pa3b") + b"L"
+
+
+def _pack(raws: list) -> tuple:
+    """The step-3 body ``("pa3b", raws)``.  A pack is a new object, so
+    its DISPERSE dedup key is seeded here from its members' encodings,
+    which CERTIFY seeded, instead of each relay walking them again."""
+    pack = ("pa3b", tuple(raws))
+    try:
+        members = [canonical_encoding(raw) for raw in raws]
+    except TypeError:
+        return pack  # keyed on use, like any body that cannot be encoded
+    seed_canonical_key(pack, b"".join((_PACK_HEADER, len(raws).to_bytes(8, "big"), *members)))
+    return pack
 
 
 def _value_key(value: Any) -> Hashable:
@@ -77,9 +101,10 @@ class PartialAgreementService:
     ``transport.begin_round`` first, then :meth:`on_round`, then any
     :meth:`start` calls; read :meth:`outputs`.
 
-    ``wire`` is the refresh wire format (:mod:`repro.wire`): with
-    ``"aggregated"`` the step-3 re-dispersals of every session deciding in
-    a round leave as one pack, dispersed to ``BROADCAST``.
+    ``wire`` is the refresh wire format (:mod:`repro.wire`): on the
+    paper wire a session's step-3 pack goes to each other node; with
+    ``"aggregated"`` the packs of every session deciding in a round leave
+    as one, dispersed to ``BROADCAST``.
     """
 
     def __init__(
@@ -139,12 +164,11 @@ class PartialAgreementService:
                 self._outputs.append((pa_id, self._step5(session)))
         if self._pa3_pending:
             # aggregated wire: ONE dispersal to BROADCAST carries every
-            # certified message this node re-disperses this round, instead
-            # of a per-message × per-receiver dispersal.  Every node still
-            # receives every re-dispersed certified message — the
-            # information flow of Fig. 5 step 3 (and with it Lemma 16's
-            # equivocation-evidence propagation) is unchanged.
-            pack = ("pa3b", tuple(self._pa3_pending))
+            # certified message this node re-disperses this round.  Every
+            # node still receives every re-dispersed certified message —
+            # the information flow of Fig. 5 step 3 (and with it Lemma
+            # 16's equivocation-evidence propagation) is unchanged.
+            pack = _pack(self._pa3_pending)
             self._pa3_pending = []
             self.disperse.send(ctx, BROADCAST, pack, tag=_PA3_TAG)
 
@@ -198,9 +222,9 @@ class PartialAgreementService:
 
     def _ingest_step3(self, ctx: NodeContext) -> None:
         for _claimed_src, body in self.disperse.receipts(_PA3_TAG):
-            # a batched re-dispersal: the pack wrapper is unauthenticated
-            # (like any DISPERSE body), each member raw carries its own
-            # certification and goes through exactly the solo path
+            # a step-3 pack: the wrapper is unauthenticated (like any
+            # DISPERSE body), and each member raw carries its own
+            # certification; a bare certified message reads as a pack of one
             raws = body[1] if well_formed(body, PA3) else (body,)
             for raw in raws:
                 if not (fits(raw, CERTIFIED) and well_formed(raw[0], PA1)):
@@ -253,19 +277,25 @@ class PartialAgreementService:
                 session.maj_value = value
                 session.maj_authors = frozenset(authors)
                 break
-        # step 3: re-disperse the certified messages of MAJ members
-        for author in session.maj_authors:
-            for value, raw in session.records[author].values():
-                if raw is None:
-                    continue  # own input has no certified form
-                if self.aggregated:
-                    # collected across every session deciding this round;
-                    # on_round flushes them as one pack to BROADCAST
-                    self._pa3_pending.append(raw)
-                    continue
-                for receiver in range(self.n):
-                    if receiver != ctx.node_id:
-                        self.disperse.send(ctx, receiver, raw, tag=_PA3_TAG)
+        # step 3: re-disperse the certified messages of MAJ members (the
+        # node's own input has no certified form)
+        raws = [
+            raw
+            for author in session.maj_authors
+            for _value, raw in session.records[author].values()
+            if raw is not None
+        ]
+        if not raws:
+            return
+        if self.aggregated:
+            # collected across every session deciding this round;
+            # on_round flushes them as one pack to BROADCAST
+            self._pa3_pending.extend(raws)
+            return
+        pack = _pack(raws)
+        for receiver in range(self.n):
+            if receiver != ctx.node_id:
+                self.disperse.send(ctx, receiver, pack, tag=_PA3_TAG)
 
     def _step5(self, session: _Session) -> Any:
         if session.maj_value is NO_VALUE and not session.maj_authors:

@@ -108,8 +108,9 @@ REFRESH = {
 
 # -- raw DISPERSE bodies ----------------------------------------------------
 
-#: PARTIAL-AGREEMENT step 3 on the aggregated wire (tag "pa3"): a pack of
-#: certified messages; on the paper wire each travels alone
+#: PARTIAL-AGREEMENT step 3 (tag "pa3"): a pack of certified messages,
+#: one per session and receiver on the paper wire, one per node and round
+#: to BROADCAST on the aggregated wire
 PA3 = {"pa3b": (tuple,)}
 #: ULS Part (I) step 5 (tag "cert"): assertion bytes, certificate
 CERT = {"cert-deliver": (object, object)}
