@@ -146,9 +146,16 @@ class GoodnessObserver(RunObserver):
             self._refresh_end[info.time_unit] = record.operational
 
         sent = self._sent
+        # a flood hands one payload object to every relay, and a second
+        # read of one (sender, payload) in a round adds nothing
+        originated: set[tuple[int, int]] = set()
         for envelope in record.sent:
             if envelope.channel != DISPERSE_CHANNEL:
                 continue
+            origin = (envelope.sender, id(envelope.payload))
+            if origin in originated:
+                continue
+            originated.add(origin)
             # only the origination counts as "sent"
             frame = unframe(envelope.payload, relayed=False)
             if frame is None:

@@ -78,9 +78,7 @@ class AuthSendTransport(Transport):
         self.disperse = disperse
         self.tag = tag
         self._accepted: list[AcceptedCertified] = []
-        #: statistics + analysis logs
-        self.sent_count = 0
-        self.rejected_count = 0
+        #: analysis log
         self.accepted_log: list[tuple[int, int, Any]] = []  # (round, src, body)
         # first round seen per time unit; the acceptance log keeps the
         # current and previous unit only (it used to grow one entry per
@@ -122,7 +120,6 @@ class AuthSendTransport(Transport):
             items=receipts,
         ):
             if msg is None:
-                self.rejected_count += 1
                 continue
             self._accepted.append(AcceptedCertified(msg.source, msg.message, msg))
             self.accepted_log.append((ctx.info.round, msg.source, msg.message))
@@ -143,7 +140,6 @@ class AuthSendTransport(Transport):
         )
         if msg is None:
             return
-        self.sent_count += 1
         self.disperse.send(ctx, receiver, msg, tag=self.tag)
 
     def send_to_all(self, ctx: NodeContext, body: Any) -> None:

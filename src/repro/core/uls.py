@@ -145,8 +145,7 @@ class UlsCore:
 
     ``wire`` is the refresh wire format, ``"paper"`` (the paper-literal
     messages, the default) or ``"aggregated"`` (:mod:`repro.wire`);
-    it is passed to the transport, the signer, the refresh service and
-    PARTIAL-AGREEMENT.
+    it is passed to the transport, the signer and PARTIAL-AGREEMENT.
     """
 
     def __init__(
@@ -175,7 +174,7 @@ class UlsCore:
             self.keystore, state.public, self.disperse, wire=wire
         )
         self.signer = ThresholdSigner(state, self.transport, wire=wire)
-        self.refresher = RefreshService(state, self.transport, wire=wire)
+        self.refresher = RefreshService(state, self.transport)
         # Part (II) is started explicitly at its offset; the service must
         # not self-start at the top of the refreshment phase
         self.refresher.auto_start = False
@@ -294,13 +293,7 @@ class UlsCore:
         if self._refresh_unit != unit:
             # joined the phase late (e.g. released from a break-in mid-phase):
             # adopt the phase context so later steps still run
-            self._refresh_unit = unit
-            self._announced = {}
-            self._cert_wanted = {}
-            self._obtained_cert = None
-            self._certs_completed = set()
-            self._switch_deferred = False
-            self._part2_begun = False
+            self._reset_refresh(unit)
             if self.keystore.pending is None or self.keystore.pending.unit != unit:
                 self.keystore.generate_pending(unit, ctx.rng)
         if offset == _O_PA_START:
@@ -316,8 +309,8 @@ class UlsCore:
             self._part2_begun = True
             self.refresher.begin(ctx, unit)
 
-    def _begin_refresh(self, ctx: NodeContext, unit: int) -> None:
-        """Part (I) steps 1-2: fresh keys, announced in the clear."""
+    def _reset_refresh(self, unit: int) -> None:
+        """Open unit ``unit``'s refreshment phase with no URfr progress."""
         self._refresh_unit = unit
         self._announced = {}
         self._cert_wanted = {}
@@ -325,6 +318,10 @@ class UlsCore:
         self._certs_completed = set()
         self._switch_deferred = False
         self._part2_begun = False
+
+    def _begin_refresh(self, ctx: NodeContext, unit: int) -> None:
+        """Part (I) steps 1-2: fresh keys, announced in the clear."""
+        self._reset_refresh(unit)
         self.keystore.generate_pending(unit, ctx.rng)
         my_repr = self.keystore.pending_key_repr()
         for receiver in range(self.n):

@@ -44,9 +44,8 @@ class PdsNodeProgram(NodeProgram):
             :func:`~repro.pds.keys.deal_initial_states` (the set-up
             phase's ``Gen``).
         transport: defaults to the direct AL transport.
-        wire: the refresh wire format of the signer and the refresh
-            service, ``"paper"`` or ``"aggregated"``
-            (:mod:`repro.wire`).
+        wire: the refresh wire format of the signer, ``"paper"`` or
+            ``"aggregated"`` (:mod:`repro.wire`).
     """
 
     def __init__(
@@ -57,7 +56,7 @@ class PdsNodeProgram(NodeProgram):
         self.state = state
         self.transport = transport or DirectTransport(channel="pds")
         self.signer = ThresholdSigner(state, self.transport, wire=wire)
-        self.refresher = RefreshService(state, self.transport, wire=wire)
+        self.refresher = RefreshService(state, self.transport)
         #: message_bytes -> (m, u) for output formatting
         self._pending: dict[bytes, tuple[Any, int]] = {}
         #: (m, u) -> signature, for inspection by experiments
@@ -96,3 +95,7 @@ class PdsNodeProgram(NodeProgram):
                 message, unit = self._pending.pop(message_bytes)
                 self.signatures[(message, unit)] = signature
                 ctx.output(("signed", message, unit))
+        for message_bytes in self.signer.failed():
+            if message_bytes in self._pending:
+                message, unit = self._pending.pop(message_bytes)
+                ctx.output(("sign-failed", message, unit))

@@ -40,41 +40,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crypto.feldman import FeldmanCommitment, FeldmanDealer
-from repro.crypto.hashing import tagged_hash
 from repro.crypto.shamir import Share
 from repro.pds.dealing import DealingRound, commitment_of
 from repro.pds.keys import PdsNodeState
 from repro.pds.transport import Transport
 from repro.sim.node import NodeContext
-from repro.wire import REFRESH, aggregated_wire, well_formed
+from repro.wire import REFRESH, well_formed
 
-__all__ = ["RefreshService", "responder_sample", "sample_size"]
+__all__ = ["RefreshService"]
 
 _COMMIT_TAG = "repro/rfr/commit"
-_SAMPLE_TAG = "repro/volume/responder-sample"
-
-
-def sample_size(n: int, t: int) -> int:
-    """Number of sampled helpers: ``2t+1`` holders guarantee ``t+1``
-    honest consistent sub-shares even if ``t`` sampled nodes are corrupted,
-    capped at the ``n-1`` nodes that exist besides the requester."""
-    return min(n - 1, 2 * t + 1)
-
-
-def responder_sample(unit: int, requester: int, n: int, t: int) -> tuple[int, ...]:
-    """Seed-deterministic helper sample for a share-recovery request on
-    the aggregated wire: the :func:`sample_size` nodes other than the
-    requester with the lowest ``H(tag, unit, requester, node)``.  Every
-    node computes it from public inputs alone, so helpers self-select and
-    the requester knows whom to expect help from; the hash spreads the
-    load across units and requesters instead of electing the lowest ids.
-    """
-    prefix = unit.to_bytes(8, "big", signed=True) + requester.to_bytes(8, "big", signed=True)
-    candidates = sorted(
-        (node for node in range(n) if node != requester),
-        key=lambda node: tagged_hash(_SAMPLE_TAG, prefix, node.to_bytes(8, "big", signed=True)),
-    )
-    return tuple(sorted(candidates[: sample_size(n, t)]))
 
 
 @dataclass
@@ -87,9 +62,6 @@ class _Phase:
     sync_votes: dict[int, tuple[int, ...]] = field(default_factory=dict)
     need_recovery: bool = False
     requesters: set[int] = field(default_factory=set)
-    #: requesters whose recovery already failed once under sampled help —
-    #: their requests get full-fan-out treatment (aggregated wire)
-    escalated: set[int] = field(default_factory=set)
     # blinding state, per requester j: dealer -> (commitment, my sub-share)
     blinds: dict[int, dict[int, tuple[FeldmanCommitment, int]]] = field(default_factory=dict)
     helped: bool = False
@@ -106,16 +78,12 @@ class RefreshService:
     ``transport.begin_round``); call :meth:`begin` at the first round of
     each refreshment phase.  Read :meth:`events` for completions.
 
-    ``wire`` is the refresh wire format (:mod:`repro.wire`): with
-    ``"aggregated"`` recovery help comes from a sampled ``2t+1`` responders
-    (:func:`responder_sample`) first, escalating to full fan-out after a
-    failed recovery.
+    The service takes no refresh wire format (:mod:`repro.wire`): its
+    transport decides how bodies travel, and on either format every
+    intact node deals a blind and sends help to every requester.
     """
 
-    def __init__(
-        self, state: PdsNodeState, transport: Transport, *, wire: str = "paper"
-    ) -> None:
-        self.aggregated = aggregated_wire(wire)
+    def __init__(self, state: PdsNodeState, transport: Transport) -> None:
         self.state = state
         self.transport = transport
         self._phase: _Phase | None = None
@@ -129,9 +97,6 @@ class RefreshService:
         #: every refreshment phase; ULS turns this off and calls begin()
         #: itself once Part (I) has finished
         self.auto_start = True
-        # unit whose sampled-help recovery failed; the next request
-        # escalates to full fan-out (aggregated wire, deterministic fallback)
-        self._escalate_from_unit: int | None = None
 
     def begin(self, ctx: NodeContext, unit: int) -> None:
         """Start the refresh for time unit ``unit`` (phase-start round).
@@ -242,8 +207,6 @@ class RefreshService:
     def _on_need(self, sender: int, body: tuple, phase: _Phase) -> None:
         if body[1] == phase.unit:
             phase.requesters.add(sender)
-            if body[2:3] == ("esc",):
-                phase.escalated.add(sender)
 
     def _on_blind(self, ctx: NodeContext, dealer: int, body: tuple, phase: _Phase) -> None:
         _, unit, requester, elements, share_value = body
@@ -335,13 +298,7 @@ class RefreshService:
         if not self.state.share_is_valid():
             phase.need_recovery = True
             phase.requesters.add(ctx.node_id)
-            if self.aggregated and self._escalate_from_unit is not None:
-                # a previous sampled-help recovery came up short: demand
-                # full fan-out this time (the paper wire's behaviour)
-                phase.escalated.add(ctx.node_id)
-                self.transport.send_to_all(ctx, ("rf-need", phase.unit, "esc"))
-            else:
-                self.transport.send_to_all(ctx, ("rf-need", phase.unit))
+            self.transport.send_to_all(ctx, ("rf-need", phase.unit))
 
     def _anchor_key(self, ctx: NodeContext) -> int | None:
         """The unchanging public key: from ROM if present (UL model),
@@ -362,22 +319,6 @@ class RefreshService:
         for requester in sorted(phase.requesters):
             if requester == ctx.node_id:
                 continue
-            # aggregated wire: only the 2t+1 seed-deterministic responders
-            # deal blinds for this requester, and sub-shares only travel
-            # between them (non-sampled nodes end up with empty blind maps
-            # and so send no help — the sample self-selects from public
-            # inputs).  2t+1 holders still yield t+1 honest consistent
-            # helps under t corruptions; an escalated request (a requester
-            # whose sampled recovery already failed once) gets the full
-            # fan-out of the paper wire.
-            receivers: tuple[int, ...] | None = None
-            if self.aggregated and requester not in phase.escalated:
-                sample = responder_sample(
-                    phase.unit, requester, public.n, public.threshold
-                )
-                if ctx.node_id not in sample:
-                    continue
-                receivers = sample
             target = requester + 1
             # b(z) = sum_{k=1..t} a_k (z^k - target^k): degree t, b(target) = 0
             coefficients = [0] * (public.threshold + 1)
@@ -396,7 +337,7 @@ class RefreshService:
             phase.blinds.setdefault(requester, {}).setdefault(
                 ctx.node_id, (commitment, my_subshare)
             )
-            for receiver in receivers if receivers is not None else range(public.n):
+            for receiver in range(public.n):
                 if receiver == ctx.node_id:
                     continue
                 self.transport.send(
@@ -458,7 +399,6 @@ class RefreshService:
 
         # 1. recover the old share if needed
         if phase.need_recovery:
-            recovered = False
             for points in phase.helps.values():
                 if len(points) < needed:
                     continue
@@ -468,11 +408,7 @@ class RefreshService:
                 if base.verify_share(group, candidate):
                     self.state.share = candidate
                     self.state.key_commitment = base
-                    recovered = True
                     break
-            # deterministic fallback of sampled help: a recovery that came
-            # up short marks the next unit's request for full fan-out
-            self._escalate_from_unit = None if recovered else phase.unit
 
         # 2. apply the renewal if we hold every qualified sub-share
         zeros = phase.zeros

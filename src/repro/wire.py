@@ -16,11 +16,12 @@ DISPERSE's own framing is :mod:`repro.core.disperse`'s alone.
 
 The refresh wire format is a parameter of each protocol instance,
 ``wire="paper" | "aggregated"`` (:data:`WIRES`).  The aggregated wire
-certifies a round-wide body once, to :data:`BROADCAST`, packs the
+certifies a round-wide body once, to :data:`BROADCAST`, and packs the
 signer's and PARTIAL-AGREEMENT's per-session bodies into one plural body
-per node and round, and asks a sample of recovery helpers first
-(:func:`repro.pds.refresh.responder_sample`), with the paper wire's
-protocol outcome (``docs/PROTOCOLS.md`` §12).
+per node and round, with the paper wire's protocol outcome
+(``docs/PROTOCOLS.md`` §12).  A format decides how bodies are packed and
+addressed, never who takes part: on both, every intact node helps every
+share recovery.
 """
 
 from __future__ import annotations
@@ -35,14 +36,11 @@ __all__ = [
 
 
 def fits(values: Any, types: tuple) -> bool:
-    """Whether ``values`` is a tuple of instances of ``types``, one each;
-    a trailing ``...`` in ``types`` admits any further items."""
-    if not isinstance(values, tuple):
-        return False
-    if types and types[-1] is ...:
-        types = types[:-1]
-        values = values[: len(types)]
-    return len(values) == len(types) and all(map(isinstance, values, types))
+    """Whether ``values`` is a tuple of instances of ``types``, one each."""
+    return (
+        isinstance(values, tuple) and len(values) == len(types)
+        and all(map(isinstance, values, types))
+    )
 
 
 def well_formed(body: Any, shapes: Mapping[str, tuple]) -> bool:
@@ -100,7 +98,7 @@ REFRESH = {
     "rf-sync": (int, tuple),  # unit, key commitment
     "rf-zdeal": (int, tuple, object),  # unit, elements, sub-share
     "rf-zack": (int, tuple),  # unit, ack list
-    "rf-need": (int, ...),  # unit[, "esc"]
+    "rf-need": (int,),  # unit
     "rf-blind": (int, int, tuple, int),  # unit, requester, elements, sub-share
     "rf-zreveal": (int, tuple, tuple),  # unit, points, elements
     "rf-help": (int, int, int, tuple, tuple),  # unit, x, value, blind set, elements

@@ -61,6 +61,22 @@ def test_fewer_than_t_plus_1_requests_never_sign(wire):
         assert ("signed", "under", 0) not in execution.outputs_of(i)
 
 
+def test_failed_signings_release_pending_state(wire):
+    """A signing request that can never complete is dropped from
+    ``PdsNodeProgram._pending`` with an explicit ``sign-failed`` output
+    instead of staying there for the rest of the run."""
+    _, programs = build(wire=wire)
+    r = SCHED.first_normal_round(0)
+    messages = [f"lone-{k}" for k in range(5)]
+    # only node 0 asks: t + 1 = 3 partials never materialize
+    execution = run(programs, sign_plan=[(0, r, m) for m in messages], units=3)
+    assert programs[0]._pending == {}
+    assert programs[0].signer.sessions == {}
+    for message in messages:
+        assert ("sign-failed", message, 0) in execution.outputs_of(0)
+    assert programs[0].signatures == {}
+
+
 def test_all_nodes_signing_works(wire):
     public, programs = build(wire=wire)
     r = SCHED.first_normal_round(0)

@@ -1,20 +1,20 @@
-"""The aggregated refresh wire (``wire="aggregated"``): parity & fallback.
+"""The aggregated refresh wire (``wire="aggregated"``): parity.
 
 The aggregated wire changes *which* envelopes carry the refresh/DKG
 protocols — receipt aggregation over the DISPERSE broadcast primitive,
-plural threshold-signer rounds, sampled refresh-help — so unlike every
-perf optimisation, transcript-digest parity with the paper wire is
-impossible by construction.  What these tests pin down instead is the
-contract docs/PROTOCOLS.md §12 states:
+plural threshold-signer rounds, one PARTIAL-AGREEMENT step-3 pack per
+round — so unlike every perf optimisation, transcript-digest parity with
+the paper wire is impossible by construction.  What these tests pin down
+instead is the contract docs/PROTOCOLS.md §12 states:
 
 * **outcome parity** — node outputs, system log, blame records
   (``rejected_dealers`` / ``rejected_partials``), key histories and
   certified key reprs are bit-identical on either wire, under seeded
-  E13-style chaos as well as in the all-honest case;
+  E13-style chaos, a starved share recovery and a split among recovery
+  helpers as well as in the all-honest case;
 * **volume** — messages per refreshment phase drop ≥ 2× even at small n;
-* **deterministic fallback** — a requester whose sampled-help recovery
-  came up short escalates to the full fan-out (the paper wire's path) at
-  its next request, and recovers;
+* **one recovery path** — every intact node helps a share recovery on
+  either wire, so no wire recovers a share the other loses;
 * **broadcast certification** — the ``BROADCAST`` destination sentinel
   is accepted for any receiver while every other step-1 rejection is
   unchanged;
@@ -30,13 +30,17 @@ import pytest
 
 from repro.analysis.digest import outcome_digest, transcript_digest
 from repro.analysis.metrics import message_stats
+from repro.analysis.verdict import verdict
+from repro.core.auth_send import AUTH_TAG
 from repro.core.certify import certify, ver_cert, ver_cert_many
+from repro.core.disperse import DISPERSE_CHANNEL, forwarding
 from repro.core.uls import UlsProgram, _O_PART2, build_uls_states, uls_schedule
+from repro.crypto.feldman import FeldmanDealer
+from repro.crypto.field import Polynomial
 from repro.crypto.group import named_group
 from repro.crypto.schnorr import SchnorrScheme
 from repro.crypto.shamir import Share
 from repro.faults import FaultInjectionAdversary, FaultPlan
-from repro.pds.refresh import RefreshService, responder_sample, sample_size
 from repro.sim.adversary_api import Adversary, PassiveAdversary, faithful_delivery
 from repro.sim.clock import Phase
 from repro.sim.runner import ULRunner
@@ -75,27 +79,6 @@ def _outcomes(programs, execution):
         [list(p.keystore.history) for p in programs],
         [dict(p.keystore.key_reprs) for p in programs],
     )
-
-
-# ------------------------------------------------------- responder sample
-
-def test_responder_sample_deterministic_and_bounded():
-    n, t = 25, 5
-    sample = responder_sample(3, 7, n, t)
-    assert sample == responder_sample(3, 7, n, t)
-    assert len(sample) == sample_size(n, t) == 2 * t + 1
-    assert 7 not in sample
-    assert all(0 <= node < n for node in sample)
-    assert sample == tuple(sorted(sample))
-    # different (unit, requester) pairs draw different samples
-    assert sample != responder_sample(4, 7, n, t)
-    assert sample != responder_sample(3, 8, n, t)
-
-
-def test_responder_sample_small_networks_fall_back_to_everyone():
-    # when 2t+1 >= n-1 the sample is simply everyone but the requester
-    assert responder_sample(1, 2, 5, 2) == (0, 1, 3, 4)
-    assert sample_size(5, 2) == 4
 
 
 # ------------------------------------------------- broadcast certification
@@ -167,7 +150,7 @@ def test_chaos_outcome_parity(perf, seed):
     assert run("aggregated") == run("paper")
 
 
-# -------------------------------------------------- sampled-help escalation
+# ------------------------------------------------- one share-recovery path
 
 class _HelpBlocker(Adversary):
     """Corrupts one node's share during unit 0, then starves its unit-1
@@ -204,83 +187,93 @@ class _HelpBlocker(Adversary):
         return plan
 
 
-def _run_escalation(wire: str, spy_needs, spy_blinds):
-    needs, blinds = [], []
-    spy_needs.append(needs)
-    spy_blinds.append(blinds)
-    programs, execution = _run_uls(
-        7, 2, seed=23, adversary=_HelpBlocker(victim=6), units=3, wire=wire
-    )
-    return programs, execution, needs, blinds
-
-
-@pytest.fixture
-def refresh_spies(monkeypatch):
-    """Record every accepted rf-need body and every accepted blind's
-    (unit, requester, dealer) across all nodes, per run."""
-    need_runs: list[list] = []
-    blind_runs: list[list] = []
-    original_need = RefreshService._on_need
-    original_blind = RefreshService._on_blind
-
-    def spy_need(self, sender, body, phase):
-        if need_runs:
-            need_runs[-1].append(tuple(body))
-        return original_need(self, sender, body, phase)
-
-    def spy_blind(self, ctx, dealer, body, phase):
-        if blind_runs:
-            blind_runs[-1].append((body[1], body[2], dealer))
-        return original_blind(self, ctx, dealer, body, phase)
-
-    monkeypatch.setattr(RefreshService, "_on_need", spy_need)
-    monkeypatch.setattr(RefreshService, "_on_blind", spy_blind)
-    return need_runs, blind_runs
-
-
-def test_sampled_help_escalates_to_full_fanout(perf, refresh_spies):
-    need_runs, blind_runs = refresh_spies
-    programs, execution, needs, blinds = _run_escalation(
-        "aggregated", need_runs, blind_runs
-    )
-    victim = programs[6]
-    # unit 1: recovery starved -> failed + alert; the service marks the unit
-    assert 1 in victim.core.alert_units
-    # unit 2: the request escalated to full fan-out...
-    assert ("rf-need", 2, "esc") in needs
-    assert ("rf-need", 1, "esc") not in needs
-    # ...visible in who dealt blinds: the unit-1 request drew only the
-    # 2t+1 sampled responders, the escalated unit-2 request drew everyone
-    dealers_by_unit = {
-        unit: {dealer for u, requester, dealer in blinds
-               if u == unit and requester == 6}
-        for unit in (1, 2)
-    }
-    assert dealers_by_unit[1] == set(responder_sample(1, 6, 7, 2))
-    assert len(dealers_by_unit[1]) == 5
-    assert dealers_by_unit[2] == set(range(6))
-    # ...and the node is whole again
-    assert victim.state.share_is_valid()
-    assert victim.core.refresher._escalate_from_unit is None
-    assert 2 not in victim.core.alert_units
-
-
-def test_escalation_scenario_outcome_parity(perf, refresh_spies):
+def test_escalation_scenario_outcome_parity(perf):
     """The same starved-recovery scenario ends identically either way:
-    failed at unit 1, recovered at unit 2 — escalation restores exactly
-    the paper wire's liveness."""
-    need_runs, blind_runs = refresh_spies
-    programs_agg, execution_agg, _, _ = _run_escalation(
-        "aggregated", need_runs, blind_runs
+    failed at unit 1, recovered at unit 2, when every intact node helps
+    again."""
+    paper, aggregated = (
+        _run_uls(7, 2, seed=23, adversary=_HelpBlocker(victim=6), units=3, wire=wire)
+        for wire in ("paper", "aggregated")
     )
-    programs_paper, execution_paper, needs_paper, _ = _run_escalation(
-        "paper", need_runs, blind_runs
-    )
-    assert _outcomes(programs_agg, execution_agg) == \
-        _outcomes(programs_paper, execution_paper)
-    assert outcome_digest(execution_agg) == outcome_digest(execution_paper)
-    # the paper wire never escalates (every request is full fan-out already)
-    assert not any(len(body) >= 3 and body[2] == "esc" for body in needs_paper)
+    assert _outcomes(*aggregated) == _outcomes(*paper)
+    assert outcome_digest(aggregated[1]) == outcome_digest(paper[1])
+    for programs, _ in (paper, aggregated):
+        assert programs[6].core.alert_units == [1]
+        assert programs[6].state.share_is_valid()
+
+
+class _BlindSplitter(Adversary):
+    """Splits the helpers of one share recovery by the blinds they hold.
+
+    Node 6 is broken for one round of unit 0 and its share value raised
+    by 1, so it asks for help in unit 1's Part (II), which starts at round
+    ``P``.  At its turn in round ``P + 3`` the adversary breaks node 1,
+    which therefore skips the blind step (``P + 4``) and the help step
+    (``P + 6``); with node 1's keys it certifies a blind for node 6 as of
+    round ``P + 4`` and delivers it to nodes 2 and 3 only; it releases
+    node 1 at ``P + 7``.  Nodes 2 and 3 then help with one blind set and
+    the other intact nodes with another, and only a side of ``t + 1 = 3``
+    helpers recovers the share."""
+
+    victim, thief, split = 6, 1, (2, 3)
+
+    def begin(self, n, schedule, rng):
+        super().begin(n, schedule, rng)
+        self.corrupt = schedule.first_normal_round(0) + 1
+        self.part2 = schedule.refresh_start(1) + _O_PART2
+
+    def on_round(self, api, info, traffic):
+        if info.round == self.corrupt:
+            state = api.break_into(self.victim).core.state
+            state.share = Share(x=state.share.x, value=(state.share.value + 1) % GROUP.q)
+        elif info.round == self.corrupt + 1:
+            api.leave(self.victim)
+        elif info.round == self.part2 + 3:
+            api.break_into(self.thief)
+        elif info.round == self.part2 + 7:
+            api.leave(self.thief)
+
+    def deliver(self, api, info, traffic):
+        plan = faithful_delivery(traffic, api.n)
+        if info.round != self.part2 + 5:
+            return plan
+        program = api.program_of(self.thief)
+        # b(z) = z^2 - 7^2: degree t = 2, and b(7) = 0 at node 6's index
+        target = self.victim + 1
+        blind = Polynomial(GROUP.scalar_field, [-target * target % GROUP.q, 0, 1])
+        elements = tuple(FeldmanDealer(GROUP, n=api.n, threshold=2).commit(blind).elements)
+        for helper in self.split:
+            body = ("rf-blind", 1, self.victim, elements, blind.evaluate(helper + 1))
+            raw = certify(SCHEME, program.keystore.current, body, self.thief, helper,
+                          self.part2 + 4)
+            plan[helper].append(api.forge_envelope(
+                self.thief, helper, DISPERSE_CHANNEL,
+                forwarding(AUTH_TAG, self.thief, helper, raw)))
+        return plan
+
+
+#: the paper wire's outcome of the blind split; a wire that asked only a
+#: sample of 2t + 1 helpers (nodes 1-5 here: 2 intact ones on each side)
+#: would alert instead
+BLIND_SPLIT_OUTCOME = "fdb0767980d2a0295adc4fef9ad767e3618447d1ad993fc2a54740ef70e37f4b"
+
+
+def test_blind_split_outcome_parity(perf):
+    """Every intact node helps on either wire, so node 0 joins the side
+    of nodes 4 and 5 and node 6 recovers in unit 1 without an alert, with
+    the paper wire's outcome on both wires and a clean verdict within
+    Definition 7."""
+    outcomes = {}
+    for wire in ("paper", "aggregated"):
+        programs, execution = _run_uls(7, 2, seed=5, adversary=_BlindSplitter(), units=3,
+                                       wire=wire)
+        report = verdict(execution, 2, programs)
+        assert report.clean and report.within_model, (wire, report.problems())
+        assert programs[6].core.alert_units == [], wire
+        assert programs[6].state.share_is_valid(), wire
+        assert outcome_digest(execution) == BLIND_SPLIT_OUTCOME, wire
+        outcomes[wire] = _outcomes(programs, execution)
+    assert outcomes["aggregated"] == outcomes["paper"]
 
 
 # ------------------------------------------------------------ bounded state

@@ -193,8 +193,7 @@ def test_fits_and_well_formed():
     assert wire.fits((True, b"x"), (int, bytes))  # a bool is an int
     assert not wire.fits([1, b"x"], (int, bytes))
     assert not wire.fits((1,), (int, bytes))
-    assert wire.fits((1,), (int, ...)) and wire.fits((1, "esc", 2), (int, ...))
-    assert not wire.fits((), (int, ...))
-    assert wire.well_formed(("rf-need", 1, "esc"), wire.REFRESH)
-    for body in [(), ("rf-need",), ("rf-nope", 1), ([1], 1), "rf-need", None]:
+    assert wire.well_formed(("rf-need", 1), wire.REFRESH)
+    for body in [(), ("rf-need",), ("rf-need", 1, "esc"), ("rf-nope", 1), ([1], 1),
+                 "rf-need", None]:
         assert not wire.well_formed(body, wire.REFRESH)
