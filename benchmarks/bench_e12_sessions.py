@@ -64,6 +64,7 @@ class Workload(NodeProgram):
                     self.sessions.send(ctx, peer, body)
                 else:
                     self.core.app_send(ctx, peer, body)
+        self.core.end_round(ctx)
 
 
 def run_variant(n: int, variant: str, seed: int = 0):

@@ -12,8 +12,9 @@ Scientific control: rerunning the *identical* protocol with the
 deliberately forgeable toy scheme as CS (violating Theorem 14's EUF-CMA
 premise) must produce BAD3 executions — showing the experiment actually
 measures the property, not merely the absence of attack code.  The
-forger runs on each wire, once in a point-to-point DISPERSE frame and
-once in a frame to ``BROADCAST``.
+forger runs on each wire, once in a point-to-point DISPERSE frame, once
+in a frame to ``BROADCAST``, and once with its body inside a certified
+``("pack", bodies)``, which receivers on both wires open.
 """
 
 import random
@@ -39,8 +40,6 @@ N, T = 5, 2
 UNITS = 3
 SEEDS = 5
 KINDS = ("passive", "mobile", "mobile-corrupt", "replay", "cutoff-impersonate")
-#: the control's frames: name -> the forged message's destination
-FRAMES = {"point-to-point": 1, "broadcast": BROADCAST}
 
 
 def make_adversary(kind: str, seed: int):
@@ -96,6 +95,10 @@ class BrokenCsForger(Adversary):
                     self._template = msg
                     return
 
+    def body(self, info):
+        """The forged AUTH-SEND body."""
+        return ("app", ("forged-by-toy", info.round))
+
     def frame(self, raw):
         """The DISPERSE frame that carries the forged certified ``raw``."""
         return forwarding(AUTH_TAG, self.victim, self.destination, raw)
@@ -105,7 +108,7 @@ class BrokenCsForger(Adversary):
         if self._template is None or info.phase is not Phase.NORMAL:
             return plan
         _, _, _, unit, _, _, verify_key, cert = self._template
-        forged_message = ("app", ("forged-by-toy", info.round))
+        forged_message = self.body(info)
         body = encode_for_hash(
             ("auth-msg", forged_message, self.victim, self.destination, unit, info.round - 1)
         )
@@ -115,6 +118,19 @@ class BrokenCsForger(Adversary):
         plan[self.receiver].append(api.forge_envelope(
             self.victim, self.receiver, DISPERSE_CHANNEL, self.frame(raw)))
         return plan
+
+
+class PackedCsForger(BrokenCsForger):
+    """Forges its ``app`` body as the one member of a certified pack,
+    which receivers on both wires open."""
+
+    def body(self, info):
+        return ("pack", (super().body(info),))
+
+
+#: the control's frames: name -> (forger class, the forged message's destination)
+FRAMES = {"point-to-point": (BrokenCsForger, 1), "broadcast": (BrokenCsForger, BROADCAST),
+          "pack": (PackedCsForger, 1)}
 
 
 def run_broken_cs_control(forger: BrokenCsForger, wire: str = "paper", seed: int = 0):
@@ -152,10 +168,9 @@ def table():
             assert outcomes["GOOD"] == SEEDS, f"{kind} on the {wire} wire: non-good execution"
             assert violations == 0, f"{kind} on the {wire} wire: emulation invariant violated"
     # the negative control: EUF-CMA premise removed -> BAD3 appears
-    for frame, destination in FRAMES.items():
+    for frame, (forger, destination) in FRAMES.items():
         for wire in WIRES:
-            control, accepted = run_broken_cs_control(
-                BrokenCsForger(destination=destination), wire)
+            control, accepted = run_broken_cs_control(forger(destination=destination), wire)
             classification = control.classification
             rows.append((f"CONTROL broken-CS forger, {frame}", wire, 1,
                          int(control.within_model), int(classification == "GOOD"), 0,

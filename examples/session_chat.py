@@ -48,6 +48,7 @@ class ChatNode(NodeProgram):
         if ctx.info.phase is Phase.NORMAL and ctx.info.index_in_phase >= 2:
             peer = (self.node_id + 1) % self.n
             self.sessions.send(ctx, peer, ("hi", self.node_id, ctx.info.round))
+        self.core.end_round(ctx)
 
 
 class MacForger(Adversary):

@@ -43,7 +43,7 @@ from repro.pds.keys import PdsPublic
 from repro.sim.clock import Phase
 from repro.sim.runner import RunObserver
 from repro.sim.transcript import Execution, RoundRecord
-from repro.wire import CERTIFIED, PA3, fits, well_formed
+from repro.wire import CERTIFIED, PA3, fits, unpack
 
 __all__ = ["ForgedMessage", "GoodnessReport", "GoodnessObserver"]
 
@@ -84,8 +84,10 @@ def _certified_members(body: Any):
     """The candidate certified messages of a DISPERSE body: the body, or
     each member of a PARTIAL-AGREEMENT step-3 ``pa3b`` pack, which both
     wires send (one per session and receiver on the paper wire, one per
-    node and round to ``BROADCAST`` on the aggregated wire)."""
-    for raw in body[1] if well_formed(body, PA3) else (body,):
+    node and round to ``BROADCAST`` on the aggregated wire).  A certified
+    ``("pack", bodies)`` of the aggregated wire is one certified message,
+    with one stamp."""
+    for raw in unpack(body, PA3):
         if fits(raw, CERTIFIED):
             yield raw
 

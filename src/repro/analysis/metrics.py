@@ -1,5 +1,6 @@
 """Message counts shared by the experiments and benchmarks: a pure
-function over a finished :class:`~repro.sim.transcript.Execution`."""
+function over a finished :class:`~repro.sim.transcript.Execution`, and
+the closed form a benign refreshment phase must meet."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 from repro.sim.clock import Phase
 from repro.sim.transcript import Execution
 
-__all__ = ["MessageStats", "message_stats"]
+__all__ = ["MessageStats", "message_stats", "expected_msgs_per_refresh"]
 
 
 @dataclass(frozen=True)
@@ -46,3 +47,17 @@ def message_stats(execution: Execution) -> MessageStats:
         per_refresh_phase=by_phase.get("refresh", 0) / refresh_phases,
         per_normal_round=by_phase.get("normal", 0) / max(1, normal_rounds),
     )
+
+
+def expected_msgs_per_refresh(n: int, f: int, wire: str) -> int:
+    """Envelopes one benign ULS refreshment phase sends with ``n`` nodes,
+    DISPERSE relay fanout ``f`` (``n − 1`` for a full flood) and refresh
+    wire format ``wire``.  A DISPERSE to one node costs ``E = 2f − 1``
+    envelopes and one to ``BROADCAST`` ``B = f(n − 1)``; the ``n(n − 1)``
+    key announcements ride raw links.  Channel by channel:
+    ``docs/PROTOCOLS.md`` §12."""
+    e, b, newkey = 2 * f - 1, f * (n - 1), n * (n - 1)
+    return {
+        "paper": e * n * (n - 1) * (5 * n + 4) + newkey,
+        "aggregated": 6 * n * b + 3 * n * (n - 1) * e + newkey,
+    }[wire]

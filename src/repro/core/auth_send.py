@@ -13,7 +13,9 @@ Because this class implements :class:`~repro.pds.transport.Transport`
 (with ``delay = 2``), every AL-model sub-protocol in this package —
 threshold signing, share refresh, echo broadcast — runs over it
 unchanged.  That substitution is the entire §4 transformation of the
-paper: ``ULS = ALS where each message is sent via AUTH-SEND``.
+paper: ``ULS = ALS where each message is sent via AUTH-SEND``.  So how
+bodies travel, the refresh wire format of :mod:`repro.wire`, is this
+class's decision alone.
 """
 
 from __future__ import annotations
@@ -23,21 +25,45 @@ from typing import Any
 from repro.core.certify import CertifiedMessage, certify, ver_cert_many
 from repro.core.disperse import DisperseService
 from repro.core.keystore import KeyStore
+from repro.crypto.hashing import encode_for_hash
 from repro.pds.keys import PdsPublic
 from repro.pds.transport import Accepted, Transport
+from repro.perf.cache import canonical_body_key, canonical_encoding, seed_canonical_key
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext
-from repro.wire import BROADCAST, aggregated_wire
+from repro.wire import BROADCAST, PACK, aggregated_wire, unpack
 
-__all__ = ["AuthSendTransport", "AcceptedCertified", "AUTH_TAG"]
+__all__ = ["AuthSendTransport", "AcceptedCertified", "AUTH_TAG", "FORWARD_TAG"]
 
 #: the DISPERSE tag of AUTH-SEND traffic
 AUTH_TAG = "auth"
+#: the DISPERSE tag of :meth:`AuthSendTransport.forward`
+FORWARD_TAG = "pa3"
+
+
+# encode_for_hash of a pack ("pa3b", raws) is a 2-item list header, the
+# kind, then the members' list: its tag, its length, each member's encoding
+_PACK_HEADER = b"L" + (2).to_bytes(8, "big") + encode_for_hash("pa3b") + b"L"
+
+
+def _pack(raws: list) -> tuple:
+    """The forward body ``("pa3b", raws)`` (:data:`repro.wire.PA3`).  A
+    pack is a new object, so its DISPERSE dedup key is seeded here from
+    its members' encodings, which CERTIFY seeded, instead of each relay
+    walking them again."""
+    pack = ("pa3b", tuple(raws))
+    try:
+        members = [canonical_encoding(raw) for raw in raws]
+    except TypeError:
+        return pack  # keyed on use, like any body that cannot be encoded
+    seed_canonical_key(pack, b"".join((_PACK_HEADER, len(raws).to_bytes(8, "big"), *members)))
+    return pack
 
 
 class AcceptedCertified(Accepted):
-    """An accepted message plus the certified message it arrived in
-    (PARTIAL-AGREEMENT step 3 re-disperses those)."""
+    """An accepted message plus the certified message it arrived in, a
+    whole pack on the aggregated wire (PARTIAL-AGREEMENT step 3 forwards
+    those)."""
 
     __slots__ = ("raw",)
 
@@ -57,8 +83,8 @@ class AuthSendTransport(Transport):
         disperse: the node's shared DISPERSE engine.
         tag: DISPERSE tag separating this transport's traffic.
         wire: the refresh wire format (:mod:`repro.wire`); with
-            ``"aggregated"``, :meth:`send_to_all` sends one message to
-            ``BROADCAST`` instead of ``n-1`` point-to-point ones.
+            ``"aggregated"``, :meth:`send` buffers until :meth:`flush`,
+            which the owner calls last in its step.
     """
 
     delay = 2
@@ -84,15 +110,23 @@ class AuthSendTransport(Transport):
         # current and previous unit only (it used to grow one entry per
         # acceptance for the whole run — unbounded across units)
         self._unit_first_round: dict[int, int] = {}
+        # aggregated wire: this round's bodies per destination, and the
+        # certified messages to forward, keyed for distinctness
+        self._outbox: dict[int, list[Any]] = {}
+        self._forwards: dict[Any, CertifiedMessage] = {}
 
     def begin_round(self, ctx: NodeContext, inbox: list[Envelope]) -> None:
         """Run VER-CERT over this round's DISPERSE receipts.
 
         The owner must have called ``disperse.on_round`` already (the
         DISPERSE engine is shared among several consumers); this method
-        only consumes the receipts under its tag.
+        only consumes the receipts under its tag.  A buffer left from an
+        earlier round is dropped unsent: a broken node's memory is the
+        adversary's (§2.2).
         """
         self._accepted = []
+        self._outbox = {}
+        self._forwards = {}
         unit = ctx.info.time_unit
         if unit not in self._unit_first_round:
             self._unit_first_round[unit] = ctx.info.round
@@ -121,15 +155,56 @@ class AuthSendTransport(Transport):
         ):
             if msg is None:
                 continue
-            self._accepted.append(AcceptedCertified(msg.source, msg.message, msg))
-            self.accepted_log.append((ctx.info.round, msg.source, msg.message))
+            for body in unpack(msg.message, PACK):
+                self._accepted.append(AcceptedCertified(msg.source, body, msg))
+                self.accepted_log.append((ctx.info.round, msg.source, body))
 
     def send(self, ctx: NodeContext, receiver: int, body: Any) -> None:
         """CERTIFY + DISPERSE to ``receiver``, a node id or ``BROADCAST``,
-        which VER-CERT accepts at any receiver.  Silently a no-op when
-        the local keys are ``φ`` — a node without keys cannot
-        authenticate (it has already alerted; its peers simply won't hear
-        from it)."""
+        which VER-CERT accepts at any receiver; on the aggregated wire at
+        :meth:`flush`.  Silently a no-op when the local keys are ``φ`` — a
+        node without keys cannot authenticate (it has already alerted;
+        its peers simply won't hear from it)."""
+        if self.aggregated:
+            self._outbox.setdefault(receiver, []).append(body)
+        else:
+            self._certify_and_disperse(ctx, receiver, body)
+
+    def send_to_all(self, ctx: NodeContext, body: Any) -> None:
+        """Round-wide send; on the aggregated wire one send to
+        ``BROADCAST`` replaces the ``n-1`` point-to-point ones."""
+        if self.aggregated:
+            self.send(ctx, BROADCAST, body)
+        else:
+            super().send_to_all(ctx, body)
+
+    def forward(self, ctx: NodeContext, raws: list[CertifiedMessage]) -> None:
+        """Re-disperse accepted certified messages to every other node
+        (PARTIAL-AGREEMENT step 3): now, as one ``pa3b`` pack to each, on
+        the paper wire; at :meth:`flush`, as one pack of the round's
+        distinct forwards to ``BROADCAST``, on the aggregated wire."""
+        if self.aggregated:
+            for raw in raws:
+                self._forwards.setdefault(canonical_body_key(raw), raw)
+            return
+        pack = _pack(raws)
+        for receiver in range(ctx.n):
+            if receiver != ctx.node_id:
+                self.disperse.send(ctx, receiver, pack, tag=FORWARD_TAG)
+
+    def flush(self, ctx: NodeContext) -> None:
+        """Send what the aggregated wire buffered: one ``("pack",
+        bodies)`` per destination, in send order, certified with the keys
+        in force now, and the forwards."""
+        outbox, self._outbox = self._outbox, {}
+        for receiver, bodies in outbox.items():
+            self._certify_and_disperse(ctx, receiver, ("pack", tuple(bodies)))
+        if self._forwards:
+            pack = _pack(list(self._forwards.values()))
+            self._forwards = {}
+            self.disperse.send(ctx, BROADCAST, pack, tag=FORWARD_TAG)
+
+    def _certify_and_disperse(self, ctx: NodeContext, receiver: int, body: Any) -> None:
         msg = certify(
             self.keystore.scheme,
             self.keystore.current,
@@ -141,15 +216,6 @@ class AuthSendTransport(Transport):
         if msg is None:
             return
         self.disperse.send(ctx, receiver, msg, tag=self.tag)
-
-    def send_to_all(self, ctx: NodeContext, body: Any) -> None:
-        """Round-wide send; on the aggregated wire one certificate and one
-        DISPERSE to ``BROADCAST`` replace the ``n-1`` point-to-point
-        ones."""
-        if self.aggregated:
-            self.send(ctx, BROADCAST, body)
-        else:
-            super().send_to_all(ctx, body)
 
     def accepted_view(self) -> list[AcceptedCertified]:
         return self._accepted

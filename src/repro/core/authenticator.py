@@ -140,6 +140,7 @@ class AuthenticatedProgram(NodeProgram):
                 )
             )
         self.inner.step(_TopLayerContext(ctx, self.core), top_inbox)
+        self.core.end_round(ctx)
 
 
 def compile_protocol(

@@ -15,18 +15,20 @@ The five steps, over AUTH-SEND (delay 2) and raw DISPERSE:
    ``MAJ`` members — signatures make equivocation provable, which is what
    lets this protocol achieve at ``n = 2t+1`` what echo broadcast needs
    ``n = 3t+1`` for (see ``tests/agreement/test_echo.py``).  Each
-   certified message proves itself to any receiver, so a node sends a
-   session's forwards to each other node as one ``("pa3b", raws)`` pack
-   (:data:`repro.wire.PA3`): ``n − 1`` DISPERSEs per session, not
-   ``|MAJ|·(n − 1)``, and every receiver still gets every forwarded
-   message;
+   certified message proves itself to any receiver, so the transport
+   forwards them in packs (:meth:`~repro.core.auth_send.AuthSendTransport.forward`):
+   on the paper wire a session's forwards go to each other node as one
+   ``("pa3b", raws)`` pack, ``n − 1`` DISPERSEs per session, not
+   ``|MAJ|·(n − 1)``; on the aggregated wire one pack a round serves
+   every session;
 4. the forwarded messages are verified (authenticity of author, content
    and time — the destination is whoever the author originally addressed)
-   and cheater marks are updated.  Only an (author, value) pair the node
-   does not yet hold in certified form is verified: a held pair is
-   already on record, so a forwarded copy of it can neither mark a
+   and cheater marks are updated from every ``pa1`` member of each.  A
+   raw is verified at most once, and only if it carries an (author,
+   value) pair the node does not yet hold in certified form: a held pair
+   is already on record, so a forwarded copy of it can neither mark a
    cheater nor change anything else.  That leaves about one check per
-   session and node, for its own input, which it holds uncertified;
+   node and raw carrying its own inputs, which it holds uncertified;
 5. output ``y`` if the surviving ``MAJ'`` is still a majority, else ``φ``.
 
 Many sessions (one per announced key) run in parallel on shared
@@ -38,45 +40,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-from repro.core.auth_send import AuthSendTransport
+from repro.core.auth_send import FORWARD_TAG, AuthSendTransport
 from repro.core.certify import verify_certified_body
-from repro.core.disperse import DisperseService
-from repro.crypto.hashing import encode_for_hash
-from repro.perf.cache import canonical_body_key, canonical_encoding, seed_canonical_key
+from repro.perf.cache import canonical_body_key
 from repro.sim.node import NodeContext
-from repro.wire import BROADCAST, CERTIFIED, PA1, PA3, aggregated_wire, fits, well_formed
+from repro.wire import CERTIFIED, PA1, PA3, PACK, fits, unpack, well_formed
 
 __all__ = ["PartialAgreementService", "NO_VALUE"]
 
 #: the paper's ``φ``
 NO_VALUE = None
 
-_PA3_TAG = "pa3"
-
-
-# encode_for_hash of a pack ("pa3b", raws) is a 2-item list header, the
-# kind, then the members' list: its tag, its length, each member's encoding
-_PACK_HEADER = b"L" + (2).to_bytes(8, "big") + encode_for_hash("pa3b") + b"L"
-
-
-def _pack(raws: list) -> tuple:
-    """The step-3 body ``("pa3b", raws)``.  A pack is a new object, so
-    its DISPERSE dedup key is seeded here from its members' encodings,
-    which CERTIFY seeded, instead of each relay walking them again."""
-    pack = ("pa3b", tuple(raws))
-    try:
-        members = [canonical_encoding(raw) for raw in raws]
-    except TypeError:
-        return pack  # keyed on use, like any body that cannot be encoded
-    seed_canonical_key(pack, b"".join((_PACK_HEADER, len(raws).to_bytes(8, "big"), *members)))
-    return pack
-
-
-def _value_key(value: Any) -> Hashable:
-    # same key DISPERSE uses for dedup: canonical encoding with a repr
-    # fallback, memoized by object identity in repro.perf (values and
-    # re-dispersed certified messages are shared by reference across nodes)
-    return canonical_body_key(value)
+#: the key DISPERSE dedups by: canonical encoding with a repr fallback,
+#: memoized by object identity (values and forwarded certified messages
+#: are shared by reference across nodes)
+_value_key = canonical_body_key
 
 
 @dataclass
@@ -100,27 +78,14 @@ class PartialAgreementService:
     Owner contract per round: ``disperse.on_round`` and
     ``transport.begin_round`` first, then :meth:`on_round`, then any
     :meth:`start` calls; read :meth:`outputs`.
-
-    ``wire`` is the refresh wire format (:mod:`repro.wire`): on the
-    paper wire a session's step-3 pack goes to each other node; with
-    ``"aggregated"`` the packs of every session deciding in a round leave
-    as one, dispersed to ``BROADCAST``.
     """
 
-    def __init__(
-        self, transport: AuthSendTransport, disperse: DisperseService, n: int,
-        *, wire: str = "paper",
-    ) -> None:
-        self.aggregated = aggregated_wire(wire)
+    def __init__(self, transport: AuthSendTransport, n: int) -> None:
         self.transport = transport
-        self.disperse = disperse
-        self.n = n
+        self.disperse = transport.disperse
         self.majority = (n + 1 + 1) // 2  # ceil((n+1)/2)
         self.sessions: dict[Hashable, _Session] = {}
         self._outputs: list[tuple[Hashable, Any]] = []
-        # raw certified messages awaiting the round's batched step-3
-        # re-dispersal (aggregated wire)
-        self._pa3_pending: list[Any] = []
         self._pruned_through = -1
 
     # -- API ---------------------------------------------------------------
@@ -162,15 +127,6 @@ class PartialAgreementService:
             if offset >= 4:
                 session.decided = True
                 self._outputs.append((pa_id, self._step5(session)))
-        if self._pa3_pending:
-            # aggregated wire: ONE dispersal to BROADCAST carries every
-            # certified message this node re-disperses this round.  Every
-            # node still receives every re-dispersed certified message —
-            # the information flow of Fig. 5 step 3 (and with it Lemma
-            # 16's equivocation-evidence propagation) is unchanged.
-            pack = _pack(self._pa3_pending)
-            self._pa3_pending = []
-            self.disperse.send(ctx, BROADCAST, pack, tag=_PA3_TAG)
 
     def _prune(self, unit: int) -> None:
         """Drop decided sessions older than the previous time unit.
@@ -221,43 +177,54 @@ class PartialAgreementService:
             self._record(session, accepted.sender, value, accepted.raw)
 
     def _ingest_step3(self, ctx: NodeContext) -> None:
-        for _claimed_src, body in self.disperse.receipts(_PA3_TAG):
+        for _claimed_src, body in self.disperse.receipts(FORWARD_TAG):
             # a step-3 pack: the wrapper is unauthenticated (like any
             # DISPERSE body), and each member raw carries its own
             # certification; a bare certified message reads as a pack of one
-            raws = body[1] if well_formed(body, PA3) else (body,)
-            for raw in raws:
-                if not (fits(raw, CERTIFIED) and well_formed(raw[0], PA1)):
-                    continue
-                _, pa_id, value = raw[0]
-                try:
-                    session = self.sessions.get(pa_id)
-                except TypeError:  # unhashable: no session has this id
-                    continue
-                if session is None:
-                    continue
-                # step 4 can only mark an author caught with a *new*
-                # certified value; a pair held in certified form already
-                # would leave the session as it is, verified or not
-                held = session.records.get(raw[1])
-                if held is not None:
-                    entry = held.get(_value_key(value))
-                    if entry is not None and entry[1] is not None:
-                        continue
-                raw_key = _value_key(raw)
-                if raw_key in session.verified_raws:
-                    continue
-                session.verified_raws.add(raw_key)
-                msg = verify_certified_body(
-                    self.transport.keystore.scheme,
-                    self.transport.public,
-                    expected_unit=self.transport.keystore.unit,
-                    expected_round=session.start_round,
-                    raw=raw,
-                )
-                if msg is None:
-                    continue
-                self._record(session, msg.source, value, raw)
+            for raw in unpack(body, PA3):
+                if fits(raw, CERTIFIED):
+                    self._step4(raw)
+
+    def _step4(self, raw: tuple) -> None:
+        """Record the ``pa1`` members of one forwarded certified message,
+        verified once if any would add a pair to a session."""
+        author, sent_round = raw[1], raw[4]
+        # step 4 can only mark an author caught with a *new* certified
+        # value; a pair held in certified form already would leave the
+        # session as it is, verified or not.  A raw certifies inputs of
+        # the sessions started in the round it was sent.
+        fresh = []
+        for member in unpack(raw[0], PACK):
+            if not well_formed(member, PA1):
+                continue
+            _, pa_id, value = member
+            try:
+                session = self.sessions.get(pa_id)
+            except TypeError:  # unhashable: no session has this id
+                continue
+            if session is None or session.start_round != sent_round:
+                continue
+            entry = session.records.get(author, {}).get(_value_key(value))
+            if entry is None or entry[1] is None:
+                fresh.append((session, value))
+        if not fresh:
+            return
+        raw_key = _value_key(raw)
+        if all(raw_key in session.verified_raws for session, _ in fresh):
+            return
+        for session, _ in fresh:
+            session.verified_raws.add(raw_key)
+        msg = verify_certified_body(
+            self.transport.keystore.scheme,
+            self.transport.public,
+            expected_unit=self.transport.keystore.unit,
+            expected_round=sent_round,
+            raw=raw,
+        )
+        if msg is None:
+            return
+        for session, value in fresh:
+            self._record(session, author, value, raw)
 
     def _cheaters(self, session: _Session) -> set[int]:
         return {author for author, values in session.records.items() if len(values) > 1}
@@ -285,17 +252,8 @@ class PartialAgreementService:
             for _value, raw in session.records[author].values()
             if raw is not None
         ]
-        if not raws:
-            return
-        if self.aggregated:
-            # collected across every session deciding this round;
-            # on_round flushes them as one pack to BROADCAST
-            self._pa3_pending.extend(raws)
-            return
-        pack = _pack(raws)
-        for receiver in range(self.n):
-            if receiver != ctx.node_id:
-                self.disperse.send(ctx, receiver, pack, tag=_PA3_TAG)
+        if raws:
+            self.transport.forward(ctx, raws)
 
     def _step5(self, session: _Session) -> Any:
         if session.maj_value is NO_VALUE and not session.maj_authors:

@@ -49,7 +49,8 @@ class SessionLayer:
     """Pairwise MAC sessions over a :class:`~repro.core.uls.UlsCore`.
 
     Owner contract per round: call :meth:`on_round` *after*
-    ``core.on_round``; then :meth:`send` freely; read :meth:`accepted`.
+    ``core.on_round`` and before ``core.end_round``; then :meth:`send`
+    freely; read :meth:`accepted`.
     """
 
     def __init__(self, core: UlsCore) -> None:

@@ -38,20 +38,20 @@ from repro.core.auth_send import AuthSendTransport
 from repro.core.certify import certificate_assertion
 from repro.core.disperse import DisperseService
 from repro.core.keystore import KeyStore, LocalKeys
+from repro.core.partial_agreement import PartialAgreementService
 from repro.crypto.hashing import encode_for_hash
 from repro.crypto.schnorr import SchnorrScheme, SchnorrSigningKey
 from repro.crypto.shamir import reconstruct_secret
 from repro.crypto.signature import SignatureScheme
+from repro.pds.harness import SigningProgram
 from repro.pds.keys import PdsNodeState, PdsPublic, deal_initial_states
 from repro.pds.refresh import RefreshService
 from repro.pds.threshold_schnorr import (
-    ThresholdSigner,
-    pds_message_bytes,
-    verify_pds_signature,
+    ThresholdSigner, pds_message_bytes, verify_pds_signature, verify_pds_signature_bytes,
 )
 from repro.sim.clock import Phase, Schedule
 from repro.sim.messages import Envelope
-from repro.sim.node import NodeContext, NodeProgram
+from repro.sim.node import NodeContext
 from repro.wire import APP, CERT, NEWKEY, well_formed
 
 __all__ = [
@@ -60,6 +60,7 @@ __all__ = [
     "uls_refresh_rounds",
     "uls_schedule",
     "build_uls_states",
+    "user_message_bytes",
     "verify_user_signature",
     "NEWKEY_CHANNEL",
     "CERT_TAG",
@@ -128,11 +129,16 @@ def build_uls_states(
     return public, states, initial_keys
 
 
+def user_message_bytes(message: Any, unit: int) -> bytes:
+    """What ``USign`` signs for a user message, in a domain of its own."""
+    return pds_message_bytes(("user-msg", message), unit)
+
+
 def verify_user_signature(public: PdsPublic, message: Any, unit: int, signature: Any) -> bool:
-    """``UVer`` for user messages signed through :meth:`UlsProgram` /
-    :meth:`UlsCore.request_signature` (user messages live in their own
-    domain so they can never collide with certificate assertions)."""
-    return verify_pds_signature(public, ("user-msg", message), unit, signature)
+    """``UVer`` for user messages signed through :class:`UlsProgram` (user
+    messages live in their own domain so they can never collide with
+    certificate assertions)."""
+    return verify_pds_signature_bytes(public, user_message_bytes(message, unit), signature)
 
 
 class UlsCore:
@@ -141,11 +147,12 @@ class UlsCore:
     Call :meth:`on_round` exactly once per non-set-up round, *before* any
     application sends; then use :meth:`app_send` / :meth:`app_accepted`
     for authenticated application traffic (this is the surface the Λ
-    authenticator builds on) and :meth:`request_signature` for USign.
+    authenticator builds on) and ``signer.request`` for USign; call
+    :meth:`end_round` last.
 
     ``wire`` is the refresh wire format, ``"paper"`` (the paper-literal
-    messages, the default) or ``"aggregated"`` (:mod:`repro.wire`);
-    it is passed to the transport, the signer and PARTIAL-AGREEMENT.
+    messages, the default) or ``"aggregated"`` (:mod:`repro.wire`), of
+    the AUTH-SEND transport every service sends through.
     """
 
     def __init__(
@@ -173,16 +180,12 @@ class UlsCore:
         self.transport = AuthSendTransport(
             self.keystore, state.public, self.disperse, wire=wire
         )
-        self.signer = ThresholdSigner(state, self.transport, wire=wire)
+        self.signer = ThresholdSigner(state, self.transport)
         self.refresher = RefreshService(state, self.transport)
         # Part (II) is started explicitly at its offset; the service must
         # not self-start at the top of the refreshment phase
         self.refresher.auto_start = False
-        from repro.core.partial_agreement import PartialAgreementService
-
-        self.pa = PartialAgreementService(
-            self.transport, self.disperse, self.n, wire=wire
-        )
+        self.pa = PartialAgreementService(self.transport, self.n)
         #: units in which this node raised an alert
         self.alert_units: list[int] = []
         #: structured degradation events (also emitted as node output)
@@ -203,7 +206,6 @@ class UlsCore:
         self._switch_deferred = False
         self._part2_begun = False
         self._app_accepted: list[tuple[int, Any]] = []
-        self._completed_signatures: list[tuple[bytes, Any]] = []
         self._held_app_sends: list[tuple[int, Any]] = []
 
     # -- application surface ----------------------------------------------------
@@ -231,16 +233,6 @@ class UlsCore:
         """Application messages accepted this round: ``(source, message)``."""
         return list(self._app_accepted)
 
-    def request_signature(self, ctx: NodeContext, message: Any, unit: int) -> bytes:
-        """``USign``: join the threshold signing of a user message."""
-        message_bytes = pds_message_bytes(("user-msg", message), unit)
-        self.signer.request(ctx, message_bytes)
-        return message_bytes
-
-    def completed_signatures(self) -> list[tuple[bytes, Any]]:
-        """User/certificate signatures completed this round."""
-        return list(self._completed_signatures)
-
     # -- the per-round engine ------------------------------------------------------
 
     def on_round(self, ctx: NodeContext, inbox: list[Envelope]) -> None:
@@ -254,7 +246,6 @@ class UlsCore:
         self.pa.on_round(ctx)
         self.signer.on_round(ctx)
         self.refresher.on_round(ctx)
-        self._completed_signatures = self.signer.completed()
 
         # ingest certificates dispersed to us (must precede the key switch)
         for _src, body in self.disperse.receipts(CERT_TAG):
@@ -262,7 +253,7 @@ class UlsCore:
                 self._consider_certificate(body[1], body[2])
 
         # forward freshly completed certificates to their owners (step 5)
-        for message_bytes, signature in self._completed_signatures:
+        for message_bytes, signature in self.signer.completed():
             target = self._cert_wanted.get(message_bytes)
             if target is None:
                 continue
@@ -282,6 +273,12 @@ class UlsCore:
             if outcome == "failed":
                 self._degrade(ctx, unit, "share-refresh-failed")
                 self._alert(ctx, unit)
+
+    def end_round(self, ctx: NodeContext) -> None:
+        """Close the round's sends, after every send of the step: the
+        aggregated wire certifies and disperses them now (a no-op on the
+        paper wire, which sent them already)."""
+        self.transport.flush(ctx)
 
     # -- URfr orchestration -----------------------------------------------------
 
@@ -394,6 +391,9 @@ class UlsCore:
             return
         was_deferred = self._switch_deferred
         self._switch_deferred = False
+        # what this round sent so far leaves under the keys it was sent
+        # with, as on the paper wire
+        self.transport.flush(ctx)
         ok = self.keystore.install_pending(self._obtained_cert)
         if ok and was_deferred:
             self._degrade(ctx, unit, "certificate-late",
@@ -435,11 +435,12 @@ class UlsCore:
         ctx.alert()
 
 
-class UlsProgram(NodeProgram):
+class UlsProgram(SigningProgram):
     """Stand-alone ULS node: the §3.2 signing interface over UL links.
 
     External inputs ``("sign", m)`` trigger USign; outputs follow §3.2
-    (``asked-to-sign`` / ``signed``) plus ``alert`` per Definition 11.
+    (``asked-to-sign`` / ``signed`` / ``sign-failed``) plus ``alert`` per
+    Definition 11.
     """
 
     def __init__(
@@ -459,8 +460,6 @@ class UlsProgram(NodeProgram):
             relay_fanout=relay_fanout, cert_retransmit=cert_retransmit,
             cert_grace_rounds=cert_grace_rounds, wire=wire,
         )
-        self._pending: dict[bytes, tuple[Any, int]] = {}
-        self.signatures: dict[tuple[Any, int], Any] = {}
 
     @property
     def state(self) -> PdsNodeState:
@@ -476,22 +475,5 @@ class UlsProgram(NodeProgram):
                 ctx.write_rom("pds_public_key", self.state.public.public_key)
             return
         self.core.on_round(ctx, inbox)
-        for value in ctx.external_inputs:
-            if isinstance(value, tuple) and len(value) == 2 and value[0] == "sign":
-                message = value[1]
-                unit = ctx.info.time_unit
-                ctx.output(("asked-to-sign", message, unit))
-                message_bytes = self.core.request_signature(ctx, message, unit)
-                self._pending[message_bytes] = (message, unit)
-        for message_bytes, signature in self.core.completed_signatures():
-            if message_bytes in self._pending:
-                message, unit = self._pending.pop(message_bytes)
-                self.signatures[(message, unit)] = signature
-                ctx.output(("signed", message, unit))
-        # failed signings used to leave their _pending entries behind for
-        # the whole run (unbounded under a request stream); drop them with
-        # an explicit outcome instead
-        for message_bytes in self.core.signer.failed():
-            if message_bytes in self._pending:
-                message, unit = self._pending.pop(message_bytes)
-                ctx.output(("sign-failed", message, unit))
+        self._serve_signing(ctx, self.core.signer, user_message_bytes)
+        self.core.end_round(ctx)

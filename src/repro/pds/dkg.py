@@ -48,12 +48,8 @@ class DkgUGenProgram(NodeProgram):
     :attr:`initial_keys` its certified unit-0 local keys.
     """
 
-    def __init__(
-        self, group: SchnorrGroup, n: int, t: int, scheme: SignatureScheme, *,
-        wire: str = "paper",
-    ) -> None:
+    def __init__(self, group: SchnorrGroup, n: int, t: int, scheme: SignatureScheme) -> None:
         super().__init__()
-        self.wire = wire
         self.group = group
         self.t = t
         self.scheme = scheme
@@ -106,7 +102,7 @@ class DkgUGenProgram(NodeProgram):
             share=Share(x=ctx.node_id + 1, value=total),
             key_commitment=combined,
         )
-        self.signer = ThresholdSigner(self.state, self.transport, wire=self.wire)
+        self.signer = ThresholdSigner(self.state, self.transport)
         self._round = None  # the individual sub-shares are erased
 
     # -- phase 2: local keys + threshold certificates ---------------------------
@@ -161,14 +157,11 @@ def run_distributed_ugen(
     n: int,
     t: int,
     seed: int | str = 0,
-    *,
-    wire: str = "paper",
 ) -> tuple[PdsPublic, list[PdsNodeState], list[LocalKeys]]:
     """Execute the distributed UGen and return ``(public, states, keys)``
     — the same triple as :func:`~repro.core.uls.build_uls_states`, but
-    produced by an actual protocol run with no trusted dealer.  ``wire``
-    is the refresh wire format of the certificate-signing sessions."""
-    programs = [DkgUGenProgram(group, n, t, scheme, wire=wire) for _ in range(n)]
+    produced by an actual protocol run with no trusted dealer."""
+    programs = [DkgUGenProgram(group, n, t, scheme) for _ in range(n)]
     schedule = Schedule(setup_rounds=3, refresh_rounds=1, normal_rounds=8)
     runner = ALRunner(programs, PassiveAdversary(), schedule, seed=seed)
     runner.run(units=1)

@@ -18,7 +18,7 @@ The same services run inside the UL-model ULS scheme
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.pds.keys import PdsNodeState
 from repro.pds.refresh import RefreshService
@@ -28,7 +28,7 @@ from repro.sim.clock import Phase
 from repro.sim.messages import Envelope
 from repro.sim.node import NodeContext, NodeProgram
 
-__all__ = ["PdsNodeProgram", "required_refresh_rounds"]
+__all__ = ["SigningProgram", "PdsNodeProgram", "required_refresh_rounds"]
 
 
 def required_refresh_rounds(transport_delay: int = 1) -> int:
@@ -36,7 +36,45 @@ def required_refresh_rounds(transport_delay: int = 1) -> int:
     return 4 * transport_delay + 1
 
 
-class PdsNodeProgram(NodeProgram):
+class SigningProgram(NodeProgram):
+    """The §3.2 signing interface, shared by the AL-model
+    :class:`PdsNodeProgram` and the UL-model :class:`~repro.core.uls.UlsProgram`."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: message_bytes -> (m, u) for output formatting
+        self._pending: dict[bytes, tuple[Any, int]] = {}
+        #: (m, u) -> signature, for inspection by experiments
+        self.signatures: dict[tuple[Any, int], Any] = {}
+
+    def _serve_signing(
+        self, ctx: NodeContext, signer: ThresholdSigner,
+        message_bytes: Callable[[Any, int], bytes],
+    ) -> None:
+        """One round of §3.2, after ``signer.on_round``: each ``("sign",
+        m)`` input outputs ``asked-to-sign`` and joins the signing of
+        ``message_bytes(m, u)``, and each pending signing ends in
+        ``signed`` or ``sign-failed``."""
+        for value in ctx.external_inputs:
+            if isinstance(value, tuple) and len(value) == 2 and value[0] == "sign":
+                message = value[1]
+                unit = ctx.info.time_unit
+                ctx.output(("asked-to-sign", message, unit))
+                request = message_bytes(message, unit)
+                self._pending[request] = (message, unit)
+                signer.request(ctx, request)
+        for request, signature in signer.completed():
+            if request in self._pending:
+                message, unit = self._pending.pop(request)
+                self.signatures[(message, unit)] = signature
+                ctx.output(("signed", message, unit))
+        for request in signer.failed():
+            if request in self._pending:
+                message, unit = self._pending.pop(request)
+                ctx.output(("sign-failed", message, unit))
+
+
+class PdsNodeProgram(SigningProgram):
     """One AL-model signer node (see module docstring).
 
     Args:
@@ -44,23 +82,14 @@ class PdsNodeProgram(NodeProgram):
             :func:`~repro.pds.keys.deal_initial_states` (the set-up
             phase's ``Gen``).
         transport: defaults to the direct AL transport.
-        wire: the refresh wire format of the signer, ``"paper"`` or
-            ``"aggregated"`` (:mod:`repro.wire`).
     """
 
-    def __init__(
-        self, state: PdsNodeState, transport: Transport | None = None, *,
-        wire: str = "paper",
-    ) -> None:
+    def __init__(self, state: PdsNodeState, transport: Transport | None = None) -> None:
         super().__init__()
         self.state = state
         self.transport = transport or DirectTransport(channel="pds")
-        self.signer = ThresholdSigner(state, self.transport, wire=wire)
+        self.signer = ThresholdSigner(state, self.transport)
         self.refresher = RefreshService(state, self.transport)
-        #: message_bytes -> (m, u) for output formatting
-        self._pending: dict[bytes, tuple[Any, int]] = {}
-        #: (m, u) -> signature, for inspection by experiments
-        self.signatures: dict[tuple[Any, int], Any] = {}
         self.refresh_outcomes: list[tuple[str, int]] = []
 
     def step(self, ctx: NodeContext, inbox: list[Envelope]) -> None:
@@ -80,22 +109,4 @@ class PdsNodeProgram(NodeProgram):
                 ctx.alert()
 
         self.signer.on_round(ctx)
-
-        for value in ctx.external_inputs:
-            if isinstance(value, tuple) and len(value) == 2 and value[0] == "sign":
-                message = value[1]
-                unit = ctx.info.time_unit
-                ctx.output(("asked-to-sign", message, unit))
-                message_bytes = pds_message_bytes(message, unit)
-                self._pending[message_bytes] = (message, unit)
-                self.signer.request(ctx, message_bytes)
-
-        for message_bytes, signature in self.signer.completed():
-            if message_bytes in self._pending:
-                message, unit = self._pending.pop(message_bytes)
-                self.signatures[(message, unit)] = signature
-                ctx.output(("signed", message, unit))
-        for message_bytes in self.signer.failed():
-            if message_bytes in self._pending:
-                message, unit = self._pending.pop(message_bytes)
-                ctx.output(("sign-failed", message, unit))
+        self._serve_signing(ctx, self.signer, pds_message_bytes)

@@ -56,7 +56,7 @@ from repro.pds.keys import PdsNodeState
 from repro.pds.transport import Transport
 from repro.perf.cache import cached_verify
 from repro.sim.node import NodeContext
-from repro.wire import SIGNER, SOLO, aggregated_wire, well_formed
+from repro.wire import SIGNER, well_formed
 
 __all__ = ["ThresholdSigner", "pds_message_bytes", "verify_pds_signature"]
 
@@ -118,17 +118,9 @@ class ThresholdSigner:
     Owner contract per round (after ``transport.begin_round``): call
     :meth:`on_round` once, then :meth:`request` for any fresh sign
     requests; read :meth:`completed` / :meth:`failed`.
-
-    ``wire`` is the refresh wire format (:mod:`repro.wire`): with
-    ``"aggregated"`` each round's acks, reveals and partials leave as one
-    plural body per node instead of one body per session.  Either way
-    every node accepts both forms.
     """
 
-    def __init__(
-        self, state: PdsNodeState, transport: Transport, *, wire: str = "paper"
-    ) -> None:
-        self.aggregated = aggregated_wire(wire)
+    def __init__(self, state: PdsNodeState, transport: Transport) -> None:
         self.state = state
         self.transport = transport
         self.scheme = scheme_for_group(state.public.group)
@@ -148,11 +140,6 @@ class ThresholdSigner:
         # >1-unit-late arrivals impossible; the guard makes it structural).
         self._retired: dict[str, int] = {}
         self._pruned_through = -1
-        # round-wide aggregation buffers of the aggregated wire: one plural
-        # body per node per round instead of one send_to_all per session
-        self._agg_acks: list[tuple] = []
-        self._agg_reveals: list[tuple] = []
-        self._agg_partials: list[tuple] = []
 
     # -- public API -------------------------------------------------------
 
@@ -214,19 +201,6 @@ class ThresholdSigner:
             if not session.done and offset >= self.deadline_steps * delay:
                 session.failed = True
                 self._failed.append(session.message_bytes)
-        # aggregated wire: flush the round's per-session bodies as one
-        # plural message each.  request()/_deal run after on_round in the
-        # owner's round order, so dealings stay immediate (their shares
-        # are per-receiver private values anyway and are never aggregated).
-        if self._agg_acks:
-            self.transport.send_to_all(ctx, ("ts-acks", tuple(self._agg_acks)))
-            self._agg_acks = []
-        if self._agg_reveals:
-            self.transport.send_to_all(ctx, ("ts-reveals", tuple(self._agg_reveals)))
-            self._agg_reveals = []
-        if self._agg_partials:
-            self.transport.send_to_all(ctx, ("ts-partials", tuple(self._agg_partials)))
-            self._agg_partials = []
 
     def _prune(self, unit: int) -> None:
         """Retire finished sessions older than the previous time unit."""
@@ -250,22 +224,15 @@ class ThresholdSigner:
             body = accepted.body
             if not well_formed(body, SIGNER):
                 continue
-            solos = [body]
-            if body[0] in SOLO:
-                # plural forms: each item goes through exactly its solo
-                # handler, so acceptance/blame behaviour is identical
-                solos = [(SOLO[body[0]],) + item for item in body[1] if isinstance(item, tuple)]
-                solos = [solo for solo in solos if well_formed(solo, SIGNER)]
-            for solo in solos:
-                kind = solo[0]
-                if kind == "ts-deal":
-                    self._on_deal(ctx, accepted.sender, solo)
-                elif kind == "ts-ack":
-                    self._on_ack(accepted.sender, solo)
-                elif kind == "ts-reveal":
-                    self._on_reveal(accepted.sender, solo)
-                elif kind == "ts-partial":
-                    self._on_partial(accepted.sender, solo)
+            kind = body[0]
+            if kind == "ts-deal":
+                self._on_deal(ctx, accepted.sender, body)
+            elif kind == "ts-ack":
+                self._on_ack(accepted.sender, body)
+            elif kind == "ts-reveal":
+                self._on_reveal(accepted.sender, body)
+            elif kind == "ts-partial":
+                self._on_partial(accepted.sender, body)
 
     def _open(self, ctx: NodeContext, sid: str, message_bytes: bytes, start: int) -> _Session:
         public = self.state.public
@@ -343,20 +310,12 @@ class ThresholdSigner:
 
     def _send_acks(self, ctx: NodeContext, sid: str, session: _Session) -> None:
         session.acked = True
-        ack_list = session.nonces.ack_list()
-        if self.aggregated:
-            self._agg_acks.append((sid, ack_list))
-        else:
-            self.transport.send_to_all(ctx, ("ts-ack", sid, ack_list))
+        self.transport.send_to_all(ctx, ("ts-ack", sid, session.nonces.ack_list()))
 
     def _send_reveals(self, ctx: NodeContext, sid: str, session: _Session) -> None:
         session.revealed = True
         reveal = session.nonces.reveal()
-        if reveal is None:
-            return
-        if self.aggregated:
-            self._agg_reveals.append((sid,) + reveal)
-        else:
+        if reveal is not None:
             self.transport.send_to_all(ctx, ("ts-reveal", sid) + reveal)
 
     def _send_partial(self, ctx: NodeContext, sid: str, session: _Session) -> None:
@@ -377,11 +336,7 @@ class ThresholdSigner:
         session.nonces.my_shares = None
         self.state.erasure_log.append((self.state.unit, f"nonce:{sid}"))
         session.partials.setdefault(self.state.share_index, (qual, s_value))
-        if self.aggregated:
-            self._agg_partials.append((sid, self.state.share_index, qual, s_value))
-        else:
-            body = ("ts-partial", sid, self.state.share_index, qual, s_value)
-            self.transport.send_to_all(ctx, body)
+        self.transport.send_to_all(ctx, ("ts-partial", sid, self.state.share_index, qual, s_value))
 
     # -- combination --------------------------------------------------------------
 

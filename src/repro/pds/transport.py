@@ -19,8 +19,10 @@ transport.
 Per-round usage contract: the owner program calls ``begin_round`` with
 the round's inbox once per round *before* any sub-protocol logic runs;
 sub-protocols then read ``accepted_view`` and call ``send`` or
-``send_to_all``, which sends to every other node (AUTH-SEND on the
-aggregated wire sends it once, to :data:`repro.wire.BROADCAST`).
+``send_to_all``, which sends to every other node.  How a transport packs
+and addresses what they send is its own affair (AUTH-SEND's aggregated
+wire sends each round's bodies per destination, as one pack at the end
+of the owner's step, :mod:`repro.wire`).
 
 Shape-check contract: a broken node can send (and in the UL model
 certify) any body at all.  Each sub-protocol checks every body once

@@ -14,12 +14,16 @@ checked where it is read: commitments, ack items and revealed points by
 the dealing round (:mod:`repro.pds.dealing`), signatures by VER-CERT.
 DISPERSE's own framing is :mod:`repro.core.disperse`'s alone.
 
-The refresh wire format is a parameter of each protocol instance,
-``wire="paper" | "aggregated"`` (:data:`WIRES`).  The aggregated wire
-certifies a round-wide body once, to :data:`BROADCAST`, and packs the
-signer's and PARTIAL-AGREEMENT's per-session bodies into one plural body
-per node and round, with the paper wire's protocol outcome
-(``docs/PROTOCOLS.md`` §12).  A format decides how bodies are packed and
+The refresh wire format is a parameter of each ULS instance,
+``wire="paper" | "aggregated"`` (:data:`WIRES`), and AUTH-SEND's alone
+(:class:`~repro.core.auth_send.AuthSendTransport`): the services above
+it send the paper's bodies on both.  The paper wire certifies each body
+on its own, to its destination, when it is sent.  The aggregated wire
+certifies one :data:`PACK` per node, destination and round: every body
+the node sent that destination in that round, in send order, with
+:data:`BROADCAST` a destination of its own (``docs/PROTOCOLS.md`` §12).
+Receivers on both wires read a certified body through :func:`unpack`, so
+a bare body is a pack of one.  A format decides how bodies are packed and
 addressed, never who takes part: on both, every intact node helps every
 share recovery.
 """
@@ -29,8 +33,8 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 __all__ = [
-    "fits", "well_formed", "WIRES", "BROADCAST", "aggregated_wire", "CERTIFIED",
-    "PA1", "APP", "LAMBDA", "SIGNER", "SOLO", "REFRESH", "PA3", "CERT", "NEWKEY",
+    "fits", "well_formed", "unpack", "WIRES", "BROADCAST", "aggregated_wire", "CERTIFIED",
+    "PACK", "PA1", "APP", "LAMBDA", "SIGNER", "REFRESH", "PA3", "CERT", "NEWKEY",
     "SESSION", "DKG", "NAIVE_KEY", "NAIVE_REKEY", "NAIVE_APP",
 ]
 
@@ -50,6 +54,13 @@ def well_formed(body: Any, shapes: Mapping[str, tuple]) -> bool:
         isinstance(body, tuple) and len(body) > 0 and isinstance(body[0], str)
         and body[0] in shapes and fits(body[1:], shapes[body[0]])
     )
+
+
+def unpack(body: Any, shapes: Mapping[str, tuple]) -> tuple:
+    """The members of ``body``, in send order, if it is a pack of
+    ``shapes`` (:data:`PACK` or :data:`PA3`), else ``(body,)``.  One level
+    deep: a pack inside a pack is one member, which no reader takes."""
+    return body[1] if well_formed(body, shapes) else (body,)
 
 
 #: the refresh wire formats a protocol instance can speak
@@ -74,6 +85,10 @@ CERTIFIED = (object, int, int, int, int, object, object, object)
 
 # -- AUTH-SEND bodies (DISPERSE tag "auth"), one table per reader -----------
 
+#: the aggregated wire's certified body: the bodies one node sent one
+#: destination in one round, in send order
+PACK = {"pack": (tuple,)}
+
 #: PARTIAL-AGREEMENT step 1: session id, announced value
 PA1 = {"pa1": (object, object)}
 #: ULS application traffic: the message
@@ -88,10 +103,6 @@ SIGNER = {
     "ts-reveal": (str, tuple, tuple),  # sid, points, elements
     "ts-partial": (str, int, tuple, int),  # sid, share index, qual, value
 }
-#: the aggregated wire's plural signer bodies: a tuple of solo bodies
-#: minus their kind, each checked against its solo kind
-SOLO = {kind + "s": kind for kind in ("ts-ack", "ts-reveal", "ts-partial")}
-SIGNER.update({plural: (tuple,) for plural in SOLO})
 
 #: the share refresh (pds/refresh)
 REFRESH = {
@@ -108,7 +119,7 @@ REFRESH = {
 
 #: PARTIAL-AGREEMENT step 3 (tag "pa3"): a pack of certified messages,
 #: one per session and receiver on the paper wire, one per node and round
-#: to BROADCAST on the aggregated wire
+#: to BROADCAST of the distinct round packs on the aggregated wire
 PA3 = {"pa3b": (tuple,)}
 #: ULS Part (I) step 5 (tag "cert"): assertion bytes, certificate
 CERT = {"cert-deliver": (object, object)}

@@ -1,5 +1,7 @@
-"""The ``wire`` test parameter: the refresh wire format of the networks a
-test builds.
+"""The ``wire`` test parameter: the refresh wire format of the ULS
+networks a test builds (AUTH-SEND's, :mod:`repro.wire`; the AL harness
+and the DKG run over a transport that never packs, so they have one
+form).
 
 A test that requests the ``wire`` fixture runs once per format: under
 its own name with the paper-literal wire (``"paper"``), and a second

@@ -336,6 +336,12 @@ CERTIFIED = {
     "ts-ack-unhashable-session": ("ts-ack", [1], ()),
     "pa1-unhashable-session": ("pa1", [1], ("schnorr", 3)),
     "app-wrong-arity": ("app", ("chat", 1), 2),
+    # packs, which receivers on both wires open
+    "pack-members-a-list": ("pack", [("rf-need", 1)]),
+    "pack-member-not-a-tuple": ("pack", (5,)),
+    "pack-in-a-pack": ("pack", (("pack", (("rf-need", 1),)),)),
+    "pack-empty": ("pack", ()),
+    "pack-pa1-unhashable-session": ("pack", (("pa1", [1], ("schnorr", 3)),)),
 }
 
 

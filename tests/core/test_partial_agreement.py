@@ -3,18 +3,20 @@
 import pytest
 
 from repro.core.certify import CertifiedMessage, certify
-from repro.core.disperse import DisperseService
-from repro.core.partial_agreement import NO_VALUE, PartialAgreementService, _pack, _Session
+from repro.core.disperse import DISPERSE_CHANNEL, DisperseService
+from repro.core.auth_send import _pack
+from repro.core.partial_agreement import NO_VALUE, PartialAgreementService, _Session
 from repro.core.uls import UlsProgram, build_uls_states, uls_schedule
 from repro.crypto.group import named_group
 from repro.crypto.hashing import encode_for_hash
 from repro.crypto.schnorr import SchnorrScheme
 from repro.perf import clear_all_caches
 from repro.perf.cache import canonical_body_key, canonical_probe
-from repro.sim.adversary_api import PassiveAdversary
+from repro.sim.adversary_api import Adversary, PassiveAdversary
+from repro.sim.clock import Phase
 from repro.sim.runner import ULRunner
-from repro.wire import PA3, well_formed
-from tests.core.test_partial_agreement_step4 import _EquivocatingAuthor
+from repro.wire import BROADCAST, PA3, well_formed
+from tests.core.test_partial_agreement_step4 import _EquivocatingAuthor, _fake_key, _pa1_values
 
 GROUP = named_group("toy64")
 SCHEME = SchnorrScheme(GROUP)
@@ -86,8 +88,11 @@ def test_duplicate_start_is_idempotent(wire):
     sched = Schedule(1, 1, 5)
     ctx = NodeContext(0, N, sched.info(3), None, None, [])
     service.start(ctx, "dup", ("value",))
+    program.core.end_round(ctx)  # the aggregated wire sends here
     sent_before = len(ctx.outbox)
+    assert sent_before > 0
     service.start(ctx, "dup", ("other",))
+    program.core.end_round(ctx)
     assert len(ctx.outbox) == sent_before  # second start ignored
 
 
@@ -198,6 +203,55 @@ def test_equivocating_author_is_marked_a_cheater_from_a_pack(wire, pa3_sends):
         assert author not in session.maj_authors
         assert author in programs[node].core.pa._cheaters(session)
         assert all(raw is not None for _, raw in session.records[author].values())
+
+
+class _PackEquivocator(Adversary):
+    """Breaks into the last node as unit 1's refresh announces its keys
+    and keeps it.  In the round the others send their step-1 inputs, it
+    certifies one pack holding two inputs to session ``("pa", 1, 0)``,
+    node 0's genuine key and a fabricated one, and disperses it to
+    ``BROADCAST``."""
+
+    PA_ID = ("pa", 1, 0)
+
+    def __init__(self):
+        self.sent = 0
+
+    def on_round(self, api, info, traffic):
+        author = api.n - 1
+        if info.time_unit != 1 or info.phase is not Phase.REFRESH:
+            return
+        if info.index_in_phase == 0:
+            api.break_into(author)
+            return
+        genuine = _pa1_values(traffic, self.PA_ID)
+        if self.sent or not genuine:
+            return
+        pack = ("pack", tuple(("pa1", self.PA_ID, value)
+                              for value in (genuine[0], _fake_key(api))))
+        keys = api.program_of(author).keystore.current
+        msg = certify(SCHEME, keys, pack, author, BROADCAST, info.round)
+        for relay in range(author):
+            api.send_as(author, relay, DISPERSE_CHANNEL, ("fwd", "auth", author, BROADCAST, msg))
+        self.sent += 1
+
+
+def test_two_values_in_one_certified_pack_mark_a_cheater(wire):
+    """Lemma 16 reads a pack as the bodies it holds: one certified pack
+    with two values for one session is two certified values from its
+    author, so every honest node marks the author a cheater and leaves it
+    out of MAJ."""
+    n = 5
+    adversary = _PackEquivocator()
+    programs = _refresh(n, wire, adversary)
+    assert adversary.sent == 1
+    author = n - 1
+    for program in programs[:author]:
+        session = program.core.pa.sessions[_PackEquivocator.PA_ID]
+        assert author in program.core.pa._cheaters(session)
+        assert author not in session.maj_authors
+        values = session.records[author].values()
+        assert len(values) == 2 and all(raw is not None for _, raw in values)
 
 
 def test_pack_dedup_key_is_seeded_with_its_encoding():

@@ -22,6 +22,7 @@ import dataclasses
 import pytest
 
 import repro.core.partial_agreement as partial_agreement
+import repro.core.uls as uls
 from repro.analysis.digest import outcome_digest
 from repro.core.certify import CertifiedMessage, certify, verify_certified_body
 from repro.core.disperse import DISPERSE_CHANNEL
@@ -35,7 +36,7 @@ from repro.sim.adversary_api import Adversary, PassiveAdversary, faithful_delive
 from repro.sim.clock import Phase, Schedule
 from repro.sim.node import NodeContext
 from repro.sim.runner import ULRunner
-from repro.wire import CERTIFIED, PA1, PA3, fits, well_formed
+from repro.wire import CERTIFIED, PA1, PA3, PACK, fits, unpack, well_formed
 
 GROUP = named_group("toy64")
 SCHEME = SchnorrScheme(GROUP)
@@ -44,36 +45,34 @@ SEED = 7
 
 
 class _VerifyEveryInput(PartialAgreementService):
-    """The reference: step 4 verifies every forwarded input it has not
-    verified before, whether or not the pair is held already."""
+    """The reference: step 4 verifies every ``pa1`` member of every
+    forwarded certified message, whether or not the pair is held
+    already."""
 
     def _ingest_step3(self, ctx):
         for _claimed_src, body in self.disperse.receipts("pa3"):
-            raws = body[1] if well_formed(body, PA3) else (body,)
-            for raw in raws:
-                if not (fits(raw, CERTIFIED) and well_formed(raw[0], PA1)):
+            for raw in unpack(body, PA3):
+                if not fits(raw, CERTIFIED):
                     continue
-                _, pa_id, value = raw[0]
-                try:
-                    session = self.sessions.get(pa_id)
-                except TypeError:
-                    continue
-                if session is None:
-                    continue
-                raw_key = _value_key(raw)
-                if raw_key in session.verified_raws:
-                    continue
-                session.verified_raws.add(raw_key)
-                msg = verify_certified_body(
-                    self.transport.keystore.scheme,
-                    self.transport.public,
-                    expected_unit=self.transport.keystore.unit,
-                    expected_round=session.start_round,
-                    raw=raw,
-                )
-                if msg is None:
-                    continue
-                self._record(session, msg.source, value, raw)
+                for member in unpack(raw[0], PACK):
+                    if not well_formed(member, PA1):
+                        continue
+                    _, pa_id, value = member
+                    try:
+                        session = self.sessions.get(pa_id)
+                    except TypeError:
+                        continue
+                    if session is None:
+                        continue
+                    msg = verify_certified_body(
+                        self.transport.keystore.scheme,
+                        self.transport.public,
+                        expected_unit=self.transport.keystore.unit,
+                        expected_round=session.start_round,
+                        raw=raw,
+                    )
+                    if msg is not None:
+                        self._record(session, msg.source, value, raw)
 
 
 # ------------------------------------------------------------- adversaries
@@ -105,13 +104,15 @@ class _KeySplit(Adversary):
 
 
 def _pa1_values(traffic, pa_id):
-    """Values of the honest step-1 inputs of session ``pa_id`` on the wire."""
+    """Values of the honest step-1 inputs of session ``pa_id`` on the
+    wire, bare or in a pack."""
     return [
-        envelope.payload[-1].message[2]
+        member[2]
         for envelope in traffic
         if envelope.channel == DISPERSE_CHANNEL
         and isinstance(envelope.payload[-1], CertifiedMessage)
-        and envelope.payload[-1].message[:2] == ("pa1", pa_id)
+        for member in unpack(envelope.payload[-1].message, PACK)
+        if member[:2] == ("pa1", pa_id)
     ]
 
 
@@ -186,7 +187,7 @@ def _refresh(n, wire, adversary, service_class, monkeypatch):
     t = (n - 1) // 2
     _, states, keys = build_uls_states(GROUP, SCHEME, n, t, seed=SEED)
     with monkeypatch.context() as patch:
-        patch.setattr(partial_agreement, "PartialAgreementService", service_class)
+        patch.setattr(uls, "PartialAgreementService", service_class)
         programs = [UlsProgram(states[i], SCHEME, keys[i], wire=wire) for i in range(n)]
     assert all(type(program.core.pa) is service_class for program in programs)
     execution = ULRunner(programs, adversary, SCHED, s=t, seed=SEED).run(units=2)
@@ -290,12 +291,16 @@ def test_step4_verifies_only_new_pairs(verified):
 # -------------------------------------------------------------- the count
 
 def test_passive_refresh_makes_one_check_per_session_and_node(wire, verified):
-    """``n`` sessions, one per announced key, and one check each per node:
-    for the node's own input, which it holds uncertified.  The reference,
-    verifying every forwarded input, makes ``n²(n−1)²`` = 400 on the
-    paper wire."""
+    """``n`` sessions, one per announced key, and one check each per node
+    on the paper wire: for the node's own input, which it holds
+    uncertified.  The reference, verifying every forwarded input, makes
+    ``n²(n−1)²`` = 400 there.  On the aggregated wire a node's inputs to
+    all ``n`` sessions come back in one forwarded pack, its own step-1
+    pack, which it checks once."""
     clear_all_caches()
     _, states, keys = build_uls_states(GROUP, SCHEME, N, 2, seed=SEED)
     programs = [UlsProgram(states[i], SCHEME, keys[i], wire=wire) for i in range(N)]
     ULRunner(programs, PassiveAdversary(), SCHED, s=2, seed=SEED).run(units=2)
-    assert len(verified) == N * N
+    assert len(verified) == (N * N if wire == "paper" else N)
+    if wire == "aggregated":
+        assert sorted(raw.source for raw in verified) == list(range(N))

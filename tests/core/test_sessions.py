@@ -43,6 +43,7 @@ class SessionChat(NodeProgram):
                 if peer != self.node_id:
                     if not self.sessions.send(ctx, peer, ("chat", self.node_id, ctx.info.round)):
                         self.fallbacks += 1
+        self.core.end_round(ctx)
 
 
 def build(seed=3, wire="paper"):

@@ -24,9 +24,9 @@ SCHED = Schedule(setup_rounds=1, refresh_rounds=required_refresh_rounds(1), norm
 N, T = 5, 2
 
 
-def build(seed=1, wire="paper"):
+def build(seed=1):
     public, states = deal_initial_states(GROUP, n=N, threshold=T, rng=random.Random(seed))
-    programs = [PdsNodeProgram(state, wire=wire) for state in states]
+    programs = [PdsNodeProgram(state) for state in states]
     return public, programs
 
 
@@ -37,8 +37,8 @@ def run(programs, adversary=None, units=2, sign_plan=None, seed=9):
     return runner.run(units=units)
 
 
-def test_quorum_signs_and_verifies(wire):
-    public, programs = build(wire=wire)
+def test_quorum_signs_and_verifies():
+    public, programs = build()
     r = SCHED.first_normal_round(0)
     sign_plan = [(i, r, "hello") for i in range(T + 1)]
     execution = run(programs, sign_plan=sign_plan, units=1)
@@ -52,8 +52,8 @@ def test_quorum_signs_and_verifies(wire):
     assert not verify_pds_signature(public, "other", 0, signature)
 
 
-def test_fewer_than_t_plus_1_requests_never_sign(wire):
-    _, programs = build(wire=wire)
+def test_fewer_than_t_plus_1_requests_never_sign():
+    _, programs = build()
     r = SCHED.first_normal_round(0)
     sign_plan = [(i, r, "under") for i in range(T)]  # only t requests
     execution = run(programs, sign_plan=sign_plan, units=1)
@@ -61,11 +61,11 @@ def test_fewer_than_t_plus_1_requests_never_sign(wire):
         assert ("signed", "under", 0) not in execution.outputs_of(i)
 
 
-def test_failed_signings_release_pending_state(wire):
+def test_failed_signings_release_pending_state():
     """A signing request that can never complete is dropped from
     ``PdsNodeProgram._pending`` with an explicit ``sign-failed`` output
     instead of staying there for the rest of the run."""
-    _, programs = build(wire=wire)
+    _, programs = build()
     r = SCHED.first_normal_round(0)
     messages = [f"lone-{k}" for k in range(5)]
     # only node 0 asks: t + 1 = 3 partials never materialize
@@ -77,8 +77,8 @@ def test_failed_signings_release_pending_state(wire):
     assert programs[0].signatures == {}
 
 
-def test_all_nodes_signing_works(wire):
-    public, programs = build(wire=wire)
+def test_all_nodes_signing_works():
+    public, programs = build()
     r = SCHED.first_normal_round(0)
     sign_plan = [(i, r, "full") for i in range(N)]
     execution = run(programs, sign_plan=sign_plan, units=1)
@@ -86,8 +86,8 @@ def test_all_nodes_signing_works(wire):
         assert ("signed", "full", 0) in execution.outputs_of(i)
 
 
-def test_signing_works_after_refresh(wire):
-    public, programs = build(wire=wire)
+def test_signing_works_after_refresh():
+    public, programs = build()
     r1 = SCHED.first_normal_round(1)
     sign_plan = [(i, r1, "post-refresh") for i in range(N)]
     execution = run(programs, sign_plan=sign_plan, units=2)
@@ -97,8 +97,8 @@ def test_signing_works_after_refresh(wire):
     assert verify_pds_signature(public, "post-refresh", 1, signature)
 
 
-def test_refresh_changes_shares_but_not_public_key(wire):
-    public, programs = build(wire=wire)
+def test_refresh_changes_shares_but_not_public_key():
+    public, programs = build()
     before = [p.state.share.value for p in programs]
     pk_before = [p.state.public.public_key for p in programs]
     execution = run(programs, units=2)
@@ -113,16 +113,16 @@ def test_refresh_changes_shares_but_not_public_key(wire):
     assert len(commitments) == 1
 
 
-def test_refresh_erases_old_shares(wire):
-    _, programs = build(wire=wire)
+def test_refresh_erases_old_shares():
+    _, programs = build()
     run(programs, units=3)
     for p in programs:
         units = [u for u, kind in p.state.erasure_log if kind == "refresh"]
         assert units == [1, 2]
 
 
-def test_multiple_messages_same_unit(wire):
-    public, programs = build(wire=wire)
+def test_multiple_messages_same_unit():
+    public, programs = build()
     r = SCHED.first_normal_round(0)
     sign_plan = [(i, r, f"msg-{k}") for i in range(N) for k in range(3)]
     execution = run(programs, sign_plan=sign_plan, units=1)
@@ -131,9 +131,9 @@ def test_multiple_messages_same_unit(wire):
         assert verify_pds_signature(public, f"msg-{k}", 0, programs[0].signatures[(f"msg-{k}", 0)])
 
 
-def test_signing_tolerates_t_broken_nodes(wire):
+def test_signing_tolerates_t_broken_nodes():
     """With t nodes broken (silent), the remaining n-t >= t+1 sign fine."""
-    public, programs = build(wire=wire)
+    public, programs = build()
     # held through the whole of unit 0, its last normal round included
     r = SCHED.first_normal_round(0)
     last = r + SCHED.normal_rounds - 1
@@ -147,10 +147,10 @@ def test_signing_tolerates_t_broken_nodes(wire):
     assert verify_pds_signature(public, "resilient", 0, signature)
 
 
-def test_share_recovery_after_memory_corruption(wire):
+def test_share_recovery_after_memory_corruption():
     """A node whose share was corrupted during a break-in recovers it in
     the next refreshment phase (Herzberg recovery) and can sign again."""
-    public, programs = build(wire=wire)
+    public, programs = build()
 
     def corrupt(program, rng):
         state = program.state
@@ -169,8 +169,8 @@ def test_share_recovery_after_memory_corruption(wire):
     assert ALERT not in execution.outputs_of(2)
 
 
-def test_share_recovery_after_share_deletion(wire):
-    public, programs = build(wire=wire)
+def test_share_recovery_after_share_deletion():
+    public, programs = build()
 
     def corrupt(program, rng):
         program.state.share = None
@@ -181,11 +181,11 @@ def test_share_recovery_after_share_deletion(wire):
     assert programs[1].refresh_outcomes == [("ok", 1)]
 
 
-def test_stolen_share_useless_after_refresh(wire):
+def test_stolen_share_useless_after_refresh():
     """The proactive property itself: a share stolen in unit 0 is
     statistically independent of the unit-1 sharing — the stolen share
     does not lie on the new polynomial."""
-    public, programs = build(wire=wire)
+    public, programs = build()
     stolen = []
     plan = breakins(SCHED, {0: {0, 1}},
                     mutator=lambda program, rng: stolen.append(program.state.share))

@@ -36,7 +36,7 @@ def test_shares_reconstruct_the_public_key(ugen):
     assert GROUP.base_power(secret) == public.public_key
 
 
-def test_no_single_dealer_knows_the_secret(ugen, wire):
+def test_no_single_dealer_knows_the_secret(ugen):
     """Structural check: the dealing sub-shares were erased after the
     combine step (each program has dropped its dealing round)."""
     # re-run to access program internals
@@ -45,7 +45,7 @@ def test_no_single_dealer_knows_the_secret(ugen, wire):
     from repro.sim.clock import Schedule
     from repro.sim.runner import ALRunner
 
-    programs = [DkgUGenProgram(GROUP, N, T, SCHEME, wire=wire) for _ in range(N)]
+    programs = [DkgUGenProgram(GROUP, N, T, SCHEME) for _ in range(N)]
     runner = ALRunner(programs, PassiveAdversary(),
                       Schedule(setup_rounds=3, refresh_rounds=1, normal_rounds=8),
                       seed=9)

@@ -1,18 +1,23 @@
 """The aggregated refresh wire (``wire="aggregated"``): parity.
 
-The aggregated wire changes *which* envelopes carry the refresh/DKG
-protocols — receipt aggregation over the DISPERSE broadcast primitive,
-plural threshold-signer rounds, one PARTIAL-AGREEMENT step-3 pack per
-round — so unlike every perf optimisation, transcript-digest parity with
-the paper wire is impossible by construction.  What these tests pin down
-instead is the contract docs/PROTOCOLS.md §12 states:
+The aggregated wire changes *which* envelopes carry the protocols —
+AUTH-SEND certifies one pack per node, destination and round, a send to
+every node is one DISPERSE to ``BROADCAST``, and PARTIAL-AGREEMENT step 3
+forwards one pack of the round's distinct packs — so unlike every perf
+optimisation, transcript-digest parity with the paper wire is impossible
+by construction.  What these tests pin down instead is the contract
+docs/PROTOCOLS.md §12 states:
 
 * **outcome parity** — node outputs, system log, blame records
   (``rejected_dealers`` / ``rejected_partials``), key histories and
   certified key reprs are bit-identical on either wire, under seeded
   E13-style chaos, a starved share recovery and a split among recovery
   helpers as well as in the all-honest case;
-* **volume** — messages per refreshment phase drop ≥ 2× even at small n;
+* **volume** — a benign refresh sends exactly the closed form of
+  :func:`~repro.analysis.metrics.expected_msgs_per_refresh` on each wire;
+* **the round's sends leave** — what a node sends after ``core.on_round``
+  (a USign request, Λ's π) leaves at ``end_round``, and a buffer left
+  from an earlier round is dropped unsent;
 * **one recovery path** — every intact node helps a share recovery on
   either wire, so no wire recovers a share the other loses;
 * **broadcast certification** — the ``BROADCAST`` destination sentinel
@@ -29,11 +34,12 @@ instead is the contract docs/PROTOCOLS.md §12 states:
 import pytest
 
 from repro.analysis.digest import outcome_digest, transcript_digest
-from repro.analysis.metrics import message_stats
+from repro.analysis.metrics import expected_msgs_per_refresh, message_stats
 from repro.analysis.verdict import verdict
 from repro.core.auth_send import AUTH_TAG
+from repro.core.authenticator import compile_protocol
 from repro.core.certify import certify, ver_cert, ver_cert_many
-from repro.core.disperse import DISPERSE_CHANNEL, forwarding
+from repro.core.disperse import DISPERSE_CHANNEL, DisperseService, forwarding
 from repro.core.uls import UlsProgram, _O_PART2, build_uls_states, uls_schedule
 from repro.crypto.feldman import FeldmanDealer
 from repro.crypto.field import Polynomial
@@ -43,8 +49,9 @@ from repro.crypto.shamir import Share
 from repro.faults import FaultInjectionAdversary, FaultPlan
 from repro.sim.adversary_api import Adversary, PassiveAdversary, faithful_delivery
 from repro.sim.clock import Phase
+from repro.sim.node import NodeProgram
 from repro.sim.runner import ULRunner
-from repro.wire import BROADCAST
+from repro.wire import BROADCAST, PACK, well_formed
 
 GROUP = named_group("toy64")
 SCHEME = SchnorrScheme(GROUP)
@@ -121,6 +128,30 @@ def test_ver_cert_many_matches_ver_cert_on_broadcast(perf):
 
 # --------------------------------------------------- volume + outcome parity
 
+#: envelopes per benign refresh (t = 2, 2 units, seed 0) by (wire, n, f)
+EXACT_MSGS_PER_REFRESH = {
+    ("paper", 5, 4): 4_080, ("paper", 5, 3): 2_920,
+    ("paper", 7, 6): 18_060, ("paper", 7, 3): 8_232,
+    ("aggregated", 5, 4): 920, ("aggregated", 5, 3): 680,
+    ("aggregated", 7, 6): 2_940, ("aggregated", 7, 3): 1_428,
+}
+
+
+@pytest.mark.parametrize("n,f", [(5, 4), (5, 3), (7, 6), (7, 3)],
+                         ids=["n5-full", "n5-f3", "n7-full", "n7-f3"])
+def test_benign_refresh_sends_the_closed_form(perf, wire, n, f):
+    """A benign refresh sends exactly the closed form's envelopes; a full
+    flood is relay fanout ``n − 1``."""
+    _, states, keys = build_uls_states(GROUP, SCHEME, n, 2, seed=0)
+    relay_fanout = None if f == n - 1 else f
+    programs = [UlsProgram(states[i], SCHEME, keys[i], relay_fanout=relay_fanout, wire=wire)
+                for i in range(n)]
+    execution = ULRunner(programs, PassiveAdversary(), uls_schedule(), s=2, seed=0).run(units=2)
+    assert all(program.keystore.history == [(1, "ok")] for program in programs)
+    msgs = message_stats(execution).per_refresh_phase
+    assert msgs == expected_msgs_per_refresh(n, f, wire) == EXACT_MSGS_PER_REFRESH[wire, n, f]
+
+
 def test_msgs_per_refresh_halved_with_identical_outcomes(perf):
     programs_paper, execution_paper = _run_uls(7, 2, seed=5, wire="paper")
     paper = message_stats(execution_paper).per_refresh_phase
@@ -148,6 +179,113 @@ def test_chaos_outcome_parity(perf, seed):
         return _outcomes(programs, execution)
 
     assert run("aggregated") == run("paper")
+
+
+# ------------------------------------------------- the round's sends leave
+
+@pytest.fixture
+def auth_sends(monkeypatch):
+    """Every AUTH-SEND DISPERSE of a run: ``(round, sender, receiver, body)``."""
+    sends = []
+    send = DisperseService.send
+
+    def recording(self, ctx, receiver, body, tag="", retransmit=None):
+        if tag == AUTH_TAG:
+            sends.append((ctx.info.round, ctx.node_id, receiver, body.message))
+        send(self, ctx, receiver, body, tag, retransmit)
+
+    monkeypatch.setattr(DisperseService, "send", recording)
+    return sends
+
+
+def test_usign_request_after_on_round_leaves_at_end_round(perf, auth_sends):
+    """A USign request joins the signing after ``core.on_round``; on the
+    aggregated wire its deals leave that round, one pack to each other
+    node, and the message gets signed."""
+    programs, runner = _build_uls(5, 2, seed=9, wire="aggregated")
+    ask = runner.schedule.first_normal_round(0) + 1
+    for node in range(3):
+        runner.add_external_input(node, ask, ("sign", "late"))
+    execution = runner.run(units=1)
+    for node in range(3):
+        packs = {receiver: body for when, sender, receiver, body in auth_sends
+                 if when == ask and sender == node}
+        assert sorted(packs) == [other for other in range(5) if other != node]
+        for body in packs.values():
+            assert well_formed(body, PACK)
+            assert [member[0] for member in body[1]] == ["ts-deal"]
+        assert ("signed", "late", 0) in execution.outputs_of(node)
+
+
+class _SendsInNormalRound(NodeProgram):
+    """π for Λ: node 0 sends node 1 one message in its first normal round."""
+
+    def step(self, ctx, inbox):
+        if self.node_id == 0 and ctx.info.phase is Phase.NORMAL and ctx.info.index_in_phase == 0:
+            ctx.send(1, "chat", ("hello", ctx.info.round))
+
+
+def test_lambda_send_after_on_round_leaves_at_end_round(perf):
+    """π runs after ``core.on_round``; on the aggregated wire its send
+    leaves at ``end_round`` and node 1 receives it two rounds later."""
+    _, states, keys = build_uls_states(GROUP, SCHEME, 5, 2, seed=2)
+    programs = compile_protocol([_SendsInNormalRound() for _ in range(5)], states, SCHEME,
+                                keys, wire="aggregated")
+    schedule = uls_schedule()
+    execution = ULRunner(programs, PassiveAdversary(), schedule, s=2, seed=2).run(units=1)
+    sent = schedule.first_normal_round(0)
+    assert (sent + 2, ("app-recv", 0, "chat", ("hello", sent))) in \
+        execution.node_outputs[1]
+
+
+def test_sends_before_the_key_switch_keep_their_keys(perf):
+    """A USign session asked at refresh offset 9 of unit 1 sends its
+    partials in the key-switch round, before the switch.  The paper wire
+    certifies them with the outgoing keys, which no receiver accepts
+    after the switch, so the signing fails; the aggregated wire flushes
+    before installing the new keys and ends the same way."""
+    outcomes = {}
+    for wire in ("paper", "aggregated"):
+        programs, runner = _build_uls(5, 2, seed=3, wire=wire)
+        ask = runner.schedule.refresh_start(1) + 9
+        for node in range(5):
+            runner.add_external_input(node, ask, ("sign", "at-switch"))
+        execution = runner.run(units=2)
+        assert ("sign-failed", "at-switch", 1) in execution.outputs_of(0), wire
+        outcomes[wire] = _outcomes(programs, execution)
+    assert outcomes["aggregated"] == outcomes["paper"]
+
+
+class _StuffsBuffer(Adversary):
+    """Breaks node 4 at its turn in the first normal round and releases it
+    the next round; with ``stuff``, it leaves in node 4's AUTH-SEND buffers
+    bodies it never sent, one of which CERTIFY cannot encode."""
+
+    def __init__(self, stuff):
+        self.stuff = stuff
+
+    def on_round(self, api, info, traffic):
+        if info.phase is not Phase.NORMAL or info.time_unit != 0:
+            return
+        if info.index_in_phase == 0:
+            transport = api.break_into(4).core.transport
+            if self.stuff:
+                transport._outbox = {0: [("app", object())], BROADCAST: [("rf-need", 0)]}
+                transport._forwards = {b"junk": ("junk",)}
+        elif info.index_in_phase == 1:
+            api.leave(4)
+
+
+def test_begin_round_drops_a_stale_buffer(perf):
+    """A broken node's memory is the adversary's (§2.2): whatever it left
+    in the buffers is dropped at the node's next ``begin_round``, neither
+    sent nor raised on, so the run is the same break-in's without it."""
+    runs = {}
+    for stuff in (False, True):
+        programs, execution = _run_uls(5, 2, seed=4, adversary=_StuffsBuffer(stuff),
+                                       units=2, wire="aggregated")
+        runs[stuff] = (transcript_digest(execution), _outcomes(programs, execution))
+    assert runs[True] == runs[False]
 
 
 # ------------------------------------------------- one share-recovery path

@@ -19,8 +19,9 @@ change, and the point must still do it.
 
 The E8 n = 13 full flood also pins the two refresh wire formats: its
 messages per refreshment phase on the paper-literal and on the
-aggregated wire, with equal outcome digests, and the aggregated run's
-transcript digest.
+aggregated wire (the closed forms of
+:func:`~repro.analysis.metrics.expected_msgs_per_refresh`), with equal
+outcomes, and the aggregated run's transcript digest.
 """
 
 import hashlib
@@ -30,7 +31,7 @@ import sys
 import pytest
 
 from repro.analysis.digest import RoundsDigest, outcome_digest, stable_form
-from repro.analysis.metrics import message_stats
+from repro.analysis.metrics import expected_msgs_per_refresh, message_stats
 
 # the benchmark modules import their siblings as top-level modules
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks"))
@@ -78,9 +79,9 @@ E16_DIGESTS = {
 E16_COMPACT_ROUNDS_DIGEST = "4c13c3d829e98d45ce17e4e680ca3083e155d14bdf6d0f580fb12725e7ba19ff"
 
 #: E8 n = 13 full flood (t = 2, two units, seed 0): messages per refresh
-E8_N13_MSGS_PER_REFRESH = {"paper": 247_728, "aggregated": 87_672}
+E8_N13_MSGS_PER_REFRESH = {"paper": 247_728, "aggregated": 22_152}
 #: ... and the transcript digest of its aggregated-wire run
-E8_N13_AGGREGATED_DIGEST = "bdf6bc2bb0d750e4fb9ed9f528f96c04f957565fa531da10ae2f73a09d82e575"
+E8_N13_AGGREGATED_DIGEST = "b51c4673c91dac9068e49bdda99f2e734d1c80afc564d8c0edc6b9f1974d582e"
 
 #: Per re-pinned point: the outcome digest of its runs and a digest of
 #: every node's blame records (``rejected_dealers``, ``rejected_partials``),
@@ -225,10 +226,10 @@ def test_e16_rounds_digest(compact):
 
 
 def test_e8_n13_wire_formats(e8_n13_paper):
-    paper = e8_n13_paper[1]
-    aggregated = _run_e14("e8-13", wire="aggregated")[1]
-    assert message_stats(paper).per_refresh_phase == E8_N13_MSGS_PER_REFRESH["paper"]
-    assert (message_stats(aggregated).per_refresh_phase
-            == E8_N13_MSGS_PER_REFRESH["aggregated"])
-    assert outcome_digest(aggregated) == outcome_digest(paper)
-    assert transcript_digest(aggregated) == E8_N13_AGGREGATED_DIGEST
+    paper = e8_n13_paper
+    aggregated = _run_e14("e8-13", wire="aggregated")
+    for wire, (_, execution) in (("paper", paper), ("aggregated", aggregated)):
+        msgs = message_stats(execution).per_refresh_phase
+        assert msgs == E8_N13_MSGS_PER_REFRESH[wire] == expected_msgs_per_refresh(13, 12, wire)
+    assert _outcomes(*zip(aggregated)) == _outcomes(*zip(paper))
+    assert transcript_digest(aggregated[1]) == E8_N13_AGGREGATED_DIGEST

@@ -149,27 +149,38 @@ def _certified(raw):
     return raw.message
 
 
+def _members_read(message):
+    """Check each member of a certified message (a pack's members, or
+    the message); return the ``(table, kind)`` pairs read."""
+    seen = set()
+    if wire.well_formed(message, wire.PACK):
+        seen.add(("PACK", "pack"))
+    for member in wire.unpack(message, wire.PACK):
+        if member[0] in UNREAD:
+            continue
+        seen.add(_read(AUTH_TABLES, member))
+        if member[0] == "app":
+            assert wire.fits(member[1], wire.LAMBDA), member
+            seen.add(("LAMBDA", None))
+    return seen
+
+
 def _kinds_read(traffic):
     """Check every body against its tables; return the ``(table, kind)``
     pairs read (``(table, None)`` for the kind-less ones)."""
     seen = set()
     for channel, body in traffic:
         if channel == AUTH_TAG:
-            message = _certified(body)
             seen.add(("CERTIFIED", None))
-            if message[0] in UNREAD:
-                continue
-            seen.add(_read(AUTH_TABLES, message))
-            if message[0] == "app":
-                assert wire.fits(message[1], wire.LAMBDA), message
-                seen.add(("LAMBDA", None))
+            seen |= _members_read(_certified(body))
         elif channel == "pa3":
             raws = (body,)
             if wire.well_formed(body, wire.PA3):
                 seen.add(("PA3", "pa3b"))
                 raws = body[1]
             for raw in raws:
-                seen.add(_read({"PA1": wire.PA1}, _certified(raw)))
+                assert "pa1" in {member[0] for member in wire.unpack(_certified(raw), wire.PACK)}
+                seen |= _members_read(raw.message)
         elif channel == CERT_TAG:
             seen.add(_read({"CERT": wire.CERT}, body))
         elif channel in RAW_TABLES:
@@ -180,7 +191,7 @@ def _kinds_read(traffic):
 
 
 def test_honest_bodies_fit_and_every_kind_is_sent(traffic):
-    tables = {**AUTH_TABLES, "PA3": wire.PA3, "CERT": wire.CERT}
+    tables = {**AUTH_TABLES, "PACK": wire.PACK, "PA3": wire.PA3, "CERT": wire.CERT}
     for channel_tables in RAW_TABLES.values():
         tables.update(channel_tables)
     expected = {(name, kind) for name, table in tables.items() for kind in table}
@@ -197,3 +208,16 @@ def test_fits_and_well_formed():
     for body in [(), ("rf-need",), ("rf-need", 1, "esc"), ("rf-nope", 1), ([1], 1),
                  "rf-need", None]:
         assert not wire.well_formed(body, wire.REFRESH)
+
+
+def test_unpack_reads_one_level_of_pack():
+    bodies = (("app", 1), ("rf-need", 2))
+    assert wire.unpack(("pack", bodies), wire.PACK) == bodies
+    assert wire.unpack(("pack", ()), wire.PACK) == ()
+    inner = ("pack", bodies)
+    assert wire.unpack(("pack", (inner,)), wire.PACK) == (inner,)
+    for bare in [("app", 1), ("pack", list(bodies)), ("pack", bodies, 1), ("pack",), 5]:
+        assert wire.unpack(bare, wire.PACK) == (bare,)
+    raws = (("m",) * 8,)
+    assert wire.unpack(("pa3b", raws), wire.PA3) == raws
+    assert wire.unpack(("pa3b", raws), wire.PACK) == (("pa3b", raws),)
